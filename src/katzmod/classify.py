@@ -151,7 +151,8 @@ def _realizing_weights(rs, k):
         first = (1,) + (0,) * (n - 1)
         last = (0,) * (n - 1) + (1,)
         out = [w for w in (first, last) if weyl_dimension(rs, w) == k]
-        assert out, "defining representation of A_(k-1) must have dimension k"
+        if not out:
+            raise RuntimeError("defining representation of A_(k-1) must have dimension k")
         return tuple(out)
     return tuple(irreps_of_dimension(rs, k))
 
@@ -198,7 +199,8 @@ def classify(k):
     cases = []
     for key, cand in passing.items():
         label = _label_for(cand.type_label, cand.rank, k)
-        assert label is not None, f"unexpected classification case {cand.name} at k={k}"
+        if label is None:
+            raise RuntimeError(f"unexpected classification case {cand.name} at k={k}")
         cases.append(ClassificationCase(label, cand))
     order = [LABEL_SYM_POWER, LABEL_FULL_SL, LABEL_SYMPLECTIC, LABEL_ORTHOGONAL, LABEL_G2]
     cases.sort(key=lambda c: order.index(c.label))
@@ -219,7 +221,8 @@ def ht_filter(cases, k, ht):
     model = sym_power_rep(k)
     diag = [model.triple.h[i, i] for i in range(k)]
     eigenvalue_count = len(set(diag))
-    assert eigenvalue_count == k, "Sym^(k-1) semisimple element must have k distinct eigenvalues"
+    if eigenvalue_count != k:
+        raise RuntimeError("Sym^(k-1) semisimple element must have k distinct eigenvalues")
     if eigenvalue_count == ht.weight_count:
         # a semisimple element with the required eigenvalue count exists
         return list(cases)
@@ -231,7 +234,8 @@ def _sl_preserves_no_form(k):
 
     The invariance condition m^T B + B m = 0 propagates to Lie brackets, so it
     is imposed on a generating set: the principal x, h, y together with
-    E_00 - E_11, which generate sl_k for k >= 3.
+    E_00 - E_11, which generate sl_k for k >= 3.  h goes first, so the
+    kernel starts from the k antidiagonal h-invariant forms.
     """
     t = principal_triple(k)
     extra = Matrix.zeros(k)

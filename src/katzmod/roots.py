@@ -120,6 +120,8 @@ def build_root_system(type_label, rank):
         raise ValueError(f"not a simple type: {type_label}{rank}")
     cartan = cartan_matrix(type_label, rank)
     n = rank
+    # nonzero entries of each Cartan row: the diagonal and at most 3 neighbours
+    links = [[(j, a) for j, a in enumerate(row) if a] for row in cartan]
     roots = set()
     layer = []
     for i in range(n):
@@ -139,7 +141,7 @@ def build_root_system(type_label, rank):
                         p += 1
                     else:
                         break
-                pairing = sum(cartan[i][j] * alpha[j] for j in range(n))
+                pairing = sum(a * alpha[j] for j, a in links[i])
                 if p - pairing >= 1:
                     up = list(alpha)
                     up[i] += 1
@@ -162,7 +164,8 @@ def exponents(rs):
         exact = heights.get(h, 0) - heights.get(h + 1, 0)
         out.extend([h] * exact)
     out.sort()
-    assert len(out) == rs.rank
+    if len(out) != rs.rank:
+        raise RuntimeError(f"{rs.name}: {len(out)} exponents for rank {rs.rank}")
     return tuple(out)
 
 
@@ -190,7 +193,8 @@ def weyl_dimension(rs, weight):
         num *= sum(cj * (wj + 1) * dj for cj, wj, dj in zip(c, weight, d))
         den *= sum(cj * dj for cj, dj in zip(c, d))
     q, r = divmod(num, den)
-    assert r == 0, "Weyl dimension failed to be an integer"
+    if r:
+        raise RuntimeError("Weyl dimension failed to be an integer")
     return q
 
 

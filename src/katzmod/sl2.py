@@ -7,12 +7,24 @@ displayed structure constants ([x^r, ad(y)x^s] = 2rs x^(r+s-1), ad(h)x^r =
 2r x^r) hold literally.  Under the adjoint action of this sl2, the traceless
 matrices decompose into irreducible pieces U_r of highest weight 2r, r = 1..k-1,
 with basis {ad(y)^i x^r | 0 <= i <= 2r}; cf. Bourbaki LIE VIII.11 or Kostant.
+
+The decomposition works in the h-weight grading.  ad(h) multiplies E_ij by
+h_i - h_j = 2(j - i), so the weight spaces of sl_k are its diagonals j - i = d.
+The basis vector ad(y)^i x^r lies on the single diagonal d = r - i and is held
+as that diagonal's entries, its strip; a bracket of two basis vectors is then
+one O(k) pass over two strips.  The change of basis is block diagonal over the
+diagonals, so the decomposition keeps one exact solver per diagonal, and
+projections and bracket supports solve one weight space at a time.  An
+h-invariant bilinear form lives on the entries with h_a + h_b = 0 (the
+antidiagonal), which is where `form_kernel` starts when h comes first.
 """
 
 from fractions import Fraction
 from dataclasses import dataclass
+from math import lcm
 
-from .linalg import Matrix, bracket, rank, solve_homogeneous, solve_linear, nilpotency_data
+from .linalg import Matrix, _rref, bracket, solve_homogeneous, nilpotency_data
+from .linalg import rank  # noqa: F401  (perfbench's tracer checks it is rebound here too)
 
 
 @dataclass(frozen=True)
@@ -24,11 +36,18 @@ class Sl2Triple:
     y: Matrix
 
     def validate(self):
-        assert bracket(self.h, self.x) == self.x.scale(2)
-        assert bracket(self.h, self.y) == self.y.scale(-2)
-        assert bracket(self.x, self.y) == self.h
-        assert self.x.trace() == 0 and self.h.trace() == 0 and self.y.trace() == 0
-        assert nilpotency_data(self.x).single_block
+        """Check the defining relations; raises ValueError on the first failure."""
+        checks = (
+            (bracket(self.h, self.x) == self.x.scale(2), "[h, x] != 2x"),
+            (bracket(self.h, self.y) == self.y.scale(-2), "[h, y] != -2y"),
+            (bracket(self.x, self.y) == self.h, "[x, y] != h"),
+            (self.x.trace() == 0 and self.h.trace() == 0 and self.y.trace() == 0,
+             "x, h, y not all traceless"),
+            (nilpotency_data(self.x).single_block, "x is not a one-block nilpotent"),
+        )
+        for ok, failure in checks:
+            if not ok:
+                raise ValueError(f"not a principal sl2-triple: {failure}")
         return self
 
 
@@ -37,6 +56,30 @@ class IrrepBlock:
     """The irreducible summand U_r generated by x^r, basis ad(y)^i x^r."""
     r: int
     basis: tuple  # 2r+1 matrices, index i = number of ad(y) applications
+    strips: tuple  # basis[i] as its entries on its diagonal j - i = r - i
+
+
+@dataclass(frozen=True)
+class StripSolver:
+    """Exact left inverse of the block basis on one diagonal d.
+
+    rs lists the blocks U_r with a basis vector on the diagonal, which are
+    those with r >= max(|d|, 1).  Row j of `inverse` dotted with a strip and
+    divided by denominators[j] gives the coefficient of that vector of
+    U_(rs[j]); the `checks` rows span the left kernel, so a strip lies in the
+    span exactly when each is orthogonal to it.  All rows are integers.
+    """
+    rs: tuple
+    inverse: tuple
+    denominators: tuple
+    checks: tuple
+
+    def coefficients(self, strip):
+        """Block-basis coefficients of a strip on this diagonal, one per rs."""
+        if any(_dot(row, strip) for row in self.checks):
+            raise RuntimeError("projection system inconsistent; decomposition corrupt")
+        return [Fraction(_dot(row, strip), den)
+                for row, den in zip(self.inverse, self.denominators)]
 
 
 @dataclass(frozen=True)
@@ -46,9 +89,13 @@ class AdjointDecomposition:
     k: int
     blocks: tuple  # IrrepBlock for r = 1..k-1
     change_of_basis: Matrix  # columns: block basis vectors in elementary coordinates
+    solvers: tuple  # StripSolver for the diagonals d = -(k-1) .. k-1
 
     def block(self, r):
         return self.blocks[r - 1]
+
+    def solver(self, d):
+        return self.solvers[d + self.k - 1]
 
 
 def principal_triple(k):
@@ -127,94 +174,148 @@ def _elementary_coordinates(m):
     return coords
 
 
-def decompose_adjoint(t):
-    """Decompose sl_k into the blocks U_r under ad of the given triple.
-
-    Returns the blocks with bases {ad(y)^i x^r} and the square change-of-basis
-    matrix whose columns express the block basis in elementary coordinates.
-    Raises if the change of basis fails to be invertible (it never does for a
-    valid triple; the check guards the decomposition's directness).
-    """
-    k = t.k
-    blocks = []
-    for r in range(1, k):
-        v = t.x ** r
-        basis = [v]
-        for _ in range(2 * r):
-            v = bracket(t.y, v)
-            basis.append(v)
-        blocks.append(IrrepBlock(r, tuple(basis)))
-    columns = [_elementary_coordinates(m) for b in blocks for m in b.basis]
-    n = k * k - 1
-    cob = Matrix(n, n, [columns[j][i] for i in range(n) for j in range(n)])
-    if rank(cob) != n:
-        raise RuntimeError("adjoint decomposition is not direct: change of basis singular")
-    return AdjointDecomposition(k, tuple(blocks), cob)
+def _strip_rows(k, d):
+    """Row indices i of the d-th diagonal (j - i = d) of a k x k matrix."""
+    return range(max(0, -d), min(k, k - d))
 
 
 def _diagonal_strip(m, d):
     """Entries of the d-th diagonal (j - i = d) of a k x k matrix."""
-    k = m.rows
-    return [m[i, i + d] for i in range(max(0, -d), min(k, k - d))]
+    return [m[i, i + d] for i in _strip_rows(m.rows, d)]
+
+
+def _strip_matrix(k, d, strip):
+    """The k x k matrix whose only nonzero diagonal is d, with entries strip."""
+    entries = [0] * (k * k)
+    for i, v in zip(_strip_rows(k, d), strip):
+        entries[i * k + i + d] = v
+    return Matrix(k, k, entries)
+
+
+def _graded_strip(m, d):
+    """The d-th diagonal of m as integers; it must be m's only nonzero one."""
+    strip = _diagonal_strip(m, d)
+    if _strip_matrix(m.rows, d, strip) != m or any(v.denominator != 1 for v in strip):
+        raise ValueError(f"matrix is not integral and supported on the diagonal j - i = {d}")
+    return [int(v) for v in strip]
+
+
+def _strip_product(k, d1, a, d2, b):
+    """Strip of A*B for A on diagonal d1 (strip a) and B on diagonal d2 (strip
+    b); the product lies on diagonal d1 + d2."""
+    o1, o2 = max(0, -d1), max(0, -d2)
+    return [a[i - o1] * b[i + d1 - o2] if 0 <= i + d1 < k else 0
+            for i in _strip_rows(k, d1 + d2)]
+
+
+def _strip_bracket(k, d1, a, d2, b):
+    """Strip of [A, B] for A on diagonal d1 and B on diagonal d2."""
+    return [p - q for p, q in zip(_strip_product(k, d1, a, d2, b),
+                                  _strip_product(k, d2, b, d1, a))]
+
+
+def _dot(row, strip):
+    return sum(c * v for c, v in zip(row, strip) if v)
+
+
+def _integer_row(row):
+    """(integers, d) with row equal to integers / d."""
+    den = lcm(*(x.denominator for x in row))
+    return tuple(int(x * den) for x in row), den
+
+
+def _strip_solver(rs, columns):
+    """StripSolver for the block basis columns (strips, one per r in rs) of
+    one diagonal, by Gauss-Jordan on [columns | identity]; raises unless the
+    columns have full rank."""
+    n, m = len(columns[0]), len(columns)
+    rows = [[Fraction(col[i]) for col in columns] + [Fraction(int(i == j)) for j in range(n)]
+            for i in range(n)]
+    if len(_rref(rows, m)) != m:
+        raise RuntimeError("adjoint decomposition is not direct: change of basis singular")
+    inverse, denominators = zip(*(_integer_row(row[m:]) for row in rows[:m]))
+    checks = tuple(_integer_row(row[m:])[0] for row in rows[m:])
+    return StripSolver(tuple(rs), inverse, denominators, checks)
+
+
+def decompose_adjoint(t):
+    """Decompose sl_k into the blocks U_r under ad of the given triple.
+
+    The triple must be graded: x supported on the superdiagonal and y on the
+    subdiagonal, with integer entries, as for principal_triple and
+    sym_power_rep; anything else raises ValueError.  The basis
+    {ad(y)^i x^r} of each block is computed strip by strip, ad(y)^i x^r on
+    the diagonal r - i.  Each diagonal d gets a StripSolver for the basis
+    vectors on it: a square system for d != 0, k x (k-1) for d = 0.  Full
+    column rank on every diagonal is the directness check, and raises if it
+    fails (it never does for a valid triple).  The square change-of-basis
+    matrix, whose columns express the block basis in elementary coordinates,
+    is kept for callers that check its rank independently.
+    """
+    k = t.k
+    xs, ys = _graded_strip(t.x, 1), _graded_strip(t.y, -1)
+    blocks = []
+    power = [1] * k  # strip of x^0 on the main diagonal
+    for r in range(1, k):
+        power = _strip_product(k, r - 1, power, 1, xs)
+        strips = [power]
+        for i in range(2 * r):
+            strips.append(_strip_bracket(k, -1, ys, r - i, strips[-1]))
+        basis = tuple(_strip_matrix(k, r - i, s) for i, s in enumerate(strips))
+        blocks.append(IrrepBlock(r, basis, tuple(map(tuple, strips))))
+    solvers = []
+    for d in range(-(k - 1), k):
+        rs = range(max(abs(d), 1), k)
+        solvers.append(_strip_solver(rs, [blocks[r - 1].strips[r - d] for r in rs]))
+    columns = [_elementary_coordinates(m) for b in blocks for m in b.basis]
+    n = k * k - 1
+    cob = Matrix(n, n, [columns[j][i] for i in range(n) for j in range(n)])
+    return AdjointDecomposition(k, tuple(blocks), cob, tuple(solvers))
 
 
 def project_to_blocks(dec, m):
     """Write a traceless matrix as a sum of components, one in each U_r.
 
-    The change of basis is block diagonal over the ad(h)-weight spaces (the
-    block basis vector ad(y)^i x^r lives on the single diagonal j - i = r - i),
-    so the defining linear system is solved one diagonal strip at a time.
-    Returns a dict r -> component matrix, r = 1..k-1, components summing to m.
+    The diagonal d of m is solved for with the decomposition's StripSolver
+    for d.  Returns a dict r -> component matrix, r = 1..k-1, components
+    summing to m.
     """
     k = dec.k
     if m.rows != k or m.cols != k:
         raise ValueError(f"expected a {k}x{k} matrix")
     if m.trace() != 0:
         raise ValueError("matrix must be traceless")
-    coeffs = {r: [Fraction(0)] * (2 * r + 1) for r in range(1, k)}
+    entries = {r: [0] * (k * k) for r in range(1, k)}
     for d in range(-(k - 1), k):
         strip = _diagonal_strip(m, d)
         if not any(strip):
             continue
-        rs = list(range(max(abs(d), 1), k))
-        strips = [_diagonal_strip(dec.block(r).basis[r - d], d) for r in rs]
-        cols = Matrix(len(strip), len(rs),
-                      [strips[j][i] for i in range(len(strip)) for j in range(len(rs))])
-        sol = solve_linear(cols, strip)
-        if sol is None:
-            raise RuntimeError("projection system inconsistent; decomposition corrupt")
-        for r, c in zip(rs, sol):
-            coeffs[r][r - d] = c
-    out = {}
-    for r in range(1, k):
-        comp = Matrix.zeros(k)
-        for i, c in enumerate(coeffs[r]):
-            if c:
-                comp = comp + dec.block(r).basis[i].scale(c)
-        out[r] = comp
-    return out
+        solver = dec.solver(d)
+        for r, c in zip(solver.rs, solver.coefficients(strip)):
+            for i, v in zip(_strip_rows(k, d), dec.block(r).strips[r - d]):
+                entries[r][i * k + i + d] = c * v
+    return {r: Matrix(k, k, e) for r, e in entries.items()}
 
 
 def bracket_support(dec, r, s):
     """The set T of blocks hit by [U_r, U_s], by exhaustive bracketing.
 
-    Brackets every pair of basis elements of U_r and U_s and records which
-    blocks receive a nonzero component.  Always lands inside
-    {max(r-s,1), ..., min(r+s, k-1)}, never contains r+s, and contains r+s-1
-    whenever r+s <= k.
+    Brackets every pair of basis strips of U_r and U_s, each bracket a single
+    strip on the sum of their diagonals, and records the blocks whose
+    coefficient from that diagonal's StripSolver is nonzero.  Always lands
+    inside {max(r-s,1), ..., min(r+s, k-1)}, never contains r+s, and contains
+    r+s-1 whenever r+s <= k.
     """
     k = dec.k
     if not (1 <= s <= r <= k - 1):
         raise ValueError(f"need 1 <= s <= r <= k-1, got r={r}, s={s}")
     support = set()
-    for a in dec.block(r).basis:
-        for b in dec.block(s).basis:
-            w = bracket(a, b)
-            if w.is_zero():
-                continue
-            for t_, comp in project_to_blocks(dec, w).items():
-                if not comp.is_zero():
-                    support.add(t_)
+    for i, a in enumerate(dec.block(r).strips):
+        for j, b in enumerate(dec.block(s).strips):
+            w = _strip_bracket(k, r - i, a, s - j, b)
+            if any(w):
+                solver = dec.solver(r - i + s - j)
+                support.update(t_ for t_, c in zip(solver.rs, solver.coefficients(w)) if c)
     return support
 
 
@@ -233,38 +334,46 @@ def form_kernel(mats, k):
     """Basis of { B : m^T B + B m = 0 for all m in mats }, as k x k matrices.
 
     Solved by refining the kernel one matrix at a time: the current solution
-    space is kept as a list of basis forms, and each new condition becomes a
-    small linear system in the basis coefficients.  The invariance condition
-    propagates to Lie brackets, so imposing it on a generating set imposes it
-    on the whole generated algebra.
+    space is kept as a list of basis forms, each a sparse combination of the
+    elementary forms E_ab, and each new condition becomes a small linear
+    system in the basis coefficients.  The start is graded by the first
+    matrix when it is diagonal: D^T E_ab + E_ab D = (D_aa + D_bb) E_ab, so the
+    kernel of a diagonal D is spanned by the E_ab with D_aa + D_bb = 0 (for h,
+    the k antidiagonal ones), and D needs no further imposing.  Otherwise the
+    start is all k^2 elementary forms.  The invariance condition propagates
+    to Lie brackets, so imposing it on a generating set imposes it on the
+    whole generated algebra.
     """
-    zero = Fraction(0)
-    one = Fraction(1)
-    basis = []
-    for e in range(k * k):
-        ent = [zero] * (k * k)
-        ent[e] = one
-        basis.append(Matrix(k, k, ent))
+    mats = list(mats)
+    pairs = [(a, b) for a in range(k) for b in range(k)]
+    if mats and mats[0] == Matrix.diagonal([mats[0][a, a] for a in range(k)]):
+        d = mats.pop(0)
+        pairs = [(a, b) for a, b in pairs if d[a, a] + d[b, b] == 0]
+    basis = [{ab: 1} for ab in pairs]
     for m in mats:
         if not basis:
             return []
-        mt = m.transpose()
-        image_entries = [list((mt * bmat + bmat * m).entries) for bmat in basis]
-        cond = Matrix(k * k, len(basis),
-                      [image_entries[j][e] for e in range(k * k) for j in range(len(basis))])
-        kernel = solve_homogeneous(cond)
-        basis = [
-            _combine(basis, [v[i, 0] for i in range(len(basis))])
-            for v in kernel
-        ]
-    return basis
+        nonzero = [[(j, m[a, j]) for j in range(k) if m[a, j]] for a in range(k)]
+        cond = {}  # entry (i, j) of m^T B + B m -> its coefficient on each basis form
+        for col, form in enumerate(basis):
+            for (a, b), c in form.items():
+                for i, v in nonzero[a]:  # m^T E_ab = sum_i m[a, i] E_ib
+                    cond.setdefault((i, b), [0] * len(basis))[col] += c * v
+                for j, v in nonzero[b]:  # E_ab m = sum_j m[b, j] E_aj
+                    cond.setdefault((a, j), [0] * len(basis))[col] += c * v
+        kernel = solve_homogeneous(
+            Matrix(len(cond), len(basis), [x for row in cond.values() for x in row]))
+        basis = [_combine(basis, [v[i, 0] for i in range(len(basis))]) for v in kernel]
+    return [Matrix(k, k, [form.get((a, b), 0) for a in range(k) for b in range(k)])
+            for form in basis]
 
 
-def _combine(mats, coeffs):
-    out = Matrix.zeros(mats[0].rows, mats[0].cols)
-    for m, c in zip(mats, coeffs):
+def _combine(forms, coeffs):
+    out = {}
+    for form, c in zip(forms, coeffs):
         if c:
-            out = out + m.scale(c)
+            for ab, x in form.items():
+                out[ab] = out.get(ab, 0) + c * x
     return out
 
 
@@ -278,6 +387,7 @@ def invariant_bilinear_form(t):
     """The invariant bilinear form of the triple: the unique (up to scalar)
     B with m^T B + B m = 0 for m in {x, h, y}.
 
+    h comes first, so form_kernel refines only the k antidiagonal forms.
     Symmetric exactly when k is odd; antisymmetric when k is even (Sym^(k-1)
     of sl2 is orthogonal or symplectic accordingly).  Raises if the solution
     space is not 1-dimensional.

@@ -1,6 +1,7 @@
 """The command-line surface: flags, output formats, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +135,14 @@ class TestSubgroupCommand:
 
 
 class TestVerifyPaperCommand:
+    def test_json_output_is_byte_identical_to_reference(self, capsys):
+        # the reference file holds the full `verify-paper --json` output of the
+        # dense (pre-grading) sl2 layer, criterion-9 failures included
+        reference = Path(__file__).parent / "data" / "verify_paper.json"
+        code, out, _ = run(capsys, "verify-paper", "--json")
+        assert code == 1
+        assert out == reference.read_text(encoding="utf-8")
+
     def test_subgroups_section_passes(self, capsys):
         code, out, _ = run(capsys, "verify-paper", "--only", "subgroups")
         assert code == 0

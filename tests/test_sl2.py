@@ -1,13 +1,93 @@
 """Principal sl2-triples, the adjoint decomposition, and the bracket identities."""
 
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from katzmod.linalg import Matrix, bracket, rank, solve_linear, nilpotency_data
-from katzmod.sl2 import (principal_triple, sym_power_rep, decompose_adjoint,
+import katzmod
+from katzmod.linalg import (Matrix, bracket, rank, solve_homogeneous, solve_linear,
+                            nilpotency_data)
+from katzmod.sl2 import (Sl2Triple, principal_triple, sym_power_rep, decompose_adjoint,
                          project_to_blocks, bracket_support, verify_bracket_identity,
                          invariant_bilinear_form, form_kernel, clebsch_gordan)
+
+
+# Reference implementations: the dense, ungraded algorithms the graded sl2
+# layer replaced.  The tests below compare the two on small k.
+
+def dense_form_kernel(mats, k):
+    """All k^2 entries of B as unknowns, one matrix at a time."""
+    basis = []
+    for e in range(k * k):
+        ent = [Fraction(0)] * (k * k)
+        ent[e] = Fraction(1)
+        basis.append(Matrix(k, k, ent))
+    for m in mats:
+        if not basis:
+            return []
+        mt = m.transpose()
+        images = [list((mt * b + b * m).entries) for b in basis]
+        cond = Matrix(k * k, len(basis),
+                      [images[j][e] for e in range(k * k) for j in range(len(basis))])
+        new = []
+        for v in solve_homogeneous(cond):
+            out = Matrix.zeros(k)
+            for b, c in zip(basis, (v[i, 0] for i in range(len(basis)))):
+                if c:
+                    out = out + b.scale(c)
+            new.append(out)
+        basis = new
+    return basis
+
+
+def same_span(forms, other):
+    """Both lists are independent and span the same space."""
+    def rank_of(ms):
+        return rank(Matrix.from_rows([list(m.entries) for m in ms])) if ms else 0
+    return rank_of(forms) == len(forms) == len(other) == rank_of(other) == rank_of(forms + other)
+
+
+def dense_projection(dec, m):
+    """Project strip by strip with solve_linear on the dense basis matrices."""
+    k = dec.k
+
+    def strip_of(a, d):
+        return [a[i, i + d] for i in range(max(0, -d), min(k, k - d))]
+
+    coeffs = {r: [Fraction(0)] * (2 * r + 1) for r in range(1, k)}
+    for d in range(-(k - 1), k):
+        strip = strip_of(m, d)
+        if not any(strip):
+            continue
+        rs = list(range(max(abs(d), 1), k))
+        cols = [strip_of(dec.block(r).basis[r - d], d) for r in rs]
+        sol = solve_linear(Matrix(len(strip), len(rs),
+                                  [cols[j][i] for i in range(len(strip)) for j in range(len(rs))]),
+                           strip)
+        for r, c in zip(rs, sol):
+            coeffs[r][r - d] = c
+    out = {}
+    for r in range(1, k):
+        comp = Matrix.zeros(k)
+        for i, c in enumerate(coeffs[r]):
+            if c:
+                comp = comp + dec.block(r).basis[i].scale(c)
+        out[r] = comp
+    return out
+
+
+def dense_bracket_support(dec, r, s):
+    support = set()
+    for a in dec.block(r).basis:
+        for b in dec.block(s).basis:
+            for t_, comp in dense_projection(dec, bracket(a, b)).items():
+                if not comp.is_zero():
+                    support.add(t_)
+    return support
 
 
 class TestPrincipalTriple:
@@ -39,6 +119,18 @@ class TestPrincipalTriple:
     def test_k_below_2_rejected(self):
         with pytest.raises(ValueError):
             principal_triple(1)
+
+    def test_broken_triple_rejected_under_optimize(self):
+        # the relation checks are explicit raises, so they survive python -O
+        code = ("from katzmod.sl2 import Sl2Triple, principal_triple\n"
+                "t = principal_triple(3)\n"
+                "Sl2Triple(3, t.x, t.h.scale(2), t.y).validate()\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(katzmod.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode != 0
+        assert "ValueError: not a principal sl2-triple: [h, x] != 2x" in proc.stderr
 
 
 class TestSymPowerRep:
@@ -94,6 +186,15 @@ class TestAdjointDecomposition:
             assert dec.change_of_basis.rows == n
             assert rank(dec.change_of_basis) == n
 
+    def test_ungraded_triple_rejected(self):
+        # conjugating by 1 + E_01 moves x and y off their single diagonals
+        t = principal_triple(3)
+        g = Matrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+        gi = Matrix.from_rows([[1, -1, 0], [0, 1, 0], [0, 0, 1]])
+        moved = Sl2Triple(3, g * t.x * gi, g * t.h * gi, g * t.y * gi).validate()
+        with pytest.raises(ValueError):
+            decompose_adjoint(moved)
+
     def test_block_invariants(self):
         # highest weight killed by ad x; h-weights 2r-2i; lowest killed by ad y
         for k in (3, 5, 6):
@@ -141,6 +242,21 @@ class TestProjectToBlocks:
             total = total + c
         assert total == m
 
+    def test_random_traceless_against_dense_projection(self):
+        rng = random.Random(20040211)
+        for k in range(2, 7):
+            dec = decompose_adjoint(principal_triple(k))
+            for _ in range(5):
+                entries = [rng.randint(-9, 9) for _ in range(k * k)]
+                entries[-1] = -sum(entries[i * k + i] for i in range(k - 1))
+                m = Matrix(k, k, entries)
+                comps = project_to_blocks(dec, m)
+                total = Matrix.zeros(k)
+                for c in comps.values():
+                    total = total + c
+                assert total == m
+                assert comps == dense_projection(dec, m)
+
     def test_nonzero_trace_rejected(self):
         dec = decompose_adjoint(principal_triple(3))
         with pytest.raises(ValueError):
@@ -174,6 +290,13 @@ class TestBracketSupport:
                     assert r + s not in support
                     if r + s <= k:
                         assert r + s - 1 in support
+
+    def test_against_dense_brackets(self):
+        for k in range(2, 8):
+            dec = decompose_adjoint(principal_triple(k))
+            for r in range(1, k):
+                for s in range(1, r + 1):
+                    assert bracket_support(dec, r, s) == dense_bracket_support(dec, r, s)
 
     def test_bad_range_rejected(self):
         dec = decompose_adjoint(principal_triple(4))
@@ -283,6 +406,24 @@ class TestFormKernelPropagation:
                 for m in (bracket(t.x, t.y), bracket(t.x, bracket(t.x, t.y)),
                           bracket(t.y, bracket(t.x, t.y))):
                     assert (m.transpose() * b + b * m).is_zero()
+
+
+class TestFormKernelAgainstDense:
+    @staticmethod
+    def generator_lists(k):
+        t = principal_triple(k)
+        d = Matrix.diagonal([1, -1] + [0] * (k - 2))
+        return {
+            "h, x, y": [t.h, t.x, t.y],
+            "h, x, y, E00-E11": [t.h, t.x, t.y, d],
+            "x, y (first not diagonal)": [t.x, t.y],
+            "E00-E11, x, y (diagonal, not h)": [d, t.x, t.y],
+        }
+
+    def test_same_span_as_dense_kernel(self):
+        for k in range(2, 9):
+            for name, mats in self.generator_lists(k).items():
+                assert same_span(form_kernel(mats, k), dense_form_kernel(mats, k)), (k, name)
 
 
 class TestClebschGordan:
