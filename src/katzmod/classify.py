@@ -183,13 +183,13 @@ def classify(k):
     passing = {}
     for type_label, rank in _candidate_types(k):
         rs = build_root_system(type_label, rank)
-        if not exponent_criteria(exponents(rs), k).all_pass():
+        exps = exponents(rs)
+        if not exponent_criteria(exps, k).all_pass():
             continue
         weights = _realizing_weights(rs, k)
         if not weights:
             continue
-        passing[(type_label, rank)] = CandidateAlgebra(
-            type_label, rank, exponents(rs), weights)
+        passing[(type_label, rank)] = CandidateAlgebra(type_label, rank, exps, weights)
 
     # B_2 and C_2 are the same algebra; when both pass, report the one whose
     # standard k-dimensional model matches the parity of k.

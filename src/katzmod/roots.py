@@ -1,20 +1,26 @@
 """Root systems of the simple types, exponents, and the Weyl dimension formula.
 
-Positive roots are generated from the Cartan matrix by root-string closure,
-with no Euclidean coordinates: a candidate alpha + alpha_i is a root exactly
-when q = p - <alpha, alpha_i^vee> is positive, where p is the depth of the
-alpha_i-string below alpha.  Exponents are read off as the dual partition of
+Positive roots are generated from the Cartan matrix by root-string closure
+(Bourbaki LIE VI 1.6), one height layer at a time, with no Euclidean
+coordinates: a candidate alpha + alpha_i is a root exactly when
+q = p - <alpha, alpha_i^vee> is positive, where p is the depth of the
+alpha_i-string below alpha.  Each root of the current layer carries its
+pairings and its string depths up from the layer below: the pairings of
+alpha + alpha_i are those of alpha plus the sparse Cartan column i, its depth
+along alpha_i is one more than alpha's, and its depth along alpha_j is set by
+the root alpha + alpha_i - alpha_j when that lies in the layer, 0 otherwise.
+Nothing is probed.  Exponents are read off as the dual partition of
 the height distribution of the positive roots (the number of exponents >= h
 equals the number of positive roots of height h); see Bourbaki LIE VI and
 Kostant.  Dimensions of irreducibles come from the Weyl dimension formula
 evaluated in exact rational arithmetic.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from collections import Counter, deque
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 SIMPLE_TYPES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -76,23 +82,20 @@ def cartan_matrix(type_label, rank):
 def _symmetrizers(cartan):
     """Coprime positive integers d_i with d_i * A[i][j] = d_j * A[j][i]."""
     n = len(cartan)
-    d = [None] * n
-    d[0] = Fraction(1)
+    d = [0] * n
+    d[0] = 1
     stack = [0]
     while stack:
         i = stack.pop()
         for j in range(n):
-            if i != j and cartan[i][j] and d[j] is None:
-                d[j] = d[i] * cartan[i][j] / cartan[j][i]
+            if i != j and cartan[i][j] and not d[j]:
+                a, b = cartan[i][j], cartan[j][i]
+                if d[i] * a % b:
+                    d = [v * -b for v in d]  # b < 0: keeps every d_i positive
+                d[j] = d[i] * a // b
                 stack.append(j)
-    den = 1
-    for v in d:
-        den = den * v.denominator // gcd(den, v.denominator)
-    out = [int(v * den) for v in d]
-    g = 0
-    for v in out:
-        g = gcd(g, v)
-    return tuple(v // g for v in out)
+    g = gcd(*d)
+    return tuple(v // g for v in d)
 
 
 @dataclass(frozen=True)
@@ -120,39 +123,35 @@ def build_root_system(type_label, rank):
         raise ValueError(f"not a simple type: {type_label}{rank}")
     cartan = cartan_matrix(type_label, rank)
     n = rank
-    # nonzero entries of each Cartan row: the diagonal and at most 3 neighbours
-    links = [[(j, a) for j, a in enumerate(row) if a] for row in cartan]
-    roots = set()
-    layer = []
-    for i in range(n):
-        v = tuple(1 if j == i else 0 for j in range(n))
-        roots.add(v)
-        layer.append(v)
+    # column i of the Cartan matrix, sparse: adding alpha_i to a root changes
+    # its pairings <., alpha_j^vee> by A[j][i], for the diagonal and at most
+    # 3 neighbours j
+    cols = [[(j, cartan[j][i]) for j in range(n) if cartan[j][i]] for i in range(n)]
+    # the current height layer: root -> (its pairings, its string depths p_j)
+    layer = {tuple(1 if j == i else 0 for j in range(n)): ([row[i] for row in cartan], [0] * n)
+             for i in range(n)}
+    positive = []
     while layer:
-        nxt = []
-        for alpha in layer:
+        positive.extend(sorted(layer))
+        nxt = {}
+        for alpha, (pairings, depths) in layer.items():
             for i in range(n):
-                # depth of the alpha_i-string below alpha
-                p = 0
-                probe = list(alpha)
-                while True:
-                    probe[i] -= 1
-                    if tuple(probe) in roots:
-                        p += 1
-                    else:
-                        break
-                pairing = sum(a * alpha[j] for j, a in links[i])
-                if p - pairing >= 1:
-                    up = list(alpha)
-                    up[i] += 1
-                    t = tuple(up)
-                    if t not in roots:
-                        roots.add(t)
-                        nxt.append(t)
+                p = depths[i]
+                if p - pairings[i] < 1:
+                    continue
+                t = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+                entry = nxt.get(t)
+                if entry is None:
+                    up = pairings.copy()
+                    for j, a in cols[i]:
+                        up[j] += a
+                    entry = nxt[t] = (up, [0] * n)
+                # every root t - alpha_j lies in this layer and reaches t, so
+                # each nonzero depth of t is set here; the rest stay 0
+                entry[1][i] = p + 1
         layer = nxt
-    positive = tuple(sorted(roots, key=lambda v: (sum(v), v)))
     return RootSystem(type_label, rank, tuple(tuple(r) for r in cartan),
-                      positive, _symmetrizers(cartan))
+                      tuple(positive), _symmetrizers(cartan))
 
 
 def exponents(rs):
@@ -187,11 +186,12 @@ def weyl_dimension(rs, weight):
     if any(w < 0 for w in weight):
         raise ValueError("weight must be dominant (nonnegative coordinates)")
     d = rs.symmetrizers
+    dw = [(wj + 1) * dj for wj, dj in zip(weight, d)]
     num = 1
     den = 1
     for c in rs.positive_roots:
-        num *= sum(cj * (wj + 1) * dj for cj, wj, dj in zip(c, weight, d))
-        den *= sum(cj * dj for cj, dj in zip(c, d))
+        num *= sum(map(mul, c, dw))
+        den *= sum(map(mul, c, d))
     q, r = divmod(num, den)
     if r:
         raise RuntimeError("Weyl dimension failed to be an integer")

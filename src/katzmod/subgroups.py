@@ -43,6 +43,15 @@ def mat_det(a):
     return a[0] * a[3] - a[1] * a[2]
 
 
+def _int_entries(m):
+    """The entries of m as a tuple; any entry that is not an int (or is a bool) is rejected."""
+    m = tuple(m)
+    for x in m:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValueError(f"matrix entry {x!r} is not an integer")
+    return m
+
+
 def psl2_canonical(m):
     """Representative of {m, -m} with the first nonzero entry positive."""
     for x in m:
@@ -62,7 +71,7 @@ class GeneratorSet:
     def __init__(self, name, generators):
         gens = []
         for m in generators:
-            m = tuple(int(x) for x in m)
+            m = _int_entries(m)
             if len(m) != 4:
                 raise ValueError(f"generator must have four entries, got {m}")
             if mat_det(m) != 1:
@@ -127,7 +136,7 @@ def matrix_to_word(m):
     Repeatedly peels T^q S from the left while the lower-left entry is
     nonzero; evaluation of the word recovers the input up to overall sign.
     """
-    m = tuple(int(x) for x in m)
+    m = _int_entries(m)
     if mat_det(m) != 1:
         raise ValueError(f"matrix {m} has determinant {mat_det(m)}, not 1")
     letters = []
@@ -251,9 +260,11 @@ class CosetTable:
     def validate(self):
         n = self.index
         identity = tuple(range(n))
-        assert _compose(self.perm_S, self.perm_S) == identity
+        if _compose(self.perm_S, self.perm_S) != identity:
+            raise RuntimeError("coset table violates S^2 = 1")
         st = _compose(self.perm_S, self.perm_T)
-        assert _compose(_compose(st, st), st) == identity
+        if _compose(_compose(st, st), st) != identity:
+            raise RuntimeError("coset table violates (ST)^3 = 1")
         # transitivity of the joint action
         seen = {0}
         frontier = [0]
@@ -265,7 +276,8 @@ class CosetTable:
                         seen.add(p[c])
                         nxt.append(p[c])
             frontier = nxt
-        assert len(seen) == n
+        if len(seen) != n:
+            raise RuntimeError(f"coset table is not transitive: {len(seen)} of {n} cosets reached")
         return self
 
 
@@ -285,8 +297,8 @@ def coset_enumerate(gens, cap=None):
     perm_T = _compose(perm_s, perm_u)  # T = s u
     table = CosetTable(len(perm_s), perm_s, perm_T).validate()
     for w, m in zip(words, gens.generators):
-        assert graph.path(graph.start, w) == graph.find(graph.start), \
-            f"generator {m} does not fix the base coset"
+        if graph.path(graph.start, w) != graph.find(graph.start):
+            raise RuntimeError(f"generator {m} does not fix the base coset")
     return table
 
 

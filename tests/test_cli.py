@@ -1,10 +1,14 @@
 """The command-line surface: flags, output formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import katzmod
 from katzmod import verify
 from katzmod.cli import main
 
@@ -184,3 +188,15 @@ class TestVerifyPaperCommand:
         with pytest.raises(SystemExit) as info:
             run(capsys, "verify-paper", "--only", "nonsense")
         assert info.value.code != 0
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_verify_paper(self):
+        # `python -m katzmod` works from a source checkout, with no install
+        src = os.path.dirname(os.path.dirname(os.path.abspath(katzmod.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "katzmod", "verify-paper",
+                               "--only", "subgroups"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "3 passed, 0 failed" in proc.stdout

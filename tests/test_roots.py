@@ -1,9 +1,98 @@
 """Root systems, exponents, and the Weyl dimension formula."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
-from katzmod.roots import (build_root_system, exponents, algebra_dimension,
-                           weyl_dimension, irreps_of_dimension, irreps_up_to)
+from katzmod.roots import (SIMPLE_TYPES, build_root_system, exponents, algebra_dimension,
+                           weyl_dimension, irreps_of_dimension, irreps_up_to,
+                           cartan_matrix, _symmetrizers, _valid_type)
+
+
+def all_types(max_rank):
+    return [(t, n) for t in SIMPLE_TYPES for n in range(1, max_rank + 1) if _valid_type(t, n)]
+
+
+def positive_root_count(t, n):
+    """Closed form for the number of positive roots."""
+    if t == "A":
+        return n * (n + 1) // 2
+    if t in ("B", "C"):
+        return n * n
+    if t == "D":
+        return n * (n - 1)
+    return {("E", 6): 36, ("E", 7): 63, ("E", 8): 120, ("F", 4): 24, ("G", 2): 6}[(t, n)]
+
+
+def coxeter_number(t, n):
+    return {"A": n + 1, "B": 2 * n, "C": 2 * n, "D": 2 * n - 2, "F": 12, "G": 6,
+            "E": {6: 12, 7: 18, 8: 30}.get(n)}[t]
+
+
+def expected_symmetrizers(t, n):
+    """Half squared root lengths, shortest 1, in Bourbaki numbering."""
+    if t == "B":
+        return (2,) * (n - 1) + (1,)
+    if t == "C":
+        return (1,) * (n - 1) + (2,)
+    if t == "F":
+        return (2, 2, 1, 1)
+    if t == "G":
+        return (1, 3)
+    return (1,) * n
+
+
+def probing_closure(cartan):
+    """Positive roots by the string closure that probes each string depth."""
+    n = len(cartan)
+    roots = set()
+    layer = []
+    for i in range(n):
+        v = tuple(1 if j == i else 0 for j in range(n))
+        roots.add(v)
+        layer.append(v)
+    while layer:
+        nxt = []
+        for alpha in layer:
+            for i in range(n):
+                p = 0
+                probe = list(alpha)
+                while True:
+                    probe[i] -= 1
+                    if tuple(probe) in roots:
+                        p += 1
+                    else:
+                        break
+                pairing = sum(cartan[i][j] * alpha[j] for j in range(n))
+                if p - pairing >= 1:
+                    up = list(alpha)
+                    up[i] += 1
+                    t = tuple(up)
+                    if t not in roots:
+                        roots.add(t)
+                        nxt.append(t)
+        layer = nxt
+    return tuple(sorted(roots, key=lambda v: (sum(v), v)))
+
+
+def weyl_dimension_fraction(t, n, weight):
+    """prod over positive roots of <w + rho, alpha^vee> / <rho, alpha^vee>, in Fractions.
+
+    The coroot pairing is taken through the invariant form:
+    <lam, alpha^vee> = (sum_j c_j lam_j d_j) / ((alpha, alpha) / 2), where
+    (alpha_i, alpha_j) = d_i A[i][j] and d holds the closed-form symmetrizers.
+    """
+    a = cartan_matrix(t, n)
+    d = expected_symmetrizers(t, n)
+    out = Fraction(1)
+    for c in build_root_system(t, n).positive_roots:
+        half_norm = Fraction(sum(c[i] * c[j] * d[i] * a[i][j]
+                                 for i in range(n) for j in range(n)), 2)
+        shifted = sum(Fraction(c[j] * (weight[j] + 1) * d[j]) for j in range(n)) / half_norm
+        rho = sum(Fraction(c[j] * d[j]) for j in range(n)) / half_norm
+        out *= shifted / rho
+    return out
 
 
 class TestBuildRootSystem:
@@ -39,6 +128,28 @@ class TestBuildRootSystem:
         assert rs.a3_isomorphic
         assert exponents(rs) == exponents(build_root_system("A", 3))
         assert not build_root_system("D", 4).a3_isomorphic
+
+    def test_positive_root_counts_closed_form(self):
+        for t, n in all_types(31):
+            assert len(build_root_system(t, n).positive_roots) == positive_root_count(t, n), (t, n)
+
+    def test_highest_root_height_is_coxeter_number_minus_one(self):
+        for t, n in all_types(31):
+            rs = build_root_system(t, n)
+            heights = [sum(r) for r in rs.positive_roots]
+            assert heights == sorted(heights)
+            assert heights[-1] == coxeter_number(t, n) - 1, (t, n)
+            assert heights.count(heights[-1]) == 1
+
+    def test_symmetrizers_closed_form(self):
+        for t, n in all_types(31):
+            assert _symmetrizers(cartan_matrix(t, n)) == expected_symmetrizers(t, n), (t, n)
+            assert build_root_system(t, n).symmetrizers == expected_symmetrizers(t, n)
+
+    def test_layered_closure_matches_probing_closure(self):
+        for t, n in all_types(10):
+            rs = build_root_system(t, n)
+            assert rs.positive_roots == probing_closure(cartan_matrix(t, n)), (t, n)
 
     def test_invalid_types_rejected(self):
         for t, n in [("A", 0), ("B", 1), ("C", 1), ("D", 2), ("E", 5), ("E", 9),
@@ -117,6 +228,14 @@ class TestWeylDimension:
                 for i in range(n):
                     up = w[:i] + (w[i] + 1,) + w[i + 1:]
                     assert weyl_dimension(rs, up) > base
+
+    def test_matches_fraction_product_formula(self):
+        rng = random.Random(20041)
+        for t, n in all_types(8):
+            for _ in range(3):
+                w = tuple(rng.randint(0, 3) for _ in range(n))
+                assert weyl_dimension(build_root_system(t, n), w) == \
+                    weyl_dimension_fraction(t, n, w), (t, n, w)
 
     def test_bad_weights_rejected(self):
         rs = build_root_system("A", 2)

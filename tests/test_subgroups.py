@@ -1,14 +1,18 @@
 """Coset enumeration, subgroup invariants, congruence testing, dimensions."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import katzmod
 from katzmod.subgroups import (GeneratorSet, Word, matrix_to_word, coset_enumerate,
                                invariants, congruence_test, dim_cusp_forms,
                                dim_rho_prim, subgroup_invariants, load_generator_file,
-                               resolve_subgroup, CosetCapExceeded, PRESETS, FULL_GROUP,
+                               resolve_subgroup, CosetCapExceeded, CosetTable, PRESETS, FULL_GROUP,
                                S_MAT, T_MAT, T_INV_MAT, mat_mul, psl2_canonical)
 
 # well-known congruence subgroups, by generators; (index, widths) for cross-checks
@@ -47,6 +51,15 @@ class TestGeneratorSet:
         gens = GeneratorSet("x", [(-1, 0, 0, -1), (-2, -1, -1, -1)])
         assert gens.generators[0] == (1, 0, 0, 1)
         assert gens.generators[1] == (2, 1, 1, 1)
+
+    def test_non_integer_entries_rejected(self):
+        # int() would read the first as the identity and accept the others
+        for m in [(1, 0.5, 0, 1), (1, 0, 0, 1.0), ("7", 0, 0, 1), (True, 0, 0, 1),
+                  (1, 0, 0, False)]:
+            with pytest.raises(ValueError, match="is not an integer"):
+                GeneratorSet("bad", [m])
+            with pytest.raises(ValueError, match="is not an integer"):
+                matrix_to_word(m)
 
     def test_canonical_sign(self):
         assert psl2_canonical((0, -1, 1, 0)) == (0, 1, -1, 0)
@@ -113,6 +126,26 @@ class TestCosetEnumeration:
     def test_cap_exceeded(self):
         with pytest.raises(CosetCapExceeded):
             coset_enumerate(PRESETS["gamma711"], cap=3)
+
+    @pytest.mark.parametrize("perm_s, perm_t, message", [
+        ((1, 2, 0), (0, 1, 2), r"S\^2 = 1"),
+        ((0, 1), (1, 0), r"\(ST\)\^3 = 1"),
+        ((0, 1), (0, 1), "not transitive: 1 of 2"),
+    ])
+    def test_corrupted_table_rejected(self, perm_s, perm_t, message):
+        with pytest.raises(RuntimeError, match=message):
+            CosetTable(len(perm_s), perm_s, perm_t).validate()
+
+    def test_corrupted_table_rejected_under_optimize(self):
+        # the table checks are explicit raises, so they survive python -O
+        code = ("from katzmod.subgroups import CosetTable\n"
+                "CosetTable(2, (0, 1), (1, 0)).validate()\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(katzmod.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode != 0
+        assert "RuntimeError: coset table violates (ST)^3 = 1" in proc.stderr
 
 
 class TestInvariants:
@@ -359,6 +392,12 @@ class TestGeneratorFiles:
         assert resolve_subgroup(str(path)).name == "t"
         with pytest.raises(ValueError, match="unknown subgroup"):
             resolve_subgroup("gamma_nonexistent")
+
+    def test_float_entry_rejected(self, tmp_path):
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps({"name": "f", "generators": [[1, 0.5, 0, 1]]}))
+        with pytest.raises(ValueError, match="0.5 is not an integer"):
+            load_generator_file(path)
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
