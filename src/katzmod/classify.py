@@ -18,7 +18,7 @@ from fractions import Fraction
 from dataclasses import dataclass
 
 from .linalg import Matrix
-from .sl2 import principal_triple, sym_power_rep, invariant_bilinear_form, form_kernel
+from .sl2 import principal_triple, invariant_bilinear_form, form_kernel
 from .roots import build_root_system, exponents, weyl_dimension, irreps_of_dimension
 
 LABEL_SYM_POWER = "sym_power_sl2"
@@ -89,11 +89,18 @@ class ClassificationCase:
 
 @dataclass(frozen=True)
 class HodgeTateData:
-    """A bare set of integer weights standing in for the Hodge-Tate cocharacter."""
+    """A bare set of integer weights standing in for the Hodge-Tate cocharacter.
+
+    Any weight that is not an int, or is a bool, raises ValueError.
+    """
     weights: frozenset
 
     def __init__(self, weights):
-        object.__setattr__(self, "weights", frozenset(int(w) for w in weights))
+        weights = tuple(weights)  # checked before a set can merge True into 1
+        for w in weights:
+            if not isinstance(w, int) or isinstance(w, bool):
+                raise ValueError(f"Hodge-Tate weight {w!r} is not an integer")
+        object.__setattr__(self, "weights", frozenset(weights))
 
     @property
     def weight_count(self):
@@ -211,15 +218,15 @@ def ht_filter(cases, k, ht):
     """Remove the Sym-power case when exactly two Hodge-Tate weights are given.
 
     The exclusion is recomputed, not assumed: the diagonal semisimple element
-    of the Sym^(k-1) model has k distinct eigenvalues, so for k > 2 it cannot
-    have only two.
+    h of the Sym^(k-1) model, which is the h of principal_triple(k), has k
+    distinct eigenvalues, so for k > 2 it cannot have only two.
     """
     if ht.weight_count < 1:
         raise ValueError("need at least one Hodge-Tate weight")
     if ht.weight_count != 2 or k <= 2:
         return list(cases)
-    model = sym_power_rep(k)
-    diag = [model.triple.h[i, i] for i in range(k)]
+    h = principal_triple(k).h
+    diag = [h[i, i] for i in range(k)]
     eigenvalue_count = len(set(diag))
     if eigenvalue_count != k:
         raise RuntimeError("Sym^(k-1) semisimple element must have k distinct eigenvalues")
@@ -238,11 +245,7 @@ def _sl_preserves_no_form(k):
     kernel starts from the k antidiagonal h-invariant forms.
     """
     t = principal_triple(k)
-    extra = Matrix.zeros(k)
-    d = list(extra.entries)
-    d[0] = Fraction(1)
-    d[k + 1] = Fraction(-1)
-    extra = Matrix(k, k, d)
+    extra = Matrix.diagonal([1, -1] + [0] * (k - 2))
     return not form_kernel([t.h, t.x, t.y, extra], k)
 
 

@@ -2,18 +2,16 @@
 
 Everything here is exact: entries are `fractions.Fraction` values (arbitrary
 precision, always in lowest terms with positive denominator), and there is no
-tolerance parameter anywhere.  Rank computations run fraction-free in the
-style of Bareiss to keep intermediate growth under control; kernel and solve
-routines use ordinary Gauss-Jordan over Q with zero-skipping, which is fast on
-the sparse structured systems that arise here.
+tolerance parameter anywhere.  Rank, kernels and solves share one
+fraction-free Gauss-Jordan elimination on integer rows (each rational row
+times the lcm of its denominators), which leaves rows alone where the pivot
+column is zero and so is fast on the sparse structured systems that arise
+here; Fractions appear only when results are read off the reduced rows.
 """
 
 from fractions import Fraction
 from dataclasses import dataclass
-from math import gcd
-
-# exact rational scalar type: arbitrary-precision, lowest terms, positive denominator
-Rational = Fraction
+from math import gcd, lcm
 
 
 class DimensionError(ValueError):
@@ -170,90 +168,62 @@ def bracket(a, b):
     return a * b - b * a
 
 
-def _integer_rows(m):
-    """Clear denominators row by row; rank is unchanged."""
+def _integer_rows(rows):
+    """Each row of ints and Fractions times the lcm of its denominators."""
     out = []
-    for row in m.row_lists():
-        den = 1
-        for x in row:
-            d = x.denominator
-            if d != 1:
-                den = den * d // gcd(den, d)
-        out.append([int(x * den) for x in row])
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
     return out
 
 
-def rank(m):
-    """Rank over Q via fraction-free (Bareiss) elimination."""
-    rows = _integer_rows(m)
-    nrows = len(rows)
-    ncols = m.cols
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pivot = rows[r][c]
-        for i in range(r + 1, nrows):
-            ric = rows[i][c]
-            if ric:
-                ri, rr = rows[i], rows[r]
-                for j in range(c + 1, ncols):
-                    ri[j] = (pivot * ri[j] - ric * rr[j]) // prev
-                ri[c] = 0
-            elif prev != pivot:
-                ri = rows[i]
-                for j in range(c + 1, ncols):
-                    ri[j] = (pivot * ri[j]) // prev
-        prev = pivot
-        r += 1
-    return r
+def _gauss_jordan(rows, ncols):
+    """In-place Gauss-Jordan elimination of integer rows on their first ncols
+    columns; returns the pivot columns.
 
-
-def _rref(rows, ncols):
-    """In-place reduced row echelon form over Q; returns pivot column list."""
+    Fraction-free: for the pivot p = rows[r][c], every other row with an entry
+    a in column c becomes p*row - a*rows[r], divided by the gcd of its entries;
+    rows with no entry in column c are left alone.  On return, row i of the
+    reduced row echelon form is rows[i] divided by its entry in column
+    pivots[i], and the rows past len(pivots) are zero on the first ncols
+    columns.
+    """
     nrows = len(rows)
     pivots = []
-    r = 0
     for c in range(ncols):
+        r = len(pivots)
         if r >= nrows:
             break
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv if x else x for x in rows[r]]
         rr = rows[r]
-        for i in range(nrows):
-            if i != r:
-                f = rows[i][c]
-                if f:
-                    rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rr)]
+        p = rr[c]
+        for i, row in enumerate(rows):
+            a = row[c]
+            if a and i != r:
+                row = [p * x - a * y for x, y in zip(row, rr)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
-        r += 1
     return pivots
+
+
+def rank(m):
+    """Rank over Q: the number of pivots of the integer elimination."""
+    return len(_gauss_jordan(_integer_rows(m.row_lists()), m.cols))
 
 
 def solve_homogeneous(m):
     """Basis of the right kernel of m, as a list of column vectors.
 
-    Empty list exactly when the kernel is zero.
+    Empty list exactly when the kernel is zero.  The basis vector for a free
+    column has a 1 there, 0 in the other free columns, and minus the reduced
+    row echelon entries in the pivot columns.
     """
-    rows = [row for row in m.row_lists() if any(row)]
-    pivots = _rref(rows, m.cols)
+    rows = _integer_rows(row for row in m.row_lists() if any(row))
+    pivots = _gauss_jordan(rows, m.cols)
     pivot_set = set(pivots)
     basis = []
     for free in range(m.cols):
@@ -261,8 +231,8 @@ def solve_homogeneous(m):
             continue
         vec = [Fraction(0)] * m.cols
         vec[free] = Fraction(1)
-        for i, c in enumerate(pivots):
-            vec[c] = -rows[i][free]
+        for row, c in zip(rows, pivots):
+            vec[c] = Fraction(-row[free], row[c])
         basis.append(Matrix.column(vec))
     return basis
 
@@ -270,17 +240,16 @@ def solve_homogeneous(m):
 def solve_linear(m, rhs):
     """One solution of m*v = rhs over Q, or None if inconsistent.
 
-    rhs is a list of Fractions of length m.rows.
+    rhs is a list of exact rationals of length m.rows.
     """
-    rows = [row + [_as_fraction(r)] for row, r in zip(m.row_lists(), rhs)]
-    pivots = _rref(rows, m.cols)
+    rows = _integer_rows(row + [_as_fraction(r)] for row, r in zip(m.row_lists(), rhs))
     ncols = m.cols
-    for i in range(len(pivots), len(rows)):
-        if rows[i][ncols]:
-            return None
+    pivots = _gauss_jordan(rows, ncols)
+    if any(row[ncols] for row in rows[len(pivots):]):
+        return None
     sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = rows[i][ncols]
+    for row, c in zip(rows, pivots):
+        sol[c] = Fraction(row[ncols], row[c])
     return sol
 
 
@@ -306,44 +275,3 @@ def nilpotency_data(m):
         if power.is_zero():
             return NilpotencyData(True, i, i == k)
     return NilpotencyData(False, None, False)
-
-
-def log_unipotent(u):
-    """Logarithm of a unipotent matrix by the finite Mercator series.
-
-    With n = u - 1 nilpotent, returns sum_{i>=1} (-1)^(i+1) n^i / i truncated
-    at i = k-1.  Raises ValueError when u is not unipotent.
-    """
-    if not u.is_square():
-        raise DimensionError("log_unipotent needs a square matrix")
-    k = u.rows
-    n = u - Matrix.identity(k)
-    if not nilpotency_data(n).is_nilpotent:
-        raise ValueError("input is not unipotent: u - 1 is not nilpotent")
-    result = Matrix.zeros(k)
-    power = Matrix.identity(k)
-    for i in range(1, k):
-        power = power * n
-        if power.is_zero():
-            break
-        result = result + power.scale(Fraction((-1) ** (i + 1), i))
-    return result
-
-
-def exp_nilpotent(x):
-    """Exponential of a nilpotent matrix by the finite series sum x^i / i!."""
-    if not x.is_square():
-        raise DimensionError("exp_nilpotent needs a square matrix")
-    k = x.rows
-    if not nilpotency_data(x).is_nilpotent:
-        raise ValueError("input is not nilpotent")
-    result = Matrix.identity(k)
-    power = Matrix.identity(k)
-    fact = 1
-    for i in range(1, k):
-        power = power * x
-        if power.is_zero():
-            break
-        fact *= i
-        result = result + power.scale(Fraction(1, fact))
-    return result

@@ -21,9 +21,8 @@ antidiagonal), which is where `form_kernel` starts when h comes first.
 
 from fractions import Fraction
 from dataclasses import dataclass
-from math import lcm
 
-from .linalg import Matrix, _rref, bracket, solve_homogeneous, nilpotency_data
+from .linalg import Matrix, _gauss_jordan, bracket, solve_homogeneous, nilpotency_data
 from .linalg import rank  # noqa: F401  (perfbench's tracer checks it is rebound here too)
 
 
@@ -218,23 +217,23 @@ def _dot(row, strip):
     return sum(c * v for c, v in zip(row, strip) if v)
 
 
-def _integer_row(row):
-    """(integers, d) with row equal to integers / d."""
-    den = lcm(*(x.denominator for x in row))
-    return tuple(int(x * den) for x in row), den
-
-
 def _strip_solver(rs, columns):
     """StripSolver for the block basis columns (strips, one per r in rs) of
-    one diagonal, by Gauss-Jordan on [columns | identity]; raises unless the
-    columns have full rank."""
+    one diagonal, by integer Gauss-Jordan on [columns | identity]; raises
+    unless the columns have full rank.
+
+    Row j < len(rs) then reads (0 .. p .. 0 | b) with p in column j and gcd 1,
+    so row j of the inverse is b/p: |p| is its denominator and sign(p) b its
+    numerators.  The remaining rows are zero on the columns: the checks.
+    """
     n, m = len(columns[0]), len(columns)
-    rows = [[Fraction(col[i]) for col in columns] + [Fraction(int(i == j)) for j in range(n)]
-            for i in range(n)]
-    if len(_rref(rows, m)) != m:
+    rows = [[col[i] for col in columns] + [int(i == j) for j in range(n)] for i in range(n)]
+    if len(_gauss_jordan(rows, m)) != m:
         raise RuntimeError("adjoint decomposition is not direct: change of basis singular")
-    inverse, denominators = zip(*(_integer_row(row[m:]) for row in rows[:m]))
-    checks = tuple(_integer_row(row[m:])[0] for row in rows[m:])
+    inverse = tuple(tuple(x if row[j] > 0 else -x for x in row[m:])
+                    for j, row in enumerate(rows[:m]))
+    denominators = tuple(abs(row[j]) for j, row in enumerate(rows[:m]))
+    checks = tuple(tuple(row[m:]) for row in rows[m:])
     return StripSolver(tuple(rs), inverse, denominators, checks)
 
 
@@ -401,10 +400,3 @@ def invariant_bilinear_form(t):
     if not (sym or anti):
         raise RuntimeError("invariant form neither symmetric nor antisymmetric")
     return BilinearForm(b, sym)
-
-
-def clebsch_gordan(a, b):
-    """Highest weights in Sym^a (x) Sym^b: {a+b, a+b-2, ..., |a-b|}."""
-    if a < 0 or b < 0:
-        raise ValueError("highest weights must be nonnegative")
-    return [a + b - 2 * i for i in range(min(a, b) + 1)]

@@ -281,6 +281,11 @@ class CosetTable:
         return self
 
 
+def _coset_cap(cap):
+    """The cap argument, else KATZMOD_COSET_CAP, else the default."""
+    return int(os.environ.get(COSET_CAP_ENV, DEFAULT_COSET_CAP)) if cap is None else cap
+
+
 def coset_enumerate(gens, cap=None):
     """Todd-Coxeter enumeration of the subgroup generated by a GeneratorSet.
 
@@ -288,8 +293,7 @@ def coset_enumerate(gens, cap=None):
     cap (default 100000, overridable via the KATZMOD_COSET_CAP environment
     variable), which signals possible infinite index.
     """
-    if cap is None:
-        cap = int(os.environ.get(COSET_CAP_ENV, DEFAULT_COSET_CAP))
+    cap = _coset_cap(cap)
     words = [word_to_letters(matrix_to_word(m)) for m in gens.generators]
     graph = _CosetGraph(3, cap)
     graph.build(_TC_RELATORS, words)
@@ -482,8 +486,10 @@ _INVARIANTS_CACHE = {}
 
 
 def subgroup_invariants(gens, cap=None):
-    """Enumerate and compute invariants, memoized on the generator list."""
-    key = gens.generators
+    """Enumerate and compute invariants, memoized on the generator list and
+    the resolved cap, so that the answer to a call does not depend on the
+    calls made before it."""
+    key = (gens.generators, _coset_cap(cap))
     if key not in _INVARIANTS_CACHE:
         _INVARIANTS_CACHE[key] = invariants(coset_enumerate(gens, cap))
     return _INVARIANTS_CACHE[key]

@@ -135,6 +135,16 @@ class TestHtFilter:
         with pytest.raises(ValueError):
             ht_filter(classify(4), 4, HodgeTateData(set()))
 
+    @pytest.mark.parametrize("weights", [{0.5, -5}, [True, 2], [1, True], [0, 1.0], ("0", -5)])
+    def test_non_integer_weights_rejected(self, weights):
+        # a weight is never coerced: int() used to read 0.5 as 0 and True as 1
+        with pytest.raises(ValueError, match="is not an integer"):
+            HodgeTateData(weights)
+
+    def test_float_weights_rejected_by_report(self):
+        with pytest.raises(ValueError, match="is not an integer"):
+            classification_report(4, ht_weights=(0.9, -5.2))
+
 
 class TestFormFilter:
     def test_k4_concludes_gsp4(self):

@@ -1,4 +1,4 @@
-"""Exact linear algebra: brackets, rank, kernels, nilpotency, unipotent logs."""
+"""Exact linear algebra: brackets, rank, kernels, nilpotency."""
 
 import random
 from fractions import Fraction
@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from katzmod.linalg import (Matrix, bracket, rank, solve_homogeneous, solve_linear,
-                            nilpotency_data, log_unipotent, exp_nilpotent,
-                            DimensionError)
+                            nilpotency_data, DimensionError)
 
 
 def superdiagonal_ones(k):
@@ -150,75 +149,6 @@ class TestNilpotency:
         assert data.is_nilpotent and data.index == 1 and not data.single_block
 
 
-def random_unipotent(rng, k):
-    """Unitriangular with small integer entries, conjugated by a unimodular matrix."""
-    upper = [[1 if i == j else (rng.randint(-2, 2) if j > i else 0)
-              for j in range(k)] for i in range(k)]
-    u = Matrix.from_rows(upper)
-    g = Matrix.identity(k)
-    for _ in range(3):
-        i, j = rng.sample(range(k), 2)
-        e = [[1 if a == b else 0 for b in range(k)] for a in range(k)]
-        e[i][j] = rng.randint(-2, 2)
-        g = g * Matrix.from_rows(e)
-    ginv = _unimodular_inverse(g)
-    return g * u * ginv
-
-
-def _unimodular_inverse(g):
-    k = g.rows
-    cols = []
-    for j in range(k):
-        rhs = [Fraction(1) if i == j else Fraction(0) for i in range(k)]
-        cols.append(solve_linear(g, rhs))
-    return Matrix.from_rows([[cols[j][i] for j in range(k)] for i in range(k)])
-
-
-class TestLogUnipotent:
-    def test_identity_to_zero(self):
-        assert log_unipotent(Matrix.identity(3)) == Matrix.zeros(3)
-
-    def test_two_by_two(self):
-        u = Matrix.from_rows([[1, 1], [0, 1]])
-        assert log_unipotent(u) == Matrix.from_rows([[0, 1], [0, 0]])
-
-    def test_three_by_three_series_oracle(self):
-        # oracle: sum the Mercator series by hand for n = u - 1, n^3 = 0
-        u = Matrix.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
-        n = u - Matrix.identity(3)
-        expected = n - (n * n).scale(Fraction(1, 2))
-        got = log_unipotent(u)
-        assert got == expected
-        assert got == Matrix.from_rows([[0, 1, Fraction(-1, 2)], [0, 0, 1], [0, 0, 0]])
-        assert exp_nilpotent(got) == u
-
-    def test_non_unipotent_rejected(self):
-        with pytest.raises(ValueError):
-            log_unipotent(Matrix.diagonal([2, 1]))
-
-    def test_round_trip_up_to_size_8(self):
-        rng = random.Random(23)
-        for k in range(2, 9):
-            for _ in range(3):
-                u = random_unipotent(rng, k)
-                x = log_unipotent(u)
-                assert nilpotency_data(x).is_nilpotent
-                assert exp_nilpotent(x) == u
-
-    def test_log_preserves_single_block(self):
-        # the Jordan block count of u-1 and of log(u) agree; compare via the
-        # single_block flags and via ranks of powers
-        rng = random.Random(29)
-        for k in (3, 5, 7):
-            for _ in range(3):
-                u = random_unipotent(rng, k)
-                n = u - Matrix.identity(k)
-                x = log_unipotent(u)
-                assert nilpotency_data(x).single_block == nilpotency_data(n).single_block
-                for p in range(1, k):
-                    assert rank(n ** p) == rank(x ** p)
-
-
 class TestRationalInvariants:
     def test_entries_lowest_terms_positive_denominator(self):
         m = Matrix.from_rows([[Fraction(2, 4), Fraction(3, -6)], [0, 1]])
@@ -233,3 +163,109 @@ class TestRationalInvariants:
         for _ in range(3):
             total = total + third
         assert total == Matrix.identity(1)
+
+
+# Reference elimination: Gauss-Jordan over Fractions, as linalg ran it before
+# rank, kernels and solves moved to one integer elimination.
+def fraction_rref(rows, ncols):
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def reference_kernel(m):
+    rows = [row for row in m.row_lists() if any(row)]
+    pivots = fraction_rref(rows, m.cols)
+    basis = []
+    for free in (c for c in range(m.cols) if c not in pivots):
+        vec = [Fraction(0)] * m.cols
+        vec[free] = Fraction(1)
+        for i, c in enumerate(pivots):
+            vec[c] = -rows[i][free]
+        basis.append(vec)
+    return basis
+
+
+def reference_solve(m, rhs):
+    rows = [row + [Fraction(r)] for row, r in zip(m.row_lists(), rhs)]
+    pivots = fraction_rref(rows, m.cols)
+    if any(row[m.cols] for row in rows[len(pivots):]):
+        return None
+    sol = [Fraction(0)] * m.cols
+    for i, c in enumerate(pivots):
+        sol[c] = rows[i][m.cols]
+    return sol
+
+
+def random_shaped_matrix(rng, nrows, ncols):
+    """Sparse random rationals with some zero rows, zero columns, a dependent
+    row and negative leading entries."""
+    rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 6)) if rng.random() < 0.6 else Fraction(0)
+             for _ in range(ncols)] for _ in range(nrows)]
+    for row in rows:
+        if rng.random() < 0.2:
+            row[:] = [Fraction(0)] * ncols
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is not None and rng.random() < 0.5:
+            row[lead] = -abs(row[lead])
+    for j in range(ncols):
+        if rng.random() < 0.15:
+            for row in rows:
+                row[j] = Fraction(0)
+    if nrows >= 3 and rng.random() < 0.5:
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        rows[-1] = [a + c * b for a, b in zip(rows[0], rows[1])]
+    return Matrix.from_rows(rows)
+
+
+class TestEliminationAgainstFractionRref:
+    SHAPES = {"tall": (7, 3), "wide": (3, 7), "square": (5, 5), "one row": (1, 4),
+              "one column": (4, 1)}
+
+    def matrices(self):
+        rng = random.Random(31)
+        for name, (r, c) in self.SHAPES.items():
+            for _ in range(60):
+                yield name, rng, random_shaped_matrix(rng, r, c)
+
+    def test_rank_equals_pivot_count(self):
+        for name, _, m in self.matrices():
+            assert rank(m) == len(fraction_rref(m.row_lists(), m.cols)), (name, m)
+
+    def test_kernel_basis_vector_for_vector(self):
+        for name, _, m in self.matrices():
+            got = [[v[i, 0] for i in range(m.cols)] for v in solve_homogeneous(m)]
+            assert got == reference_kernel(m), (name, m)
+
+    def test_solve_linear_solution_or_none(self):
+        nones = 0
+        for name, rng, m in self.matrices():
+            for rhs in ([Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(m.rows)],
+                        [sum(m.row(i), Fraction(0)) for i in range(m.rows)]):
+                expected = reference_solve(m, rhs)
+                nones += expected is None
+                assert solve_linear(m, rhs) == expected, (name, m, rhs)
+        assert nones  # the inconsistent branch is exercised
+
+    def test_negative_pivots(self):
+        m = Matrix.from_rows([[-2, 4, 0, -6], [0, -3, 9, 3], [-4, 5, 9, -9]])
+        assert rank(m) == 2
+        got = [[v[i, 0] for i in range(4)] for v in solve_homogeneous(m)]
+        assert got == reference_kernel(m)
+        assert solve_linear(m, [-2, 3, 1]) == reference_solve(m, [-2, 3, 1])

@@ -13,7 +13,7 @@ from katzmod.linalg import (Matrix, bracket, rank, solve_homogeneous, solve_line
                             nilpotency_data)
 from katzmod.sl2 import (Sl2Triple, principal_triple, sym_power_rep, decompose_adjoint,
                          project_to_blocks, bracket_support, verify_bracket_identity,
-                         invariant_bilinear_form, form_kernel, clebsch_gordan)
+                         invariant_bilinear_form, form_kernel)
 
 
 # Reference implementations: the dense, ungraded algorithms the graded sl2
@@ -426,52 +426,14 @@ class TestFormKernelAgainstDense:
                 assert same_span(form_kernel(mats, k), dense_form_kernel(mats, k)), (k, name)
 
 
-class TestClebschGordan:
-    def test_standard_case(self):
-        assert sorted(clebsch_gordan(1, 1)) == [0, 2]
-
-    def test_tensor_with_trivial(self):
-        for a in range(5):
-            assert clebsch_gordan(a, 0) == [a]
-
-    def test_three_two_by_character_oracle(self):
-        # oracle: multiply the characters q^a + q^(a-2) + ... + q^-a as Laurent
-        # polynomials and strip off leading terms greedily
-        def character(a):
-            return {a - 2 * i: 1 for i in range(a + 1)}
-
-        def multiply(c1, c2):
-            out = {}
-            for e1, m1 in c1.items():
-                for e2, m2 in c2.items():
-                    out[e1 + e2] = out.get(e1 + e2, 0) + m1 * m2
-            return out
-
-        def decompose(char):
-            char = dict(char)
-            pieces = []
-            while any(char.values()):
-                top = max(e for e, m in char.items() if m)
-                pieces.append(top)
-                for e, m in character(top).items():
-                    char[e] = char.get(e, 0) - m
-            return sorted(pieces)
-
-        product = multiply(character(3), character(2))
-        assert decompose(product) == sorted(clebsch_gordan(3, 2))
-        assert sorted(clebsch_gordan(3, 2)) == [1, 3, 5]
-
-    def test_dimension_sum(self):
-        for a in range(9):
-            for b in range(9):
-                total = sum(w + 1 for w in clebsch_gordan(a, b))
-                assert total == (a + 1) * (b + 1)
-
-    def test_irreducible_iff_one_factor_trivial(self):
-        for a in range(6):
-            for b in range(6):
-                assert (len(clebsch_gordan(a, b)) == 1) == (a == 0 or b == 0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            clebsch_gordan(-1, 2)
+class TestStripSolverRoundTrip:
+    def test_basis_strips_have_unit_coefficients(self):
+        # the solver of diagonal d inverts the block basis on d: the strip of
+        # the U_r basis vector on d has coefficient 1 on r and 0 elsewhere
+        for k in range(2, 9):
+            dec = decompose_adjoint(principal_triple(k))
+            for d in range(-(k - 1), k):
+                solver = dec.solver(d)
+                for r in solver.rs:
+                    coeffs = solver.coefficients(dec.block(r).strips[r - d])
+                    assert coeffs == [int(s == r) for s in solver.rs], (k, d, r)

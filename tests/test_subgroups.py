@@ -218,6 +218,32 @@ class TestInvariants:
             produced += 1
 
 
+class TestInvariantsCacheHonoursCap:
+    """subgroup_invariants answers as coset_enumerate with the same cap,
+    whatever calls came before it."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self, monkeypatch):
+        monkeypatch.setattr(katzmod.subgroups, "_INVARIANTS_CACHE", {})
+        monkeypatch.delenv("KATZMOD_COSET_CAP", raising=False)
+
+    def test_uncapped_then_capped(self):
+        assert subgroup_invariants(PRESETS["gamma43"]).index == 7
+        with pytest.raises(CosetCapExceeded):
+            subgroup_invariants(PRESETS["gamma43"], cap=3)
+
+    def test_capped_then_uncapped(self):
+        with pytest.raises(CosetCapExceeded):
+            subgroup_invariants(PRESETS["gamma43"], cap=3)
+        assert subgroup_invariants(PRESETS["gamma43"]).index == 7
+
+    def test_environment_cap_after_default(self, monkeypatch):
+        assert subgroup_invariants(PRESETS["gamma43"]).index == 7
+        monkeypatch.setenv("KATZMOD_COSET_CAP", "3")
+        with pytest.raises(CosetCapExceeded):
+            subgroup_invariants(PRESETS["gamma43"])
+
+
 class TestCongruence:
     def test_full_group_congruence(self):
         assert congruence_test(coset_enumerate(FULL_GROUP))
