@@ -6,9 +6,8 @@ PSL2(Z), including the cusp-form dimension counts behind both."""
 from .linalg import (Matrix, bracket, rank, solve_homogeneous, nilpotency_data,
                      DimensionError)
 from .sl2 import (Sl2Triple, IrrepBlock, AdjointDecomposition, principal_triple,
-                  sym_power_rep, decompose_adjoint, project_to_blocks,
-                  bracket_support, verify_bracket_identity,
-                  invariant_bilinear_form)
+                  decompose_adjoint, project_to_blocks, bracket_support,
+                  verify_bracket_identity, invariant_bilinear_form)
 from .roots import (RootSystem, build_root_system, exponents, algebra_dimension,
                     weyl_dimension, irreps_of_dimension, irreps_up_to)
 from .classify import (exponent_criteria, classify, ht_filter, form_filter,

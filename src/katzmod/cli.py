@@ -70,7 +70,7 @@ def cmd_sl2(args):
     t = principal_triple(k)
     if args.action == "decompose":
         dec = decompose_adjoint(t)
-        dims = [len(b.basis) for b in dec.blocks]
+        dims = [len(b.strips) for b in dec.blocks]
         doc = {"k": k, "block_dimensions": dims, "total": sum(dims),
                "change_of_basis_rank": rank(dec.change_of_basis)}
         _print(doc, args.json, [

@@ -141,16 +141,6 @@ class Matrix:
 
     __rmul__ = scale
 
-    def __pow__(self, e):
-        if not self.is_square():
-            raise DimensionError("power of a non-square matrix")
-        if e < 0:
-            raise ValueError("negative matrix powers not supported")
-        result = Matrix.identity(self.rows)
-        for _ in range(e):
-            result = result * self
-        return result
-
     def transpose(self):
         return Matrix(self.cols, self.rows,
                       [self._d[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)])
@@ -240,8 +230,12 @@ def solve_homogeneous(m):
 def solve_linear(m, rhs):
     """One solution of m*v = rhs over Q, or None if inconsistent.
 
-    rhs is a list of exact rationals of length m.rows.
+    rhs is a list of exact rationals of length m.rows; any other length
+    raises DimensionError.
     """
+    if len(rhs) != m.rows:
+        raise DimensionError(f"right-hand side has {len(rhs)} entries, "
+                             f"a {m.rows}x{m.cols} system needs {m.rows}")
     rows = _integer_rows(row + [_as_fraction(r)] for row, r in zip(m.row_lists(), rhs))
     ncols = m.cols
     pivots = _gauss_jordan(rows, ncols)

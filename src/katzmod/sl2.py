@@ -11,16 +11,21 @@ with basis {ad(y)^i x^r | 0 <= i <= 2r}; cf. Bourbaki LIE VIII.11 or Kostant.
 The decomposition works in the h-weight grading.  ad(h) multiplies E_ij by
 h_i - h_j = 2(j - i), so the weight spaces of sl_k are its diagonals j - i = d.
 The basis vector ad(y)^i x^r lies on the single diagonal d = r - i and is held
-as that diagonal's entries, its strip; a bracket of two basis vectors is then
-one O(k) pass over two strips.  The change of basis is block diagonal over the
-diagonals, so the decomposition keeps one exact solver per diagonal, and
-projections and bracket supports solve one weight space at a time.  An
+only as that diagonal's entries, its strip: no block basis vector is ever a
+dense matrix.  A product or bracket of two strips is one O(k) pass, and lands
+on the sum of their diagonals; x^r is a strip on the diagonal r, so the
+bracket identities are strip computations too.  The change of basis is block
+diagonal over the diagonals, so the decomposition keeps one exact solver per
+diagonal, and projections and bracket supports solve one weight space at a
+time.  A bracket support needs only the brackets of the top vector x^r of U_r
+with U_s, because x^r (x) U_s generates U_r (x) U_s as an sl2-module.  An
 h-invariant bilinear form lives on the entries with h_a + h_b = 0 (the
 antidiagonal), which is where `form_kernel` starts when h comes first.
 """
 
 from fractions import Fraction
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .linalg import Matrix, _gauss_jordan, bracket, solve_homogeneous, nilpotency_data
 from .linalg import rank  # noqa: F401  (perfbench's tracer checks it is rebound here too)
@@ -54,8 +59,7 @@ class Sl2Triple:
 class IrrepBlock:
     """The irreducible summand U_r generated by x^r, basis ad(y)^i x^r."""
     r: int
-    basis: tuple  # 2r+1 matrices, index i = number of ad(y) applications
-    strips: tuple  # basis[i] as its entries on its diagonal j - i = r - i
+    strips: tuple  # 2r+1 strips: ad(y)^i x^r as its entries on the diagonal r - i
 
 
 @dataclass(frozen=True)
@@ -118,61 +122,6 @@ def principal_triple(k):
     return Sl2Triple(k, x, h, y)
 
 
-@dataclass(frozen=True)
-class SymPowerModel:
-    """Images of the sl2 basis under Sym^(k-1), plus the diagonal matrix D
-    conjugating this model onto principal_triple(k): D m D^-1 maps x,h,y
-    of the symmetric-power model to those of the principal model."""
-    triple: Sl2Triple
-    witness: Matrix
-
-
-def sym_power_rep(k):
-    """The (k-1)-st symmetric power of the defining sl2 representation.
-
-    In the monomial basis X^(k-1-i) Y^i the standard generators act by
-    e: superdiagonal (1, 2, ..., k-1), f: subdiagonal (k-1, ..., 1), and
-    h: diag(k-1, k-3, ..., -(k-1)).  The conjugating witness is the diagonal
-    of factorials D = diag(0!, 1!, ..., (k-1)!).
-    """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    x = Matrix.zeros(k)
-    y = Matrix.zeros(k)
-    xd, yd = list(x.entries), list(y.entries)
-    for i in range(k - 1):
-        xd[i * k + i + 1] = Fraction(i + 1)       # e . X^(k-1-j) Y^j = j X^(k-j) Y^(j-1)
-        yd[(i + 1) * k + i] = Fraction(k - 1 - i)  # f . X^(k-1-j) Y^j = (k-1-j) X^(k-2-j) Y^(j+1)
-    x = Matrix(k, k, xd)
-    y = Matrix(k, k, yd)
-    h = Matrix.diagonal([k - 1 - 2 * i for i in range(k)])
-    fact = [1]
-    for i in range(1, k):
-        fact.append(fact[-1] * i)
-    witness = Matrix.diagonal(fact)
-    return SymPowerModel(Sl2Triple(k, x, h, y), witness)
-
-
-def _elementary_coordinates(m):
-    """Coordinates of a traceless k x k matrix in the elementary basis of sl_k:
-    E_ij for i != j, followed by H_i = E_ii - E_(i+1)(i+1) for i = 0..k-2.
-
-    A diagonal traceless matrix diag(d_0..d_(k-1)) has H-coordinates the
-    partial sums d_0 + ... + d_i.
-    """
-    k = m.rows
-    coords = []
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                coords.append(m[i, j])
-    partial = Fraction(0)
-    for i in range(k - 1):
-        partial += m[i, i]
-        coords.append(partial)
-    return coords
-
-
 def _strip_rows(k, d):
     """Row indices i of the d-th diagonal (j - i = d) of a k x k matrix."""
     return range(max(0, -d), min(k, k - d))
@@ -183,18 +132,11 @@ def _diagonal_strip(m, d):
     return [m[i, i + d] for i in _strip_rows(m.rows, d)]
 
 
-def _strip_matrix(k, d, strip):
-    """The k x k matrix whose only nonzero diagonal is d, with entries strip."""
-    entries = [0] * (k * k)
-    for i, v in zip(_strip_rows(k, d), strip):
-        entries[i * k + i + d] = v
-    return Matrix(k, k, entries)
-
-
 def _graded_strip(m, d):
     """The d-th diagonal of m as integers; it must be m's only nonzero one."""
-    strip = _diagonal_strip(m, d)
-    if _strip_matrix(m.rows, d, strip) != m or any(v.denominator != 1 for v in strip):
+    k, strip = m.rows, _diagonal_strip(m, d)
+    if (any(m[i, j] for i in range(k) for j in range(k) if j - i != d)
+            or any(v.denominator != 1 for v in strip)):
         raise ValueError(f"matrix is not integral and supported on the diagonal j - i = {d}")
     return [int(v) for v in strip]
 
@@ -211,6 +153,21 @@ def _strip_bracket(k, d1, a, d2, b):
     """Strip of [A, B] for A on diagonal d1 and B on diagonal d2."""
     return [p - q for p, q in zip(_strip_product(k, d1, a, d2, b),
                                   _strip_product(k, d2, b, d1, a))]
+
+
+def _elementary_coordinates(k, d, strip):
+    """Coordinates in the elementary basis of sl_k of the traceless matrix on
+    the diagonal d with entries strip: E_ij (i != j, row by row) sits in slot
+    i(k-1) + j - (j > i), and H_i = E_ii - E_(i+1)(i+1), i = 0..k-2, in the
+    last k-1 slots takes the partial sums d_0 + ... + d_i of a diagonal."""
+    coords = [0] * (k * k - 1)
+    if d == 0:
+        coords[k * (k - 1):] = accumulate(strip[:-1])
+    else:
+        for i, v in zip(_strip_rows(k, d), strip):
+            j = i + d
+            coords[i * (k - 1) + j - (j > i)] = v
+    return coords
 
 
 def _dot(row, strip):
@@ -241,15 +198,16 @@ def decompose_adjoint(t):
     """Decompose sl_k into the blocks U_r under ad of the given triple.
 
     The triple must be graded: x supported on the superdiagonal and y on the
-    subdiagonal, with integer entries, as for principal_triple and
-    sym_power_rep; anything else raises ValueError.  The basis
-    {ad(y)^i x^r} of each block is computed strip by strip, ad(y)^i x^r on
-    the diagonal r - i.  Each diagonal d gets a StripSolver for the basis
-    vectors on it: a square system for d != 0, k x (k-1) for d = 0.  Full
-    column rank on every diagonal is the directness check, and raises if it
-    fails (it never does for a valid triple).  The square change-of-basis
-    matrix, whose columns express the block basis in elementary coordinates,
-    is kept for callers that check its rank independently.
+    subdiagonal, with integer entries, as for principal_triple and the
+    Sym^(k-1) model of sl2; anything else raises ValueError.  The basis
+    {ad(y)^i x^r} of each block is computed and held strip by strip,
+    ad(y)^i x^r on the diagonal r - i.  Each diagonal d gets a StripSolver
+    for the basis vectors on it: a square system for d != 0, k x (k-1) for
+    d = 0.  Full column rank on every diagonal is the directness check, and
+    raises if it fails (it never does for a valid triple).  The square
+    change-of-basis matrix, whose columns express the block basis in
+    elementary coordinates, is written straight from the strips and kept
+    for callers that check its rank independently.
     """
     k = t.k
     xs, ys = _graded_strip(t.x, 1), _graded_strip(t.y, -1)
@@ -260,13 +218,13 @@ def decompose_adjoint(t):
         strips = [power]
         for i in range(2 * r):
             strips.append(_strip_bracket(k, -1, ys, r - i, strips[-1]))
-        basis = tuple(_strip_matrix(k, r - i, s) for i, s in enumerate(strips))
-        blocks.append(IrrepBlock(r, basis, tuple(map(tuple, strips))))
+        blocks.append(IrrepBlock(r, tuple(map(tuple, strips))))
     solvers = []
     for d in range(-(k - 1), k):
         rs = range(max(abs(d), 1), k)
         solvers.append(_strip_solver(rs, [blocks[r - 1].strips[r - d] for r in rs]))
-    columns = [_elementary_coordinates(m) for b in blocks for m in b.basis]
+    columns = [_elementary_coordinates(k, b.r - i, strip)
+               for b in blocks for i, strip in enumerate(b.strips)]
     n = k * k - 1
     cob = Matrix(n, n, [columns[j][i] for i in range(n) for j in range(n)])
     return AdjointDecomposition(k, tuple(blocks), cob, tuple(solvers))
@@ -297,36 +255,45 @@ def project_to_blocks(dec, m):
 
 
 def bracket_support(dec, r, s):
-    """The set T of blocks hit by [U_r, U_s], by exhaustive bracketing.
+    """The set T of blocks hit by [U_r, U_s], from the 2s+1 brackets [x^r, U_s].
 
-    Brackets every pair of basis strips of U_r and U_s, each bracket a single
-    strip on the sum of their diagonals, and records the blocks whose
-    coefficient from that diagonal's StripSolver is nonzero.  Always lands
-    inside {max(r-s,1), ..., min(r+s, k-1)}, never contains r+s, and contains
-    r+s-1 whenever r+s <= k.
+    As an sl2-module U_r (x) U_s is generated by x^r (x) U_s: y(v (x) w) =
+    yv (x) w + v (x) yw puts every y^i x^r (x) w in it, by induction on i.
+    The bracket and each projection pi_t onto U_t are module maps, so the
+    image of [U_r, U_s] meets U_t exactly when pi_t([x^r, U_s]) != 0.  Each
+    [x^r, b], b a basis strip of U_s, is one strip, and the blocks with a
+    nonzero coefficient from its diagonal's StripSolver are recorded.
+    Always lands inside {max(r-s,1), ..., min(r+s, k-1)}, never contains
+    r+s, and contains r+s-1 whenever r+s <= k.
     """
     k = dec.k
     if not (1 <= s <= r <= k - 1):
         raise ValueError(f"need 1 <= s <= r <= k-1, got r={r}, s={s}")
+    top = dec.block(r).strips[0]
     support = set()
-    for i, a in enumerate(dec.block(r).strips):
-        for j, b in enumerate(dec.block(s).strips):
-            w = _strip_bracket(k, r - i, a, s - j, b)
-            if any(w):
-                solver = dec.solver(r - i + s - j)
-                support.update(t_ for t_, c in zip(solver.rs, solver.coefficients(w)) if c)
+    for j, b in enumerate(dec.block(s).strips):
+        w = _strip_bracket(k, r, top, s - j, b)
+        if any(w):
+            solver = dec.solver(r + s - j)
+            support.update(t_ for t_, c in zip(solver.rs, solver.coefficients(w)) if c)
     return support
 
 
 def verify_bracket_identity(t, r, s):
-    """Check [x^r, ad(y) x^s] == 2rs x^(r+s-1) exactly."""
+    """Check [x^r, ad(y) x^s] == 2rs x^(r+s-1) exactly, on strips: both sides
+    lie on the diagonal r + s - 1.  The triple must be graded as for
+    decompose_adjoint; anything else raises ValueError."""
     if r < 1 or s < 1:
         raise ValueError("need r, s >= 1")
-    if r + s > t.k:
-        raise ValueError(f"need r + s <= k = {t.k}, got {r + s}")
-    lhs = bracket(t.x ** r, bracket(t.y, t.x ** s))
-    rhs = (t.x ** (r + s - 1)).scale(2 * r * s)
-    return lhs == rhs
+    k = t.k
+    if r + s > k:
+        raise ValueError(f"need r + s <= k = {k}, got {r + s}")
+    xs, ys = _graded_strip(t.x, 1), _graded_strip(t.y, -1)
+    powers = [[1] * k]  # powers[e] is the strip of x^e on the diagonal e
+    for e in range(1, r + s):
+        powers.append(_strip_product(k, e - 1, powers[-1], 1, xs))
+    lhs = _strip_bracket(k, r, powers[r], s - 1, _strip_bracket(k, -1, ys, s, powers[s]))
+    return lhs == [2 * r * s * v for v in powers[r + s - 1]]
 
 
 def form_kernel(mats, k):

@@ -282,8 +282,18 @@ class CosetTable:
 
 
 def _coset_cap(cap):
-    """The cap argument, else KATZMOD_COSET_CAP, else the default."""
-    return int(os.environ.get(COSET_CAP_ENV, DEFAULT_COSET_CAP)) if cap is None else cap
+    """The cap argument, else KATZMOD_COSET_CAP, else the default; a cap that
+    is not a positive int, or is a bool, raises ValueError naming its source."""
+    source = "cap argument"
+    if cap is None:
+        raw = os.environ.get(COSET_CAP_ENV)
+        if raw is None:
+            return DEFAULT_COSET_CAP
+        cap = int(raw) if raw.strip().isdigit() else raw
+        source = f"environment variable {COSET_CAP_ENV}"
+    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
+        raise ValueError(f"coset cap must be a positive integer, got {cap!r} from the {source}")
+    return cap
 
 
 def coset_enumerate(gens, cap=None):
@@ -399,11 +409,15 @@ def congruence_test(table):
     """Hsu's congruence criterion from the coset permutations.
 
     Tests whether specific words in the permutations of L = T and
-    R = S T^-1 S are trivial; which words depends on the 2-part and odd part
-    of the level N = order of L.  True exactly for congruence subgroups.
+    R = S T^-1 S are trivial, with the level N = order of L split as e m (e a
+    power of 2, m odd) by the Chinese remainder theorem.  True exactly for
+    congruence subgroups.  Hsu's odd and power-of-2 criteria are the cases
+    e = 1 and m = 1, since L R^-1 L = S^-1 and L^-1 R = (T^-1 S)^2 act with
+    order dividing 2 and 3 in any coset table.  For e = 1, l = r = s = 1 and
+    every word but (R R L^-half)^-3 is trivial; for m = 1, a = b = 1 and the
+    last word only gains the trivial factor (L R^-1 L)^2; for N = 1 every
+    power is trivial.
     """
-    if table.index == 1:
-        return True
     L = table.perm_T
     R = _compose(_compose(table.perm_S, _perm_inverse(table.perm_T)), table.perm_S)
     N = _perm_order(L)
@@ -419,22 +433,6 @@ def congruence_test(table):
             out = _compose(out, p)
         return out
 
-    if e == 1:  # N odd
-        half = pow(2, -1, N)
-        rel = _perm_power(word(R, R, _perm_power(L, -half)), 3)
-        return _is_identity(rel)
-
-    if m == 1:  # N a power of 2
-        fifth = pow(5, -1, N)
-        s = word(_perm_power(L, 20), _perm_power(R, fifth), _perm_power(L, -4), _perm_inverse(R))
-        rels = [
-            word(_perm_inverse(L), R, _perm_inverse(L), s, L, _perm_inverse(R), L, s),
-            word(_perm_inverse(s), R, s, _perm_power(R, -25)),
-            _perm_power(word(s, _perm_power(R, 5), L, _perm_inverse(R), L), 3),
-        ]
-        return all(_is_identity(r) for r in rels)
-
-    # general case: split N = e * m by the Chinese remainder theorem
     c = e * pow(e, -1, m) % N       # 1 mod m, 0 mod e
     d = m * pow(m, -1, e) % N       # 1 mod e, 0 mod m
     a = _perm_power(L, c)

@@ -78,7 +78,7 @@ def check_pipeline():
 def check_adjoint():
     for k in range(2, 13):
         dec = decompose_adjoint(principal_triple(k))
-        dims = [len(b.basis) for b in dec.blocks]
+        dims = [len(b.strips) for b in dec.blocks]
         want = [2 * r + 1 for r in range(1, k)]
         cob_rank = rank(dec.change_of_basis)
         ok = dims == want and sum(dims) == k * k - 1 and cob_rank == k * k - 1

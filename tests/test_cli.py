@@ -130,6 +130,16 @@ class TestSubgroupCommand:
         with pytest.raises(sg.CosetCapExceeded):
             sg.coset_enumerate(gens)
 
+    @pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5", ""])
+    def test_malformed_cap_env_exits_2(self, capsys, monkeypatch, value):
+        # used to report "index bound exceeded" for 0 and -3
+        monkeypatch.setenv("KATZMOD_COSET_CAP", value)
+        code, out, err = run(capsys, "subgroup", "gamma43")
+        assert code == 2 and out == ""
+        assert "coset cap must be a positive integer" in err
+        assert "environment variable KATZMOD_COSET_CAP" in err
+        assert "index bound exceeded" not in err
+
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "subgroup", "gamma711", "--json")
         doc = json.loads(out)

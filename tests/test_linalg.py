@@ -124,6 +124,15 @@ class TestRankAndKernel:
         m = Matrix.from_rows([[1, 1], [1, 1]])
         assert solve_linear(m, [0, 1]) is None
 
+    def test_solve_linear_rhs_length_checked(self):
+        # a short rhs must not drop an equation, nor a long one be cut short
+        m = Matrix.from_rows([[1, 0], [1, 0]])
+        with pytest.raises(DimensionError, match="has 1 entries, a 2x2 system needs 2"):
+            solve_linear(m, [1])
+        with pytest.raises(DimensionError, match="has 3 entries"):
+            solve_linear(m, [1, 1, 5])
+        assert solve_linear(m, [1, 1]) == [1, 0]
+
 
 class TestNilpotency:
     def test_single_block_k5(self):

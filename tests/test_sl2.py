@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -11,13 +12,102 @@ import pytest
 import katzmod
 from katzmod.linalg import (Matrix, bracket, rank, solve_homogeneous, solve_linear,
                             nilpotency_data)
-from katzmod.sl2 import (Sl2Triple, principal_triple, sym_power_rep, decompose_adjoint,
+from katzmod.sl2 import (Sl2Triple, principal_triple, decompose_adjoint,
                          project_to_blocks, bracket_support, verify_bracket_identity,
-                         invariant_bilinear_form, form_kernel)
+                         invariant_bilinear_form, form_kernel, _strip_bracket)
 
 
 # Reference implementations: the dense, ungraded algorithms the graded sl2
 # layer replaced.  The tests below compare the two on small k.
+
+def mat_power(m, e):
+    """m^e for a square matrix m and e >= 0, by repeated dense products."""
+    result = Matrix.identity(m.rows)
+    for _ in range(e):
+        result = result * m
+    return result
+
+
+def dense_basis(dec, r):
+    """The basis ad(y)^i x^r of U_r as dense matrices: strip i on the diagonal r - i."""
+    k = dec.k
+    out = []
+    for i, strip in enumerate(dec.block(r).strips):
+        d = r - i
+        entries = [0] * (k * k)
+        for row, v in zip(range(max(0, -d), min(k, k - d)), strip):
+            entries[row * k + row + d] = v
+        out.append(Matrix(k, k, entries))
+    return out
+
+
+def dense_elementary_coordinates(m):
+    """Coordinates of a traceless matrix in the elementary basis of sl_k:
+    E_ij for i != j row by row, then the partial sums of the diagonal."""
+    k = m.rows
+    coords = [m[i, j] for i in range(k) for j in range(k) if i != j]
+    partial = Fraction(0)
+    for i in range(k - 1):
+        partial += m[i, i]
+        coords.append(partial)
+    return coords
+
+
+def exhaustive_bracket_support(dec, r, s):
+    """Bracket every pair of basis strips of U_r and U_s and record the blocks
+    with a nonzero coefficient: (2r+1)(2s+1) strip brackets."""
+    k = dec.k
+    support = set()
+    for i, a in enumerate(dec.block(r).strips):
+        for j, b in enumerate(dec.block(s).strips):
+            w = _strip_bracket(k, r - i, a, s - j, b)
+            if any(w):
+                solver = dec.solver(r - i + s - j)
+                support.update(t_ for t_, c in zip(solver.rs, solver.coefficients(w)) if c)
+    return support
+
+
+@dataclass(frozen=True)
+class SymPowerModel:
+    """Images of the sl2 basis under Sym^(k-1), plus the diagonal matrix D
+    conjugating this model onto principal_triple(k): D m D^-1 maps x,h,y
+    of the symmetric-power model to those of the principal model."""
+    triple: Sl2Triple
+    witness: Matrix
+
+
+def sym_power_rep(k):
+    """The (k-1)-st symmetric power of the defining sl2 representation.
+
+    In the monomial basis X^(k-1-i) Y^i the standard generators act by
+    e: superdiagonal (1, 2, ..., k-1), f: subdiagonal (k-1, ..., 1), and
+    h: diag(k-1, k-3, ..., -(k-1)).  The conjugating witness is the diagonal
+    of factorials D = diag(0!, 1!, ..., (k-1)!).
+    """
+    x = Matrix.zeros(k)
+    y = Matrix.zeros(k)
+    xd, yd = list(x.entries), list(y.entries)
+    for i in range(k - 1):
+        xd[i * k + i + 1] = Fraction(i + 1)       # e . X^(k-1-j) Y^j = j X^(k-j) Y^(j-1)
+        yd[(i + 1) * k + i] = Fraction(k - 1 - i)  # f . X^(k-1-j) Y^j = (k-1-j) X^(k-2-j) Y^(j+1)
+    x = Matrix(k, k, xd)
+    y = Matrix(k, k, yd)
+    h = Matrix.diagonal([k - 1 - 2 * i for i in range(k)])
+    fact = [1]
+    for i in range(1, k):
+        fact.append(fact[-1] * i)
+    witness = Matrix.diagonal(fact)
+    return SymPowerModel(Sl2Triple(k, x, h, y), witness)
+
+
+def ungraded_triple():
+    """principal_triple(3) conjugated by 1 + E_01, which moves x and y off
+    their single diagonals."""
+    t = principal_triple(3)
+    g = Matrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    gi = Matrix.from_rows([[1, -1, 0], [0, 1, 0], [0, 0, 1]])
+    return Sl2Triple(3, g * t.x * gi, g * t.h * gi, g * t.y * gi).validate()
+
 
 def dense_form_kernel(mats, k):
     """All k^2 entries of B as unknowns, one matrix at a time."""
@@ -51,9 +141,11 @@ def same_span(forms, other):
     return rank_of(forms) == len(forms) == len(other) == rank_of(other) == rank_of(forms + other)
 
 
-def dense_projection(dec, m):
-    """Project strip by strip with solve_linear on the dense basis matrices."""
+def dense_projection(dec, m, bases=None):
+    """Project strip by strip with solve_linear on the dense basis matrices;
+    bases maps r to dense_basis(dec, r), and is built here when not given."""
     k = dec.k
+    bases = bases or {r: dense_basis(dec, r) for r in range(1, k)}
 
     def strip_of(a, d):
         return [a[i, i + d] for i in range(max(0, -d), min(k, k - d))]
@@ -64,7 +156,7 @@ def dense_projection(dec, m):
         if not any(strip):
             continue
         rs = list(range(max(abs(d), 1), k))
-        cols = [strip_of(dec.block(r).basis[r - d], d) for r in rs]
+        cols = [strip_of(bases[r][r - d], d) for r in rs]
         sol = solve_linear(Matrix(len(strip), len(rs),
                                   [cols[j][i] for i in range(len(strip)) for j in range(len(rs))]),
                            strip)
@@ -75,16 +167,17 @@ def dense_projection(dec, m):
         comp = Matrix.zeros(k)
         for i, c in enumerate(coeffs[r]):
             if c:
-                comp = comp + dec.block(r).basis[i].scale(c)
+                comp = comp + bases[r][i].scale(c)
         out[r] = comp
     return out
 
 
 def dense_bracket_support(dec, r, s):
+    bases = {t_: dense_basis(dec, t_) for t_ in range(1, dec.k)}
     support = set()
-    for a in dec.block(r).basis:
-        for b in dec.block(s).basis:
-            for t_, comp in dense_projection(dec, bracket(a, b)).items():
+    for a in bases[r]:
+        for b in bases[s]:
+            for t_, comp in dense_projection(dec, bracket(a, b), bases).items():
                 if not comp.is_zero():
                     support.add(t_)
     return support
@@ -167,17 +260,17 @@ class TestAdjointDecomposition:
     def test_k2_single_block(self):
         dec = decompose_adjoint(principal_triple(2))
         assert [b.r for b in dec.blocks] == [1]
-        assert len(dec.blocks[0].basis) == 3
+        assert len(dense_basis(dec, 1)) == 3
 
     def test_k3_dimension_count(self):
         dec = decompose_adjoint(principal_triple(3))
-        assert [len(b.basis) for b in dec.blocks] == [3, 5]
-        assert sum(len(b.basis) for b in dec.blocks) == 8
+        assert [len(dense_basis(dec, b.r)) for b in dec.blocks] == [3, 5]
+        assert sum(len(dense_basis(dec, b.r)) for b in dec.blocks) == 8
 
     def test_k6_dimensions(self):
         dec = decompose_adjoint(principal_triple(6))
-        assert [len(b.basis) for b in dec.blocks] == [3, 5, 7, 9, 11]
-        assert sum(len(b.basis) for b in dec.blocks) == 35
+        assert [len(dense_basis(dec, b.r)) for b in dec.blocks] == [3, 5, 7, 9, 11]
+        assert sum(len(dense_basis(dec, b.r)) for b in dec.blocks) == 35
 
     def test_change_of_basis_invertible(self):
         for k in range(2, 9):
@@ -187,13 +280,25 @@ class TestAdjointDecomposition:
             assert rank(dec.change_of_basis) == n
 
     def test_ungraded_triple_rejected(self):
-        # conjugating by 1 + E_01 moves x and y off their single diagonals
-        t = principal_triple(3)
-        g = Matrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
-        gi = Matrix.from_rows([[1, -1, 0], [0, 1, 0], [0, 0, 1]])
-        moved = Sl2Triple(3, g * t.x * gi, g * t.h * gi, g * t.y * gi).validate()
         with pytest.raises(ValueError):
-            decompose_adjoint(moved)
+            decompose_adjoint(ungraded_triple())
+
+    def test_sym_power_triple_dimensions(self):
+        # the Sym^(k-1) triple is graded with x not all ones
+        for k in range(2, 9):
+            dec = decompose_adjoint(sym_power_rep(k).triple)
+            assert [len(b.strips) for b in dec.blocks] == [2 * r + 1 for r in range(1, k)]
+            assert rank(dec.change_of_basis) == k * k - 1
+
+    def test_change_of_basis_against_dense_coordinates(self):
+        for k in range(2, 9):
+            for t in (principal_triple(k), sym_power_rep(k).triple):
+                dec = decompose_adjoint(t)
+                columns = [dense_elementary_coordinates(m)
+                           for r in range(1, k) for m in dense_basis(dec, r)]
+                n = k * k - 1
+                assert dec.change_of_basis == Matrix(
+                    n, n, [columns[j][i] for i in range(n) for j in range(n)]), k
 
     def test_block_invariants(self):
         # highest weight killed by ad x; h-weights 2r-2i; lowest killed by ad y
@@ -202,10 +307,11 @@ class TestAdjointDecomposition:
             dec = decompose_adjoint(t)
             for block in dec.blocks:
                 r = block.r
-                assert bracket(t.x, block.basis[0]).is_zero()
-                for i, v in enumerate(block.basis):
+                basis = dense_basis(dec, r)
+                assert bracket(t.x, basis[0]).is_zero()
+                for i, v in enumerate(basis):
                     assert bracket(t.h, v) == v.scale(2 * r - 2 * i)
-                assert bracket(t.y, block.basis[2 * r]).is_zero()
+                assert bracket(t.y, basis[2 * r]).is_zero()
 
 
 class TestProjectToBlocks:
@@ -219,15 +325,15 @@ class TestProjectToBlocks:
     def test_x_squared_projects_to_block_two(self):
         t = principal_triple(4)
         dec = decompose_adjoint(t)
-        comps = project_to_blocks(dec, t.x ** 2)
-        assert comps[2] == t.x ** 2
+        comps = project_to_blocks(dec, mat_power(t.x, 2))
+        assert comps[2] == mat_power(t.x, 2)
         assert all(comps[r].is_zero() for r in comps if r != 2)
 
     def test_h_projects_to_block_one(self):
         # oracle: h = -ad(y) x, the second basis vector of U_1 negated
         t = principal_triple(5)
         dec = decompose_adjoint(t)
-        assert t.h == -dec.block(1).basis[1]
+        assert t.h == -dense_basis(dec, 1)[1]
         comps = project_to_blocks(dec, t.h)
         assert comps[1] == t.h
         assert all(comps[r].is_zero() for r in comps if r != 1)
@@ -235,7 +341,7 @@ class TestProjectToBlocks:
     def test_components_sum_to_input(self):
         t = principal_triple(5)
         dec = decompose_adjoint(t)
-        m = t.x ** 2 + t.y.scale(3) + t.h + (t.y ** 3).scale(Fraction(1, 2))
+        m = mat_power(t.x, 2) + t.y.scale(3) + t.h + mat_power(t.y, 3).scale(Fraction(1, 2))
         comps = project_to_blocks(dec, m)
         total = Matrix.zeros(5)
         for c in comps.values():
@@ -298,6 +404,15 @@ class TestBracketSupport:
                 for s in range(1, r + 1):
                     assert bracket_support(dec, r, s) == dense_bracket_support(dec, r, s)
 
+    def test_against_exhaustive_strip_brackets(self):
+        # [x^r, U_s] alone against all (2r+1)(2s+1) pairs of basis strips
+        for k in range(2, 13):
+            dec = decompose_adjoint(principal_triple(k))
+            for r in range(1, k):
+                for s in range(1, r + 1):
+                    assert bracket_support(dec, r, s) == exhaustive_bracket_support(dec, r, s), \
+                        (k, r, s)
+
     def test_bad_range_rejected(self):
         dec = decompose_adjoint(principal_triple(4))
         with pytest.raises(ValueError):
@@ -317,12 +432,13 @@ class TestBracketIdentity:
     def test_k5_coefficient_eight(self):
         t = principal_triple(5)
         assert verify_bracket_identity(t, 2, 2)
-        assert bracket(t.x ** 2, bracket(t.y, t.x ** 2)) == (t.x ** 3).scale(8)
+        assert (bracket(mat_power(t.x, 2), bracket(t.y, mat_power(t.x, 2)))
+                == mat_power(t.x, 3).scale(8))
 
     def test_k4_coefficient_six(self):
         t = principal_triple(4)
         assert verify_bracket_identity(t, 3, 1)
-        assert bracket(t.x ** 3, bracket(t.y, t.x)) == (t.x ** 3).scale(6)
+        assert bracket(mat_power(t.x, 3), bracket(t.y, t.x)) == mat_power(t.x, 3).scale(6)
 
     def test_all_pairs_small_k(self):
         for k in range(2, 9):
@@ -335,6 +451,25 @@ class TestBracketIdentity:
         t = principal_triple(4)
         with pytest.raises(ValueError):
             verify_bracket_identity(t, 3, 2)
+
+    def test_against_dense_formula(self):
+        # a triple with y doubled is graded but breaks the identity (4rs, not
+        # 2rs), so both answers occur
+        for k in range(2, 9):
+            t = principal_triple(k)
+            doubled = Sl2Triple(k, t.x, t.h, t.y.scale(2))
+            for triple, holds in ((t, True), (sym_power_rep(k).triple, True), (doubled, False)):
+                for r in range(1, k):
+                    for s in range(1, k - r + 1):
+                        x, y = triple.x, triple.y
+                        dense = (bracket(mat_power(x, r), bracket(y, mat_power(x, s)))
+                                 == mat_power(x, r + s - 1).scale(2 * r * s))
+                        assert dense == holds
+                        assert verify_bracket_identity(triple, r, s) == dense, (k, r, s)
+
+    def test_ungraded_triple_rejected(self):
+        with pytest.raises(ValueError):
+            verify_bracket_identity(ungraded_triple(), 1, 1)
 
 
 class TestInvariantBilinearForm:
@@ -431,9 +566,10 @@ class TestStripSolverRoundTrip:
         # the solver of diagonal d inverts the block basis on d: the strip of
         # the U_r basis vector on d has coefficient 1 on r and 0 elsewhere
         for k in range(2, 9):
-            dec = decompose_adjoint(principal_triple(k))
-            for d in range(-(k - 1), k):
-                solver = dec.solver(d)
-                for r in solver.rs:
-                    coeffs = solver.coefficients(dec.block(r).strips[r - d])
-                    assert coeffs == [int(s == r) for s in solver.rs], (k, d, r)
+            for t in (principal_triple(k), sym_power_rep(k).triple):
+                dec = decompose_adjoint(t)
+                for d in range(-(k - 1), k):
+                    solver = dec.solver(d)
+                    for r in solver.rs:
+                        coeffs = solver.coefficients(dec.block(r).strips[r - d])
+                        assert coeffs == [int(s == r) for s in solver.rs], (k, d, r)

@@ -13,7 +13,8 @@ from katzmod.subgroups import (GeneratorSet, Word, matrix_to_word, coset_enumera
                                invariants, congruence_test, dim_cusp_forms,
                                dim_rho_prim, subgroup_invariants, load_generator_file,
                                resolve_subgroup, CosetCapExceeded, CosetTable, PRESETS, FULL_GROUP,
-                               S_MAT, T_MAT, T_INV_MAT, mat_mul, psl2_canonical)
+                               S_MAT, T_MAT, T_INV_MAT, mat_mul, psl2_canonical,
+                               _compose, _perm_inverse, _perm_power, _perm_order, _is_identity)
 
 # well-known congruence subgroups, by generators; (index, widths) for cross-checks
 CONGRUENCE_GROUPS = {
@@ -244,6 +245,35 @@ class TestInvariantsCacheHonoursCap:
             subgroup_invariants(PRESETS["gamma43"])
 
 
+class TestCosetCapValidation:
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self, monkeypatch):
+        monkeypatch.setattr(katzmod.subgroups, "_INVARIANTS_CACHE", {})
+        monkeypatch.delenv("KATZMOD_COSET_CAP", raising=False)
+
+    @pytest.mark.parametrize("cap", [0, -3, True, False, 2.5, 3.0, "7"])
+    def test_malformed_argument_rejected(self, cap):
+        # cap=True used to be read as 1 and raise CosetCapExceeded
+        with pytest.raises(ValueError, match="positive integer, got .* from the cap argument"):
+            subgroup_invariants(FULL_GROUP, cap=cap)
+        with pytest.raises(ValueError, match="from the cap argument"):
+            coset_enumerate(PRESETS["gamma43"], cap=cap)
+
+    @pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5", "", "1e3"])
+    def test_malformed_environment_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("KATZMOD_COSET_CAP", value)
+        with pytest.raises(ValueError, match="from the environment variable KATZMOD_COSET_CAP"):
+            subgroup_invariants(PRESETS["gamma43"])
+
+    def test_valid_caps_accepted(self, monkeypatch):
+        assert coset_enumerate(PRESETS["gamma43"], cap=1000).index == 7
+        monkeypatch.setenv("KATZMOD_COSET_CAP", " 1000 ")
+        assert coset_enumerate(PRESETS["gamma43"]).index == 7
+        # an argument takes precedence over the environment variable
+        monkeypatch.setenv("KATZMOD_COSET_CAP", "0")
+        assert coset_enumerate(PRESETS["gamma43"], cap=1000).index == 7
+
+
 class TestCongruence:
     def test_full_group_congruence(self):
         assert congruence_test(coset_enumerate(FULL_GROUP))
@@ -253,8 +283,8 @@ class TestCongruence:
             assert not subgroup_invariants(PRESETS[name]).congruence
 
     def test_known_congruence_groups(self):
-        # levels 2 and 4 drive the power-of-two branch, 3 and 5 the odd
-        # branch, and gamma43 / gamma52 above the general branch
+        # levels 2 and 4 are powers of two, 3 and 5 odd, and gamma43 /
+        # gamma52 above have mixed levels
         for name, (gens, index, widths) in CONGRUENCE_GROUPS.items():
             assert congruence_test(coset_enumerate(GeneratorSet(name, gens))), name
 
@@ -341,6 +371,147 @@ class TestCongruenceOracle:
                 continue  # keep the mod-N closure affordable
             assert self.oracle(gset) == inv.congruence, gens
             checked += 1
+
+
+def three_branch_congruence_test(table):
+    """Hsu's criterion with separate branches for index 1, odd level and
+    power-of-2 level, as congruence_test was written before its branches
+    were folded into the general one."""
+    if table.index == 1:
+        return True
+    L = table.perm_T
+    R = _compose(_compose(table.perm_S, _perm_inverse(table.perm_T)), table.perm_S)
+    N = _perm_order(L)
+    m = N
+    e = 1
+    while m % 2 == 0:
+        m //= 2
+        e *= 2
+
+    def word(*perms):
+        out = tuple(range(table.index))
+        for p in perms:
+            out = _compose(out, p)
+        return out
+
+    if e == 1:  # N odd
+        half = pow(2, -1, N)
+        rel = _perm_power(word(R, R, _perm_power(L, -half)), 3)
+        return _is_identity(rel)
+
+    if m == 1:  # N a power of 2
+        fifth = pow(5, -1, N)
+        s = word(_perm_power(L, 20), _perm_power(R, fifth), _perm_power(L, -4), _perm_inverse(R))
+        rels = [
+            word(_perm_inverse(L), R, _perm_inverse(L), s, L, _perm_inverse(R), L, s),
+            word(_perm_inverse(s), R, s, _perm_power(R, -25)),
+            _perm_power(word(s, _perm_power(R, 5), L, _perm_inverse(R), L), 3),
+        ]
+        return all(_is_identity(r) for r in rels)
+
+    c = e * pow(e, -1, m) % N
+    d = m * pow(m, -1, e) % N
+    a = _perm_power(L, c)
+    b = _perm_power(R, c)
+    l = _perm_power(L, d)
+    r = _perm_power(R, d)
+    half = pow(2, -1, m)
+    fifth = pow(5, -1, e)
+    s = word(_perm_power(l, 20), _perm_power(r, fifth), _perm_power(l, -4), _perm_inverse(r))
+    rels = [
+        word(_perm_inverse(a), _perm_inverse(r), a, r),
+        _perm_power(word(a, _perm_inverse(b), a), 4),
+        word(_perm_power(word(a, _perm_inverse(b), a), 2), _perm_power(word(_perm_inverse(a), b), 3)),
+        word(_perm_power(word(a, _perm_inverse(b), a), 2),
+             _perm_power(word(b, b, _perm_power(a, -half)), -3)),
+        word(_perm_inverse(l), r, _perm_inverse(l), s, l, _perm_inverse(r), l, s),
+        word(_perm_inverse(s), r, s, _perm_power(r, -25)),
+        word(_perm_power(word(l, _perm_inverse(r), l), 2),
+             _perm_power(word(s, _perm_power(r, 5), l, _perm_inverse(r), l), 3)),
+    ]
+    return all(_is_identity(r) for r in rels)
+
+
+def random_coset_table(rng, n):
+    """A random coset table of index n, or None if the pair is not transitive:
+    S pairs off a random number of points, ST has a random number of 3-cycles,
+    and T = S (ST)."""
+    pts = list(range(n))
+    perm_s = list(range(n))
+    rng.shuffle(pts)
+    for i in range(0, 2 * rng.randint(0, n // 2), 2):
+        perm_s[pts[i]], perm_s[pts[i + 1]] = pts[i + 1], pts[i]
+    perm_st = list(range(n))
+    rng.shuffle(pts)
+    for i in range(0, 3 * rng.randint(0, n // 3), 3):
+        perm_st[pts[i]], perm_st[pts[i + 1]], perm_st[pts[i + 2]] = pts[i + 1], pts[i + 2], pts[i]
+    table = CosetTable(n, tuple(perm_s), _compose(tuple(perm_s), tuple(perm_st)))
+    try:
+        return table.validate()
+    except RuntimeError:
+        return None
+
+
+def schreier_generators(table):
+    """Generators of the subgroup whose cosets the table permutes: w_i g w_(i.g)^-1
+    for each coset i and g in {S, T}, with w_i a path from the base coset."""
+    paths = {0: (1, 0, 0, 1)}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for perm, g in ((table.perm_S, S_MAT), (table.perm_T, T_MAT)):
+                if perm[i] not in paths:
+                    paths[perm[i]] = mat_mul(paths[i], g)
+                    nxt.append(perm[i])
+        frontier = nxt
+    gens = set()
+    for i in range(table.index):
+        for perm, g in ((table.perm_S, S_MAT), (table.perm_T, T_MAT)):
+            a, b, c, d = paths[perm[i]]
+            gens.add(mat_mul(mat_mul(paths[i], g), (d, -b, -c, a)))
+    return GeneratorSet("schreier", sorted(gens))
+
+
+def level_class(n):
+    return "odd" if n % 2 else "power of 2" if n & (n - 1) == 0 else "mixed"
+
+
+class TestCongruenceFoldedBranches:
+    """congruence_test keeps only the general branch of Hsu's criterion; the
+    odd-level, power-of-2 and index-1 branches are special cases of it."""
+
+    def test_against_three_branch_test(self):
+        rng = random.Random(1996)
+        seen = set()
+        for _ in range(6000):
+            table = random_coset_table(rng, rng.randint(1, 30))
+            if table is None:
+                continue
+            flag = congruence_test(table)
+            assert flag == three_branch_congruence_test(table), table
+            seen.add((level_class(_perm_order(table.perm_T)), flag))
+        assert seen == {(c, f) for c in ("odd", "power of 2", "mixed") for f in (True, False)}
+
+    def test_against_mod_n_oracle(self):
+        # the subgroup is congruence exactly when the preimage of its image
+        # mod its level N has the same index
+        rng = random.Random(124)
+        seen = set()
+        checked = 0
+        while checked < 100:
+            table = random_coset_table(rng, rng.randint(1, 30))
+            if table is None:
+                continue
+            n = _perm_order(table.perm_T)
+            if psl2_mod_n_size(n) > 12000:
+                continue
+            image = image_size_mod_n(schreier_generators(table), n)
+            oracle = psl2_mod_n_size(n) // image == table.index
+            assert congruence_test(table) == oracle, table
+            seen.add((level_class(n), oracle))
+            checked += 1
+        assert seen == {(c, f) for c in ("odd", "power of 2", "mixed") for f in (True, False)}
 
 
 class TestDimCuspForms:

@@ -1,9 +1,12 @@
-"""Guards for the benchmark's tracer: the names it wraps must stay importable.
+"""Guards on the source tree itself.
 
 perfbench/tracer.py wraps each (module, attribute) in its TARGETS and rebinds
 the wrapper wherever the original was imported.  A rename or deletion in
 katzmod would break a traced benchmark run without failing any other test, so
 TARGETS is read here straight from the file (parsed, not imported or changed).
+
+Internal checks must survive `python -O`, which strips `assert` statements, so
+no module of katzmod may contain one.
 """
 
 import ast
@@ -15,7 +18,9 @@ import katzmod.linalg
 import katzmod.sl2
 import katzmod.verify
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+PACKAGE = ROOT / "src" / "katzmod"
 
 
 def tracer_targets():
@@ -39,3 +44,13 @@ def test_rank_is_one_object_at_every_import_site():
     rank = katzmod.linalg.rank
     for module in (katzmod.sl2, katzmod.verify, katzmod.cli):
         assert module.rank is rank, module.__name__
+
+
+def test_no_assert_statement_in_katzmod():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 9
+    found = [f"{path.name}:{node.lineno}"
+             for path in modules
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Assert)]
+    assert not found, f"bare assert statements (stripped by python -O): {found}"
