@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 from .linalg import Matrix
 from .sl2 import principal_triple, invariant_bilinear_form, form_kernel
-from .roots import build_root_system, exponents, weyl_dimension, irreps_of_dimension
+from .roots import build_root_system, exponents, weyl_dimension, irreps_of_dimension, \
+    SIMPLE_TYPES, _valid_type
 
 LABEL_SYM_POWER = "sym_power_sl2"
 LABEL_FULL_SL = "full_sl"
@@ -123,28 +124,13 @@ class ClassificationReport:
 
 
 def _candidate_types(k):
-    """Isomorphism classes of simple types with rank at most k-1.
+    """Isomorphism classes of simple types with rank at most k-1, type by type.
 
-    B_1, C_1, D_1..D_3 and D_2 are excluded as duplicates or non-simple
-    (B_1 = C_1 = A_1, D_2 = A_1 x A_1, D_3 = A_3); B_2 and C_2 are both
-    emitted and merged later by the caller.
+    roots decides which (type, rank) exist; D_3 = A_3 is dropped here as a
+    duplicate.  B_2 and C_2 are both listed and merged later by the caller.
     """
-    bound = k - 1
-    for n in range(1, bound + 1):
-        yield ("A", n)
-    for n in range(2, bound + 1):
-        yield ("B", n)
-    for n in range(2, bound + 1):
-        yield ("C", n)
-    for n in range(4, bound + 1):
-        yield ("D", n)
-    for n in (6, 7, 8):
-        if n <= bound:
-            yield ("E", n)
-    if 4 <= bound:
-        yield ("F", 4)
-    if 2 <= bound:
-        yield ("G", 2)
+    return [(t, n) for t in SIMPLE_TYPES for n in range(1, k)
+            if _valid_type(t, n) and (t, n) != ("D", 3)]
 
 
 def _realizing_weights(rs, k):
@@ -230,9 +216,6 @@ def ht_filter(cases, k, ht):
     eigenvalue_count = len(set(diag))
     if eigenvalue_count != k:
         raise RuntimeError("Sym^(k-1) semisimple element must have k distinct eigenvalues")
-    if eigenvalue_count == ht.weight_count:
-        # a semisimple element with the required eigenvalue count exists
-        return list(cases)
     return [c for c in cases if c.label != LABEL_SYM_POWER]
 
 

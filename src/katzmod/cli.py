@@ -72,7 +72,7 @@ def cmd_sl2(args):
         dec = decompose_adjoint(t)
         dims = [len(b.strips) for b in dec.blocks]
         doc = {"k": k, "block_dimensions": dims, "total": sum(dims),
-               "change_of_basis_rank": rank(dec.change_of_basis)}
+               "change_of_basis_rank": sum(map(rank, dec.diagonal_bases()))}
         _print(doc, args.json, [
             f"adjoint decomposition of sl_{k}: blocks U_1 .. U_{k - 1}",
             f"  dimensions: {', '.join(map(str, dims))} (sum {sum(dims)} = {k * k - 1})",
@@ -224,7 +224,7 @@ def build_parser():
     p = sub.add_parser("subgroup", help="invariants of a finite-index subgroup of PSL2(Z)")
     p.add_argument("subgroup", help="preset name (gamma43, gamma52, gamma711) or JSON file path")
     p.add_argument("--dims", action="store_true", help="print dimension tables")
-    p.add_argument("--kmax", type=int, default=20)
+    p.add_argument("--kmax", type=_k_at_least_2, default=20)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_subgroup)
 

@@ -14,18 +14,20 @@ The basis vector ad(y)^i x^r lies on the single diagonal d = r - i and is held
 only as that diagonal's entries, its strip: no block basis vector is ever a
 dense matrix.  A product or bracket of two strips is one O(k) pass, and lands
 on the sum of their diagonals; x^r is a strip on the diagonal r, so the
-bracket identities are strip computations too.  The change of basis is block
-diagonal over the diagonals, so the decomposition keeps one exact solver per
-diagonal, and projections and bracket supports solve one weight space at a
-time.  A bracket support needs only the brackets of the top vector x^r of U_r
-with U_s, because x^r (x) U_s generates U_r (x) U_s as an sl2-module.  An
-h-invariant bilinear form lives on the entries with h_a + h_b = 0 (the
-antidiagonal), which is where `form_kernel` starts when h comes first.
+bracket identities are strip computations too.  The basis is held once, as
+these strips, and a question about it splits into one question per diagonal,
+since vectors on different diagonals have disjoint supports.  So the
+decomposition keeps one exact solver per diagonal, projections and bracket
+supports solve one weight space at a time, and the rank of the basis is the
+sum of the ranks of its diagonals.  A bracket support needs only the
+brackets of the top vector x^r of U_r with U_s, because x^r (x) U_s generates
+U_r (x) U_s as an sl2-module.  An h-invariant bilinear form lives on the
+entries with h_a + h_b = 0 (the antidiagonal), which is where `form_kernel`
+starts when h comes first.
 """
 
 from fractions import Fraction
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .linalg import Matrix, _gauss_jordan, bracket, solve_homogeneous, nilpotency_data
 from .linalg import rank  # noqa: F401  (perfbench's tracer checks it is rebound here too)
@@ -87,11 +89,10 @@ class StripSolver:
 
 @dataclass(frozen=True)
 class AdjointDecomposition:
-    """sl_k = U_1 + ... + U_(k-1) together with the change of basis from the
-    block basis to the elementary basis of traceless matrices."""
+    """sl_k = U_1 + ... + U_(k-1): the block basis as strips, and a StripSolver
+    for the basis vectors on each diagonal."""
     k: int
     blocks: tuple  # IrrepBlock for r = 1..k-1
-    change_of_basis: Matrix  # columns: block basis vectors in elementary coordinates
     solvers: tuple  # StripSolver for the diagonals d = -(k-1) .. k-1
 
     def block(self, r):
@@ -99,6 +100,14 @@ class AdjointDecomposition:
 
     def solver(self, d):
         return self.solvers[d + self.k - 1]
+
+    def diagonal_bases(self):
+        """For each diagonal d = -(k-1) .. k-1, the basis strips on d as the
+        rows of a Matrix, one row per U_r in that diagonal's solver.  Vectors
+        on different diagonals have disjoint supports, so the ranks of these
+        matrices add up to the rank of the whole block basis."""
+        return [Matrix.from_rows([self.block(r).strips[r - d] for r in self.solver(d).rs])
+                for d in range(1 - self.k, self.k)]
 
 
 def principal_triple(k):
@@ -155,21 +164,6 @@ def _strip_bracket(k, d1, a, d2, b):
                                   _strip_product(k, d2, b, d1, a))]
 
 
-def _elementary_coordinates(k, d, strip):
-    """Coordinates in the elementary basis of sl_k of the traceless matrix on
-    the diagonal d with entries strip: E_ij (i != j, row by row) sits in slot
-    i(k-1) + j - (j > i), and H_i = E_ii - E_(i+1)(i+1), i = 0..k-2, in the
-    last k-1 slots takes the partial sums d_0 + ... + d_i of a diagonal."""
-    coords = [0] * (k * k - 1)
-    if d == 0:
-        coords[k * (k - 1):] = accumulate(strip[:-1])
-    else:
-        for i, v in zip(_strip_rows(k, d), strip):
-            j = i + d
-            coords[i * (k - 1) + j - (j > i)] = v
-    return coords
-
-
 def _dot(row, strip):
     return sum(c * v for c, v in zip(row, strip) if v)
 
@@ -186,7 +180,8 @@ def _strip_solver(rs, columns):
     n, m = len(columns[0]), len(columns)
     rows = [[col[i] for col in columns] + [int(i == j) for j in range(n)] for i in range(n)]
     if len(_gauss_jordan(rows, m)) != m:
-        raise RuntimeError("adjoint decomposition is not direct: change of basis singular")
+        raise RuntimeError("adjoint decomposition is not direct: "
+                           "the basis strips on one diagonal are dependent")
     inverse = tuple(tuple(x if row[j] > 0 else -x for x in row[m:])
                     for j, row in enumerate(rows[:m]))
     denominators = tuple(abs(row[j]) for j, row in enumerate(rows[:m]))
@@ -204,9 +199,8 @@ def decompose_adjoint(t):
     ad(y)^i x^r on the diagonal r - i.  Each diagonal d gets a StripSolver
     for the basis vectors on it: a square system for d != 0, k x (k-1) for
     d = 0.  Full column rank on every diagonal is the directness check, and
-    raises if it fails (it never does for a valid triple).  The square
-    change-of-basis matrix, whose columns express the block basis in
-    elementary coordinates, is written straight from the strips and kept
+    raises if it fails (it never does for a valid triple).  The strips are
+    the only copy of the basis: `diagonal_bases` hands them out per diagonal
     for callers that check its rank independently.
     """
     k = t.k
@@ -223,11 +217,7 @@ def decompose_adjoint(t):
     for d in range(-(k - 1), k):
         rs = range(max(abs(d), 1), k)
         solvers.append(_strip_solver(rs, [blocks[r - 1].strips[r - d] for r in rs]))
-    columns = [_elementary_coordinates(k, b.r - i, strip)
-               for b in blocks for i, strip in enumerate(b.strips)]
-    n = k * k - 1
-    cob = Matrix(n, n, [columns[j][i] for i in range(n) for j in range(n)])
-    return AdjointDecomposition(k, tuple(blocks), cob, tuple(solvers))
+    return AdjointDecomposition(k, tuple(blocks), tuple(solvers))
 
 
 def project_to_blocks(dec, m):

@@ -64,20 +64,30 @@ def psl2_canonical(m):
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """A named list of determinant-1 integer matrices, taken modulo +-1."""
+    """A named list of determinant-1 integer matrices, taken modulo +-1.
+
+    The name must be a str, the generators a list or tuple of matrices, and
+    each matrix a list or tuple of four ints; anything else raises ValueError.
+    """
     name: str
     generators: tuple
 
     def __init__(self, name, generators):
+        if not isinstance(name, str):
+            raise ValueError(f"subgroup name must be a string, got {name!r}")
+        if not isinstance(generators, (list, tuple)):
+            raise ValueError(f"generators must be a list of matrices, got {generators!r}")
         gens = []
         for m in generators:
+            if not isinstance(m, (list, tuple)):
+                raise ValueError(f"generator must be a list of four integers, got {m!r}")
             m = _int_entries(m)
             if len(m) != 4:
                 raise ValueError(f"generator must have four entries, got {m}")
             if mat_det(m) != 1:
                 raise ValueError(f"generator {m} has determinant {mat_det(m)}, not 1")
             gens.append(psl2_canonical(m))
-        object.__setattr__(self, "name", str(name))
+        object.__setattr__(self, "name", name)
         object.__setattr__(self, "generators", tuple(gens))
 
 
@@ -92,12 +102,16 @@ FULL_GROUP = GeneratorSet("psl2z", [S_MAT, T_MAT])
 
 
 def load_generator_file(path):
-    """Read a GeneratorSet from a JSON document {"name": ..., "generators": [[a,b,c,d], ...]}."""
+    """Read a GeneratorSet from a JSON document {"name": ..., "generators": [[a,b,c,d], ...]};
+    any malformed content raises ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or "name" not in doc or "generators" not in doc:
-        raise ValueError(f"{path}: expected an object with fields 'name' and 'generators'")
-    return GeneratorSet(doc["name"], doc["generators"])
+        try:
+            doc = json.load(fh)
+            if not isinstance(doc, dict) or "name" not in doc or "generators" not in doc:
+                raise ValueError("expected an object with fields 'name' and 'generators'")
+            return GeneratorSet(doc["name"], doc["generators"])
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError too
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def resolve_subgroup(spec):
@@ -289,7 +303,7 @@ def _coset_cap(cap):
         raw = os.environ.get(COSET_CAP_ENV)
         if raw is None:
             return DEFAULT_COSET_CAP
-        cap = int(raw) if raw.strip().isdigit() else raw
+        cap = int(raw) if raw.strip().isdecimal() else raw
         source = f"environment variable {COSET_CAP_ENV}"
     if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
         raise ValueError(f"coset cap must be a positive integer, got {cap!r} from the {source}")

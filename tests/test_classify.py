@@ -5,12 +5,34 @@ import pytest
 from katzmod.classify import (exponent_criteria, classify, ht_filter, form_filter,
                               frobenius_dimension_check, classification_report,
                               HodgeTateData, LABEL_SYM_POWER, LABEL_FULL_SL,
-                              LABEL_SYMPLECTIC, LABEL_ORTHOGONAL, LABEL_G2)
+                              LABEL_SYMPLECTIC, LABEL_ORTHOGONAL, LABEL_G2,
+                              _candidate_types)
 from katzmod.roots import build_root_system, exponents, irreps_of_dimension
 
 
 def names(cases):
     return sorted(c.name for c in cases)
+
+
+def listed_candidate_types(k):
+    """The simple types of rank at most k-1, written out type by type without
+    asking roots which (type, rank) pairs exist."""
+    bound = k - 1
+    for n in range(1, bound + 1):
+        yield ("A", n)
+    for n in range(2, bound + 1):
+        yield ("B", n)
+    for n in range(2, bound + 1):
+        yield ("C", n)
+    for n in range(4, bound + 1):
+        yield ("D", n)
+    for n in (6, 7, 8):
+        if n <= bound:
+            yield ("E", n)
+    if 4 <= bound:
+        yield ("F", 4)
+    if 2 <= bound:
+        yield ("G", 2)
 
 
 class TestExponentCriteria:
@@ -41,6 +63,10 @@ class TestExponentCriteria:
 
 
 class TestClassify:
+    def test_candidate_types_against_written_out_list(self):
+        for k in range(2, 40):
+            assert _candidate_types(k) == list(listed_candidate_types(k)), k
+
     def test_k4(self):
         assert names(classify(4)) == ["A_1", "A_3", "C_2"]
 

@@ -19,6 +19,27 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# tests/data/cli_json.jsonl holds the stdout of each of these commands, one
+# line each, in this order.  It was written while the adjoint decomposition
+# still kept a dense change of basis, whose rank `sl2 decompose` printed.
+PINNED = Path(__file__).parent / "data" / "cli_json.jsonl"
+PINNED_COMMANDS = ([("classify", "--k", str(k), "--json") for k in range(2, 33)]
+                   + [("sl2", "--k", str(k), "decompose", "--json") for k in range(2, 13)])
+
+
+class TestPinnedJsonOutputs:
+    def test_one_line_per_command(self):
+        assert len(PINNED.read_text(encoding="utf-8").splitlines()) == len(PINNED_COMMANDS)
+
+    @pytest.mark.parametrize("index", range(len(PINNED_COMMANDS)),
+                             ids=["_".join(c).replace("--", "") for c in PINNED_COMMANDS])
+    def test_byte_identical_to_reference(self, capsys, index):
+        want = PINNED.read_text(encoding="utf-8").splitlines(keepends=True)[index]
+        code, out, _ = run(capsys, *PINNED_COMMANDS[index])
+        assert code == 0
+        assert out == want
+
+
 class TestClassifyCommand:
     def test_theorem_pipeline(self, capsys):
         code, out, _ = run(capsys, "classify", "--k", "4", "--ht-weights", "0,-5",
@@ -116,6 +137,28 @@ class TestSubgroupCommand:
         assert "index: 6" in out
         assert "congruence subgroup: yes" in out
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"name": "g", "generators": 5}, "generators must be a list of matrices"),
+        ({"name": "g", "generators": [[1, 1, 0, 1], None]},
+         "generator must be a list of four integers, got None"),
+        ({"name": "g", "generators": [[1, 1, 0, 1], 7]},
+         "generator must be a list of four integers, got 7"),
+        ({"name": None, "generators": [[1, 1, 0, 1]]}, "subgroup name must be a string"),
+        ("{bad", "Expecting property name"),
+    ])
+    def test_malformed_file_exits_2(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        code, out, err = run(capsys, "subgroup", str(path), "--json")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: ") and message in err
+
+    def test_kmax_below_2_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["subgroup", "gamma43", "--dims", "--kmax", "-3"])
+        assert exc.value.code == 2
+        assert "k must be at least 2, got -3" in capsys.readouterr().err
+
     def test_unknown_name(self, capsys):
         code, _, err = run(capsys, "subgroup", "gamma_missing")
         assert code != 0
@@ -130,7 +173,7 @@ class TestSubgroupCommand:
         with pytest.raises(sg.CosetCapExceeded):
             sg.coset_enumerate(gens)
 
-    @pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5", ""])
+    @pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5", "", "\u00b2"])
     def test_malformed_cap_env_exits_2(self, capsys, monkeypatch, value):
         # used to report "index bound exceeded" for 0 and -3
         monkeypatch.setenv("KATZMOD_COSET_CAP", value)

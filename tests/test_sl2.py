@@ -4,12 +4,13 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
 
 import katzmod
+from katzmod import verify
 from katzmod.linalg import (Matrix, bracket, rank, solve_homogeneous, solve_linear,
                             nilpotency_data)
 from katzmod.sl2 import (Sl2Triple, principal_triple, decompose_adjoint,
@@ -51,6 +52,41 @@ def dense_elementary_coordinates(m):
         partial += m[i, i]
         coords.append(partial)
     return coords
+
+
+def dense_block_basis(t):
+    """ad(y)^i x^r for r = 1..k-1 and i = 0..2r, in that order, by dense
+    matrix products and brackets."""
+    out = []
+    for r in range(1, t.k):
+        out.append(mat_power(t.x, r))
+        for _ in range(2 * r):
+            out.append(bracket(t.y, out[-1]))
+    return out
+
+
+def dense_change_of_basis(basis):
+    """The square matrix whose columns are the given traceless matrices in
+    elementary coordinates: for the block basis, the change of basis to the
+    elementary basis of sl_k."""
+    columns = [dense_elementary_coordinates(m) for m in basis]
+    n = len(columns)
+    return Matrix(n, n, [columns[j][i] for i in range(n) for j in range(n)])
+
+
+def diagonal_rank(dec):
+    """The rank that verify-paper and `sl2 decompose` report."""
+    return sum(map(rank, dec.diagonal_bases()))
+
+
+def with_strip_replaced(dec, r, i, strip):
+    """dec with the strip of ad(y)^i x^r replaced; its solvers are left as
+    they were."""
+    blocks = list(dec.blocks)
+    strips = list(blocks[r - 1].strips)
+    strips[i] = strip
+    blocks[r - 1] = replace(blocks[r - 1], strips=tuple(strips))
+    return replace(dec, blocks=tuple(blocks))
 
 
 def exhaustive_bracket_support(dec, r, s):
@@ -274,10 +310,13 @@ class TestAdjointDecomposition:
 
     def test_change_of_basis_invertible(self):
         for k in range(2, 9):
-            dec = decompose_adjoint(principal_triple(k))
+            t = principal_triple(k)
+            dec = decompose_adjoint(t)
             n = k * k - 1
-            assert dec.change_of_basis.rows == n
-            assert rank(dec.change_of_basis) == n
+            cob = dense_change_of_basis(dense_block_basis(t))
+            assert cob.rows == n
+            assert rank(cob) == diagonal_rank(dec) == n
+            assert len(dec.diagonal_bases()) == 2 * k - 1
 
     def test_ungraded_triple_rejected(self):
         with pytest.raises(ValueError):
@@ -286,19 +325,56 @@ class TestAdjointDecomposition:
     def test_sym_power_triple_dimensions(self):
         # the Sym^(k-1) triple is graded with x not all ones
         for k in range(2, 9):
-            dec = decompose_adjoint(sym_power_rep(k).triple)
+            t = sym_power_rep(k).triple
+            dec = decompose_adjoint(t)
             assert [len(b.strips) for b in dec.blocks] == [2 * r + 1 for r in range(1, k)]
-            assert rank(dec.change_of_basis) == k * k - 1
+            cob = dense_change_of_basis(dense_block_basis(t))
+            assert rank(cob) == diagonal_rank(dec) == k * k - 1
 
     def test_change_of_basis_against_dense_coordinates(self):
+        # row r of diagonal d, put on d, is column r^2 - 1 + (r - d) of the
+        # change of basis built from the densely computed block basis (the
+        # blocks before U_r fill the first 3 + 5 + ... + (2r-1) = r^2 - 1)
         for k in range(2, 9):
             for t in (principal_triple(k), sym_power_rep(k).triple):
                 dec = decompose_adjoint(t)
-                columns = [dense_elementary_coordinates(m)
-                           for r in range(1, k) for m in dense_basis(dec, r)]
-                n = k * k - 1
-                assert dec.change_of_basis == Matrix(
-                    n, n, [columns[j][i] for i in range(n) for j in range(n)]), k
+                cob = dense_change_of_basis(dense_block_basis(t))
+                for d, rows in zip(range(1 - k, k), dec.diagonal_bases()):
+                    rs = range(max(abs(d), 1), k)
+                    assert rows.rows == len(rs) and rows.cols == k - abs(d)
+                    for r, row in zip(rs, rows.row_lists()):
+                        entries = [0] * (k * k)
+                        for i, v in zip(range(max(0, -d), min(k, k - d)), row):
+                            entries[i * k + i + d] = v
+                        col = r * r - 1 + r - d
+                        assert dense_elementary_coordinates(Matrix(k, k, entries)) == \
+                            [cob[i, col] for i in range(k * k - 1)], (k, d, r)
+
+    def test_dependent_strip_lowers_the_rank(self):
+        # negative control: one basis strip replaced by another strip on the
+        # same diagonal; both the per-diagonal rank and the dense oracle drop
+        for k in (3, 5, 8):
+            dec = decompose_adjoint(principal_triple(k))
+            for d in (0, 1):
+                # the vector of U_2 on d becomes the one of U_1 on d
+                bad = with_strip_replaced(dec, 2, 2 - d, dec.block(1).strips[1 - d])
+                cob = dense_change_of_basis([m for r in range(1, k) for m in dense_basis(bad, r)])
+                assert diagonal_rank(bad) == rank(cob) == k * k - 2, (k, d)
+
+    def test_verify_adjoint_row_goes_red_on_dependent_strip(self, monkeypatch):
+        real = verify.decompose_adjoint
+
+        def corrupted(t):
+            dec = real(t)
+            if t.k == 2:
+                return dec
+            return with_strip_replaced(dec, 2, 1, dec.block(1).strips[0])  # diagonal 1
+
+        monkeypatch.setattr(verify, "decompose_adjoint", corrupted)
+        rows = list(verify.check_adjoint())
+        assert rows[0].ok  # k = 2 has a single block, left alone
+        assert not any(row.ok for row in rows[1:])
+        assert rows[1].computed == "[3, 5], sum 8, rank 7"
 
     def test_block_invariants(self):
         # highest weight killed by ad x; h-weights 2r-2i; lowest killed by ad y

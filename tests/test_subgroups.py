@@ -62,6 +62,18 @@ class TestGeneratorSet:
             with pytest.raises(ValueError, match="is not an integer"):
                 matrix_to_word(m)
 
+    @pytest.mark.parametrize("name, generators, message", [
+        ("g", 5, "generators must be a list of matrices, got 5"),
+        ("g", [(1, 1, 0, 1), None], "generator must be a list of four integers, got None"),
+        ("g", [(1, 1, 0, 1), 7], "generator must be a list of four integers, got 7"),
+        ("g", ["abcd"], "generator must be a list of four integers, got 'abcd'"),
+        (None, [(1, 1, 0, 1)], "subgroup name must be a string, got None"),
+        (7, [(1, 1, 0, 1)], "subgroup name must be a string, got 7"),
+    ])
+    def test_malformed_shapes_rejected(self, name, generators, message):
+        with pytest.raises(ValueError, match=message):
+            GeneratorSet(name, generators)
+
     def test_canonical_sign(self):
         assert psl2_canonical((0, -1, 1, 0)) == (0, 1, -1, 0)
         assert psl2_canonical((0, 1, -1, 0)) == (0, 1, -1, 0)
@@ -259,7 +271,7 @@ class TestCosetCapValidation:
         with pytest.raises(ValueError, match="from the cap argument"):
             coset_enumerate(PRESETS["gamma43"], cap=cap)
 
-    @pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5", "", "1e3"])
+    @pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5", "", "1e3", "\u00b2"])
     def test_malformed_environment_rejected(self, monkeypatch, value):
         monkeypatch.setenv("KATZMOD_COSET_CAP", value)
         with pytest.raises(ValueError, match="from the environment variable KATZMOD_COSET_CAP"):
