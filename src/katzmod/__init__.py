@@ -14,7 +14,7 @@ from .classify import (exponent_criteria, classify, ht_filter, form_filter,
                        frobenius_dimension_check, classification_report,
                        HodgeTateData, CandidateAlgebra, ClassificationCase,
                        ClassificationReport)
-from .subgroups import (GeneratorSet, Word, matrix_to_word, coset_enumerate,
+from .subgroups import (GeneratorSet, matrix_to_word, coset_enumerate,
                         CosetTable, SubgroupInvariants, invariants,
                         congruence_test, dim_cusp_forms, dim_rho_prim,
                         subgroup_invariants, PRESETS, FULL_GROUP,

@@ -30,16 +30,25 @@ def _print(doc, as_json, text_lines):
 
 
 def _k_at_least_2(value):
-    k = int(value)
+    try:
+        k = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"k must be an integer, got {value!r}") from None
     if k < 2:
         raise argparse.ArgumentTypeError(f"k must be at least 2, got {k}")
     return k
 
 
+def _int_list(value):
+    try:
+        return tuple(int(c) for c in value.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {value!r}") from None
+
+
 def cmd_classify(args):
-    ht = None
-    if args.ht_weights is not None:
-        ht = tuple(int(w) for w in args.ht_weights.split(","))
+    ht = args.ht_weights
     if args.symplectic and args.k % 2 != 0:
         raise SystemExit("error: --symplectic requires even k")
     report = classification_report(args.k, ht_weights=ht, apply_form_filter=args.symplectic)
@@ -118,10 +127,10 @@ def cmd_rootsys(args):
     elif args.action == "weyl-dim":
         if args.weight is None:
             raise SystemExit("error: weyl-dim needs --weight c1,c2,...")
-        weight = tuple(int(c) for c in args.weight.split(","))
+        weight = list(args.weight)
         dim = weyl_dimension(rs, weight)
-        doc = {"type": rs.name, "weight": list(weight), "dimension": dim}
-        _print(doc, args.json, [f"{rs.name}{note}, weight {list(weight)}: dimension {dim}"])
+        doc = {"type": rs.name, "weight": weight, "dimension": dim}
+        _print(doc, args.json, [f"{rs.name}{note}, weight {weight}: dimension {dim}"])
     elif args.action == "irreps":
         if args.dim is None:
             raise SystemExit("error: irreps needs --dim K")
@@ -200,7 +209,8 @@ def build_parser():
 
     p = sub.add_parser("classify", help="simple algebras passing the exponent scan at dimension k")
     p.add_argument("--k", type=_k_at_least_2, required=True)
-    p.add_argument("--ht-weights", help="comma-separated Hodge-Tate weights, e.g. 0,-5")
+    p.add_argument("--ht-weights", type=_int_list,
+                   help="comma-separated Hodge-Tate weights, e.g. 0,-5")
     p.add_argument("--symplectic", action="store_true",
                    help="apply the alternating-form filter (even k only)")
     p.add_argument("--json", action="store_true")
@@ -216,7 +226,7 @@ def build_parser():
     p.add_argument("--type", required=True, choices=list(SIMPLE_TYPES))
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("action", choices=["exponents", "dim", "weyl-dim", "irreps"])
-    p.add_argument("--weight", help="fundamental-weight coordinates, e.g. 1,0")
+    p.add_argument("--weight", type=_int_list, help="fundamental-weight coordinates, e.g. 1,0")
     p.add_argument("--dim", type=int, help="target dimension for the irreps action")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_rootsys)

@@ -21,7 +21,7 @@ class DimensionError(ValueError):
 def _as_fraction(x):
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"matrix entries must be exact rationals, got {type(x).__name__}")
 

@@ -9,15 +9,14 @@ pairings and its string depths up from the layer below: the pairings of
 alpha + alpha_i are those of alpha plus the sparse Cartan column i, its depth
 along alpha_i is one more than alpha's, and its depth along alpha_j is set by
 the root alpha + alpha_i - alpha_j when that lies in the layer, 0 otherwise.
-Nothing is probed.  Exponents are read off as the dual partition of
-the height distribution of the positive roots (the number of exponents >= h
-equals the number of positive roots of height h); see Bourbaki LIE VI and
-Kostant.  Dimensions of irreducibles come from the Weyl dimension formula
-evaluated in exact rational arithmetic.
+Nothing is probed.  Exponents are read off the layer sizes as their dual
+partition (the number of exponents >= h equals the number of positive roots
+of height h); see Bourbaki LIE VI and Kostant.  Dimensions of irreducibles
+come from the Weyl dimension formula evaluated in exact rational arithmetic.
 """
 
 from functools import lru_cache
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from math import gcd
 from operator import mul
@@ -105,6 +104,7 @@ class RootSystem:
     cartan: tuple            # rows of the Cartan matrix
     positive_roots: tuple    # coordinate tuples in the simple-root basis
     symmetrizers: tuple      # d_i, proportional to half the squared root lengths
+    exponents: tuple         # sorted; the dual partition of the height-layer sizes
 
     @property
     def name(self):
@@ -131,8 +131,10 @@ def build_root_system(type_label, rank):
     layer = {tuple(1 if j == i else 0 for j in range(n)): ([row[i] for row in cartan], [0] * n)
              for i in range(n)}
     positive = []
+    sizes = []               # number of positive roots of each height 1, 2, ...
     while layer:
         positive.extend(sorted(layer))
+        sizes.append(len(layer))
         nxt = {}
         for alpha, (pairings, depths) in layer.items():
             for i in range(n):
@@ -150,22 +152,17 @@ def build_root_system(type_label, rank):
                 # each nonzero depth of t is set here; the rest stay 0
                 entry[1][i] = p + 1
         layer = nxt
+    sizes.append(0)
+    exps = tuple(h for h in range(1, len(sizes)) for _ in range(sizes[h - 1] - sizes[h]))
+    if len(exps) != rank:
+        raise RuntimeError(f"{type_label}{rank}: {len(exps)} exponents for rank {rank}")
     return RootSystem(type_label, rank, tuple(tuple(r) for r in cartan),
-                      tuple(positive), _symmetrizers(cartan))
+                      tuple(positive), _symmetrizers(cartan), exps)
 
 
 def exponents(rs):
-    """Exponents as the dual partition of the positive-root height distribution."""
-    heights = Counter(sum(r) for r in rs.positive_roots)
-    maxh = max(heights)
-    out = []
-    for h in range(1, maxh + 1):
-        exact = heights.get(h, 0) - heights.get(h + 1, 0)
-        out.extend([h] * exact)
-    out.sort()
-    if len(out) != rs.rank:
-        raise RuntimeError(f"{rs.name}: {len(out)} exponents for rank {rs.rank}")
-    return tuple(out)
+    """Exponents, as recorded when the root system was built."""
+    return rs.exponents
 
 
 def algebra_dimension(rs):
@@ -183,6 +180,9 @@ def weyl_dimension(rs, weight):
     weight = tuple(weight)
     if len(weight) != rs.rank:
         raise ValueError(f"weight needs {rs.rank} coordinates")
+    for w in weight:
+        if not isinstance(w, int) or isinstance(w, bool):
+            raise ValueError(f"weight coordinate {w!r} is not an integer")
     if any(w < 0 for w in weight):
         raise ValueError("weight must be dominant (nonnegative coordinates)")
     d = rs.symmetrizers
@@ -224,6 +224,6 @@ def irreps_up_to(rs, bound):
 
 def irreps_of_dimension(rs, k):
     """All dominant weights whose irreducible has dimension exactly k."""
-    if k < 1:
-        raise ValueError("dimension must be positive")
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise ValueError(f"dimension must be a positive integer, got {k!r}")
     return [w for w, d in irreps_up_to(rs, k) if d == k]

@@ -1,15 +1,15 @@
 """Finite-index subgroups of PSL2(Z) from generator matrices.
 
 PSL2(Z) is the free product C2 * C3 on s = S and u = ST, where
-S = (0 -1; 1 0) and T = (1 1; 0 1).  Generator matrices are rewritten as
-words in S, T by the Euclidean algorithm, translated to the s, u alphabet,
-and fed to Todd-Coxeter coset enumeration over the presentation
-< s, u | s^2 = u^3 = 1 >.  The resulting pair of permutations (of S and of T
-acting on the cosets) carries everything else: cusp widths are the T-cycles,
-elliptic point counts are fixed points of S and of ST, the genus comes from
-Riemann-Hurwitz, the level is the lcm of the widths (Wohlfahrt), and the
-congruence test is Hsu's criterion [Hsu, Proc. AMS 124 (1996)] applied to the
-permutations of T and of S T^-1 S.
+S = (0 -1; 1 0) and T = (1 1; 0 1).  The Euclidean algorithm writes each
+generator matrix straight in the letters s, u, u^-1 (T = s u,
+T^-1 = u^-1 s), which Todd-Coxeter coset enumeration over the presentation
+< s, u | s^2 = u^3 = 1 > reads as they are.  The resulting pair of
+permutations (of S and of T acting on the cosets) carries everything else:
+cusp widths are the T-cycles, elliptic point counts are fixed points of S and
+of ST, the genus comes from Riemann-Hurwitz, the level is the lcm of the
+widths (Wohlfahrt), and the congruence test is Hsu's criterion [Hsu, Proc.
+AMS 124 (1996)] applied to the permutations of T and of S T^-1 S.
 
 Three subgroups ship as named presets ("gamma43", "gamma52", "gamma711");
 user-defined subgroups load from a small JSON document with fields "name"
@@ -26,8 +26,6 @@ DEFAULT_COSET_CAP = 100_000
 
 S_MAT = (0, -1, 1, 0)
 T_MAT = (1, 1, 0, 1)
-T_INV_MAT = (1, -1, 0, 1)
-IDENTITY = (1, 0, 0, 1)
 
 
 class CosetCapExceeded(RuntimeError):
@@ -43,11 +41,15 @@ def mat_det(a):
     return a[0] * a[3] - a[1] * a[2]
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _int_entries(m):
     """The entries of m as a tuple; any entry that is not an int (or is a bool) is rejected."""
     m = tuple(m)
     for x in m:
-        if not isinstance(x, int) or isinstance(x, bool):
+        if not _is_int(x):
             raise ValueError(f"matrix entry {x!r} is not an integer")
     return m
 
@@ -125,30 +127,23 @@ def resolve_subgroup(spec):
 
 
 # ---------------------------------------------------------------------------
-# words in S, T
+# words in s, u
+
+# letters of the coset machine: s = 0, u = 1, u^-1 = 2, where u = ST
+_TC_RELATORS = ((0, 0), (1, 2), (2, 1), (1, 1, 1))
 
 
-@dataclass(frozen=True)
-class Word:
-    """A word over the alphabet S, T, T^-1."""
-    letters: tuple
-
-    def evaluate(self):
-        m = IDENTITY
-        table = {"S": S_MAT, "T": T_MAT, "T^-1": T_INV_MAT}
-        for letter in self.letters:
-            m = mat_mul(m, table[letter])
-        return m
-
-    def __len__(self):
-        return len(self.letters)
+def _t_power(e):
+    """T^e as letters: T = s u, T^-1 = u^-1 s."""
+    return (0, 1) * e if e >= 0 else (2, 0) * -e
 
 
 def matrix_to_word(m):
-    """Rewrite a determinant-1 matrix as a word in S, T by column reduction.
+    """Rewrite a determinant-1 matrix as a tuple of coset-machine letters.
 
-    Repeatedly peels T^q S from the left while the lower-left entry is
-    nonzero; evaluation of the word recovers the input up to overall sign.
+    Column reduction repeatedly peels T^q S from the left while the
+    lower-left entry is nonzero; each S is written s and each T^q as
+    _t_power(q).  The letters evaluate to the input up to overall sign.
     """
     m = _int_entries(m)
     if mat_det(m) != 1:
@@ -157,27 +152,13 @@ def matrix_to_word(m):
     a, b, c, d = m
     while c != 0:
         q = a // c
-        letters.extend(["T"] * q if q >= 0 else ["T^-1"] * (-q))
-        letters.append("S")
+        letters.extend(_t_power(q))
+        letters.append(0)
         # m <- S^-1 T^-q m, with S^-1 = (0 1; -1 0)
         a, b = a - q * c, b - q * d
         a, b, c, d = c, d, -a, -b
-    n = b if a == 1 else -b
-    letters.extend(["T"] * n if n >= 0 else ["T^-1"] * (-n))
-    return Word(tuple(letters))
-
-
-# letters of the coset machine: s = 0, u = 1, u^-1 = 2, where u = ST
-_TC_RELATORS = ((0, 0), (1, 2), (2, 1), (1, 1, 1))
-_TC_TRANSLATION = {"S": (0,), "T": (0, 1), "T^-1": (2, 0)}
-
-
-def word_to_letters(word):
-    """Translate a Word over S, T to the s, u alphabet (T = s u)."""
-    out = []
-    for letter in word.letters:
-        out.extend(_TC_TRANSLATION[letter])
-    return tuple(out)
+    letters.extend(_t_power(b if a == 1 else -b))
+    return tuple(letters)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +286,7 @@ def _coset_cap(cap):
             return DEFAULT_COSET_CAP
         cap = int(raw) if raw.strip().isdecimal() else raw
         source = f"environment variable {COSET_CAP_ENV}"
-    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
+    if not _is_int(cap) or cap < 1:
         raise ValueError(f"coset cap must be a positive integer, got {cap!r} from the {source}")
     return cap
 
@@ -318,7 +299,7 @@ def coset_enumerate(gens, cap=None):
     variable), which signals possible infinite index.
     """
     cap = _coset_cap(cap)
-    words = [word_to_letters(matrix_to_word(m)) for m in gens.generators]
+    words = [matrix_to_word(m) for m in gens.generators]
     graph = _CosetGraph(3, cap)
     graph.build(_TC_RELATORS, words)
     perm_s, perm_u, _ = graph.permutations()
@@ -481,8 +462,8 @@ def dim_cusp_forms(inv, w):
     for w = 2 the dimension is the genus.  Odd weights are rejected (fields
     of definition are ambiguous there and no formula is offered).
     """
-    if w % 2 != 0 or w < 2:
-        raise ValueError(f"weight must be even and >= 2, got {w}")
+    if not _is_int(w) or w % 2 != 0 or w < 2:
+        raise ValueError(f"weight must be an even integer >= 2, got {w!r}")
     if w == 2:
         return inv.genus
     return ((w - 1) * (inv.genus - 1) + (w // 2 - 1) * inv.cusp_count
@@ -517,8 +498,8 @@ def dim_rho_prim(gens, k):
     any other input the closure is not computed and a ValueError is raised
     rather than guessing.
     """
-    if k < 2 or k % 2 != 0:
-        raise ValueError(f"need even k >= 2, got {k}")
+    if not _is_int(k) or k < 2 or k % 2 != 0:
+        raise ValueError(f"need an even integer k >= 2, got {k!r}")
     if not _is_preset(gens):
         raise ValueError(f"congruence closure unknown for subgroup {gens.name!r}: "
                          "dim_rho_prim is only defined for the shipped presets")

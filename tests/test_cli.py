@@ -191,6 +191,27 @@ class TestSubgroupCommand:
         assert doc["congruence"] is False
 
 
+class TestMalformedOptionValues:
+    """argparse names the option whose value is malformed, and exits 2."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["classify", "--k", "2.5"], "argument --k: k must be an integer, got '2.5'"),
+        (["subgroup", "gamma43", "--dims", "--kmax", "abc"],
+         "argument --kmax: k must be an integer, got 'abc'"),
+        (["classify", "--k", "4", "--ht-weights", "0,,1"],
+         "argument --ht-weights: expected comma-separated integers, got '0,,1'"),
+        (["rootsys", "--type", "A", "--rank", "2", "weyl-dim", "--weight", "1,x"],
+         "argument --weight: expected comma-separated integers, got '1,x'"),
+    ])
+    def test_usage_error_names_the_option(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "_k_at_least_2" not in err and "invalid literal" not in err
+
+
 class TestVerifyPaperCommand:
     def test_json_output_is_byte_identical_to_reference(self, capsys):
         # the reference file holds the full `verify-paper --json` output; its

@@ -173,6 +173,11 @@ class TestRationalInvariants:
             total = total + third
         assert total == Matrix.identity(1)
 
+    @pytest.mark.parametrize("entry", [0.5, 1.0, True, False])
+    def test_inexact_or_bool_entry_rejected(self, entry):
+        with pytest.raises(TypeError, match="exact rationals"):
+            Matrix(1, 1, [entry])
+
 
 # Reference elimination: Gauss-Jordan over Fractions, as linalg ran it before
 # rank, kernels and solves moved to one integer elimination.

@@ -1,6 +1,7 @@
 """Root systems, exponents, and the Weyl dimension formula."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -174,6 +175,14 @@ class TestExponents:
         assert exponents(build_root_system("F", 4)) == (1, 5, 7, 11)
         assert exponents(build_root_system("G", 2)) == (1, 5)
 
+    def test_layer_sizes_match_height_recount(self):
+        # the dual partition of a Counter of root heights, recomputed here
+        for t, n in all_types(31):
+            rs = build_root_system(t, n)
+            heights = Counter(sum(r) for r in rs.positive_roots)
+            recount = sorted(h for h in heights for _ in range(heights[h] - heights[h + 1]))
+            assert exponents(rs) == rs.exponents == tuple(recount), (t, n)
+
     def test_sum_rules(self):
         for t, n in [("A", 6), ("B", 5), ("C", 5), ("D", 6), ("E", 7), ("G", 2)]:
             rs = build_root_system(t, n)
@@ -243,6 +252,9 @@ class TestWeylDimension:
             weyl_dimension(rs, (1,))
         with pytest.raises(ValueError):
             weyl_dimension(rs, (-1, 0))
+        for weight in [(1.0, 0), (True, 0), (0.5, 0), ("1", 0)]:
+            with pytest.raises(ValueError, match="is not an integer"):
+                weyl_dimension(rs, weight)
 
 
 class TestIrrepsOfDimension:
@@ -274,5 +286,6 @@ class TestIrrepsOfDimension:
             assert weyl_dimension(rs, w) == d
 
     def test_bad_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            irreps_of_dimension(build_root_system("A", 1), 0)
+        for k in [0, 3.0, True]:
+            with pytest.raises(ValueError, match="positive integer"):
+                irreps_of_dimension(build_root_system("A", 1), k)

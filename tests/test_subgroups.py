@@ -9,11 +9,11 @@ import sys
 import pytest
 
 import katzmod
-from katzmod.subgroups import (GeneratorSet, Word, matrix_to_word, coset_enumerate,
+from katzmod.subgroups import (GeneratorSet, matrix_to_word, coset_enumerate,
                                invariants, congruence_test, dim_cusp_forms,
                                dim_rho_prim, subgroup_invariants, load_generator_file,
                                resolve_subgroup, CosetCapExceeded, CosetTable, PRESETS, FULL_GROUP,
-                               S_MAT, T_MAT, T_INV_MAT, mat_mul, psl2_canonical,
+                               S_MAT, T_MAT, mat_mul, psl2_canonical,
                                _compose, _perm_inverse, _perm_power, _perm_order, _is_identity)
 
 # well-known congruence subgroups, by generators; (index, widths) for cross-checks
@@ -26,8 +26,38 @@ CONGRUENCE_GROUPS = {
 }
 
 
+T_INV_MAT = (1, -1, 0, 1)
+# the coset machine's letters s = 0, u = ST = 1, u^-1 = 2 as matrices
+LETTER_MATS = (S_MAT, mat_mul(S_MAT, T_MAT), mat_mul(T_INV_MAT, S_MAT))
+
+
 def eq_up_to_sign(a, b):
     return a == b or a == tuple(-x for x in b)
+
+
+def evaluate(letters):
+    m = (1, 0, 0, 1)
+    for x in letters:
+        m = mat_mul(m, LETTER_MATS[x])
+    return m
+
+
+def st_word_letters(m):
+    """Oracle for matrix_to_word: the same column reduction written as a word
+    in S, T, T^-1, then translated letter by letter (S = s, T = s u,
+    T^-1 = u^-1 s)."""
+    word = []
+    a, b, c, d = m
+    while c != 0:
+        q = a // c
+        word.extend(["T"] * q if q >= 0 else ["T^-1"] * (-q))
+        word.append("S")
+        a, b = a - q * c, b - q * d
+        a, b, c, d = c, d, -a, -b
+    n = b if a == 1 else -b
+    word.extend(["T"] * n if n >= 0 else ["T^-1"] * (-n))
+    translation = {"S": (0,), "T": (0, 1), "T^-1": (2, 0)}
+    return tuple(x for letter in word for x in translation[letter])
 
 
 def random_word_matrix(rng, max_len=14, bound=10 ** 6):
@@ -81,27 +111,40 @@ class TestGeneratorSet:
 
 class TestMatrixToWord:
     def test_t(self):
-        word = matrix_to_word(T_MAT)
-        assert word.letters == ("T",)
-        assert word.evaluate() == T_MAT
+        letters = matrix_to_word(T_MAT)
+        assert letters == (0, 1)
+        assert eq_up_to_sign(evaluate(letters), T_MAT)
 
     def test_s(self):
-        word = matrix_to_word(S_MAT)
-        assert eq_up_to_sign(word.evaluate(), S_MAT)
+        letters = matrix_to_word(S_MAT)
+        assert eq_up_to_sign(evaluate(letters), S_MAT)
 
     def test_gamma43_generator(self):
         m = (2, 1, 1, 1)
-        word = matrix_to_word(m)
-        assert eq_up_to_sign(word.evaluate(), m)
+        letters = matrix_to_word(m)
+        assert eq_up_to_sign(evaluate(letters), m)
 
     def test_round_trip_200_random(self):
         rng = random.Random(101)
         seen = 0
         while seen < 200:
             m = random_word_matrix(rng)
-            word = matrix_to_word(m)
-            assert eq_up_to_sign(word.evaluate(), m), m
+            letters = matrix_to_word(m)
+            assert eq_up_to_sign(evaluate(letters), m), m
             seen += 1
+
+    def test_letters_equal_translated_st_word(self):
+        # products of S, T, T^-1 and T^e with |e| <= 300
+        rng = random.Random(300)
+        for _ in range(300):
+            m = (1, 0, 0, 1)
+            for _ in range(rng.randint(1, 10)):
+                g = rng.choice([S_MAT, T_MAT, T_INV_MAT, None])
+                m = mat_mul(m, g or (1, rng.randint(-300, 300), 0, 1))
+            letters = matrix_to_word(m)
+            assert type(letters) is tuple and set(letters) <= {0, 1, 2}
+            assert letters == st_word_letters(m), m
+            assert eq_up_to_sign(evaluate(letters), m), m
 
     def test_non_unimodular_rejected(self):
         with pytest.raises(ValueError):
@@ -526,6 +569,48 @@ class TestCongruenceFoldedBranches:
         assert seen == {(c, f) for c in ("odd", "power of 2", "mixed") for f in (True, False)}
 
 
+class TestCosetEnumerationProperties:
+    """The invariants of a subgroup do not depend on how its generators are
+    presented: their order, a redundant product of two of them, or a
+    conjugation of all of them by one element of PSL2(Z)."""
+
+    @staticmethod
+    def subgroups(rng, count=60):
+        """(invariants, Schreier generators) of random tables of index 6..24."""
+        out = []
+        while len(out) < count:
+            table = random_coset_table(rng, rng.randint(6, 24))
+            if table is not None:
+                out.append((invariants(table), list(schreier_generators(table).generators)))
+        return out
+
+    @staticmethod
+    def invariants_of(gens):
+        return invariants(coset_enumerate(GeneratorSet("variant", gens)))
+
+    def test_generator_order(self):
+        rng = random.Random(61)
+        for inv, gens in self.subgroups(rng):
+            rng.shuffle(gens)
+            assert self.invariants_of(gens) == inv, gens
+
+    def test_appended_product(self):
+        rng = random.Random(62)
+        for inv, gens in self.subgroups(rng):
+            a, b = rng.choice(gens), rng.choice(gens)
+            assert self.invariants_of(gens + [mat_mul(a, b)]) == inv, gens
+
+    def test_conjugated(self):
+        rng = random.Random(63)
+        for inv, gens in self.subgroups(rng):
+            g = (1, 0, 0, 1)
+            for _ in range(rng.randint(1, 5)):
+                g = mat_mul(mat_mul(g, (1, rng.randint(-20, 20), 0, 1)), S_MAT)
+            a, b, c, d = g
+            conjugated = [mat_mul(mat_mul(g, m), (d, -b, -c, a)) for m in gens]
+            assert self.invariants_of(conjugated) == inv, g
+
+
 class TestDimCuspForms:
     def test_full_group_weights(self):
         inv = subgroup_invariants(FULL_GROUP)
@@ -547,10 +632,9 @@ class TestDimCuspForms:
 
     def test_odd_weight_rejected(self):
         inv = subgroup_invariants(FULL_GROUP)
-        with pytest.raises(ValueError):
-            dim_cusp_forms(inv, 5)
-        with pytest.raises(ValueError):
-            dim_cusp_forms(inv, 0)
+        for w in [5, 0, 4.0, True, "4"]:
+            with pytest.raises(ValueError, match="even integer"):
+                dim_cusp_forms(inv, w)
 
 
 class TestDimRhoPrim:
@@ -578,8 +662,9 @@ class TestDimRhoPrim:
             dim_rho_prim(other, 2)
 
     def test_odd_k_rejected(self):
-        with pytest.raises(ValueError):
-            dim_rho_prim(PRESETS["gamma43"], 3)
+        for k in [3, 4.0, True]:
+            with pytest.raises(ValueError, match="even integer"):
+                dim_rho_prim(PRESETS["gamma43"], k)
 
 
 class TestGeneratorFiles:
@@ -616,10 +701,6 @@ class TestGeneratorFiles:
 
 
 class TestWord:
-    def test_word_evaluation(self):
-        w = Word(("S", "T", "T^-1", "S"))
-        assert eq_up_to_sign(w.evaluate(), mat_mul(mat_mul(S_MAT, T_MAT),
-                                                   mat_mul(T_INV_MAT, S_MAT)))
-
     def test_length(self):
-        assert len(matrix_to_word((1, 3, 0, 1))) == 3
+        # T^3 is (s u)^3
+        assert matrix_to_word((1, 3, 0, 1)) == (0, 1) * 3

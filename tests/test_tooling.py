@@ -5,12 +5,20 @@ the wrapper wherever the original was imported.  A rename or deletion in
 katzmod would break a traced benchmark run without failing any other test, so
 TARGETS is read here straight from the file (parsed, not imported or changed).
 
+A traced run is also made once, in a subprocess, so that a change to what a
+target returns (a counter reads `len()` of `matrix_to_word`'s letters) fails
+here too.
+
 Internal checks must survive `python -O`, which strips `assert` statements, so
 no module of katzmod may contain one.
 """
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import katzmod.cli
@@ -37,6 +45,33 @@ def test_every_tracer_target_resolves():
     assert targets
     for module, attr, _ in targets:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+
+TRACED_RUN = """
+import contextlib, io, json
+import tracer
+import katzmod.cli, katzmod.subgroups as sub
+t = tracer.Tracer()
+tracer.install(t)
+sub.invariants(sub.coset_enumerate(sub.PRESETS["gamma43"]))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = katzmod.cli.main(["verify-paper", "--only", "adjoint"])
+layers = tracer.per_layer(t, 1)
+print(json.dumps({"code": code, "letters": layers["subgroups.matrix_to_word.letters"],
+                  "rank_calls": layers["linalg.rank.calls"]}))
+"""
+
+
+def test_traced_run_reads_the_targets():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(TRACER.parent)]))
+    proc = subprocess.run([sys.executable, "-c", TRACED_RUN], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["code"] == 0
+    assert result["letters"] > 0
+    assert result["rank_calls"] > 0
 
 
 def test_rank_is_one_object_at_every_import_site():
