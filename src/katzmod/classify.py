@@ -171,8 +171,8 @@ def classify(k):
     sl_k, the symplectic/orthogonal case, then G_2 (when k = 7).  For k = 2
     the cases collapse and the single canonical A_1 is reported.
     """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
+    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
+        raise ValueError(f"need an integer k >= 2, got {k!r}")
     passing = {}
     for type_label, rank in _candidate_types(k):
         rs = build_root_system(type_label, rank)

@@ -12,19 +12,23 @@ the root alpha + alpha_i - alpha_j when that lies in the layer, 0 otherwise.
 Nothing is probed.  Exponents are read off the layer sizes as their dual
 partition (the number of exponents >= h equals the number of positive roots
 of height h); see Bourbaki LIE VI and Kostant.  Dimensions of irreducibles
-come from the Weyl dimension formula evaluated in exact rational arithmetic.
+come from the Weyl dimension formula as one integer product over the positive
+roots, divided once by the Weyl denominator, which each root system computes
+on first use and keeps.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from collections import deque
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 SIMPLE_TYPES = ("A", "B", "C", "D", "E", "F", "G")
 
 
 def _valid_type(type_label, rank):
+    if not isinstance(rank, int) or isinstance(rank, bool):
+        raise ValueError(f"rank must be an integer, got {rank!r}")
     if type_label == "A":
         return rank >= 1
     if type_label in ("B", "C"):
@@ -115,8 +119,16 @@ class RootSystem:
         # D_3 carries the same root system as A_3
         return self.type_label == "D" and self.rank == 3
 
+    @cached_property
+    def _rho_pairings(self):
+        # h_alpha = sum_j c_j d_j for each positive root alpha = sum_j c_j alpha_j,
+        # which is <rho, alpha^vee> (alpha, alpha) / 2, and their product: the
+        # Weyl denominator up to the same root-length factors as the numerator
+        heights = tuple(sum(map(mul, c, self.symmetrizers)) for c in self.positive_roots)
+        return heights, prod(heights)
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=None, typed=True)
 def build_root_system(type_label, rank):
     """Root system for one simple type, positive roots by string closure."""
     if not _valid_type(type_label, rank):
@@ -174,8 +186,10 @@ def weyl_dimension(rs, weight):
     """Dimension of the irreducible with the given fundamental-weight coordinates.
 
     dim = prod over positive roots of <w + rho, alpha^vee> / <rho, alpha^vee>;
-    with alpha = sum c_j alpha_j this is
-    sum(c_j (w_j + 1) d_j) / sum(c_j d_j), all exact integers and fractions.
+    with alpha = sum c_j alpha_j each factor is
+    (h_alpha + sum c_j w_j d_j) / h_alpha with h_alpha = sum c_j d_j.  The
+    numerators need only the nonzero coordinates of w; their product is
+    divided once by the product of the h_alpha, kept on the root system.
     """
     weight = tuple(weight)
     if len(weight) != rs.rank:
@@ -185,13 +199,13 @@ def weyl_dimension(rs, weight):
             raise ValueError(f"weight coordinate {w!r} is not an integer")
     if any(w < 0 for w in weight):
         raise ValueError("weight must be dominant (nonnegative coordinates)")
-    d = rs.symmetrizers
-    dw = [(wj + 1) * dj for wj, dj in zip(weight, d)]
+    terms = [(j, w * dj) for j, (w, dj) in enumerate(zip(weight, rs.symmetrizers)) if w]
+    heights, den = rs._rho_pairings
     num = 1
-    den = 1
-    for c in rs.positive_roots:
-        num *= sum(map(mul, c, dw))
-        den *= sum(map(mul, c, d))
+    for c, h in zip(rs.positive_roots, heights):
+        for j, t in terms:
+            h += c[j] * t
+        num *= h
     q, r = divmod(num, den)
     if r:
         raise RuntimeError("Weyl dimension failed to be an integer")
@@ -205,6 +219,8 @@ def irreps_up_to(rs, bound):
     increments; the Weyl dimension is strictly increasing in each coordinate,
     so the region dim <= bound is downward closed and the search is complete.
     """
+    if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
+        raise ValueError(f"bound must be a positive integer, got {bound!r}")
     n = rs.rank
     start = (0,) * n
     found = {start: 1}

@@ -117,8 +117,8 @@ def principal_triple(k):
     diagonal diag(k-1, k-3, ..., -(k-1)), and y the subdiagonal matrix with
     y[i+1][i] = (i+1)(k-1-i) in 0-based indexing.
     """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
+    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
+        raise ValueError(f"need an integer k >= 2, got {k!r}")
     x = Matrix.zeros(k)
     y = Matrix.zeros(k)
     xd, yd = list(x.entries), list(y.entries)

@@ -106,6 +106,11 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(1)
 
+    def test_float_or_bool_k_rejected(self):
+        for k in [4.0, True]:
+            with pytest.raises(ValueError, match="integer k >= 2, got"):
+                classify(k)
+
 
 class TestScanNegatives:
     """Types with a k-dimensional irreducible must still fail a flag."""

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -75,6 +76,20 @@ def probing_closure(cartan):
                         nxt.append(t)
         layer = nxt
     return tuple(sorted(roots, key=lambda v: (sum(v), v)))
+
+
+def weyl_dimension_dense(rs, weight):
+    """The Weyl dimension with the full dot products per root, recomputed per call."""
+    d = rs.symmetrizers
+    dw = [(wj + 1) * dj for wj, dj in zip(weight, d)]
+    num = 1
+    den = 1
+    for c in rs.positive_roots:
+        num *= sum(map(mul, c, dw))
+        den *= sum(map(mul, c, d))
+    q, r = divmod(num, den)
+    assert r == 0
+    return q
 
 
 def weyl_dimension_fraction(t, n, weight):
@@ -157,6 +172,23 @@ class TestBuildRootSystem:
                      ("F", 3), ("G", 3), ("H", 2)]:
             with pytest.raises(ValueError):
                 build_root_system(t, n)
+
+    def test_float_rank_rejected_after_int_build(self):
+        # typed cache: 2.0 does not hit the entry of ("A", 2)
+        build_root_system("A", 2)
+        with pytest.raises(ValueError, match="rank must be an integer, got 2.0"):
+            build_root_system("A", 2.0)
+
+    def test_float_rank_rejected_cold(self):
+        # no test builds D_40
+        with pytest.raises(ValueError, match="rank must be an integer, got 40.0"):
+            build_root_system("D", 40.0)
+
+    def test_bool_rank_rejected_and_int_entry_kept(self):
+        with pytest.raises(ValueError, match="rank must be an integer, got True"):
+            build_root_system("A", True)
+        rank = build_root_system("A", 1).rank
+        assert rank == 1 and type(rank) is int
 
 
 class TestExponents:
@@ -246,6 +278,34 @@ class TestWeylDimension:
                 assert weyl_dimension(build_root_system(t, n), w) == \
                     weyl_dimension_fraction(t, n, w), (t, n, w)
 
+    def test_matches_dense_formula_on_every_small_irrep(self):
+        for t, n in all_types(8):
+            rs = build_root_system(t, n)
+            for w, dim in irreps_up_to(rs, 500):
+                assert dim == weyl_dimension(rs, w) == weyl_dimension_dense(rs, w), (t, n, w)
+
+    def test_matches_dense_formula_on_random_weights(self):
+        rng = random.Random(20090)
+        types = [(t, n) for t, n in all_types(31) if t in "ABCD"] + \
+                [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+        for _ in range(200):
+            t, n = rng.choice(types)
+            rs = build_root_system(t, n)
+            w = tuple(rng.randint(0, 3) for _ in range(n))
+            assert weyl_dimension(rs, w) == weyl_dimension_dense(rs, w), (t, n, w)
+
+    def test_interleaved_root_systems_keep_their_own_denominators(self):
+        for _ in range(2):
+            assert weyl_dimension(build_root_system("B", 3), (1, 0, 0)) == 7
+            assert weyl_dimension(build_root_system("C", 3), (1, 0, 0)) == 6
+
+    def test_root_system_fields_unchanged_by_evaluation(self):
+        rs = build_root_system("F", 4)
+        before = (repr(rs), hash(rs))
+        weyl_dimension(rs, (0, 0, 0, 1))
+        assert (repr(rs), hash(rs)) == before
+        assert rs == build_root_system("F", 4)
+
     def test_bad_weights_rejected(self):
         rs = build_root_system("A", 2)
         with pytest.raises(ValueError):
@@ -284,6 +344,13 @@ class TestIrrepsOfDimension:
         rs = build_root_system("B", 3)
         for w, d in irreps_up_to(rs, 40):
             assert weyl_dimension(rs, w) == d
+
+    def test_bad_bound_rejected(self):
+        rs = build_root_system("B", 2)
+        for bound in [0, -5, 3.5, 4.0, True]:
+            with pytest.raises(ValueError, match="bound must be a positive integer"):
+                irreps_up_to(rs, bound)
+        assert irreps_up_to(rs, 1) == [((0, 0), 1)]
 
     def test_bad_dimension_rejected(self):
         for k in [0, 3.0, True]:

@@ -249,6 +249,11 @@ class TestPrincipalTriple:
         with pytest.raises(ValueError):
             principal_triple(1)
 
+    def test_float_or_bool_k_rejected(self):
+        for k in [3.0, True]:
+            with pytest.raises(ValueError, match="integer k >= 2, got"):
+                principal_triple(k)
+
     def test_broken_triple_rejected_under_optimize(self):
         # the relation checks are explicit raises, so they survive python -O
         code = ("from katzmod.sl2 import Sl2Triple, principal_triple\n"

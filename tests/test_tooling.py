@@ -6,8 +6,9 @@ katzmod would break a traced benchmark run without failing any other test, so
 TARGETS is read here straight from the file (parsed, not imported or changed).
 
 A traced run is also made once, in a subprocess, so that a change to what a
-target returns (a counter reads `len()` of `matrix_to_word`'s letters) fails
-here too.
+target returns (a counter reads `len()` of `matrix_to_word`'s letters) or to
+how it is cached (the miss counter reads `build_root_system.cache_info()`)
+fails here too.
 
 Internal checks must survive `python -O`, which strips `assert` statements, so
 no module of katzmod may contain one.
@@ -48,17 +49,20 @@ def test_every_tracer_target_resolves():
 
 
 TRACED_RUN = """
-import contextlib, io, json
+import contextlib, importlib, io, json
 import tracer
 import katzmod.cli, katzmod.subgroups as sub
 t = tracer.Tracer()
 tracer.install(t)
 sub.invariants(sub.coset_enumerate(sub.PRESETS["gamma43"]))
+importlib.import_module("katzmod.classify").classify(7)
 with contextlib.redirect_stdout(io.StringIO()):
     code = katzmod.cli.main(["verify-paper", "--only", "adjoint"])
 layers = tracer.per_layer(t, 1)
 print(json.dumps({"code": code, "letters": layers["subgroups.matrix_to_word.letters"],
-                  "rank_calls": layers["linalg.rank.calls"]}))
+                  "rank_calls": layers["linalg.rank.calls"],
+                  "root_misses": layers["roots.build_root_system.misses"],
+                  "weyl_calls": layers["roots.weyl_dimension.calls"]}))
 """
 
 
@@ -72,6 +76,8 @@ def test_traced_run_reads_the_targets():
     assert result["code"] == 0
     assert result["letters"] > 0
     assert result["rank_calls"] > 0
+    assert result["root_misses"] > 0
+    assert result["weyl_calls"] > 0
 
 
 def test_rank_is_one_object_at_every_import_site():
