@@ -286,6 +286,9 @@ def frobenius_dimension_check(w, k):
     force e = (w - k' + 1)/2, so only k' = k survives.  Returned as the full
     filtered list, which is always exactly [k].
     """
+    for name, x in (("w", w), ("k", k)):
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValueError(f"{name} must be an integer, got {x!r}")
     if k < 1:
         raise ValueError("need k >= 1")
     e = Fraction(w - k + 1, 2)

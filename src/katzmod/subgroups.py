@@ -3,8 +3,11 @@
 PSL2(Z) is the free product C2 * C3 on s = S and u = ST, where
 S = (0 -1; 1 0) and T = (1 1; 0 1).  The Euclidean algorithm writes each
 generator matrix straight in the letters s, u, u^-1 (T = s u,
-T^-1 = u^-1 s), which Todd-Coxeter coset enumeration over the presentation
-< s, u | s^2 = u^3 = 1 > reads as they are.  The resulting pair of
+T^-1 = u^-1 s).  Coset folding over the presentation < s, u | s^2 = u^3 = 1 >
+(Stallings' method for free products, Kulkarni, Amer. J. Math. 113 (1991))
+traces those words in a graph whose s-edges come in pairs and whose u-edges
+come as whole 3-cycles, so both relators hold by construction; a graph left
+incomplete proves the index infinite.  The resulting pair of
 permutations (of S and of T acting on the cosets) carries everything else:
 cusp widths are the T-cycles, elliptic point counts are fixed points of S and
 of ST, the genus comes from Riemann-Hurwitz, the level is the lcm of the
@@ -30,6 +33,13 @@ T_MAT = (1, 1, 0, 1)
 
 class CosetCapExceeded(RuntimeError):
     """Coset table grew past the configured capacity (index bound exceeded)."""
+
+
+class InfiniteIndex(CosetCapExceeded):
+    """The folded coset graph is incomplete: the subgroup has infinite index.
+
+    A CosetCapExceeded, since no coset table exists within any cap.
+    """
 
 
 def mat_mul(a, b):
@@ -130,9 +140,6 @@ def resolve_subgroup(spec):
 # words in s, u
 
 # letters of the coset machine: s = 0, u = 1, u^-1 = 2, where u = ST
-_TC_RELATORS = ((0, 0), (1, 2), (2, 1), (1, 1, 1))
-
-
 def _t_power(e):
     """T^e as letters: T = s u, T^-1 = u^-1 s."""
     return (0, 1) * e if e >= 0 else (2, 0) * -e
@@ -162,12 +169,20 @@ def matrix_to_word(m):
 
 
 # ---------------------------------------------------------------------------
-# Todd-Coxeter enumeration (HLT-style scan with union-find coincidences)
+# coset folding (Stallings folding for the free product C2 * C3)
 
 
 class _CosetGraph:
-    def __init__(self, ngens, cap):
-        self.ngens = ngens
+    """The coset graph of a subgroup of < s, u | s^2 = u^3 = 1 >, built by folding.
+
+    Each vertex holds one row of neighbours under s, u and u^-1; coincident
+    vertices merge by union-find.  A missing s-edge is defined together with
+    its return edge, and a missing u-edge as a whole 3-cycle, so s^2 = 1 and
+    u^3 = 1 hold at every vertex by construction and unify keeps them true:
+    no relator is ever scanned.
+    """
+
+    def __init__(self, cap):
         self.cap = cap
         self.labels = []
         self.neighbors = []
@@ -177,11 +192,15 @@ class _CosetGraph:
         if len(self.labels) >= self.cap:
             raise CosetCapExceeded(
                 f"index bound exceeded: coset table grew past {self.cap} entries "
-                "(the subgroup may have infinite index)")
+                f"({len(self.labels)} cosets defined, {len(self.live())} still live; "
+                "the subgroup may have infinite index)")
         c = len(self.labels)
         self.labels.append(c)
-        self.neighbors.append([None] * self.ngens)
+        self.neighbors.append([None, None, None])
         return c
+
+    def live(self):
+        return [c for i, c in enumerate(self.labels) if i == c]
 
     def find(self, c):
         labels = self.labels
@@ -201,7 +220,7 @@ class _CosetGraph:
                 c1, c2 = c2, c1
             self.labels[c2] = c1
             row1, row2 = self.neighbors[c1], self.neighbors[c2]
-            for d in range(self.ngens):
+            for d in range(3):
                 n1, n2 = row1[d], row2[d]
                 if n1 is None:
                     row1[d] = n2
@@ -212,7 +231,15 @@ class _CosetGraph:
         c = self.find(c)
         row = self.neighbors[c]
         if row[d] is None:
-            row[d] = self.add_vertex()
+            if d == 0:  # c <-> n under s
+                n = self.add_vertex()
+                row[0] = n
+                self.neighbors[n][0] = c
+            else:  # c -> a -> b -> c under u
+                a, b = self.add_vertex(), self.add_vertex()
+                row[1], row[2] = a, b
+                self.neighbors[a][1], self.neighbors[a][2] = b, c
+                self.neighbors[b][1], self.neighbors[b][2] = c, a
         return self.find(row[d])
 
     def path(self, c, word):
@@ -220,29 +247,31 @@ class _CosetGraph:
             c = self.step(c, d)
         return c
 
-    def build(self, relators, subgroup_words):
-        for w in subgroup_words:
+    def build(self, words):
+        """Fold each word, shortest first, into a loop at the start vertex.
+
+        A vertex then left without an s- or a u-edge proves that the subgroup
+        has infinite index.
+        """
+        for w in sorted(words, key=len):
             self.unify(self.path(self.start, w), self.start)
-        visit = 0
-        while visit < len(self.labels):
-            c = self.find(visit)
-            if c == visit:
-                for rel in relators:
-                    self.unify(self.path(c, rel), c)
-            visit += 1
+        live = self.live()
+        if any(None in self.neighbors[c] for c in live):
+            raise InfiniteIndex(
+                f"infinite index: the folded coset graph has {len(live)} cosets, "
+                "and some coset lacks an s- or a u-edge")
 
     def permutations(self):
-        live = [c for i, c in enumerate(self.labels) if i == c]
+        """The permutations of s and of u on the live vertices, numbered in
+        order of definition, so that the start vertex is coset 0."""
+        live = self.live()
         index_of = {c: i for i, c in enumerate(live)}
-        perms = []
-        for d in range(self.ngens):
-            perms.append(tuple(index_of[self.find(self.neighbors[c][d])] for c in live))
-        return perms
+        return [tuple([index_of[self.find(self.neighbors[c][d])] for c in live]) for d in (0, 1)]
 
 
 def _compose(p, q):
     """Apply p, then q; with this composition the coset action is a homomorphism."""
-    return tuple(q[i] for i in p)
+    return tuple([q[i] for i in p])  # exact size: no resize
 
 
 @dataclass(frozen=True)
@@ -292,17 +321,18 @@ def _coset_cap(cap):
 
 
 def coset_enumerate(gens, cap=None):
-    """Todd-Coxeter enumeration of the subgroup generated by a GeneratorSet.
+    """Coset table of the subgroup generated by a GeneratorSet, by folding.
 
-    Raises CosetCapExceeded when the intermediate table would grow past the
-    cap (default 100000, overridable via the KATZMOD_COSET_CAP environment
-    variable), which signals possible infinite index.
+    Coset 0 is the base coset.  Raises CosetCapExceeded when the graph would
+    grow past the cap (default 100000, overridable via the KATZMOD_COSET_CAP
+    environment variable), and its subclass InfiniteIndex when the folded
+    graph is incomplete, which proves the index infinite.
     """
     cap = _coset_cap(cap)
     words = [matrix_to_word(m) for m in gens.generators]
-    graph = _CosetGraph(3, cap)
-    graph.build(_TC_RELATORS, words)
-    perm_s, perm_u, _ = graph.permutations()
+    graph = _CosetGraph(cap)
+    graph.build(words)
+    perm_s, perm_u = graph.permutations()
     perm_T = _compose(perm_s, perm_u)  # T = s u
     table = CosetTable(len(perm_s), perm_s, perm_T).validate()
     for w, m in zip(words, gens.generators):

@@ -239,3 +239,17 @@ class TestFrobeniusDimensionCheck:
     def test_k_below_1_rejected(self):
         with pytest.raises(ValueError):
             frobenius_dimension_check(5, 0)
+
+    def test_float_k_rejected(self):
+        # Fraction used to raise TypeError
+        with pytest.raises(ValueError, match="k must be an integer, got 10.0"):
+            frobenius_dimension_check(11, 10.0)
+
+    def test_float_w_rejected(self):
+        with pytest.raises(ValueError, match="w must be an integer, got 11.5"):
+            frobenius_dimension_check(11.5, 10)
+
+    def test_bool_k_rejected(self):
+        # True used to be read as k = 1 and return [1]
+        with pytest.raises(ValueError, match="k must be an integer, got True"):
+            frobenius_dimension_check(11, True)

@@ -173,6 +173,14 @@ class TestSubgroupCommand:
         with pytest.raises(sg.CosetCapExceeded):
             sg.coset_enumerate(gens)
 
+    def test_infinite_index_exits_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("KATZMOD_COSET_CAP", raising=False)
+        path = tmp_path / "thin.json"
+        path.write_text(json.dumps({"name": "thin", "generators": [[1, 12, 0, 1], [1, 0, 12, 1]]}))
+        code, out, err = run(capsys, "subgroup", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: infinite index")
+
     @pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5", "", "\u00b2"])
     def test_malformed_cap_env_exits_2(self, capsys, monkeypatch, value):
         # used to report "index bound exceeded" for 0 and -3

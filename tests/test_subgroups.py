@@ -1,5 +1,6 @@
 """Coset enumeration, subgroup invariants, congruence testing, dimensions."""
 
+import gc
 import json
 import os
 import random
@@ -12,7 +13,8 @@ import katzmod
 from katzmod.subgroups import (GeneratorSet, matrix_to_word, coset_enumerate,
                                invariants, congruence_test, dim_cusp_forms,
                                dim_rho_prim, subgroup_invariants, load_generator_file,
-                               resolve_subgroup, CosetCapExceeded, CosetTable, PRESETS, FULL_GROUP,
+                               resolve_subgroup, CosetCapExceeded, InfiniteIndex, CosetTable,
+                               PRESETS, FULL_GROUP,
                                S_MAT, T_MAT, mat_mul, psl2_canonical,
                                _compose, _perm_inverse, _perm_power, _perm_order, _is_identity)
 
@@ -180,8 +182,11 @@ class TestCosetEnumeration:
             assert table.index == index, name
 
     def test_cap_exceeded(self):
-        with pytest.raises(CosetCapExceeded):
+        # the message says how far the graph got
+        with pytest.raises(CosetCapExceeded, match="index bound exceeded: .* "
+                           r"\(3 cosets defined, 2 still live;") as exc:
             coset_enumerate(PRESETS["gamma711"], cap=3)
+        assert type(exc.value) is CosetCapExceeded
 
     @pytest.mark.parametrize("perm_s, perm_t, message", [
         ((1, 2, 0), (0, 1, 2), r"S\^2 = 1"),
@@ -202,6 +207,148 @@ class TestCosetEnumeration:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode != 0
         assert "RuntimeError: coset table violates (ST)^3 = 1" in proc.stderr
+
+
+class HLTCosetGraph:
+    """Oracle: HLT Todd-Coxeter over < s, u | s^2 = u^3 = 1 >, as coset_enumerate
+    ran before coset folding.  Every subgroup word is scanned from the base
+    coset, then every relator from every live coset; coincidences merge by
+    union-find."""
+
+    RELATORS = ((0, 0), (1, 2), (2, 1), (1, 1, 1))
+
+    def __init__(self, cap):
+        self.cap = cap
+        self.labels = []
+        self.neighbors = []
+        self.start = self.add_vertex()
+
+    def add_vertex(self):
+        if len(self.labels) >= self.cap:
+            raise CosetCapExceeded(f"index bound exceeded: coset table grew past {self.cap} entries")
+        c = len(self.labels)
+        self.labels.append(c)
+        self.neighbors.append([None] * 3)
+        return c
+
+    def find(self, c):
+        labels = self.labels
+        while labels[c] != c:
+            labels[c] = labels[labels[c]]
+            c = labels[c]
+        return c
+
+    def unify(self, c1, c2):
+        stack = [(c1, c2)]
+        while stack:
+            c1, c2 = stack.pop()
+            c1, c2 = self.find(c1), self.find(c2)
+            if c1 == c2:
+                continue
+            if c2 < c1:
+                c1, c2 = c2, c1
+            self.labels[c2] = c1
+            row1, row2 = self.neighbors[c1], self.neighbors[c2]
+            for d in range(3):
+                if row1[d] is None:
+                    row1[d] = row2[d]
+                elif row2[d] is not None:
+                    stack.append((row1[d], row2[d]))
+
+    def path(self, c, word):
+        for d in word:
+            c = self.find(c)
+            if self.neighbors[c][d] is None:
+                self.neighbors[c][d] = self.add_vertex()
+            c = self.find(self.neighbors[c][d])
+        return c
+
+    def table(self, words):
+        for w in words:
+            self.unify(self.path(self.start, w), self.start)
+        visit = 0
+        while visit < len(self.labels):
+            if self.find(visit) == visit:
+                for rel in self.RELATORS:
+                    self.unify(self.path(visit, rel), visit)
+            visit += 1
+        live = [c for i, c in enumerate(self.labels) if i == c]
+        index_of = {c: i for i, c in enumerate(live)}
+        perm_s, perm_u = (tuple(index_of[self.find(self.neighbors[c][d])] for c in live)
+                          for d in (0, 1))
+        return CosetTable(len(live), perm_s, _compose(perm_s, perm_u)).validate()
+
+
+def hlt_coset_table(gens, cap):
+    return HLTCosetGraph(cap).table([matrix_to_word(m) for m in gens.generators])
+
+
+def random_factor_matrix(rng):
+    """Product of up to 10 factors S, T, T^-1 or T^e with |e| <= 40."""
+    m = (1, 0, 0, 1)
+    for _ in range(rng.randint(1, 10)):
+        g = rng.choice([S_MAT, T_MAT, T_INV_MAT, None])
+        m = mat_mul(m, g or (1, rng.randint(-40, 40), 0, 1))
+    return m
+
+
+class TestCosetFolding:
+    """Coset folding against the HLT oracle, and what only folding can tell:
+    an incomplete folded graph proves the index infinite."""
+
+    @pytest.fixture(autouse=True)
+    def default_cap(self, monkeypatch):
+        monkeypatch.delenv("KATZMOD_COSET_CAP", raising=False)
+
+    def test_against_hlt_on_random_words(self):
+        # where HLT finishes, folding gives the same index and invariants;
+        # where folding proves the index infinite, HLT runs into its cap
+        rng = random.Random(1991)
+        outcomes = {"equal": 0, "infinite": 0}
+        for _ in range(400):
+            gens = GeneratorSet("random", [random_factor_matrix(rng)
+                                           for _ in range(rng.randint(1, 3))])
+            try:
+                folded = coset_enumerate(gens, cap=20000)
+            except InfiniteIndex:
+                with pytest.raises(CosetCapExceeded):
+                    hlt_coset_table(gens, cap=20000)
+                outcomes["infinite"] += 1
+                continue
+            hlt = hlt_coset_table(gens, cap=20000)
+            assert folded.index == hlt.index, gens
+            assert invariants(folded) == invariants(hlt), gens
+            outcomes["equal"] += 1
+        assert outcomes["equal"] >= 50 and outcomes["infinite"] >= 200, outcomes
+
+    @pytest.mark.parametrize("gens", [[(1, 100000, 0, 1), T_MAT, S_MAT],
+                                      [T_MAT, S_MAT, (1, 100000, 0, 1)]])
+    def test_long_power_of_t_in_either_order(self, gens):
+        # HLT scanned T^100000 before any relator and ran into the cap
+        assert coset_enumerate(GeneratorSet("full", gens)).index == 1
+
+    @pytest.mark.parametrize("gens", [[T_MAT], [(1, 12, 0, 1), (1, 0, 12, 1)]])
+    def test_infinite_index_reported(self, gens):
+        # HLT filled the default cap of 100000 cosets on both
+        with pytest.raises(InfiniteIndex, match="infinite index"):
+            coset_enumerate(GeneratorSet("thin", gens))
+
+    def test_compose_leaves_no_dead_tuples(self):
+        # a tuple built from a generator is allocated larger and resized, and
+        # each dead one then parks on another size's free list, which only a
+        # full collection empties
+        rng = random.Random(8)
+        perms = [tuple(rng.sample(range(n), n)) for n in range(8, 20)]
+        gc.disable()
+        try:
+            before = sys.getallocatedblocks()
+            for i in range(6000):
+                p = perms[i % len(perms)]
+                _compose(p, p)
+            grown = sys.getallocatedblocks() - before
+        finally:
+            gc.enable()
+        assert grown < 100, grown
 
 
 class TestInvariants:

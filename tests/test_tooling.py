@@ -6,8 +6,9 @@ katzmod would break a traced benchmark run without failing any other test, so
 TARGETS is read here straight from the file (parsed, not imported or changed).
 
 A traced run is also made once, in a subprocess, so that a change to what a
-target returns (a counter reads `len()` of `matrix_to_word`'s letters) or to
-how it is cached (the miss counter reads `build_root_system.cache_info()`)
+target returns (a counter reads `len()` of `matrix_to_word`'s letters), to
+how it is cached (the miss counter reads `build_root_system.cache_info()`) or
+to what it raises (the cap counter reads the exact type name CosetCapExceeded)
 fails here too.
 
 Internal checks must survive `python -O`, which strips `assert` statements, so
@@ -55,6 +56,11 @@ import katzmod.cli, katzmod.subgroups as sub
 t = tracer.Tracer()
 tracer.install(t)
 sub.invariants(sub.coset_enumerate(sub.PRESETS["gamma43"]))
+for gens, cap in ((sub.PRESETS["gamma711"], 3), (sub.GeneratorSet("t", [sub.T_MAT]), None)):
+    try:
+        sub.coset_enumerate(gens, cap)
+    except sub.CosetCapExceeded:  # and its subclass InfiniteIndex
+        pass
 importlib.import_module("katzmod.classify").classify(7)
 with contextlib.redirect_stdout(io.StringIO()):
     code = katzmod.cli.main(["verify-paper", "--only", "adjoint"])
@@ -62,7 +68,8 @@ layers = tracer.per_layer(t, 1)
 print(json.dumps({"code": code, "letters": layers["subgroups.matrix_to_word.letters"],
                   "rank_calls": layers["linalg.rank.calls"],
                   "root_misses": layers["roots.build_root_system.misses"],
-                  "weyl_calls": layers["roots.weyl_dimension.calls"]}))
+                  "weyl_calls": layers["roots.weyl_dimension.calls"],
+                  "cap_exceeded": layers["subgroups.coset_enumerate.cap_exceeded"]}))
 """
 
 
@@ -78,6 +85,8 @@ def test_traced_run_reads_the_targets():
     assert result["rank_calls"] > 0
     assert result["root_misses"] > 0
     assert result["weyl_calls"] > 0
+    # counted by exact type name: an infinite index is not a cap refusal
+    assert result["cap_exceeded"] == 1
 
 
 def test_rank_is_one_object_at_every_import_site():
