@@ -46,9 +46,14 @@ def exponent_criteria(exps, k):
     every pair r, s of exponents (repetition allowed) with r + s <= k, the
     integer r + s - 1 is again an exponent.
     """
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f"k must be an integer, got {k!r}")
     exps = tuple(exps)
     if not exps:
         raise ValueError("empty exponent list")
+    for e in exps:
+        if not isinstance(e, int) or isinstance(e, bool):
+            raise ValueError(f"exponent {e!r} is not an integer")
     eset = set(exps)
     distinct = len(eset) == len(exps)
     bounded = max(exps) <= k - 1

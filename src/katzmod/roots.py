@@ -4,17 +4,22 @@ Positive roots are generated from the Cartan matrix by root-string closure
 (Bourbaki LIE VI 1.6), one height layer at a time, with no Euclidean
 coordinates: a candidate alpha + alpha_i is a root exactly when
 q = p - <alpha, alpha_i^vee> is positive, where p is the depth of the
-alpha_i-string below alpha.  Each root of the current layer carries its
-pairings and its string depths up from the layer below: the pairings of
-alpha + alpha_i are those of alpha plus the sparse Cartan column i, its depth
-along alpha_i is one more than alpha's, and its depth along alpha_j is set by
-the root alpha + alpha_i - alpha_j when that lies in the layer, 0 otherwise.
-Nothing is probed.  Exponents are read off the layer sizes as their dual
-partition (the number of exponents >= h equals the number of positive roots
-of height h); see Bourbaki LIE VI and Kostant.  Dimensions of irreducibles
-come from the Weyl dimension formula as one integer product over the positive
-roots, divided once by the Weyl denominator, which each root system computes
-on first use and keeps.
+alpha_i-string below alpha.  A root is packed into one integer, one byte per
+simple-root coordinate with alpha_0 in the most significant byte, so
+alpha + alpha_i is one integer addition and integer order is coordinate order.
+Each root of the current layer carries sparse maps up from the layer below:
+its string depths where they are positive, and its pairings where they are
+nonzero or its depth is positive (a zero copied from the root below may stay;
+it is tried and refused).  Since q >= 1 needs p > 0 or a negative pairing,
+only the indices of the pairing map are tried, not all n.  The pairings of
+alpha + alpha_i are those of alpha plus the sparse Cartan column i; its depth
+along alpha_j is set by the root alpha + alpha_i - alpha_j when that lies in
+the layer.  Nothing is probed.  Exponents are read off the layer sizes as
+their dual partition (the number of exponents >= h equals the number of
+positive roots of height h); see Bourbaki LIE VI and Kostant.  Dimensions of
+irreducibles come from the Weyl dimension formula as one integer product over
+the positive roots, divided once by the Weyl denominator, which each root
+system computes on first use and keeps.
 """
 
 from functools import cached_property, lru_cache
@@ -46,6 +51,8 @@ def _valid_type(type_label, rank):
 
 def cartan_matrix(type_label, rank):
     """Cartan matrix with A[i][j] = <alpha_j, alpha_i^vee>, Bourbaki numbering."""
+    if not _valid_type(type_label, rank):
+        raise ValueError(f"not a simple type: {type_label}{rank}")
     n = rank
     a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -131,37 +138,44 @@ class RootSystem:
 @lru_cache(maxsize=None, typed=True)
 def build_root_system(type_label, rank):
     """Root system for one simple type, positive roots by string closure."""
-    if not _valid_type(type_label, rank):
-        raise ValueError(f"not a simple type: {type_label}{rank}")
     cartan = cartan_matrix(type_label, rank)
     n = rank
+    # alpha_i packed, alpha_0 in the most significant byte; one byte per
+    # coordinate suffices because no coefficient of a root exceeds 6 (the
+    # highest root of E_8), so sums never carry into the next coordinate
+    unit = [1 << 8 * (n - 1 - i) for i in range(n)]
     # column i of the Cartan matrix, sparse: adding alpha_i to a root changes
     # its pairings <., alpha_j^vee> by A[j][i], for the diagonal and at most
     # 3 neighbours j
     cols = [[(j, cartan[j][i]) for j in range(n) if cartan[j][i]] for i in range(n)]
-    # the current height layer: root -> (its pairings, its string depths p_j)
-    layer = {tuple(1 if j == i else 0 for j in range(n)): ([row[i] for row in cartan], [0] * n)
-             for i in range(n)}
+    # the current height layer: root -> (its pairings, its positive depths p_j)
+    layer = {unit[i]: (dict(cols[i]), {}) for i in range(n)}
     positive = []
     sizes = []               # number of positive roots of each height 1, 2, ...
     while layer:
-        positive.extend(sorted(layer))
+        positive.extend(tuple(r.to_bytes(n, "big")) for r in sorted(layer))
         sizes.append(len(layer))
         nxt = {}
         for alpha, (pairings, depths) in layer.items():
-            for i in range(n):
-                p = depths[i]
-                if p - pairings[i] < 1:
+            for i, a in pairings.items():
+                p = depths.get(i, 0)
+                if p - a < 1:
                     continue
-                t = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+                t = alpha + unit[i]
                 entry = nxt.get(t)
                 if entry is None:
                     up = pairings.copy()
-                    for j, a in cols[i]:
-                        up[j] += a
-                    entry = nxt[t] = (up, [0] * n)
+                    for j, c in cols[i]:
+                        v = up.get(j, 0) + c
+                        if v:
+                            up[j] = v
+                        else:
+                            del up[j]
+                    entry = nxt[t] = (up, {})
                 # every root t - alpha_j lies in this layer and reaches t, so
-                # each nonzero depth of t is set here; the rest stay 0
+                # each positive depth of t is set here, its pairing kept even
+                # when 0 so that the index is tried
+                entry[0].setdefault(i, 0)
                 entry[1][i] = p + 1
         layer = nxt
     sizes.append(0)

@@ -61,6 +61,16 @@ class TestExponentCriteria:
         with pytest.raises(ValueError):
             exponent_criteria((), 4)
 
+    def test_non_integer_k_rejected(self):
+        for k in [2.5, 6.0, True, "6"]:
+            with pytest.raises(ValueError, match="k must be an integer"):
+                exponent_criteria((1, 3, 5), k)
+
+    def test_non_integer_exponent_rejected(self):
+        for bad in [2.5, 1.0, True, "1"]:
+            with pytest.raises(ValueError, match="is not an integer"):
+                exponent_criteria((bad, 3, 5), 6)
+
 
 class TestClassify:
     def test_candidate_types_against_written_out_list(self):

@@ -11,6 +11,7 @@ import pytest
 import katzmod
 from katzmod import verify
 from katzmod.cli import main
+from katzmod.roots import SIMPLE_TYPES, _valid_type
 
 
 def run(capsys, *argv):
@@ -21,10 +22,16 @@ def run(capsys, *argv):
 
 # tests/data/cli_json.jsonl holds the stdout of each of these commands, one
 # line each, in this order.  It was written while the adjoint decomposition
-# still kept a dense change of basis, whose rank `sl2 decompose` printed.
+# still kept a dense change of basis, whose rank `sl2 decompose` printed; the
+# rootsys and `sl2 form` lines while positive roots were still built as
+# coordinate tuples.
 PINNED = Path(__file__).parent / "data" / "cli_json.jsonl"
 PINNED_COMMANDS = ([("classify", "--k", str(k), "--json") for k in range(2, 33)]
-                   + [("sl2", "--k", str(k), "decompose", "--json") for k in range(2, 13)])
+                   + [("sl2", "--k", str(k), "decompose", "--json") for k in range(2, 13)]
+                   + [("rootsys", "--type", t, "--rank", str(n), action, "--json")
+                      for t in SIMPLE_TYPES for n in range(1, 13) if _valid_type(t, n)
+                      for action in ("exponents", "dim")]
+                   + [("sl2", "--k", str(k), "form", "--json") for k in range(2, 13)])
 
 
 class TestPinnedJsonOutputs:

@@ -79,6 +79,41 @@ def probing_closure(cartan):
     return tuple(sorted(roots, key=lambda v: (sum(v), v)))
 
 
+def layered_tuple_closure(cartan):
+    """Positive roots and exponents by the layered closure on coordinate tuples.
+
+    Each root of a layer carries all n pairings and all n string depths, and
+    every index is tried for every root.
+    """
+    n = len(cartan)
+    cols = [[(j, cartan[j][i]) for j in range(n) if cartan[j][i]] for i in range(n)]
+    layer = {tuple(1 if j == i else 0 for j in range(n)): ([row[i] for row in cartan], [0] * n)
+             for i in range(n)}
+    positive = []
+    sizes = []
+    while layer:
+        positive.extend(sorted(layer))
+        sizes.append(len(layer))
+        nxt = {}
+        for alpha, (pairings, depths) in layer.items():
+            for i in range(n):
+                p = depths[i]
+                if p - pairings[i] < 1:
+                    continue
+                t = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+                entry = nxt.get(t)
+                if entry is None:
+                    up = pairings.copy()
+                    for j, a in cols[i]:
+                        up[j] += a
+                    entry = nxt[t] = (up, [0] * n)
+                entry[1][i] = p + 1
+        layer = nxt
+    sizes.append(0)
+    exps = tuple(h for h in range(1, len(sizes)) for _ in range(sizes[h - 1] - sizes[h]))
+    return tuple(positive), exps
+
+
 def weyl_dimension_dense(rs, weight):
     """The Weyl dimension with the full dot products per root, recomputed per call."""
     d = rs.symmetrizers
@@ -168,11 +203,25 @@ class TestBuildRootSystem:
             rs = build_root_system(t, n)
             assert rs.positive_roots == probing_closure(cartan_matrix(t, n)), (t, n)
 
+    def test_packed_closure_matches_layered_tuple_closure(self):
+        for t, n in all_types(31):
+            rs = build_root_system(t, n)
+            assert (rs.positive_roots, rs.exponents) == \
+                layered_tuple_closure(cartan_matrix(t, n)), (t, n)
+
+    def test_coefficients_fit_one_byte(self):
+        # roots are packed one byte per coordinate; the highest root of E_8
+        # has the largest coefficient of any simple type, 6
+        top = {(t, n): max(max(r) for r in build_root_system(t, n).positive_roots)
+               for t, n in all_types(31)}
+        assert max(top.values()) == top[("E", 8)] == 6
+
     def test_invalid_types_rejected(self):
         for t, n in [("A", 0), ("B", 1), ("C", 1), ("D", 2), ("E", 5), ("E", 9),
-                     ("F", 3), ("G", 3), ("H", 2)]:
-            with pytest.raises(ValueError):
-                build_root_system(t, n)
+                     ("F", 2), ("F", 3), ("G", 3), ("H", 2), ("X", 3)]:
+            for build in (build_root_system, cartan_matrix):
+                with pytest.raises(ValueError, match=f"not a simple type: {t}{n}"):
+                    build(t, n)
 
     def test_float_rank_rejected_after_int_build(self):
         # typed cache: 2.0 does not hit the entry of ("A", 2)

@@ -9,7 +9,8 @@ A traced run is also made once, in a subprocess, so that a change to what a
 target returns (a counter reads `len()` of `matrix_to_word`'s letters), to
 how it is cached (the miss counter reads `build_root_system.cache_info()`) or
 to what it raises (the cap counter reads the exact type name CosetCapExceeded)
-fails here too.
+fails here too.  Its root counter must equal the closed-form positive-root
+counts of the types that classify(7) builds.
 
 Internal checks must survive `python -O`, which strips `assert` statements, so
 no module of katzmod may contain one.
@@ -27,6 +28,8 @@ import katzmod.cli
 import katzmod.linalg
 import katzmod.sl2
 import katzmod.verify
+from katzmod.classify import _candidate_types
+from test_roots import positive_root_count
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -68,6 +71,7 @@ layers = tracer.per_layer(t, 1)
 print(json.dumps({"code": code, "letters": layers["subgroups.matrix_to_word.letters"],
                   "rank_calls": layers["linalg.rank.calls"],
                   "root_misses": layers["roots.build_root_system.misses"],
+                  "positive_roots": layers["roots.build_root_system.positive_roots"],
                   "weyl_calls": layers["roots.weyl_dimension.calls"],
                   "cap_exceeded": layers["subgroups.coset_enumerate.cap_exceeded"]}))
 """
@@ -84,6 +88,9 @@ def test_traced_run_reads_the_targets():
     assert result["letters"] > 0
     assert result["rank_calls"] > 0
     assert result["root_misses"] > 0
+    # classify(7) is the only caller that builds root systems here, each type once
+    assert result["positive_roots"] == sum(positive_root_count(t, n)
+                                           for t, n in _candidate_types(7))
     assert result["weyl_calls"] > 0
     # counted by exact type name: an infinite index is not a cap refusal
     assert result["cap_exceeded"] == 1
