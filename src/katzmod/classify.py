@@ -3,9 +3,12 @@
 The scan follows the exponent criteria: a simple algebra g inside sl(V) whose
 principal sl2 is the principal sl2 of sl(V) has distinct exponents bounded by
 k-1, closed under (r, s) -> r+s-1 for r+s <= k, and must admit an irreducible
-representation of dimension k.  Running these tests over all simple types of
-rank < k leaves exactly: sl2 acting by Sym^(k-1); sl_k itself; sp_k for even
-k; so_k for odd k; and G_2 at k = 7.
+representation of dimension k.  The exponents of each simple type of rank < k
+come in closed form (roots.type_exponents), so the scan builds no root system;
+only the types that pass it have their root system built, which checks those
+exponents against its height-layer sizes, and are searched for a
+k-dimensional irreducible.  This leaves exactly: sl2 acting by Sym^(k-1);
+sl_k itself; sp_k for even k; so_k for odd k; and G_2 at k = 7.
 
 Two extra filters reproduce the arithmetic endgame for even k: a two-weight
 Hodge-Tate constraint kills the Sym^(k-1) case (its nonzero semisimple
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 from .linalg import Matrix
 from .sl2 import principal_triple, invariant_bilinear_form, form_kernel
-from .roots import build_root_system, exponents, weyl_dimension, irreps_of_dimension, \
+from .roots import build_root_system, type_exponents, weyl_dimension, irreps_of_dimension, \
     SIMPLE_TYPES, _valid_type
 
 LABEL_SYM_POWER = "sym_power_sl2"
@@ -172,6 +175,10 @@ def _label_for(type_label, rank, k):
 def classify(k):
     """All simple algebras passing the exponent criteria with a k-dim irreducible.
 
+    The criteria read each candidate's closed-form exponents; a root system is
+    built, and its exponents checked against its layer sizes, only for the
+    types that pass, to search their weights of dimension k.
+
     Returns ClassificationCase values in a fixed order: Sym-power sl2, full
     sl_k, the symplectic/orthogonal case, then G_2 (when k = 7).  For k = 2
     the cases collapse and the single canonical A_1 is reported.
@@ -180,11 +187,10 @@ def classify(k):
         raise ValueError(f"need an integer k >= 2, got {k!r}")
     passing = {}
     for type_label, rank in _candidate_types(k):
-        rs = build_root_system(type_label, rank)
-        exps = exponents(rs)
+        exps = type_exponents(type_label, rank)
         if not exponent_criteria(exps, k).all_pass():
             continue
-        weights = _realizing_weights(rs, k)
+        weights = _realizing_weights(build_root_system(type_label, rank), k)
         if not weights:
             continue
         passing[(type_label, rank)] = CandidateAlgebra(type_label, rank, exps, weights)

@@ -14,12 +14,14 @@ it is tried and refused).  Since q >= 1 needs p > 0 or a negative pairing,
 only the indices of the pairing map are tried, not all n.  The pairings of
 alpha + alpha_i are those of alpha plus the sparse Cartan column i; its depth
 along alpha_j is set by the root alpha + alpha_i - alpha_j when that lies in
-the layer.  Nothing is probed.  Exponents are read off the layer sizes as
-their dual partition (the number of exponents >= h equals the number of
-positive roots of height h); see Bourbaki LIE VI and Kostant.  Dimensions of
-irreducibles come from the Weyl dimension formula as one integer product over
-the positive roots, divided once by the Weyl denominator, which each root
-system computes on first use and keeps.
+the layer.  Nothing is probed.  Exponents have a closed form for every type
+(Bourbaki LIE VI, Planches I-IX), given by type_exponents without building
+anything; each root system that is built also reads them off its layer sizes
+as their dual partition (the number of exponents >= h equals the number of
+positive roots of height h; Kostant) and refuses to exist if the two
+disagree.  Dimensions of irreducibles come from the Weyl dimension formula as
+one integer product over the positive roots, divided once by the Weyl
+denominator, which each root system computes on first use and keeps.
 """
 
 from functools import cached_property, lru_cache
@@ -47,6 +49,28 @@ def _valid_type(type_label, rank):
     if type_label == "G":
         return rank == 2
     return False
+
+
+_EXCEPTIONAL_EXPONENTS = {
+    ("E", 6): (1, 4, 5, 7, 8, 11),
+    ("E", 7): (1, 5, 7, 9, 11, 13, 17),
+    ("E", 8): (1, 7, 11, 13, 17, 19, 23, 29),
+    ("F", 4): (1, 5, 7, 11),
+    ("G", 2): (1, 5),
+}
+
+
+def type_exponents(type_label, rank):
+    """Sorted exponents of a simple type in closed form, with no root system."""
+    if not _valid_type(type_label, rank):
+        raise ValueError(f"not a simple type: {type_label}{rank}")
+    if type_label == "A":
+        return tuple(range(1, rank + 1))
+    if type_label in ("B", "C"):
+        return tuple(range(1, 2 * rank, 2))
+    if type_label == "D":
+        return tuple(sorted((*range(1, 2 * rank - 2, 2), rank - 1)))
+    return _EXCEPTIONAL_EXPONENTS[(type_label, rank)]
 
 
 def cartan_matrix(type_label, rank):
@@ -180,8 +204,10 @@ def build_root_system(type_label, rank):
         layer = nxt
     sizes.append(0)
     exps = tuple(h for h in range(1, len(sizes)) for _ in range(sizes[h - 1] - sizes[h]))
-    if len(exps) != rank:
-        raise RuntimeError(f"{type_label}{rank}: {len(exps)} exponents for rank {rank}")
+    want = type_exponents(type_label, rank)
+    if exps != want:
+        raise RuntimeError(f"{type_label}{rank}: layer sizes give exponents {exps}, "
+                           f"not the closed form {want}")
     return RootSystem(type_label, rank, tuple(tuple(r) for r in cartan),
                       tuple(positive), _symmetrizers(cartan), exps)
 

@@ -6,8 +6,9 @@ from katzmod.classify import (exponent_criteria, classify, ht_filter, form_filte
                               frobenius_dimension_check, classification_report,
                               HodgeTateData, LABEL_SYM_POWER, LABEL_FULL_SL,
                               LABEL_SYMPLECTIC, LABEL_ORTHOGONAL, LABEL_G2,
-                              _candidate_types)
-from katzmod.roots import build_root_system, exponents, irreps_of_dimension
+                              _candidate_types, _realizing_weights, _label_for)
+from katzmod.roots import build_root_system, exponents, type_exponents, irreps_of_dimension
+from katzmod.verify import expected_case_names
 
 
 def names(cases):
@@ -33,6 +34,26 @@ def listed_candidate_types(k):
         yield ("F", 4)
     if 2 <= bound:
         yield ("G", 2)
+
+
+def classify_building_every_type(k):
+    """(name, label, exponents, realizing weights) per case, in order, by the
+    route that builds the root system of every candidate type and reads its
+    exponents off the layer sizes."""
+    passing = {}
+    for t, n in _candidate_types(k):
+        rs = build_root_system(t, n)
+        if not exponent_criteria(rs.exponents, k).all_pass():
+            continue
+        weights = _realizing_weights(rs, k)
+        if weights:
+            passing[(t, n)] = (rs.exponents, weights)
+    if ("B", 2) in passing and ("C", 2) in passing:
+        del passing[("B", 2) if k % 2 == 0 else ("C", 2)]
+    order = [LABEL_SYM_POWER, LABEL_FULL_SL, LABEL_SYMPLECTIC, LABEL_ORTHOGONAL, LABEL_G2]
+    rows = [(f"{t}_{n}", _label_for(t, n, k), exps, weights)
+            for (t, n), (exps, weights) in passing.items()]
+    return sorted(rows, key=lambda row: order.index(row[1]))
 
 
 class TestExponentCriteria:
@@ -111,6 +132,24 @@ class TestClassify:
         for k in (4, 5, 7, 10):
             for case in classify(k):
                 assert case.candidate.realizing_weights
+
+    def test_matches_building_every_type(self):
+        for k in range(2, 25):
+            got = [(c.name, c.label, c.candidate.exponents, c.candidate.realizing_weights)
+                   for c in classify(k)]
+            assert got == classify_building_every_type(k), k
+
+    def test_names_beyond_verify_paper(self):
+        for k in range(31, 65):
+            assert names(classify(k)) == expected_case_names(k), k
+
+    def test_builds_only_the_types_that_pass(self):
+        for k in (2, 7, 12, 25):
+            passing = sum(exponent_criteria(type_exponents(t, n), k).all_pass()
+                          for t, n in _candidate_types(k))
+            build_root_system.cache_clear()
+            classify(k)
+            assert build_root_system.cache_info().misses == passing, k
 
     def test_k_below_2_rejected(self):
         with pytest.raises(ValueError):

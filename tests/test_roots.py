@@ -8,9 +8,10 @@ from operator import mul
 
 import pytest
 
-from katzmod.roots import (SIMPLE_TYPES, build_root_system, exponents, algebra_dimension,
-                           weyl_dimension, irreps_of_dimension, irreps_up_to,
-                           cartan_matrix, _symmetrizers, _valid_type)
+import katzmod.roots
+from katzmod.roots import (SIMPLE_TYPES, build_root_system, exponents, type_exponents,
+                           algebra_dimension, weyl_dimension, irreps_of_dimension,
+                           irreps_up_to, cartan_matrix, _symmetrizers, _valid_type)
 
 
 def all_types(max_rank):
@@ -264,6 +265,35 @@ class TestExponents:
             heights = Counter(sum(r) for r in rs.positive_roots)
             recount = sorted(h for h in heights for _ in range(heights[h] - heights[h + 1]))
             assert exponents(rs) == rs.exponents == tuple(recount), (t, n)
+
+    def test_closed_form_matches_layer_sizes(self):
+        types = all_types(32)
+        assert len(types) == 129
+        for t, n in types:
+            assert type_exponents(t, n) == build_root_system(t, n).exponents, (t, n)
+
+    def test_closed_form_sums_to_positive_root_count(self):
+        for t, n in all_types(64):
+            assert sum(type_exponents(t, n)) == positive_root_count(t, n), (t, n)
+
+    def test_closed_form_rejects_what_is_not_a_type(self):
+        for t, n, message in [("A", 0, "not a simple type: A0"),
+                              ("A", True, "rank must be an integer, got True"),
+                              ("A", 2.0, "rank must be an integer, got 2.0"),
+                              ("E", 9, "not a simple type: E9"),
+                              ("X", 3, "not a simple type: X3")]:
+            with pytest.raises(ValueError, match=message):
+                type_exponents(t, n)
+
+    def test_wrong_closed_form_refuses_a_cold_build(self, monkeypatch):
+        monkeypatch.setattr(katzmod.roots, "type_exponents", lambda t, n: tuple(range(1, n + 1)))
+        build_root_system.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match=r"B3: layer sizes give exponents \(1, 3, 5\)"):
+                build_root_system("B", 3)
+            assert build_root_system("A", 3).exponents == (1, 2, 3)
+        finally:
+            build_root_system.cache_clear()
 
     def test_sum_rules(self):
         for t, n in [("A", 6), ("B", 5), ("C", 5), ("D", 6), ("E", 7), ("G", 2)]:

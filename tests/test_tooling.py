@@ -10,7 +10,8 @@ target returns (a counter reads `len()` of `matrix_to_word`'s letters), to
 how it is cached (the miss counter reads `build_root_system.cache_info()`) or
 to what it raises (the cap counter reads the exact type name CosetCapExceeded)
 fails here too.  Its root counter must equal the closed-form positive-root
-counts of the types that classify(7) builds.
+counts of the types that classify(7) builds: those whose closed-form
+exponents pass the exponent criteria at k = 7.
 
 Internal checks must survive `python -O`, which strips `assert` statements, so
 no module of katzmod may contain one.
@@ -28,7 +29,8 @@ import katzmod.cli
 import katzmod.linalg
 import katzmod.sl2
 import katzmod.verify
-from katzmod.classify import _candidate_types
+from katzmod.classify import _candidate_types, exponent_criteria
+from katzmod.roots import type_exponents
 from test_roots import positive_root_count
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -88,9 +90,11 @@ def test_traced_run_reads_the_targets():
     assert result["letters"] > 0
     assert result["rank_calls"] > 0
     assert result["root_misses"] > 0
-    # classify(7) is the only caller that builds root systems here, each type once
-    assert result["positive_roots"] == sum(positive_root_count(t, n)
-                                           for t, n in _candidate_types(7))
+    # classify(7) is the only caller that builds root systems here, each type
+    # that passes the exponent criteria once
+    assert result["positive_roots"] == sum(
+        positive_root_count(t, n) for t, n in _candidate_types(7)
+        if exponent_criteria(type_exponents(t, n), 7).all_pass())
     assert result["weyl_calls"] > 0
     # counted by exact type name: an infinite index is not a cap refusal
     assert result["cap_exceeded"] == 1
