@@ -3,8 +3,7 @@ of simple subalgebras of sl_k containing a nilpotent with a single Jordan
 block, and the invariants of three finite-index noncongruence subgroups of
 PSL2(Z), including the cusp-form dimension counts behind both."""
 
-from .linalg import (Matrix, bracket, rank, solve_homogeneous, nilpotency_data,
-                     DimensionError)
+from .linalg import Matrix, bracket, rank, solve_homogeneous, DimensionError
 from .sl2 import (Sl2Triple, IrrepBlock, AdjointDecomposition, principal_triple,
                   decompose_adjoint, project_to_blocks, bracket_support,
                   verify_bracket_identity, invariant_bilinear_form)

@@ -20,7 +20,6 @@ full group of symplectic similitudes GSp_k.
 from fractions import Fraction
 from dataclasses import dataclass
 
-from .linalg import Matrix
 from .sl2 import principal_triple, invariant_bilinear_form, form_kernel
 from .roots import build_root_system, type_exponents, weyl_dimension, irreps_of_dimension, \
     SIMPLE_TYPES, _valid_type
@@ -222,9 +221,7 @@ def ht_filter(cases, k, ht):
         raise ValueError("need at least one Hodge-Tate weight")
     if ht.weight_count != 2 or k <= 2:
         return list(cases)
-    h = principal_triple(k).h
-    diag = [h[i, i] for i in range(k)]
-    eigenvalue_count = len(set(diag))
+    eigenvalue_count = len(set(principal_triple(k).h))
     if eigenvalue_count != k:
         raise RuntimeError("Sym^(k-1) semisimple element must have k distinct eigenvalues")
     return [c for c in cases if c.label != LABEL_SYM_POWER]
@@ -235,12 +232,11 @@ def _sl_preserves_no_form(k):
 
     The invariance condition m^T B + B m = 0 propagates to Lie brackets, so it
     is imposed on a generating set: the principal x, h, y together with
-    E_00 - E_11, which generate sl_k for k >= 3.  h goes first, so the
-    kernel starts from the k antidiagonal h-invariant forms.
+    E_00 - E_11, which generate sl_k for k >= 3, each as its strip.  h goes
+    first, so the kernel starts from the k antidiagonal h-invariant forms.
     """
     t = principal_triple(k)
-    extra = Matrix.diagonal([1, -1] + [0] * (k - 2))
-    return not form_kernel([t.h, t.x, t.y, extra], k)
+    return not form_kernel([(0, t.h), (1, t.x), (-1, t.y), (0, [1, -1] + [0] * (k - 2))], k)
 
 
 def form_filter(cases, k):

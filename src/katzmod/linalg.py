@@ -10,7 +10,6 @@ here; Fractions appear only when results are read off the reduced rows.
 """
 
 from fractions import Fraction
-from dataclasses import dataclass
 from math import gcd, lcm
 
 
@@ -245,27 +244,3 @@ def solve_linear(m, rhs):
     for row, c in zip(rows, pivots):
         sol[c] = Fraction(row[ncols], row[c])
     return sol
-
-
-@dataclass(frozen=True)
-class NilpotencyData:
-    is_nilpotent: bool
-    index: int | None
-    single_block: bool
-
-
-def nilpotency_data(m):
-    """Nilpotency of a square matrix: a^k = 0, least vanishing power, and
-    whether the Jordan form is a single block (index equal to the size)."""
-    if not m.is_square():
-        raise DimensionError("nilpotency_data needs a square matrix")
-    k = m.rows
-    if m.is_zero():
-        # zero matrix: index 1, single block only in size 1
-        return NilpotencyData(True, 1, k == 1)
-    power = m
-    for i in range(2, k + 1):
-        power = power * m
-        if power.is_zero():
-            return NilpotencyData(True, i, i == k)
-    return NilpotencyData(False, None, False)

@@ -2,11 +2,12 @@
 
 The triple here is the standard one attached to the regular nilpotent: x has
 ones on the superdiagonal, h = diag(k-1, k-3, ..., -(k-1)), and y has
-subdiagonal entries i(k-i).  Sign convention: [x, y] = +h, so that the
-displayed structure constants ([x^r, ad(y)x^s] = 2rs x^(r+s-1), ad(h)x^r =
-2r x^r) hold literally.  Under the adjoint action of this sl2, the traceless
-matrices decompose into irreducible pieces U_r of highest weight 2r, r = 1..k-1,
-with basis {ad(y)^i x^r | 0 <= i <= 2r}; cf. Bourbaki LIE VIII.11 or Kostant.
+subdiagonal entries i(k-i); the triple is held as these three integer strips.
+Sign convention: [x, y] = +h, so that the displayed structure constants
+([x^r, ad(y)x^s] = 2rs x^(r+s-1), ad(h)x^r = 2r x^r) hold literally.  Under
+the adjoint action of this sl2, the traceless matrices decompose into
+irreducible pieces U_r of highest weight 2r, r = 1..k-1, with basis
+{ad(y)^i x^r | 0 <= i <= 2r}; cf. Bourbaki LIE VIII.11 or Kostant.
 
 The decomposition works in the h-weight grading.  ad(h) multiplies E_ij by
 h_i - h_j = 2(j - i), so the weight spaces of sl_k are its diagonals j - i = d.
@@ -23,33 +24,63 @@ sum of the ranks of its diagonals.  A bracket support needs only the
 brackets of the top vector x^r of U_r with U_s, because x^r (x) U_s generates
 U_r (x) U_s as an sl2-module.  An h-invariant bilinear form lives on the
 entries with h_a + h_b = 0 (the antidiagonal), which is where `form_kernel`
-starts when h comes first.
+starts: its inputs are strips too, h first.
 """
 
 from fractions import Fraction
 from dataclasses import dataclass
 
-from .linalg import Matrix, _gauss_jordan, bracket, solve_homogeneous, nilpotency_data
+from .linalg import Matrix, _gauss_jordan, solve_homogeneous
 from .linalg import rank  # noqa: F401  (perfbench's tracer checks it is rebound here too)
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _checked_strip(name, k, d, strip):
+    """strip as a tuple, after checking it holds k - |d| ints (no bools)."""
+    if not isinstance(strip, (list, tuple)) or len(strip) != k - abs(d):
+        raise ValueError(f"{name} must be a list of {k - abs(d)} integers "
+                         f"(the diagonal j - i = {d} of sl_{k}), got {strip!r}")
+    for v in strip:
+        if not _is_int(v):
+            raise ValueError(f"{name} entry {v!r} is not an integer")
+    return tuple(strip)
 
 
 @dataclass(frozen=True)
 class Sl2Triple:
-    """An sl2-triple (x, h, y) in sl_k with [h,x]=2x, [h,y]=-2y, [x,y]=h."""
+    """An sl2-triple (x, h, y) in sl_k with [h,x]=2x, [h,y]=-2y, [x,y]=h, held
+    as integer strips: x is the superdiagonal (k-1 entries), h the diagonal
+    (k entries) and y the subdiagonal (k-1 entries).  Strips of the wrong
+    length and entries that are not ints (floats, bools, Fractions) raise
+    ValueError."""
     k: int
-    x: Matrix
-    h: Matrix
-    y: Matrix
+    x: tuple
+    h: tuple
+    y: tuple
+
+    def __post_init__(self):
+        if not _is_int(self.k) or self.k < 2:
+            raise ValueError(f"need an integer k >= 2, got {self.k!r}")
+        for name, d in (("x", 1), ("h", 0), ("y", -1)):
+            object.__setattr__(self, name, _checked_strip(name, self.k, d, getattr(self, name)))
 
     def validate(self):
-        """Check the defining relations; raises ValueError on the first failure."""
+        """Check the defining relations; raises ValueError on the first failure.
+
+        x and y lie off the diagonal, so the trace is that of h; x^(k-1) is
+        the product of x's entries on the corner E_(0,k-1), so x is a
+        one-block nilpotent exactly when none of them is 0.
+        """
+        k, x, h, y = self.k, self.x, self.h, self.y
         checks = (
-            (bracket(self.h, self.x) == self.x.scale(2), "[h, x] != 2x"),
-            (bracket(self.h, self.y) == self.y.scale(-2), "[h, y] != -2y"),
-            (bracket(self.x, self.y) == self.h, "[x, y] != h"),
-            (self.x.trace() == 0 and self.h.trace() == 0 and self.y.trace() == 0,
-             "x, h, y not all traceless"),
-            (nilpotency_data(self.x).single_block, "x is not a one-block nilpotent"),
+            (_strip_bracket(k, 0, h, 1, x) == [2 * v for v in x], "[h, x] != 2x"),
+            (_strip_bracket(k, 0, h, -1, y) == [-2 * v for v in y], "[h, y] != -2y"),
+            (_strip_bracket(k, 1, x, -1, y) == list(h), "[x, y] != h"),
+            (sum(h) == 0, "x, h, y not all traceless"),
+            (all(x), "x is not a one-block nilpotent"),
         )
         for ok, failure in checks:
             if not ok:
@@ -111,24 +142,16 @@ class AdjointDecomposition:
 
 
 def principal_triple(k):
-    """The principal sl2-triple in sl_k.
+    """The principal sl2-triple in sl_k, as strips.
 
-    x is the superdiagonal-ones nilpotent (one Jordan block), h the integer
-    diagonal diag(k-1, k-3, ..., -(k-1)), and y the subdiagonal matrix with
-    y[i+1][i] = (i+1)(k-1-i) in 0-based indexing.
+    x is the superdiagonal of ones (one Jordan block), h the diagonal
+    (k-1, k-3, ..., -(k-1)), and y the subdiagonal with y[i+1][i] =
+    (i+1)(k-1-i) in 0-based indexing.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
+    if not _is_int(k) or k < 2:
         raise ValueError(f"need an integer k >= 2, got {k!r}")
-    x = Matrix.zeros(k)
-    y = Matrix.zeros(k)
-    xd, yd = list(x.entries), list(y.entries)
-    for i in range(k - 1):
-        xd[i * k + i + 1] = Fraction(1)
-        yd[(i + 1) * k + i] = Fraction((i + 1) * (k - 1 - i))
-    x = Matrix(k, k, xd)
-    y = Matrix(k, k, yd)
-    h = Matrix.diagonal([k - 1 - 2 * i for i in range(k)])
-    return Sl2Triple(k, x, h, y)
+    return Sl2Triple(k, (1,) * (k - 1), tuple(range(k - 1, -k, -2)),
+                     tuple((i + 1) * (k - 1 - i) for i in range(k - 1)))
 
 
 def _strip_rows(k, d):
@@ -139,15 +162,6 @@ def _strip_rows(k, d):
 def _diagonal_strip(m, d):
     """Entries of the d-th diagonal (j - i = d) of a k x k matrix."""
     return [m[i, i + d] for i in _strip_rows(m.rows, d)]
-
-
-def _graded_strip(m, d):
-    """The d-th diagonal of m as integers; it must be m's only nonzero one."""
-    k, strip = m.rows, _diagonal_strip(m, d)
-    if (any(m[i, j] for i in range(k) for j in range(k) if j - i != d)
-            or any(v.denominator != 1 for v in strip)):
-        raise ValueError(f"matrix is not integral and supported on the diagonal j - i = {d}")
-    return [int(v) for v in strip]
 
 
 def _strip_product(k, d1, a, d2, b):
@@ -162,6 +176,12 @@ def _strip_bracket(k, d1, a, d2, b):
     """Strip of [A, B] for A on diagonal d1 and B on diagonal d2."""
     return [p - q for p, q in zip(_strip_product(k, d1, a, d2, b),
                                   _strip_product(k, d2, b, d1, a))]
+
+
+def _check_rs(r, s):
+    for name, v in (("r", r), ("s", s)):
+        if not _is_int(v):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
 def _dot(row, strip):
@@ -192,19 +212,16 @@ def _strip_solver(rs, columns):
 def decompose_adjoint(t):
     """Decompose sl_k into the blocks U_r under ad of the given triple.
 
-    The triple must be graded: x supported on the superdiagonal and y on the
-    subdiagonal, with integer entries, as for principal_triple and the
-    Sym^(k-1) model of sl2; anything else raises ValueError.  The basis
-    {ad(y)^i x^r} of each block is computed and held strip by strip,
-    ad(y)^i x^r on the diagonal r - i.  Each diagonal d gets a StripSolver
-    for the basis vectors on it: a square system for d != 0, k x (k-1) for
-    d = 0.  Full column rank on every diagonal is the directness check, and
-    raises if it fails (it never does for a valid triple).  The strips are
-    the only copy of the basis: `diagonal_bases` hands them out per diagonal
-    for callers that check its rank independently.
+    The basis {ad(y)^i x^r} of each block is computed from the triple's
+    strips and held strip by strip, ad(y)^i x^r on the diagonal r - i.
+    Each diagonal d gets a StripSolver for the basis vectors on it: a square
+    system for d != 0, k x (k-1) for d = 0.  Full column rank on every
+    diagonal is the directness check, and raises if it fails (it never does
+    for a valid triple).  The strips are the only copy of the basis:
+    `diagonal_bases` hands them out per diagonal for callers that check its
+    rank independently.
     """
-    k = t.k
-    xs, ys = _graded_strip(t.x, 1), _graded_strip(t.y, -1)
+    k, xs, ys = t.k, t.x, t.y
     blocks = []
     power = [1] * k  # strip of x^0 on the main diagonal
     for r in range(1, k):
@@ -254,8 +271,10 @@ def bracket_support(dec, r, s):
     [x^r, b], b a basis strip of U_s, is one strip, and the blocks with a
     nonzero coefficient from its diagonal's StripSolver are recorded.
     Always lands inside {max(r-s,1), ..., min(r+s, k-1)}, never contains
-    r+s, and contains r+s-1 whenever r+s <= k.
+    r+s, and contains r+s-1 whenever r+s <= k.  An r or s that is not an
+    int, or is a bool, raises ValueError.
     """
+    _check_rs(r, s)
     k = dec.k
     if not (1 <= s <= r <= k - 1):
         raise ValueError(f"need 1 <= s <= r <= k-1, got r={r}, s={s}")
@@ -271,14 +290,14 @@ def bracket_support(dec, r, s):
 
 def verify_bracket_identity(t, r, s):
     """Check [x^r, ad(y) x^s] == 2rs x^(r+s-1) exactly, on strips: both sides
-    lie on the diagonal r + s - 1.  The triple must be graded as for
-    decompose_adjoint; anything else raises ValueError."""
+    lie on the diagonal r + s - 1.  An r or s that is not an int, or is a
+    bool, raises ValueError."""
+    _check_rs(r, s)
     if r < 1 or s < 1:
         raise ValueError("need r, s >= 1")
-    k = t.k
+    k, xs, ys = t.k, t.x, t.y
     if r + s > k:
         raise ValueError(f"need r + s <= k = {k}, got {r + s}")
-    xs, ys = _graded_strip(t.x, 1), _graded_strip(t.y, -1)
     powers = [[1] * k]  # powers[e] is the strip of x^e on the diagonal e
     for e in range(1, r + s):
         powers.append(_strip_product(k, e - 1, powers[-1], 1, xs))
@@ -289,34 +308,40 @@ def verify_bracket_identity(t, r, s):
 def form_kernel(mats, k):
     """Basis of { B : m^T B + B m = 0 for all m in mats }, as k x k matrices.
 
-    Solved by refining the kernel one matrix at a time: the current solution
-    space is kept as a list of basis forms, each a sparse combination of the
-    elementary forms E_ab, and each new condition becomes a small linear
-    system in the basis coefficients.  The start is graded by the first
-    matrix when it is diagonal: D^T E_ab + E_ab D = (D_aa + D_bb) E_ab, so the
-    kernel of a diagonal D is spanned by the E_ab with D_aa + D_bb = 0 (for h,
-    the k antidiagonal ones), and D needs no further imposing.  Otherwise the
-    start is all k^2 elementary forms.  The invariance condition propagates
-    to Lie brackets, so imposing it on a generating set imposes it on the
-    whole generated algebra.
+    Each m is graded, given as (d, strip): the integer strip of m on the
+    diagonal d.  The first must be diagonal (d = 0) and starts the kernel:
+    D^T E_ab + E_ab D = (D_aa + D_bb) E_ab, so it is spanned by the E_ab with
+    D_aa + D_bb = 0 (for h, the k antidiagonal ones).  An empty list, or any
+    input that is not graded this way, raises ValueError.  The kernel is then
+    refined one matrix at a time: the solution space is kept as a list of
+    basis forms, each a sparse combination of the E_ab, and each new
+    condition becomes a small linear system in the basis coefficients; a
+    strip on the diagonal d sends E_ab to one term per side.  The invariance
+    condition propagates to Lie brackets, so imposing it on a generating set
+    imposes it on the whole generated algebra.
     """
-    mats = list(mats)
-    pairs = [(a, b) for a in range(k) for b in range(k)]
-    if mats and mats[0] == Matrix.diagonal([mats[0][a, a] for a in range(k)]):
-        d = mats.pop(0)
-        pairs = [(a, b) for a, b in pairs if d[a, a] + d[b, b] == 0]
-    basis = [{ab: 1} for ab in pairs]
+    graded = []
     for m in mats:
+        if not (isinstance(m, (list, tuple)) and len(m) == 2 and _is_int(m[0])
+                and abs(m[0]) < k):
+            raise ValueError(f"form_kernel needs graded (d, strip) inputs with |d| < {k}, "
+                             f"got {m!r}")
+        graded.append((m[0], _checked_strip(f"strip on the diagonal {m[0]}", k, *m)))
+    if not graded or graded[0][0] != 0:
+        raise ValueError("form_kernel needs a diagonal (d = 0) strip first")
+    diag = graded[0][1]
+    basis = [{(a, b): 1} for a in range(k) for b in range(k) if diag[a] + diag[b] == 0]
+    for d, strip in graded[1:]:
         if not basis:
             return []
-        nonzero = [[(j, m[a, j]) for j in range(k) if m[a, j]] for a in range(k)]
+        m = {a: v for a, v in zip(_strip_rows(k, d), strip) if v}  # a -> m[a, a + d]
         cond = {}  # entry (i, j) of m^T B + B m -> its coefficient on each basis form
         for col, form in enumerate(basis):
             for (a, b), c in form.items():
-                for i, v in nonzero[a]:  # m^T E_ab = sum_i m[a, i] E_ib
-                    cond.setdefault((i, b), [0] * len(basis))[col] += c * v
-                for j, v in nonzero[b]:  # E_ab m = sum_j m[b, j] E_aj
-                    cond.setdefault((a, j), [0] * len(basis))[col] += c * v
+                if a in m:  # m^T E_ab = m[a, a + d] E_(a+d)b
+                    cond.setdefault((a + d, b), [0] * len(basis))[col] += c * m[a]
+                if b in m:  # E_ab m = m[b, b + d] E_a(b+d)
+                    cond.setdefault((a, b + d), [0] * len(basis))[col] += c * m[b]
         kernel = solve_homogeneous(
             Matrix(len(cond), len(basis), [x for row in cond.values() for x in row]))
         basis = [_combine(basis, [v[i, 0] for i in range(len(basis))]) for v in kernel]
@@ -348,7 +373,7 @@ def invariant_bilinear_form(t):
     of sl2 is orthogonal or symplectic accordingly).  Raises if the solution
     space is not 1-dimensional.
     """
-    kernel = form_kernel([t.h, t.x, t.y], t.k)
+    kernel = form_kernel([(0, t.h), (1, t.x), (-1, t.y)], t.k)
     if len(kernel) != 1:
         raise RuntimeError(f"invariant form space has dimension {len(kernel)}, expected 1")
     b = kernel[0]

@@ -500,22 +500,38 @@ def dim_cusp_forms(inv, w):
             + inv.nu2 * (w // 4) + inv.nu3 * (w // 3))
 
 
-def _is_preset(gens):
-    target = frozenset(gens.generators)
-    return any(frozenset(p.generators) == target for p in PRESETS.values())
+def _canonical(table):
+    """The permutations of S and T with the cosets renumbered in breadth-first
+    order from coset 0, trying S before T.  Two generator sets give the same
+    result exactly when they generate the same subgroup: the table with its
+    base coset determines the subgroup, and the numbering depends on nothing
+    else."""
+    order, label = [0], {0: 0}
+    for c in order:  # grows while it is read
+        for p in (table.perm_S, table.perm_T):
+            if p[c] not in label:
+                label[p[c]] = len(order)
+                order.append(p[c])
+    return tuple(tuple(label[p[c]] for c in order) for p in (table.perm_S, table.perm_T))
 
 
 _INVARIANTS_CACHE = {}
 
 
-def subgroup_invariants(gens, cap=None):
-    """Enumerate and compute invariants, memoized on the generator list and
-    the resolved cap, so that the answer to a call does not depend on the
-    calls made before it."""
+def _enumerated(gens, cap=None):
+    """(canonical table, invariants) of the subgroup, memoized on the
+    generator list and the resolved cap, so that the answer to a call does
+    not depend on the calls made before it."""
     key = (gens.generators, _coset_cap(cap))
     if key not in _INVARIANTS_CACHE:
-        _INVARIANTS_CACHE[key] = invariants(coset_enumerate(gens, cap))
+        table = coset_enumerate(gens, cap)
+        _INVARIANTS_CACHE[key] = (_canonical(table), invariants(table))
     return _INVARIANTS_CACHE[key]
+
+
+def subgroup_invariants(gens, cap=None):
+    """Enumerate and compute invariants, memoized as `_enumerated` is."""
+    return _enumerated(gens, cap)[1]
 
 
 def dim_rho_prim(gens, k):
@@ -524,15 +540,16 @@ def dim_rho_prim(gens, k):
     parabolic-cohomology representation.
 
     Only defined for the three shipped presets, whose congruence closure is
-    the full modular group (their generator images fill PSL2(Z/level)); for
-    any other input the closure is not computed and a ValueError is raised
-    rather than guessing.
+    the full modular group (their generator images fill PSL2(Z/level)).  A
+    preset is recognised by its canonical coset table, so any generator list
+    of it is accepted; for any other subgroup the closure is not computed
+    and a ValueError is raised rather than guessing.
     """
     if not _is_int(k) or k < 2 or k % 2 != 0:
         raise ValueError(f"need an even integer k >= 2, got {k!r}")
-    if not _is_preset(gens):
+    table, inv = _enumerated(gens)
+    if all(_enumerated(p)[0] != table for p in PRESETS.values()):
         raise ValueError(f"congruence closure unknown for subgroup {gens.name!r}: "
                          "dim_rho_prim is only defined for the shipped presets")
-    inv = subgroup_invariants(gens)
     full = subgroup_invariants(FULL_GROUP)
     return 2 * (dim_cusp_forms(inv, k + 2) - dim_cusp_forms(full, k + 2))

@@ -24,14 +24,18 @@ def run(capsys, *argv):
 # line each, in this order.  It was written while the adjoint decomposition
 # still kept a dense change of basis, whose rank `sl2 decompose` printed; the
 # rootsys and `sl2 form` lines while positive roots were still built as
-# coordinate tuples.
+# coordinate tuples; the `classify --symplectic` and `sl2 identities` lines
+# while the principal triple was still held as three dense matrices.
 PINNED = Path(__file__).parent / "data" / "cli_json.jsonl"
 PINNED_COMMANDS = ([("classify", "--k", str(k), "--json") for k in range(2, 33)]
                    + [("sl2", "--k", str(k), "decompose", "--json") for k in range(2, 13)]
                    + [("rootsys", "--type", t, "--rank", str(n), action, "--json")
                       for t in SIMPLE_TYPES for n in range(1, 13) if _valid_type(t, n)
                       for action in ("exponents", "dim")]
-                   + [("sl2", "--k", str(k), "form", "--json") for k in range(2, 13)])
+                   + [("sl2", "--k", str(k), "form", "--json") for k in range(2, 13)]
+                   + [("classify", "--k", str(k), "--symplectic", "--json")
+                      for k in range(2, 13, 2)]
+                   + [("sl2", "--k", str(k), "identities", "--json") for k in range(2, 13)])
 
 
 class TestPinnedJsonOutputs:

@@ -11,8 +11,7 @@ import pytest
 
 import katzmod
 from katzmod import verify
-from katzmod.linalg import (Matrix, bracket, rank, solve_homogeneous, solve_linear,
-                            nilpotency_data)
+from katzmod.linalg import Matrix, bracket, rank, solve_homogeneous, solve_linear
 from katzmod.sl2 import (Sl2Triple, principal_triple, decompose_adjoint,
                          project_to_blocks, bracket_support, verify_bracket_identity,
                          invariant_bilinear_form, form_kernel, _strip_bracket)
@@ -20,6 +19,19 @@ from katzmod.sl2 import (Sl2Triple, principal_triple, decompose_adjoint,
 
 # Reference implementations: the dense, ungraded algorithms the graded sl2
 # layer replaced.  The tests below compare the two on small k.
+
+def strip_matrix(k, d, strip):
+    """The k x k Matrix with the given strip on the diagonal d, zero elsewhere."""
+    entries = [0] * (k * k)
+    for i, v in zip(range(max(0, -d), min(k, k - d)), strip):
+        entries[i * k + i + d] = v
+    return Matrix(k, k, entries)
+
+
+def dense_triple(t):
+    """The strips x, h, y of a triple as dense Matrices, for the dense oracles."""
+    return strip_matrix(t.k, 1, t.x), strip_matrix(t.k, 0, t.h), strip_matrix(t.k, -1, t.y)
+
 
 def mat_power(m, e):
     """m^e for a square matrix m and e >= 0, by repeated dense products."""
@@ -31,15 +43,7 @@ def mat_power(m, e):
 
 def dense_basis(dec, r):
     """The basis ad(y)^i x^r of U_r as dense matrices: strip i on the diagonal r - i."""
-    k = dec.k
-    out = []
-    for i, strip in enumerate(dec.block(r).strips):
-        d = r - i
-        entries = [0] * (k * k)
-        for row, v in zip(range(max(0, -d), min(k, k - d)), strip):
-            entries[row * k + row + d] = v
-        out.append(Matrix(k, k, entries))
-    return out
+    return [strip_matrix(dec.k, r - i, strip) for i, strip in enumerate(dec.block(r).strips)]
 
 
 def dense_elementary_coordinates(m):
@@ -57,11 +61,12 @@ def dense_elementary_coordinates(m):
 def dense_block_basis(t):
     """ad(y)^i x^r for r = 1..k-1 and i = 0..2r, in that order, by dense
     matrix products and brackets."""
+    x, _, y = dense_triple(t)
     out = []
     for r in range(1, t.k):
-        out.append(mat_power(t.x, r))
+        out.append(mat_power(x, r))
         for _ in range(2 * r):
-            out.append(bracket(t.y, out[-1]))
+            out.append(bracket(y, out[-1]))
     return out
 
 
@@ -105,9 +110,9 @@ def exhaustive_bracket_support(dec, r, s):
 
 @dataclass(frozen=True)
 class SymPowerModel:
-    """Images of the sl2 basis under Sym^(k-1), plus the diagonal matrix D
-    conjugating this model onto principal_triple(k): D m D^-1 maps x,h,y
-    of the symmetric-power model to those of the principal model."""
+    """Images of the sl2 basis under Sym^(k-1), as strips, plus the diagonal
+    matrix D conjugating this model onto principal_triple(k): D m D^-1 maps
+    x,h,y of the symmetric-power model to those of the principal model."""
     triple: Sl2Triple
     witness: Matrix
 
@@ -120,29 +125,14 @@ def sym_power_rep(k):
     h: diag(k-1, k-3, ..., -(k-1)).  The conjugating witness is the diagonal
     of factorials D = diag(0!, 1!, ..., (k-1)!).
     """
-    x = Matrix.zeros(k)
-    y = Matrix.zeros(k)
-    xd, yd = list(x.entries), list(y.entries)
-    for i in range(k - 1):
-        xd[i * k + i + 1] = Fraction(i + 1)       # e . X^(k-1-j) Y^j = j X^(k-j) Y^(j-1)
-        yd[(i + 1) * k + i] = Fraction(k - 1 - i)  # f . X^(k-1-j) Y^j = (k-1-j) X^(k-2-j) Y^(j+1)
-    x = Matrix(k, k, xd)
-    y = Matrix(k, k, yd)
-    h = Matrix.diagonal([k - 1 - 2 * i for i in range(k)])
+    x = tuple(range(1, k))          # e . X^(k-1-j) Y^j = j X^(k-j) Y^(j-1)
+    y = tuple(range(k - 1, 0, -1))  # f . X^(k-1-j) Y^j = (k-1-j) X^(k-2-j) Y^(j+1)
+    h = tuple(range(k - 1, -k, -2))
     fact = [1]
     for i in range(1, k):
         fact.append(fact[-1] * i)
     witness = Matrix.diagonal(fact)
     return SymPowerModel(Sl2Triple(k, x, h, y), witness)
-
-
-def ungraded_triple():
-    """principal_triple(3) conjugated by 1 + E_01, which moves x and y off
-    their single diagonals."""
-    t = principal_triple(3)
-    g = Matrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
-    gi = Matrix.from_rows([[1, -1, 0], [0, 1, 0], [0, 0, 1]])
-    return Sl2Triple(3, g * t.x * gi, g * t.h * gi, g * t.y * gi).validate()
 
 
 def dense_form_kernel(mats, k):
@@ -222,24 +212,46 @@ def dense_bracket_support(dec, r, s):
 class TestPrincipalTriple:
     def test_k2_is_standard_sl2(self):
         t = principal_triple(2)
-        assert t.x == Matrix.from_rows([[0, 1], [0, 0]])
-        assert t.h == Matrix.diagonal([1, -1])
-        assert t.y == Matrix.from_rows([[0, 0], [1, 0]])
+        assert (t.x, t.h, t.y) == ((1,), (1, -1), (1,))
+        assert dense_triple(t) == (Matrix.from_rows([[0, 1], [0, 0]]), Matrix.diagonal([1, -1]),
+                                   Matrix.from_rows([[0, 0], [1, 0]]))
 
     def test_k3_solves_bracket_equation(self):
         # oracle: with x fixed, solve [x, y] = h for the subdiagonal of y
         t = principal_triple(3)
-        assert t.h == Matrix.diagonal([2, 0, -2])
+        assert t.h == (2, 0, -2)
         # unknowns y10, y21: bracket(x, y) diagonal = (y10, y21 - y10, -y21)
         sys = Matrix.from_rows([[1, 0], [-1, 1], [0, -1]])
-        sol = solve_linear(sys, [t.h[0, 0], t.h[1, 1], t.h[2, 2]])
+        sol = solve_linear(sys, list(t.h))
         assert sol == [Fraction(2), Fraction(2)]
-        assert t.y[1, 0] == 2 and t.y[2, 1] == 2
+        assert t.y == (2, 2)
 
     def test_k5_single_block(self):
-        t = principal_triple(5)
-        data = nilpotency_data(t.x)
-        assert data.is_nilpotent and data.index == 5 and data.single_block
+        x = dense_triple(principal_triple(5))[0]
+        assert not mat_power(x, 4).is_zero() and mat_power(x, 5).is_zero()
+
+    def test_one_block_against_dense_powers(self):
+        # the strip check "no x entry is 0" against x^(k-1) != 0 = x^k
+        for k in range(2, 13):
+            t = principal_triple(k).validate()
+            x = dense_triple(t)[0]
+            assert not mat_power(x, k - 1).is_zero() and mat_power(x, k).is_zero(), k
+        # two copies of the standard sl2 in sl_4: every relation holds, but x
+        # has two Jordan blocks
+        t = Sl2Triple(4, (1, 0, 1), (1, -1, 1, -1), (1, 0, 1))
+        assert mat_power(dense_triple(t)[0], 3).is_zero()
+        with pytest.raises(ValueError, match="x is not a one-block nilpotent"):
+            t.validate()
+
+    def test_each_relation_checked(self):
+        t = principal_triple(4)
+        for bad, failure in (
+                (Sl2Triple(4, t.x, tuple(2 * v for v in t.h), t.y), "[h, x] != 2x"),
+                (Sl2Triple(4, (1, 0, 1), (1, -1, 1, -1), (1, 1, 1)), "[h, y] != -2y"),
+                (Sl2Triple(4, t.x, t.h, tuple(2 * v for v in t.y)), "[x, y] != h")):
+            with pytest.raises(ValueError) as info:
+                bad.validate()
+            assert str(info.value) == f"not a principal sl2-triple: {failure}"
 
     def test_defining_relations_and_traces(self):
         for k in range(2, 9):
@@ -258,7 +270,7 @@ class TestPrincipalTriple:
         # the relation checks are explicit raises, so they survive python -O
         code = ("from katzmod.sl2 import Sl2Triple, principal_triple\n"
                 "t = principal_triple(3)\n"
-                "Sl2Triple(3, t.x, t.h.scale(2), t.y).validate()\n")
+                "Sl2Triple(3, t.x, tuple(2 * v for v in t.h), t.y).validate()\n")
         src = os.path.dirname(os.path.dirname(os.path.abspath(katzmod.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
@@ -269,28 +281,23 @@ class TestPrincipalTriple:
 
 class TestSymPowerRep:
     def test_k2_identity_functor(self):
-        model = sym_power_rep(2)
-        t = principal_triple(2)
-        assert model.triple.x == t.x and model.triple.h == t.h and model.triple.y == t.y
+        assert sym_power_rep(2).triple == principal_triple(2)
 
     def test_k3_weights(self):
-        assert sym_power_rep(3).triple.h == Matrix.diagonal([2, 0, -2])
+        assert sym_power_rep(3).triple.h == (2, 0, -2)
 
     def test_k6_eigenvalues_distinct(self):
-        h = sym_power_rep(6).triple.h
-        diag = [h[i, i] for i in range(6)]
+        diag = list(sym_power_rep(6).triple.h)
         assert sorted(diag, reverse=True) == [5, 3, 1, -1, -3, -5]
         assert len(set(diag)) == 6
 
     def test_conjugacy_witness(self):
         for k in range(2, 9):
             model = sym_power_rep(k)
-            t = principal_triple(k)
             d = model.witness
             dinv = Matrix.diagonal([1 / d[i, i] for i in range(k)])
-            assert d * model.triple.x * dinv == t.x
-            assert d * model.triple.h * dinv == t.h
-            assert d * model.triple.y * dinv == t.y
+            for m, want in zip(dense_triple(model.triple), dense_triple(principal_triple(k))):
+                assert d * m * dinv == want
 
     def test_relations(self):
         for k in (3, 5, 8):
@@ -324,8 +331,16 @@ class TestAdjointDecomposition:
             assert len(dec.diagonal_bases()) == 2 * k - 1
 
     def test_ungraded_triple_rejected(self):
-        with pytest.raises(ValueError):
-            decompose_adjoint(ungraded_triple())
+        # an ungraded triple cannot be built: the constructor takes one strip
+        # per diagonal and refuses strips of the wrong length, or a matrix
+        t = principal_triple(3)
+        for x, h, y in (((1, 1, 1), t.h, t.y), (t.x, (2, -2), t.y), (t.x, t.h, ()),
+                        (dense_triple(t)[0], t.h, t.y)):
+            with pytest.raises(ValueError, match="must be a list of"):
+                Sl2Triple(3, x, h, y)
+        for k in (1, 3.0, True):
+            with pytest.raises(ValueError, match="integer k >= 2"):
+                Sl2Triple(k, t.x, t.h, t.y)
 
     def test_sym_power_triple_dimensions(self):
         # the Sym^(k-1) triple is graded with x not all ones
@@ -348,11 +363,8 @@ class TestAdjointDecomposition:
                     rs = range(max(abs(d), 1), k)
                     assert rows.rows == len(rs) and rows.cols == k - abs(d)
                     for r, row in zip(rs, rows.row_lists()):
-                        entries = [0] * (k * k)
-                        for i, v in zip(range(max(0, -d), min(k, k - d)), row):
-                            entries[i * k + i + d] = v
                         col = r * r - 1 + r - d
-                        assert dense_elementary_coordinates(Matrix(k, k, entries)) == \
+                        assert dense_elementary_coordinates(strip_matrix(k, d, row)) == \
                             [cob[i, col] for i in range(k * k - 1)], (k, d, r)
 
     def test_dependent_strip_lowers_the_rank(self):
@@ -385,44 +397,49 @@ class TestAdjointDecomposition:
         # highest weight killed by ad x; h-weights 2r-2i; lowest killed by ad y
         for k in (3, 5, 6):
             t = principal_triple(k)
+            x, h, y = dense_triple(t)
             dec = decompose_adjoint(t)
             for block in dec.blocks:
                 r = block.r
                 basis = dense_basis(dec, r)
-                assert bracket(t.x, basis[0]).is_zero()
+                assert bracket(x, basis[0]).is_zero()
                 for i, v in enumerate(basis):
-                    assert bracket(t.h, v) == v.scale(2 * r - 2 * i)
-                assert bracket(t.y, basis[2 * r]).is_zero()
+                    assert bracket(h, v) == v.scale(2 * r - 2 * i)
+                assert bracket(y, basis[2 * r]).is_zero()
 
 
 class TestProjectToBlocks:
     def test_x_projects_to_block_one(self):
         t = principal_triple(4)
         dec = decompose_adjoint(t)
-        comps = project_to_blocks(dec, t.x)
-        assert comps[1] == t.x
+        x = dense_triple(t)[0]
+        comps = project_to_blocks(dec, x)
+        assert comps[1] == x
         assert all(comps[r].is_zero() for r in comps if r != 1)
 
     def test_x_squared_projects_to_block_two(self):
         t = principal_triple(4)
         dec = decompose_adjoint(t)
-        comps = project_to_blocks(dec, mat_power(t.x, 2))
-        assert comps[2] == mat_power(t.x, 2)
+        x2 = mat_power(dense_triple(t)[0], 2)
+        comps = project_to_blocks(dec, x2)
+        assert comps[2] == x2
         assert all(comps[r].is_zero() for r in comps if r != 2)
 
     def test_h_projects_to_block_one(self):
         # oracle: h = -ad(y) x, the second basis vector of U_1 negated
         t = principal_triple(5)
         dec = decompose_adjoint(t)
-        assert t.h == -dense_basis(dec, 1)[1]
-        comps = project_to_blocks(dec, t.h)
-        assert comps[1] == t.h
+        h = dense_triple(t)[1]
+        assert h == -dense_basis(dec, 1)[1]
+        comps = project_to_blocks(dec, h)
+        assert comps[1] == h
         assert all(comps[r].is_zero() for r in comps if r != 1)
 
     def test_components_sum_to_input(self):
         t = principal_triple(5)
         dec = decompose_adjoint(t)
-        m = mat_power(t.x, 2) + t.y.scale(3) + t.h + mat_power(t.y, 3).scale(Fraction(1, 2))
+        x, h, y = dense_triple(t)
+        m = mat_power(x, 2) + y.scale(3) + h + mat_power(y, 3).scale(Fraction(1, 2))
         comps = project_to_blocks(dec, m)
         total = Matrix.zeros(5)
         for c in comps.values():
@@ -501,25 +518,33 @@ class TestBracketSupport:
         with pytest.raises(ValueError):
             bracket_support(dec, 4, 1)
 
+    def test_float_or_bool_r_s_rejected(self):
+        # refused by name, never coerced: True would otherwise read as 1
+        dec = decompose_adjoint(principal_triple(4))
+        for r, s, name in ((2.0, 1, "r"), (True, 1, "r"), (2, 1.0, "s"), (2, True, "s")):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+                bracket_support(dec, r, s)
+
 
 class TestBracketIdentity:
     def test_k3_base_case(self):
         # direct computation oracle: [x, [y, x]] = [x, -h] = 2x
         t = principal_triple(3)
-        lhs = bracket(t.x, bracket(t.y, t.x))
-        assert lhs == t.x.scale(2)
+        x, _, y = dense_triple(t)
+        assert bracket(x, bracket(y, x)) == x.scale(2)
         assert verify_bracket_identity(t, 1, 1)
 
     def test_k5_coefficient_eight(self):
         t = principal_triple(5)
+        x, _, y = dense_triple(t)
         assert verify_bracket_identity(t, 2, 2)
-        assert (bracket(mat_power(t.x, 2), bracket(t.y, mat_power(t.x, 2)))
-                == mat_power(t.x, 3).scale(8))
+        assert bracket(mat_power(x, 2), bracket(y, mat_power(x, 2))) == mat_power(x, 3).scale(8)
 
     def test_k4_coefficient_six(self):
         t = principal_triple(4)
+        x, _, y = dense_triple(t)
         assert verify_bracket_identity(t, 3, 1)
-        assert bracket(mat_power(t.x, 3), bracket(t.y, t.x)) == mat_power(t.x, 3).scale(6)
+        assert bracket(mat_power(x, 3), bracket(y, x)) == mat_power(x, 3).scale(6)
 
     def test_all_pairs_small_k(self):
         for k in range(2, 9):
@@ -538,19 +563,30 @@ class TestBracketIdentity:
         # 2rs), so both answers occur
         for k in range(2, 9):
             t = principal_triple(k)
-            doubled = Sl2Triple(k, t.x, t.h, t.y.scale(2))
+            doubled = Sl2Triple(k, t.x, t.h, tuple(2 * v for v in t.y))
             for triple, holds in ((t, True), (sym_power_rep(k).triple, True), (doubled, False)):
+                x, _, y = dense_triple(triple)
                 for r in range(1, k):
                     for s in range(1, k - r + 1):
-                        x, y = triple.x, triple.y
                         dense = (bracket(mat_power(x, r), bracket(y, mat_power(x, s)))
                                  == mat_power(x, r + s - 1).scale(2 * r * s))
                         assert dense == holds
                         assert verify_bracket_identity(triple, r, s) == dense, (k, r, s)
 
     def test_ungraded_triple_rejected(self):
-        with pytest.raises(ValueError):
-            verify_bracket_identity(ungraded_triple(), 1, 1)
+        # an ungraded triple cannot be built, nor one with entries that are
+        # not ints: floats, bools and Fractions are refused, not coerced
+        t = principal_triple(3)
+        for x, h, y in (((1.0, 1), t.h, t.y), (t.x, (2, 0, -2.0), t.y), ((True, 1), t.h, t.y),
+                        (t.x, t.h, (Fraction(2), 2)), (t.x, t.h, (2, Fraction(1, 2)))):
+            with pytest.raises(ValueError, match="entry .* is not an integer"):
+                Sl2Triple(3, x, h, y)
+
+    def test_float_or_bool_r_s_rejected(self):
+        t = principal_triple(4)
+        for r, s, name in ((1.0, 1, "r"), (True, 1, "r"), (1, 2.0, "s"), (1, True, "s")):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+                verify_bracket_identity(t, r, s)
 
 
 class TestInvariantBilinearForm:
@@ -565,7 +601,7 @@ class TestInvariantBilinearForm:
         # of B and compute its kernel independently
         t = principal_triple(3)
         rows = []
-        for m in (t.x, t.h, t.y):
+        for m in dense_triple(t):
             mt = m.transpose()
             for a in range(3):
                 for b in range(3):
@@ -609,7 +645,7 @@ class TestInvariantBilinearForm:
         for k in (3, 4, 6):
             t = principal_triple(k)
             b = invariant_bilinear_form(t).form
-            for m in (t.x, t.h, t.y):
+            for m in dense_triple(t):
                 assert (m.transpose() * b + b * m).is_zero()
 
 
@@ -618,9 +654,9 @@ class TestFormKernelPropagation:
         # imposing m^T B + B m = 0 on generators forces it on their brackets
         for k in (3, 4, 5):
             t = principal_triple(k)
-            for b in form_kernel([t.h, t.x, t.y], k):
-                for m in (bracket(t.x, t.y), bracket(t.x, bracket(t.x, t.y)),
-                          bracket(t.y, bracket(t.x, t.y))):
+            x, _, y = dense_triple(t)
+            for b in form_kernel([(0, t.h), (1, t.x), (-1, t.y)], k):
+                for m in (bracket(x, y), bracket(x, bracket(x, y)), bracket(y, bracket(x, y))):
                     assert (m.transpose() * b + b * m).is_zero()
 
 
@@ -628,18 +664,33 @@ class TestFormKernelAgainstDense:
     @staticmethod
     def generator_lists(k):
         t = principal_triple(k)
-        d = Matrix.diagonal([1, -1] + [0] * (k - 2))
+        h, x, y, d = (0, t.h), (1, t.x), (-1, t.y), (0, [1, -1] + [0] * (k - 2))
         return {
-            "h, x, y": [t.h, t.x, t.y],
-            "h, x, y, E00-E11": [t.h, t.x, t.y, d],
-            "x, y (first not diagonal)": [t.x, t.y],
-            "E00-E11, x, y (diagonal, not h)": [d, t.x, t.y],
+            "h, x, y": [h, x, y],
+            "h, x, y, E00-E11": [h, x, y, d],
+            "E00-E11, x, y (diagonal, not h)": [d, x, y],
         }
 
     def test_same_span_as_dense_kernel(self):
         for k in range(2, 9):
             for name, mats in self.generator_lists(k).items():
-                assert same_span(form_kernel(mats, k), dense_form_kernel(mats, k)), (k, name)
+                dense = [strip_matrix(k, d, strip) for d, strip in mats]
+                assert same_span(form_kernel(mats, k), dense_form_kernel(dense, k)), (k, name)
+
+    def test_ungraded_or_empty_input_rejected(self):
+        t = principal_triple(4)
+        h, x, y = (0, t.h), (1, t.x), (-1, t.y)
+        for mats, message in (
+                ([x, y], "diagonal .* first"),  # the first is not diagonal
+                ([], "diagonal .* first"),
+                ([h, dense_triple(t)[0]], "graded"),  # a dense matrix
+                ([h, (4, ())], "graded"),  # no diagonal 4 in sl_4
+                ([h, (1.0, t.x)], "graded"),
+                ([h, (1, t.x + (1,))], "must be a list of 3 integers"),
+                ([h, (1, (1, 1.0, 1))], "is not an integer"),
+                ([(0, (Fraction(3), 1, -1, -3)), x], "is not an integer")):
+            with pytest.raises(ValueError, match=message):
+                form_kernel(mats, 4)
 
 
 class TestStripSolverRoundTrip:

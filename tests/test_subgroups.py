@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import katzmod
+import katzmod.verify
 from katzmod.subgroups import (GeneratorSet, matrix_to_word, coset_enumerate,
                                invariants, congruence_test, dim_cusp_forms,
                                dim_rho_prim, subgroup_invariants, load_generator_file,
@@ -31,6 +32,11 @@ CONGRUENCE_GROUPS = {
 T_INV_MAT = (1, -1, 0, 1)
 # the coset machine's letters s = 0, u = ST = 1, u^-1 = 2 as matrices
 LETTER_MATS = (S_MAT, mat_mul(S_MAT, T_MAT), mat_mul(T_INV_MAT, S_MAT))
+
+
+def inverse(m):
+    a, b, c, d = m
+    return (d, -b, -c, a)
 
 
 def eq_up_to_sign(a, b):
@@ -807,6 +813,47 @@ class TestDimRhoPrim:
         other = GeneratorSet("gamma2", [(1, 2, 0, 1), (1, 0, 2, 1)])
         with pytest.raises(ValueError, match="congruence closure unknown"):
             dim_rho_prim(other, 2)
+
+    @staticmethod
+    def presentations(name):
+        """Other generator lists of the same preset subgroup."""
+        g = PRESETS[name].generators
+        return {
+            "redundant": g + (mat_mul(g[0], g[1]),),
+            "inverted": tuple(inverse(m) for m in g),
+            "reordered": g[::-1],
+            "redundant, inverted, reordered": (mat_mul(g[1], g[0]),) + tuple(map(inverse, g))[::-1],
+        }
+
+    def test_any_presentation_of_a_preset(self):
+        # the answer must not depend on how the subgroup is presented
+        for name in PRESETS:
+            want = [dim_rho_prim(PRESETS[name], k) for k in (2, 6, 20)]
+            for how, gens in self.presentations(name).items():
+                other = GeneratorSet(f"{name}, {how}", list(gens))
+                assert subgroup_invariants(other) == subgroup_invariants(PRESETS[name])
+                assert [dim_rho_prim(other, k) for k in (2, 6, 20)] == want, (name, how)
+
+    def test_conjugate_of_a_preset_rejected(self):
+        # same invariants, different subgroup: joined with gamma43 it
+        # generates a subgroup of smaller index, so it is not contained in it
+        g = PRESETS["gamma43"].generators
+        for c in (T_MAT, S_MAT, (1, 0, 1, 1)):
+            conj = GeneratorSet("conjugate", [mat_mul(mat_mul(inverse(c), m), c) for m in g])
+            assert subgroup_invariants(conj) == subgroup_invariants(PRESETS["gamma43"])
+            assert coset_enumerate(GeneratorSet("join", list(g + conj.generators))).index < 7
+            with pytest.raises(ValueError, match="congruence closure unknown"):
+                dim_rho_prim(conj, 2)
+
+    def test_dimension_section_enumerates_each_subgroup_once(self, monkeypatch):
+        monkeypatch.setattr(katzmod.subgroups, "_INVARIANTS_CACHE", {})
+        monkeypatch.delenv("KATZMOD_COSET_CAP", raising=False)
+        calls = []
+        real = katzmod.subgroups.coset_enumerate
+        monkeypatch.setattr(katzmod.subgroups, "coset_enumerate",
+                            lambda gens, cap=None: calls.append(gens.name) or real(gens, cap))
+        assert all(row.ok for row in katzmod.verify.check_dimension())
+        assert sorted(calls) == sorted(list(PRESETS) + [FULL_GROUP.name])
 
     def test_odd_k_rejected(self):
         for k in [3, 4.0, True]:
