@@ -17,7 +17,6 @@ singles out the symplectic algebra, so the connected monodromy group is the
 full group of symplectic similitudes GSp_k.
 """
 
-from fractions import Fraction
 from dataclasses import dataclass
 
 from .sl2 import principal_triple, invariant_bilinear_form, form_kernel
@@ -290,13 +289,14 @@ def frobenius_dimension_check(w, k):
 
     The scalar on the one-dimensional inertia-invariant line has magnitude
     exponent e = (w - k + 1)/2; a k'-dimensional invariant subspace would
-    force e = (w - k' + 1)/2, so only k' = k survives.  Returned as the full
-    filtered list, which is always exactly [k].
+    force e = (w - k' + 1)/2, so only k' = k survives (the integers 2e are
+    compared).  Returned as the full filtered list, which is always exactly
+    [k].
     """
     for name, x in (("w", w), ("k", k)):
         if not isinstance(x, int) or isinstance(x, bool):
             raise ValueError(f"{name} must be an integer, got {x!r}")
     if k < 1:
         raise ValueError("need k >= 1")
-    e = Fraction(w - k + 1, 2)
-    return [kp for kp in range(1, k + 1) if Fraction(w - kp + 1, 2) == e]
+    two_e = w - k + 1
+    return [kp for kp in range(1, k + 1) if w - kp + 1 == two_e]

@@ -81,7 +81,7 @@ def cmd_sl2(args):
         dec = decompose_adjoint(t)
         dims = [len(b.strips) for b in dec.blocks]
         doc = {"k": k, "block_dimensions": dims, "total": sum(dims),
-               "change_of_basis_rank": sum(map(rank, dec.diagonal_bases()))}
+               "change_of_basis_rank": sum(rank(rows, n) for rows, n in dec.diagonal_bases())}
         _print(doc, args.json, [
             f"adjoint decomposition of sl_{k}: blocks U_1 .. U_{k - 1}",
             f"  dimensions: {', '.join(map(str, dims))} (sum {sum(dims)} = {k * k - 1})",

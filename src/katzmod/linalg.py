@@ -1,12 +1,12 @@
-"""Dense matrices over the rationals, with exact elimination.
+"""Exact linear algebra over the rationals: elimination on rows, dense matrices.
 
-Everything here is exact: entries are `fractions.Fraction` values (arbitrary
-precision, always in lowest terms with positive denominator), and there is no
-tolerance parameter anywhere.  Rank, kernels and solves share one
-fraction-free Gauss-Jordan elimination on integer rows (each rational row
-times the lcm of its denominators), which leaves rows alone where the pivot
-column is zero and so is fast on the sparse structured systems that arise
-here; Fractions appear only when results are read off the reduced rows.
+Everything here is exact, with no tolerance parameter anywhere.  Rank, kernels
+and solves share one fraction-free Gauss-Jordan elimination on integer rows
+(each row of ints or `fractions.Fraction`s times the lcm of its denominators),
+which leaves rows alone where the pivot column is zero and so is fast on the
+sparse structured systems that arise here.  `rank` and `solve_homogeneous`
+take rows and their column count, and read a kernel basis in integers.
+`Matrix` is a dense matrix of Fractions, with rows `m.row_lists()`.
 """
 
 from fractions import Fraction
@@ -17,12 +17,14 @@ class DimensionError(ValueError):
     """Shapes do not match the operation."""
 
 
+def _exact(x):
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise TypeError(f"matrix entries must be exact rationals, got {type(x).__name__}")
+    return x
+
+
 def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    raise TypeError(f"matrix entries must be exact rationals, got {type(x).__name__}")
+    return x if isinstance(x, Fraction) else Fraction(_exact(x))
 
 
 class Matrix:
@@ -63,10 +65,6 @@ class Matrix:
         for i, x in enumerate(diag):
             m._d[i * n + i] = _as_fraction(x)
         return m
-
-    @classmethod
-    def column(cls, entries):
-        return cls(len(entries), 1, list(entries))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -157,11 +155,13 @@ def bracket(a, b):
     return a * b - b * a
 
 
-def _integer_rows(rows):
-    """Each row of ints and Fractions times the lcm of its denominators."""
+def _integer_rows(rows, ncols):
+    """Each row, checked to hold ncols ints or Fractions, times the lcm of its denominators."""
     out = []
     for row in rows:
-        den = lcm(*(x.denominator for x in row))
+        if len(row) != ncols:
+            raise DimensionError(f"a row of {len(row)} entries in a system of {ncols} columns")
+        den = lcm(*(_exact(x).denominator for x in row))
         out.append([x.numerator * (den // x.denominator) for x in row])
     return out
 
@@ -199,30 +199,27 @@ def _gauss_jordan(rows, ncols):
     return pivots
 
 
-def rank(m):
-    """Rank over Q: the number of pivots of the integer elimination."""
-    return len(_gauss_jordan(_integer_rows(m.row_lists()), m.cols))
+def rank(rows, ncols):
+    """Rank over Q of rows of ncols ints or Fractions: the number of pivots."""
+    return len(_gauss_jordan(_integer_rows(rows, ncols), ncols))
 
 
-def solve_homogeneous(m):
-    """Basis of the right kernel of m, as a list of column vectors.
-
-    Empty list exactly when the kernel is zero.  The basis vector for a free
-    column has a 1 there, 0 in the other free columns, and minus the reduced
-    row echelon entries in the pivot columns.
+def solve_homogeneous(rows, ncols):
+    """Basis of {v : row . v = 0 for each row}, for rows as in `rank`; empty
+    exactly when the kernel is zero.  One vector per free column, a list of
+    ncols ints: the least positive multiple of the reduced row echelon vector
+    (1 there, 0 in the other free columns) that is integral, so primitive.
     """
-    rows = _integer_rows(row for row in m.row_lists() if any(row))
-    pivots = _gauss_jordan(rows, m.cols)
-    pivot_set = set(pivots)
+    rows = _integer_rows(rows, ncols)
+    pivots = _gauss_jordan(rows, ncols)
     basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * m.cols
-        vec[free] = Fraction(1)
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        scale = lcm(*(abs(row[c]) // gcd(row[c], row[free]) for row, c in zip(rows, pivots)))
+        vec = [0] * ncols
+        vec[free] = scale
         for row, c in zip(rows, pivots):
-            vec[c] = Fraction(-row[free], row[c])
-        basis.append(Matrix.column(vec))
+            vec[c] = -row[free] * scale // row[c]
+        basis.append(vec)
     return basis
 
 
@@ -235,8 +232,8 @@ def solve_linear(m, rhs):
     if len(rhs) != m.rows:
         raise DimensionError(f"right-hand side has {len(rhs)} entries, "
                              f"a {m.rows}x{m.cols} system needs {m.rows}")
-    rows = _integer_rows(row + [_as_fraction(r)] for row, r in zip(m.row_lists(), rhs))
     ncols = m.cols
+    rows = _integer_rows((row + [r] for row, r in zip(m.row_lists(), rhs)), ncols + 1)
     pivots = _gauss_jordan(rows, ncols)
     if any(row[ncols] for row in rows[len(pivots):]):
         return None

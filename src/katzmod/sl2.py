@@ -24,11 +24,13 @@ sum of the ranks of its diagonals.  A bracket support needs only the
 brackets of the top vector x^r of U_r with U_s, because x^r (x) U_s generates
 U_r (x) U_s as an sl2-module.  An h-invariant bilinear form lives on the
 entries with h_a + h_b = 0 (the antidiagonal), which is where `form_kernel`
-starts: its inputs are strips too, h first.
+starts, from strips, h first; the invariant form is its antidiagonal strip.
+Only `project_to_blocks`, on whole matrices, builds a dense Matrix.
 """
 
 from fractions import Fraction
 from dataclasses import dataclass
+from math import gcd
 
 from .linalg import Matrix, _gauss_jordan, solve_homogeneous
 from .linalg import rank  # noqa: F401  (perfbench's tracer checks it is rebound here too)
@@ -70,8 +72,8 @@ class Sl2Triple:
     def validate(self):
         """Check the defining relations; raises ValueError on the first failure.
 
-        x and y lie off the diagonal, so the trace is that of h; x^(k-1) is
-        the product of x's entries on the corner E_(0,k-1), so x is a
+        Once [x, y] = h holds, h is a commutator and so traceless.  x^(k-1)
+        is the product of x's entries on the corner E_(0,k-1), so x is a
         one-block nilpotent exactly when none of them is 0.
         """
         k, x, h, y = self.k, self.x, self.h, self.y
@@ -79,7 +81,6 @@ class Sl2Triple:
             (_strip_bracket(k, 0, h, 1, x) == [2 * v for v in x], "[h, x] != 2x"),
             (_strip_bracket(k, 0, h, -1, y) == [-2 * v for v in y], "[h, y] != -2y"),
             (_strip_bracket(k, 1, x, -1, y) == list(h), "[x, y] != h"),
-            (sum(h) == 0, "x, h, y not all traceless"),
             (all(x), "x is not a one-block nilpotent"),
         )
         for ok, failure in checks:
@@ -133,11 +134,11 @@ class AdjointDecomposition:
         return self.solvers[d + self.k - 1]
 
     def diagonal_bases(self):
-        """For each diagonal d = -(k-1) .. k-1, the basis strips on d as the
-        rows of a Matrix, one row per U_r in that diagonal's solver.  Vectors
-        on different diagonals have disjoint supports, so the ranks of these
-        matrices add up to the rank of the whole block basis."""
-        return [Matrix.from_rows([self.block(r).strips[r - d] for r in self.solver(d).rs])
+        """For each diagonal d = -(k-1) .. k-1, what linalg.rank reads: the
+        basis strips on d as integer rows, one per U_r in the solver of d, and
+        their length k - |d|.  Vectors on different diagonals have disjoint
+        supports, so these ranks add up to the rank of the whole basis."""
+        return [([self.block(r).strips[r - d] for r in self.solver(d).rs], self.k - abs(d))
                 for d in range(1 - self.k, self.k)]
 
 
@@ -306,7 +307,7 @@ def verify_bracket_identity(t, r, s):
 
 
 def form_kernel(mats, k):
-    """Basis of { B : m^T B + B m = 0 for all m in mats }, as k x k matrices.
+    """Basis of { B : m^T B + B m = 0 for all m in mats }, as {(a, b): int}.
 
     Each m is graded, given as (d, strip): the integer strip of m on the
     diagonal d.  The first must be diagonal (d = 0) and starts the kernel:
@@ -314,11 +315,11 @@ def form_kernel(mats, k):
     D_aa + D_bb = 0 (for h, the k antidiagonal ones).  An empty list, or any
     input that is not graded this way, raises ValueError.  The kernel is then
     refined one matrix at a time: the solution space is kept as a list of
-    basis forms, each a sparse combination of the E_ab, and each new
-    condition becomes a small linear system in the basis coefficients; a
-    strip on the diagonal d sends E_ab to one term per side.  The invariance
-    condition propagates to Lie brackets, so imposing it on a generating set
-    imposes it on the whole generated algebra.
+    basis forms, each a sparse integer combination of the E_ab holding its
+    nonzero entries, and each new condition becomes a small linear system in
+    the basis coefficients; a strip on the diagonal d sends E_ab to one term
+    per side.  The invariance condition propagates to Lie brackets, so
+    imposing it on a generating set imposes it on the whole generated algebra.
     """
     graded = []
     for m in mats:
@@ -342,11 +343,8 @@ def form_kernel(mats, k):
                     cond.setdefault((a + d, b), [0] * len(basis))[col] += c * m[a]
                 if b in m:  # E_ab m = m[b, b + d] E_a(b+d)
                     cond.setdefault((a, b + d), [0] * len(basis))[col] += c * m[b]
-        kernel = solve_homogeneous(
-            Matrix(len(cond), len(basis), [x for row in cond.values() for x in row]))
-        basis = [_combine(basis, [v[i, 0] for i in range(len(basis))]) for v in kernel]
-    return [Matrix(k, k, [form.get((a, b), 0) for a in range(k) for b in range(k)])
-            for form in basis]
+        basis = [_combine(basis, v) for v in solve_homogeneous(list(cond.values()), len(basis))]
+    return basis
 
 
 def _combine(forms, coeffs):
@@ -355,12 +353,12 @@ def _combine(forms, coeffs):
         if c:
             for ab, x in form.items():
                 out[ab] = out.get(ab, 0) + c * x
-    return out
+    return {ab: x for ab, x in out.items() if x}
 
 
 @dataclass(frozen=True)
 class BilinearForm:
-    form: Matrix
+    form: tuple  # the antidiagonal strip B[a, k-1-a], a = 0..k-1
     symmetric: bool
 
 
@@ -368,17 +366,20 @@ def invariant_bilinear_form(t):
     """The invariant bilinear form of the triple: the unique (up to scalar)
     B with m^T B + B m = 0 for m in {x, h, y}.
 
-    h comes first, so form_kernel refines only the k antidiagonal forms.
-    Symmetric exactly when k is odd; antisymmetric when k is even (Sym^(k-1)
-    of sl2 is orthogonal or symplectic accordingly).  Raises if the solution
-    space is not 1-dimensional.
+    h comes first, so form_kernel refines only the k antidiagonal forms; B is
+    returned as its antidiagonal strip, primitive, first nonzero entry
+    positive.  B^T is invariant too, so B^T = +-B: symmetric when the strip is
+    a palindrome, else antisymmetric (minus its reversal).  Symmetric exactly
+    when k is odd (Sym^(k-1) of sl2 is orthogonal or symplectic accordingly).
+    Raises unless the solution space is one form on the antidiagonal.
     """
     kernel = form_kernel([(0, t.h), (1, t.x), (-1, t.y)], t.k)
-    if len(kernel) != 1:
-        raise RuntimeError(f"invariant form space has dimension {len(kernel)}, expected 1")
-    b = kernel[0]
-    sym = b == b.transpose()
-    anti = b == -b.transpose()
-    if not (sym or anti):
-        raise RuntimeError("invariant form neither symmetric nor antisymmetric")
-    return BilinearForm(b, sym)
+    if len(kernel) != 1 or any(a + b != t.k - 1 for a, b in kernel[0]):
+        raise RuntimeError(f"invariant form space has dimension {len(kernel)}, "
+                           "expected one form on the antidiagonal")
+    strip = [kernel[0].get((a, t.k - 1 - a), 0) for a in range(t.k)]
+    g = gcd(*strip)
+    if next(v for v in strip if v) < 0:
+        g = -g
+    strip = tuple(v // g for v in strip)
+    return BilinearForm(strip, strip == strip[::-1])

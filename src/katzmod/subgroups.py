@@ -541,15 +541,16 @@ def dim_rho_prim(gens, k):
 
     Only defined for the three shipped presets, whose congruence closure is
     the full modular group (their generator images fill PSL2(Z/level)).  A
-    preset is recognised by its canonical coset table, so any generator list
-    of it is accepted; for any other subgroup the closure is not computed
-    and a ValueError is raised rather than guessing.
+    preset is recognised by its canonical coset table (the presets enumerated
+    at the default cap, whatever cap bounds gens), so any generator list of it
+    is accepted; for any other subgroup the closure is not computed and a
+    ValueError is raised rather than guessing.
     """
     if not _is_int(k) or k < 2 or k % 2 != 0:
         raise ValueError(f"need an even integer k >= 2, got {k!r}")
     table, inv = _enumerated(gens)
-    if all(_enumerated(p)[0] != table for p in PRESETS.values()):
+    if all(_enumerated(p, DEFAULT_COSET_CAP)[0] != table for p in PRESETS.values()):
         raise ValueError(f"congruence closure unknown for subgroup {gens.name!r}: "
                          "dim_rho_prim is only defined for the shipped presets")
-    full = subgroup_invariants(FULL_GROUP)
+    full = subgroup_invariants(FULL_GROUP, DEFAULT_COSET_CAP)
     return 2 * (dim_cusp_forms(inv, k + 2) - dim_cusp_forms(full, k + 2))

@@ -80,7 +80,7 @@ def check_adjoint():
         dec = decompose_adjoint(principal_triple(k))
         dims = [len(b.strips) for b in dec.blocks]
         want = [2 * r + 1 for r in range(1, k)]
-        basis_rank = sum(map(rank, dec.diagonal_bases()))
+        basis_rank = sum(rank(rows, n) for rows, n in dec.diagonal_bases())
         ok = dims == want and sum(dims) == k * k - 1 and basis_rank == k * k - 1
         yield CheckResult("adjoint", f"k={k}: block dimensions and invertible basis",
                           f"{want}, sum {k * k - 1}, rank {k * k - 1}",

@@ -184,6 +184,23 @@ class TestSubgroupCommand:
         with pytest.raises(sg.CosetCapExceeded):
             sg.coset_enumerate(gens)
 
+    def test_dims_under_a_small_cap(self, capsys, tmp_path, monkeypatch):
+        # the cap bounds the subgroup asked about: Gamma_0(2), of index 3, fits
+        # in 12 cosets, and the presets that --dims compares it with are
+        # enumerated at the default cap (--dims used to exit 2 here)
+        monkeypatch.setattr(katzmod.subgroups, "_INVARIANTS_CACHE", {})
+        monkeypatch.setenv("KATZMOD_COSET_CAP", "12")
+        path = tmp_path / "gamma0_2.json"
+        path.write_text(json.dumps({"name": "gamma0_2",
+                                    "generators": [[1, 1, 0, 1], [1, 0, 2, 1]]}))
+        for extra in ((), ("--dims",)):
+            code, out, err = run(capsys, "subgroup", str(path), *extra, "--json")
+            assert (code, err) == (0, ""), extra
+            assert json.loads(out)["index"] == 3
+        # not a preset, so no dim rho_prim; every cusp-form dimension is there
+        dims = json.loads(out)["dims"]
+        assert dims and all(sorted(row) == ["dim_cusp_forms", "k"] for row in dims)
+
     def test_infinite_index_exits_2(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("KATZMOD_COSET_CAP", raising=False)
         path = tmp_path / "thin.json"

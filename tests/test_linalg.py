@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -19,6 +20,24 @@ def superdiagonal_ones(k):
 def random_rational_matrix(rng, n, num=6, den=4):
     return Matrix.from_rows([[Fraction(rng.randint(-num, num), rng.randint(1, den))
                               for _ in range(n)] for _ in range(n)])
+
+
+def rank_of(m):
+    """linalg.rank of a dense Matrix, read through its Fraction rows."""
+    return rank(m.row_lists(), m.cols)
+
+
+def kernel_of(m):
+    """linalg.solve_homogeneous of a dense Matrix, read through its Fraction rows."""
+    return solve_homogeneous(m.row_lists(), m.cols)
+
+
+def primitive(vec):
+    """The rational vector times the least positive scalar that makes it integral."""
+    den = lcm(*(x.denominator for x in vec))
+    ints = [int(x * den) for x in vec]
+    g = gcd(*ints)
+    return [x // g for x in ints]
 
 
 def naive_product(a, b):
@@ -79,26 +98,26 @@ class TestBracket:
 class TestRankAndKernel:
     def test_zero_and_identity(self):
         for k in (1, 3, 5):
-            assert rank(Matrix.zeros(k)) == 0
-            assert rank(Matrix.identity(k)) == k
+            assert rank_of(Matrix.zeros(k)) == 0
+            assert rank_of(Matrix.identity(k)) == k
 
     def test_one_jordan_block_has_corank_one(self):
-        assert rank(superdiagonal_ones(4)) == 3
+        assert rank_of(superdiagonal_ones(4)) == 3
 
     def test_kernel_of_identity_empty(self):
-        assert solve_homogeneous(Matrix.identity(3)) == []
+        assert kernel_of(Matrix.identity(3)) == []
 
     def test_kernel_of_zero_full(self):
-        basis = solve_homogeneous(Matrix.zeros(2))
+        basis = kernel_of(Matrix.zeros(2))
         assert len(basis) == 2
 
     def test_rank_one_kernel(self):
         m = Matrix.from_rows([[1, 1], [1, 1]])
-        basis = solve_homogeneous(m)
+        basis = kernel_of(m)
         assert len(basis) == 1
         v = basis[0]
         # proportional to (1, -1)
-        assert v[0, 0] == -v[1, 0] and v[0, 0] != 0
+        assert v[0] == -v[1] and v[0] != 0
 
     def test_rank_nullity_random(self):
         rng = random.Random(17)
@@ -107,15 +126,36 @@ class TestRankAndKernel:
             c = rng.randint(1, 5)
             m = Matrix.from_rows([[Fraction(rng.randint(-3, 3)) for _ in range(c)]
                                   for _ in range(r)])
-            assert rank(m) + len(solve_homogeneous(m)) == c
+            assert rank_of(m) + len(kernel_of(m)) == c
 
     def test_kernel_vectors_annihilated(self):
         rng = random.Random(19)
         for _ in range(10):
             m = Matrix.from_rows([[Fraction(rng.randint(-3, 3)) for _ in range(4)]
                                   for _ in range(3)])
-            for v in solve_homogeneous(m):
-                assert (m * v).is_zero()
+            for v in kernel_of(m):
+                assert (m * Matrix(len(v), 1, v)).is_zero()
+
+    def test_integer_rows_and_fraction_rows_agree(self):
+        # rows of ints, as the Lie side passes them, and the same rows as
+        # Fractions scaled by 1/6, as a dense Matrix hands them out
+        rng = random.Random(23)
+        for _ in range(20):
+            rows = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(4)]
+            scaled = [[Fraction(x, 6) for x in row] for row in rows]
+            assert rank(rows, 5) == rank(scaled, 5)
+            assert solve_homogeneous(rows, 5) == solve_homogeneous(scaled, 5)
+            assert all(type(x) is int for v in solve_homogeneous(rows, 5) for x in v)
+
+    def test_rows_of_wrong_length_or_inexact_entries_rejected(self):
+        for solve in (rank, solve_homogeneous):
+            with pytest.raises(DimensionError, match="a row of 3 entries in a system of 2 columns"):
+                solve([[1, 0], [1, 0, 0]], 2)
+            with pytest.raises(DimensionError, match="a row of 1 entries"):
+                solve([[1]], 2)
+            for entry in (0.5, True):
+                with pytest.raises(TypeError, match="exact rationals"):
+                    solve([[1, entry]], 2)
 
     def test_solve_linear_consistent(self):
         m = Matrix.from_rows([[2, 0], [0, 3]])
@@ -238,12 +278,14 @@ class TestEliminationAgainstFractionRref:
 
     def test_rank_equals_pivot_count(self):
         for name, _, m in self.matrices():
-            assert rank(m) == len(fraction_rref(m.row_lists(), m.cols)), (name, m)
+            assert rank_of(m) == len(fraction_rref(m.row_lists(), m.cols)), (name, m)
 
     def test_kernel_basis_vector_for_vector(self):
+        # the integer basis vector is the reference one (1 in its free column)
+        # made primitive, so it is positive there
         for name, _, m in self.matrices():
-            got = [[v[i, 0] for i in range(m.cols)] for v in solve_homogeneous(m)]
-            assert got == reference_kernel(m), (name, m)
+            got = kernel_of(m)
+            assert got == [primitive(v) for v in reference_kernel(m)], (name, m)
 
     def test_solve_linear_solution_or_none(self):
         nones = 0
@@ -257,7 +299,6 @@ class TestEliminationAgainstFractionRref:
 
     def test_negative_pivots(self):
         m = Matrix.from_rows([[-2, 4, 0, -6], [0, -3, 9, 3], [-4, 5, 9, -9]])
-        assert rank(m) == 2
-        got = [[v[i, 0] for i in range(4)] for v in solve_homogeneous(m)]
-        assert got == reference_kernel(m)
+        assert rank_of(m) == 2
+        assert kernel_of(m) == [primitive(v) for v in reference_kernel(m)]
         assert solve_linear(m, [-2, 3, 1]) == reference_solve(m, [-2, 3, 1])

@@ -81,7 +81,24 @@ def dense_change_of_basis(basis):
 
 def diagonal_rank(dec):
     """The rank that verify-paper and `sl2 decompose` report."""
-    return sum(map(rank, dec.diagonal_bases()))
+    return sum(rank(rows, n) for rows, n in dec.diagonal_bases())
+
+
+def dense_rank(m):
+    """linalg.rank of a dense Matrix, read through its Fraction rows."""
+    return rank(m.row_lists(), m.cols)
+
+
+def dense_form(strip):
+    """The k x k Matrix B with B[a, k-1-a] = strip[a], zero elsewhere: the
+    dense form of an invariant form's antidiagonal strip."""
+    k = len(strip)
+    return Matrix(k, k, [strip[a] if a + b == k - 1 else 0 for a in range(k) for b in range(k)])
+
+
+def form_matrix(k, form):
+    """The k x k Matrix of a form given as a map {(a, b): entry}."""
+    return Matrix(k, k, [form.get((a, b), 0) for a in range(k) for b in range(k)])
 
 
 def with_strip_replaced(dec, r, i, strip):
@@ -150,9 +167,9 @@ def dense_form_kernel(mats, k):
         cond = Matrix(k * k, len(basis),
                       [images[j][e] for e in range(k * k) for j in range(len(basis))])
         new = []
-        for v in solve_homogeneous(cond):
+        for v in solve_homogeneous(cond.row_lists(), cond.cols):
             out = Matrix.zeros(k)
-            for b, c in zip(basis, (v[i, 0] for i in range(len(basis)))):
+            for b, c in zip(basis, v):
                 if c:
                     out = out + b.scale(c)
             new.append(out)
@@ -163,7 +180,7 @@ def dense_form_kernel(mats, k):
 def same_span(forms, other):
     """Both lists are independent and span the same space."""
     def rank_of(ms):
-        return rank(Matrix.from_rows([list(m.entries) for m in ms])) if ms else 0
+        return rank([list(m.entries) for m in ms], ms[0].rows * ms[0].cols) if ms else 0
     return rank_of(forms) == len(forms) == len(other) == rank_of(other) == rank_of(forms + other)
 
 
@@ -327,7 +344,7 @@ class TestAdjointDecomposition:
             n = k * k - 1
             cob = dense_change_of_basis(dense_block_basis(t))
             assert cob.rows == n
-            assert rank(cob) == diagonal_rank(dec) == n
+            assert dense_rank(cob) == diagonal_rank(dec) == n
             assert len(dec.diagonal_bases()) == 2 * k - 1
 
     def test_ungraded_triple_rejected(self):
@@ -349,7 +366,7 @@ class TestAdjointDecomposition:
             dec = decompose_adjoint(t)
             assert [len(b.strips) for b in dec.blocks] == [2 * r + 1 for r in range(1, k)]
             cob = dense_change_of_basis(dense_block_basis(t))
-            assert rank(cob) == diagonal_rank(dec) == k * k - 1
+            assert dense_rank(cob) == diagonal_rank(dec) == k * k - 1
 
     def test_change_of_basis_against_dense_coordinates(self):
         # row r of diagonal d, put on d, is column r^2 - 1 + (r - d) of the
@@ -359,10 +376,11 @@ class TestAdjointDecomposition:
             for t in (principal_triple(k), sym_power_rep(k).triple):
                 dec = decompose_adjoint(t)
                 cob = dense_change_of_basis(dense_block_basis(t))
-                for d, rows in zip(range(1 - k, k), dec.diagonal_bases()):
+                for d, (rows, n) in zip(range(1 - k, k), dec.diagonal_bases()):
                     rs = range(max(abs(d), 1), k)
-                    assert rows.rows == len(rs) and rows.cols == k - abs(d)
-                    for r, row in zip(rs, rows.row_lists()):
+                    assert len(rows) == len(rs) and n == k - abs(d)
+                    assert all(len(row) == n and all(type(v) is int for v in row) for row in rows)
+                    for r, row in zip(rs, rows):
                         col = r * r - 1 + r - d
                         assert dense_elementary_coordinates(strip_matrix(k, d, row)) == \
                             [cob[i, col] for i in range(k * k - 1)], (k, d, r)
@@ -376,7 +394,7 @@ class TestAdjointDecomposition:
                 # the vector of U_2 on d becomes the one of U_1 on d
                 bad = with_strip_replaced(dec, 2, 2 - d, dec.block(1).strips[1 - d])
                 cob = dense_change_of_basis([m for r in range(1, k) for m in dense_basis(bad, r)])
-                assert diagonal_rank(bad) == rank(cob) == k * k - 2, (k, d)
+                assert diagonal_rank(bad) == dense_rank(cob) == k * k - 2, (k, d)
 
     def test_verify_adjoint_row_goes_red_on_dependent_strip(self, monkeypatch):
         real = verify.decompose_adjoint
@@ -593,8 +611,9 @@ class TestInvariantBilinearForm:
     def test_k2_symplectic(self):
         form = invariant_bilinear_form(principal_triple(2))
         assert not form.symmetric
-        assert form.form.transpose() == -form.form
-        assert form.form[0, 1] != 0
+        b = dense_form(form.form)
+        assert b.transpose() == -b
+        assert b[0, 1] != 0
 
     def test_k3_symmetric_against_full_solve(self):
         # oracle: assemble the full 27-equation system in the 9 unknown entries
@@ -615,36 +634,52 @@ class TestInvariantBilinearForm:
                                 c += m[j, b]
                             coeffs.append(c)
                     rows.append(coeffs)
-        from katzmod.linalg import solve_homogeneous
-        kernel = solve_homogeneous(Matrix.from_rows(rows))
+        kernel = solve_homogeneous(rows, 9)
         assert len(kernel) == 1
         flat = kernel[0]
-        b_oracle = Matrix.from_rows([[flat[3 * i + j, 0] for j in range(3)] for i in range(3)])
+        b_oracle = Matrix.from_rows([[flat[3 * i + j] for j in range(3)] for i in range(3)])
         form = invariant_bilinear_form(t)
         assert form.symmetric
+        b = dense_form(form.form)
         # same line: the two forms are proportional
         ratio = None
         for i in range(3):
             for j in range(3):
                 if b_oracle[i, j] != 0:
-                    ratio = form.form[i, j] / b_oracle[i, j]
+                    ratio = b[i, j] / b_oracle[i, j]
         assert ratio is not None
-        assert form.form == b_oracle.scale(ratio)
+        assert b == b_oracle.scale(ratio)
 
     def test_k4_antisymmetric(self):
         form = invariant_bilinear_form(principal_triple(4))
         assert not form.symmetric
-        assert form.form.transpose() == -form.form
+        b = dense_form(form.form)
+        assert b.transpose() == -b
 
     def test_parity_through_k8(self):
         for k in range(2, 9):
             form = invariant_bilinear_form(principal_triple(k))
             assert form.symmetric == (k % 2 == 1)
 
+    def test_closed_form_strip(self):
+        # x is the superdiagonal of ones, so (x^T B + B x)[a, k-a] = b_(a-1)
+        # + b_a for the antidiagonal strip b of B: b_a = (-1)^a b_0
+        for k in range(2, 31):
+            assert invariant_bilinear_form(principal_triple(k)).form == \
+                tuple((-1) ** a for a in range(k)), k
+
+    def test_form_off_the_antidiagonal_refused(self):
+        # h = diag(-2, 0) leaves E_11 as the only invariant form: one form,
+        # but not on the antidiagonal, so it has no antidiagonal strip
+        t = Sl2Triple(2, (1,), (-2, 0), (0,))
+        assert form_kernel([(0, t.h), (1, t.x), (-1, t.y)], 2) == [{(1, 1): 1}]
+        with pytest.raises(RuntimeError, match="expected one form on the antidiagonal"):
+            invariant_bilinear_form(t)
+
     def test_form_actually_invariant(self):
         for k in (3, 4, 6):
             t = principal_triple(k)
-            b = invariant_bilinear_form(t).form
+            b = dense_form(invariant_bilinear_form(t).form)
             for m in dense_triple(t):
                 assert (m.transpose() * b + b * m).is_zero()
 
@@ -655,7 +690,8 @@ class TestFormKernelPropagation:
         for k in (3, 4, 5):
             t = principal_triple(k)
             x, _, y = dense_triple(t)
-            for b in form_kernel([(0, t.h), (1, t.x), (-1, t.y)], k):
+            for form in form_kernel([(0, t.h), (1, t.x), (-1, t.y)], k):
+                b = form_matrix(k, form)
                 for m in (bracket(x, y), bracket(x, bracket(x, y)), bracket(y, bracket(x, y))):
                     assert (m.transpose() * b + b * m).is_zero()
 
@@ -675,7 +711,10 @@ class TestFormKernelAgainstDense:
         for k in range(2, 9):
             for name, mats in self.generator_lists(k).items():
                 dense = [strip_matrix(k, d, strip) for d, strip in mats]
-                assert same_span(form_kernel(mats, k), dense_form_kernel(dense, k)), (k, name)
+                forms = form_kernel(mats, k)
+                assert all(type(v) is int and v for f in forms for v in f.values()), (k, name)
+                assert same_span([form_matrix(k, f) for f in forms],
+                                 dense_form_kernel(dense, k)), (k, name)
 
     def test_ungraded_or_empty_input_rejected(self):
         t = principal_triple(4)

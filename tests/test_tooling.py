@@ -13,6 +13,10 @@ fails here too.  Its root counter must equal the closed-form positive-root
 counts of the types that classify(7) builds: those whose closed-form
 exponents pass the exponent criteria at k = 7.
 
+The Lie side (the invariant form, the form filter and the adjoint rank)
+builds no dense Matrix: a run with `Matrix.__init__` patched to raise must
+pass.
+
 Internal checks must survive `python -O`, which strips `assert` statements, so
 no module of katzmod may contain one.
 """
@@ -98,6 +102,45 @@ def test_traced_run_reads_the_targets():
     assert result["weyl_calls"] > 0
     # counted by exact type name: an infinite index is not a cap refusal
     assert result["cap_exceeded"] == 1
+
+
+NO_DENSE_RUN = """
+import contextlib, io, json
+import katzmod.cli
+from katzmod.linalg import Matrix
+
+
+def refuse(self, *args):
+    raise RuntimeError("a dense Matrix was built")
+
+
+Matrix.__init__ = refuse
+try:
+    Matrix.identity(2)
+except RuntimeError:
+    pass
+else:
+    raise SystemExit("Matrix.__init__ is not patched")
+codes = {}
+for argv in (["verify-paper", "--only", "form"], ["verify-paper", "--only", "pipeline"],
+             ["verify-paper", "--only", "adjoint"], ["classify", "--k", "30", "--symplectic", "--json"],
+             ["sl2", "--k", "12", "form", "--json"]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        codes[" ".join(argv)] = (katzmod.cli.main(argv), bool(out.getvalue()))
+print(json.dumps(codes))
+"""
+
+
+def test_lie_side_builds_no_dense_matrix():
+    # the form, the pipeline's form filter at every even k <= 30 and the
+    # adjoint rank run on integer strips and rows, never on a dense Matrix
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", NO_DENSE_RUN], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes = json.loads(proc.stdout)
+    assert len(codes) == 5
+    assert all(code == [0, True] for code in codes.values()), codes
 
 
 def test_rank_is_one_object_at_every_import_site():
