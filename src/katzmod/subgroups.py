@@ -3,11 +3,14 @@
 PSL2(Z) is the free product C2 * C3 on s = S and u = ST, where
 S = (0 -1; 1 0) and T = (1 1; 0 1).  The Euclidean algorithm writes each
 generator matrix straight in the letters s, u, u^-1 (T = s u,
-T^-1 = u^-1 s).  Coset folding over the presentation < s, u | s^2 = u^3 = 1 >
-(Stallings' method for free products, Kulkarni, Amer. J. Math. 113 (1991))
-traces those words in a graph whose s-edges come in pairs and whose u-edges
-come as whole 3-cycles, so both relators hold by construction; a graph left
-incomplete proves the index infinite.  The resulting pair of
+T^-1 = u^-1 s), reducing freely as it goes, so each word is the normal form
+of its element in C2 * C3.  Coset folding over the presentation
+< s, u | s^2 = u^3 = 1 > (Stallings, Invent. Math. 71 (1983), for free
+products as in Kulkarni, Amer. J. Math. 113 (1991)) traces those words from
+both ends in a graph whose s-edges come in pairs and whose u-edges come as
+whole 3-cycles, so both relators hold by construction, and a conjugate
+x c x^-1 defines its path x once; a graph left incomplete proves the index
+infinite.  The resulting pair of
 permutations (of S and of T acting on the cosets) carries everything else:
 cusp widths are the T-cycles, elliptic point counts are fixed points of S and
 of ST, the genus comes from Riemann-Hurwitz, the level is the lcm of the
@@ -22,6 +25,7 @@ and "generators" (rows [a, b, c, d] for the matrix (a b; c d), determinant 1).
 import json
 import os
 from dataclasses import dataclass
+from itertools import cycle, islice
 from math import lcm
 
 COSET_CAP_ENV = "KATZMOD_COSET_CAP"
@@ -139,33 +143,67 @@ def resolve_subgroup(spec):
 # ---------------------------------------------------------------------------
 # words in s, u
 
-# letters of the coset machine: s = 0, u = 1, u^-1 = 2, where u = ST
-def _t_power(e):
-    """T^e as letters: T = s u, T^-1 = u^-1 s."""
-    return (0, 1) * e if e >= 0 else (2, 0) * -e
+# letters of the coset machine: s = 0, u = 1, u^-1 = 2, where u = ST.  A
+# u-letter is its exponent of u, so two u-letters merge into their sum mod 3.
+_INVERSE = (0, 2, 1)
+
+
+def _t_power(e, then_s=False):
+    """T^e, followed by S if then_s, as a reduced run of letters.
+
+    T = s u and T^-1 = u^-1 s, so T^e S is (s u)^e s for e >= 0 and
+    (u^-1 s)^(-e-1) u^-1 for e < 0: one letter more or one fewer.
+    """
+    unit, n = ((0, 1), 2 * e) if e >= 0 else ((2, 0), -2 * e)
+    if then_s:
+        n += 1 if e >= 0 else -1
+    return islice(cycle(unit), n)
+
+
+def _extend_reduced(word, run):
+    """Append a freely reduced run of letters to the freely reduced list word.
+
+    A letter meets the end of the word when both are s or both are u-letters:
+    s s cancels, and two u-letters merge into the sum of their exponents mod 3
+    (u u = u^-1, u^-1 u^-1 = u, u u^-1 = 1).  Letters are taken one at a time
+    only while they cancel; once one stays, nothing after it can meet the
+    word, and the rest of the run is appended as it is.
+    """
+    run = iter(run)
+    for x in run:
+        if word and (x == 0) == (word[-1] == 0):
+            x = (word.pop() + x) % 3
+            if x == 0:
+                continue
+        word.append(x)
+        word.extend(run)
+        return
 
 
 def matrix_to_word(m):
-    """Rewrite a determinant-1 matrix as a tuple of coset-machine letters.
+    """The freely reduced word of a determinant-1 matrix, as a tuple of
+    coset-machine letters.
 
     Column reduction repeatedly peels T^q S from the left while the
-    lower-left entry is nonzero; each S is written s and each T^q as
-    _t_power(q).  The letters evaluate to the input up to overall sign.
+    lower-left entry is nonzero, and ends with a T^e.  Each of these goes
+    straight into a reducing stack (_extend_reduced), so the word has no s s,
+    no u u^-1 or u^-1 u, and no u u or u^-1 u^-1.  By the normal form theorem
+    for C2 * C3 it is the only such word that evaluates to the input up to
+    overall sign.
     """
     m = _int_entries(m)
     if mat_det(m) != 1:
         raise ValueError(f"matrix {m} has determinant {mat_det(m)}, not 1")
-    letters = []
+    word = []
     a, b, c, d = m
     while c != 0:
         q = a // c
-        letters.extend(_t_power(q))
-        letters.append(0)
+        _extend_reduced(word, _t_power(q, then_s=True))
         # m <- S^-1 T^-q m, with S^-1 = (0 1; -1 0)
         a, b = a - q * c, b - q * d
         a, b, c, d = c, d, -a, -b
-    letters.extend(_t_power(b if a == 1 else -b))
-    return tuple(letters)
+    _extend_reduced(word, _t_power(b if a == 1 else -b))
+    return tuple(word)
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +288,31 @@ class _CosetGraph:
     def build(self, words):
         """Fold each word, shortest first, into a loop at the start vertex.
 
-        A vertex then left without an s- or a u-edge proves that the subgroup
-        has infinite index.
+        A word is traced forward from the start vertex, and its inverse
+        backward, along the edges that already exist; only the letters in
+        between are defined, and their end is unified with the backward point.
+        While both points are one vertex and the letters left read a ... a^-1,
+        a is defined once for both ends.  So a conjugate x c x^-1 folds to the
+        path x with the loop c at its end, and a later conjugate by x follows
+        that path instead of copying it.  A vertex left without an s- or a
+        u-edge once every word is folded proves that the subgroup has infinite
+        index.
         """
+        find, neighbors, start = self.find, self.neighbors, self.start
         for w in sorted(words, key=len):
-            self.unify(self.path(self.start, w), self.start)
+            i, j = 0, len(w)
+            head = tail = start  # the start vertex stays a root: unify keeps the smaller
+            while i < j and neighbors[head][w[i]] is not None:
+                head = find(neighbors[head][w[i]])
+                i += 1
+            while i < j and neighbors[tail][_INVERSE[w[j - 1]]] is not None:
+                tail = find(neighbors[tail][_INVERSE[w[j - 1]]])
+                j -= 1
+            while head == tail and j - i >= 2 and w[i] == _INVERSE[w[j - 1]]:
+                head = tail = self.step(head, w[i])
+                i += 1
+                j -= 1
+            self.unify(self.path(head, w[i:j]), tail)
         live = self.live()
         if any(None in self.neighbors[c] for c in live):
             raise InfiniteIndex(
@@ -326,7 +384,9 @@ def coset_enumerate(gens, cap=None):
     Coset 0 is the base coset.  Raises CosetCapExceeded when the graph would
     grow past the cap (default 100000, overridable via the KATZMOD_COSET_CAP
     environment variable), and its subclass InfiniteIndex when the folded
-    graph is incomplete, which proves the index infinite.
+    graph is incomplete, which proves the index infinite.  Each generator's
+    word is then walked through the validated permutations of s, u and u^-1,
+    and one that moves the base coset raises RuntimeError.
     """
     cap = _coset_cap(cap)
     words = [matrix_to_word(m) for m in gens.generators]
@@ -335,8 +395,12 @@ def coset_enumerate(gens, cap=None):
     perm_s, perm_u = graph.permutations()
     perm_T = _compose(perm_s, perm_u)  # T = s u
     table = CosetTable(len(perm_s), perm_s, perm_T).validate()
+    letter_perms = (perm_s, perm_u, _compose(perm_u, perm_u))
     for w, m in zip(words, gens.generators):
-        if graph.path(graph.start, w) != graph.find(graph.start):
+        c = 0
+        for x in w:
+            c = letter_perms[x][c]
+        if c != 0:
             raise RuntimeError(f"generator {m} does not fix the base coset")
     return table
 

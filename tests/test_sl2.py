@@ -411,6 +411,18 @@ class TestAdjointDecomposition:
         assert not any(row.ok for row in rows[1:])
         assert rows[1].computed == "[3, 5], sum 8, rank 7"
 
+    def test_verify_decomposes_each_k_once(self, monkeypatch):
+        # the adjoint and bracket sections share one decomposition per k in a
+        # run, and the bracket section alone still makes its own
+        real = verify.decompose_adjoint
+        calls = []
+        monkeypatch.setattr(verify, "decompose_adjoint", lambda t: calls.append(t.k) or real(t))
+        assert all(row.ok for row in verify.run())
+        assert sorted(calls) == list(range(2, 13))
+        calls.clear()
+        assert len(verify.run(only="bracket")) == 9
+        assert sorted(calls) == list(range(2, 11))
+
     def test_block_invariants(self):
         # highest weight killed by ad x; h-weights 2r-2i; lowest killed by ad y
         for k in (3, 5, 6):

@@ -17,7 +17,8 @@ from katzmod.subgroups import (GeneratorSet, matrix_to_word, coset_enumerate,
                                resolve_subgroup, CosetCapExceeded, InfiniteIndex, CosetTable,
                                PRESETS, FULL_GROUP,
                                S_MAT, T_MAT, mat_mul, psl2_canonical,
-                               _compose, _perm_inverse, _perm_power, _perm_order, _is_identity)
+                               _compose, _perm_inverse, _perm_power, _perm_order, _is_identity,
+                               _canonical, _CosetGraph)
 
 # well-known congruence subgroups, by generators; (index, widths) for cross-checks
 CONGRUENCE_GROUPS = {
@@ -66,6 +67,26 @@ def st_word_letters(m):
     word.extend(["T"] * n if n >= 0 else ["T^-1"] * (-n))
     translation = {"S": (0,), "T": (0, 1), "T^-1": (2, 0)}
     return tuple(x for letter in word for x in translation[letter])
+
+
+# adjacent letters that a freely reduced word never has, and what each pair
+# reduces to: s s = 1, u u^-1 = u^-1 u = 1, u u = u^-1, u^-1 u^-1 = u
+REDUCTIONS = {(0, 0): (), (1, 2): (), (2, 1): (), (1, 1): (2,), (2, 2): (1,)}
+
+
+def freely_reduced(letters):
+    """Oracle for matrix_to_word's reduction: a stack that rewrites each
+    pair in REDUCTIONS as soon as it forms."""
+    out = []
+    for x in letters:
+        while out and (out[-1], x) in REDUCTIONS:
+            rest = REDUCTIONS[(out.pop(), x)]
+            if not rest:
+                break
+            (x,) = rest
+        else:
+            out.append(x)
+    return tuple(out)
 
 
 def random_word_matrix(rng, max_len=14, bound=10 ** 6):
@@ -151,8 +172,11 @@ class TestMatrixToWord:
                 m = mat_mul(m, g or (1, rng.randint(-300, 300), 0, 1))
             letters = matrix_to_word(m)
             assert type(letters) is tuple and set(letters) <= {0, 1, 2}
-            assert letters == st_word_letters(m), m
+            # reduced and evaluating to +-m: by the normal form theorem for
+            # C2 * C3 this alone pins the word
+            assert not set(zip(letters, letters[1:])) & set(REDUCTIONS), m
             assert eq_up_to_sign(evaluate(letters), m), m
+            assert letters == freely_reduced(st_word_letters(m)), m
 
     def test_non_unimodular_rejected(self):
         with pytest.raises(ValueError):
@@ -193,6 +217,17 @@ class TestCosetEnumeration:
                            r"\(3 cosets defined, 2 still live;") as exc:
             coset_enumerate(PRESETS["gamma711"], cap=3)
         assert type(exc.value) is CosetCapExceeded
+
+    def test_generator_off_the_base_coset_detected(self, monkeypatch):
+        # the graph is folded without T, so the table is Gamma(2)'s, in which T
+        # moves the base coset
+        real_build = _CosetGraph.build
+        t_word = matrix_to_word(T_MAT)
+        monkeypatch.setattr(_CosetGraph, "build",
+                            lambda self, words: real_build(self, [w for w in words if w != t_word]))
+        with pytest.raises(RuntimeError,
+                           match=r"generator \(1, 1, 0, 1\) does not fix the base coset"):
+            coset_enumerate(GeneratorSet("gamma2 and T", [(1, 2, 0, 1), (1, 0, 2, 1), T_MAT]))
 
     @pytest.mark.parametrize("perm_s, perm_t, message", [
         ((1, 2, 0), (0, 1, 2), r"S\^2 = 1"),
@@ -722,46 +757,86 @@ class TestCongruenceFoldedBranches:
         assert seen == {(c, f) for c in ("odd", "power of 2", "mixed") for f in (True, False)}
 
 
+def canonical_from(table, base):
+    """_canonical's breadth-first numbering of the table, started at coset
+    base instead of coset 0."""
+    n = table.index
+    swap = list(range(n))
+    swap[0], swap[base] = base, 0
+    perms = []
+    for p in (table.perm_S, table.perm_T):
+        q = [0] * n
+        for i in range(n):
+            q[swap[i]] = swap[p[i]]
+        perms.append(tuple(q))
+    return _canonical(CosetTable(n, *perms))
+
+
 class TestCosetEnumerationProperties:
-    """The invariants of a subgroup do not depend on how its generators are
+    """The subgroup found does not depend on how its generators are
     presented: their order, a redundant product of two of them, or a
     conjugation of all of them by one element of PSL2(Z)."""
 
     @staticmethod
     def subgroups(rng, count=60):
-        """(invariants, Schreier generators) of random tables of index 6..24."""
+        """(table, Schreier generators) of random tables of index 6..24."""
         out = []
         while len(out) < count:
             table = random_coset_table(rng, rng.randint(6, 24))
             if table is not None:
-                out.append((invariants(table), list(schreier_generators(table).generators)))
+                out.append((table, list(schreier_generators(table).generators)))
         return out
 
     @staticmethod
     def invariants_of(gens):
         return invariants(coset_enumerate(GeneratorSet("variant", gens)))
 
+    @staticmethod
+    def conjugate(table, gens, exponents):
+        """The generators g m g^-1 of g H g^-1, with g the product of T^e S
+        over the exponents and H the subgroup of the table, and the oracle for
+        their table.  The coset (g H g^-1) x corresponds to H g^-1 x, so the
+        conjugate's table is H's table read from coset 0.g^-1."""
+        g = (1, 0, 0, 1)
+        for e in exponents:
+            g = mat_mul(mat_mul(g, (1, e, 0, 1)), S_MAT)
+        base = 0
+        for e in reversed(exponents):  # g^-1 = S T^-e_k ... S T^-e_1 in PSL2(Z)
+            base = _perm_power(table.perm_T, -e)[table.perm_S[base]]
+        a, b, c, d = g
+        return [mat_mul(mat_mul(g, m), (d, -b, -c, a)) for m in gens], canonical_from(table, base)
+
     def test_generator_order(self):
         rng = random.Random(61)
-        for inv, gens in self.subgroups(rng):
+        for table, gens in self.subgroups(rng):
             rng.shuffle(gens)
-            assert self.invariants_of(gens) == inv, gens
+            assert self.invariants_of(gens) == invariants(table), gens
 
     def test_appended_product(self):
         rng = random.Random(62)
-        for inv, gens in self.subgroups(rng):
+        for table, gens in self.subgroups(rng):
             a, b = rng.choice(gens), rng.choice(gens)
-            assert self.invariants_of(gens + [mat_mul(a, b)]) == inv, gens
+            assert self.invariants_of(gens + [mat_mul(a, b)]) == invariants(table), gens
 
     def test_conjugated(self):
+        # invariants cannot see the base coset; the canonical table can
         rng = random.Random(63)
-        for inv, gens in self.subgroups(rng):
-            g = (1, 0, 0, 1)
-            for _ in range(rng.randint(1, 5)):
-                g = mat_mul(mat_mul(g, (1, rng.randint(-20, 20), 0, 1)), S_MAT)
-            a, b, c, d = g
-            conjugated = [mat_mul(mat_mul(g, m), (d, -b, -c, a)) for m in gens]
-            assert self.invariants_of(conjugated) == inv, g
+        cases = self.subgroups(rng) + [(coset_enumerate(gens), gens.generators)
+                                       for gens in PRESETS.values()]
+        for table, gens in cases:
+            exponents = [rng.randint(-20, 20) for _ in range(rng.randint(1, 5))]
+            conjugated, want = self.conjugate(table, gens, exponents)
+            got = coset_enumerate(GeneratorSet("variant", conjugated))
+            assert _canonical(got) == want, exponents
+            assert invariants(got) == invariants(table), exponents
+
+    def test_long_conjugator_within_a_small_cap(self):
+        # folding from both ends defines the path of T^250 S T^-180 S once, in
+        # 1298 cosets; tracing each generator forward from the base only copied
+        # it per generator and grew past 2000
+        table = coset_enumerate(PRESETS["gamma711"])
+        conjugated, want = self.conjugate(table, PRESETS["gamma711"].generators, [250, -180])
+        assert _canonical(coset_enumerate(GeneratorSet("variant", conjugated), cap=2000)) == want
 
 
 class TestDimCuspForms:
