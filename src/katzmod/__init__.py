@@ -16,8 +16,7 @@ from .classify import (exponent_criteria, classify, ht_filter, form_filter,
 from .subgroups import (GeneratorSet, matrix_to_word, coset_enumerate,
                         CosetTable, SubgroupInvariants, invariants,
                         congruence_test, dim_cusp_forms, dim_rho_prim,
-                        subgroup_invariants, PRESETS, FULL_GROUP,
-                        load_generator_file, resolve_subgroup, CosetCapExceeded,
-                        InfiniteIndex)
+                        PRESETS, FULL_GROUP, load_generator_file,
+                        resolve_subgroup, CosetCapExceeded, InfiniteIndex)
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from .sl2 import principal_triple, decompose_adjoint, verify_bracket_identity, \
 from .roots import build_root_system, exponents, algebra_dimension, \
     weyl_dimension, irreps_of_dimension, SIMPLE_TYPES
 from .classify import classification_report
-from .subgroups import resolve_subgroup, subgroup_invariants, dim_rho_prim, \
+from .subgroups import resolve_subgroup, coset_enumerate, invariants, dim_rho_prim, \
     dim_cusp_forms, CosetCapExceeded
 
 
@@ -146,7 +146,8 @@ def cmd_rootsys(args):
 
 def cmd_subgroup(args):
     gens = resolve_subgroup(args.subgroup)
-    inv = subgroup_invariants(gens)
+    table = coset_enumerate(gens)
+    inv = invariants(table)
     doc = {
         "name": gens.name,
         "index": inv.index,
@@ -167,17 +168,17 @@ def cmd_subgroup(args):
         f"  congruence subgroup: {'yes' if inv.congruence else 'no'}",
     ]
     if args.dims:
-        table = []
+        rows = []
         for k in range(2, args.kmax + 1, 2):
             row = {"k": k, "dim_cusp_forms": dim_cusp_forms(inv, k + 2)}
             try:
-                row["dim_rho_prim"] = dim_rho_prim(gens, k)
+                row["dim_rho_prim"] = dim_rho_prim(table, k)
             except ValueError:
                 pass  # closure unknown for non-preset subgroups
-            table.append(row)
-        doc["dims"] = table
+            rows.append(row)
+        doc["dims"] = rows
         lines.append(f"  {'k':>4} {'dim S_(k+2)':>12} {'dim rho_prim':>13}")
-        for row in table:
+        for row in rows:
             prim = row.get("dim_rho_prim", "-")
             lines.append(f"  {row['k']:>4} {row['dim_cusp_forms']:>12} {prim:>13}")
     _print(doc, args.json, lines)

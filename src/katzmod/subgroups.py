@@ -10,8 +10,10 @@ products as in Kulkarni, Amer. J. Math. 113 (1991)) traces those words from
 both ends in a graph whose s-edges come in pairs and whose u-edges come as
 whole 3-cycles, so both relators hold by construction, and a conjugate
 x c x^-1 defines its path x once; a graph left incomplete proves the index
-infinite.  The resulting pair of
-permutations (of S and of T acting on the cosets) carries everything else:
+infinite.  The cosets are numbered breadth-first from the base coset, trying
+s before u, so the resulting pair of permutations (of S and of T acting on
+the cosets) is the subgroup's value: two tables are equal exactly when they
+come from the same subgroup (Kulkarni).  The pair carries everything else:
 cusp widths are the T-cycles, elliptic point counts are fixed points of S and
 of ST, the genus comes from Riemann-Hurwitz, the level is the lcm of the
 widths (Wohlfahrt), and the congruence test is Hsu's criterion [Hsu, Proc.
@@ -25,6 +27,7 @@ and "generators" (rows [a, b, c, d] for the matrix (a b; c d), determinant 1).
 import json
 import os
 from dataclasses import dataclass
+from functools import cache
 from itertools import cycle, islice
 from math import lcm
 
@@ -320,11 +323,18 @@ class _CosetGraph:
                 "and some coset lacks an s- or a u-edge")
 
     def permutations(self):
-        """The permutations of s and of u on the live vertices, numbered in
-        order of definition, so that the start vertex is coset 0."""
-        live = self.live()
-        index_of = {c: i for i, c in enumerate(live)}
-        return [tuple([index_of[self.find(self.neighbors[c][d])] for c in live]) for d in (0, 1)]
+        """The permutations of s and of u on the live vertices, numbered
+        breadth-first from the start vertex (coset 0), trying s before u."""
+        find, neighbors = self.find, self.neighbors
+        label, order, perms = {self.start: 0}, [self.start], ([], [])
+        for c in order:  # grows while it is read
+            for d, perm in enumerate(perms):
+                n = find(neighbors[c][d])
+                if n not in label:
+                    label[n] = len(order)
+                    order.append(n)
+                perm.append(label[n])
+        return [tuple(p) for p in perms]
 
 
 def _compose(p, q):
@@ -340,7 +350,13 @@ class CosetTable:
     perm_T: tuple
 
     def validate(self):
+        """The table, once perm_S and perm_T are tuples of index ints in
+        range(index) with S^2 = (ST)^3 = 1, acting transitively; else RuntimeError."""
         n = self.index
+        for name, p in (("perm_S", self.perm_S), ("perm_T", self.perm_T)):
+            if (not _is_int(n) or type(p) is not tuple or len(p) != n
+                    or set(map(type, p)) != {int} or min(p) < 0 or max(p) >= n):
+                raise RuntimeError(f"coset table {name} is not a tuple of {n!r} ints in range({n!r})")
         identity = tuple(range(n))
         if _compose(self.perm_S, self.perm_S) != identity:
             raise RuntimeError("coset table violates S^2 = 1")
@@ -381,7 +397,10 @@ def _coset_cap(cap):
 def coset_enumerate(gens, cap=None):
     """Coset table of the subgroup generated by a GeneratorSet, by folding.
 
-    Coset 0 is the base coset.  Raises CosetCapExceeded when the graph would
+    Coset 0 is the base coset, and the others are numbered breadth-first from
+    it, trying s before u (u = ST).  The table is therefore the subgroup's own
+    value: two generator sets give equal tables exactly when they generate the
+    same subgroup.  Raises CosetCapExceeded when the graph would
     grow past the cap (default 100000, overridable via the KATZMOD_COSET_CAP
     environment variable), and its subclass InfiniteIndex when the folded
     graph is incomplete, which proves the index infinite.  Each generator's
@@ -564,57 +583,35 @@ def dim_cusp_forms(inv, w):
             + inv.nu2 * (w // 4) + inv.nu3 * (w // 3))
 
 
-def _canonical(table):
-    """The permutations of S and T with the cosets renumbered in breadth-first
-    order from coset 0, trying S before T.  Two generator sets give the same
-    result exactly when they generate the same subgroup: the table with its
-    base coset determines the subgroup, and the numbering depends on nothing
-    else."""
-    order, label = [0], {0: 0}
-    for c in order:  # grows while it is read
-        for p in (table.perm_S, table.perm_T):
-            if p[c] not in label:
-                label[p[c]] = len(order)
-                order.append(p[c])
-    return tuple(tuple(label[p[c]] for c in order) for p in (table.perm_S, table.perm_T))
+@cache
+def _preset_invariants():
+    """{table of a preset: its invariants}, and the full group's invariants,
+    all enumerated at the default cap whatever cap is in force."""
+    presets = {}
+    for gens in PRESETS.values():
+        table = coset_enumerate(gens, DEFAULT_COSET_CAP)
+        presets[table] = invariants(table)
+    return presets, invariants(coset_enumerate(FULL_GROUP, DEFAULT_COSET_CAP))
 
 
-_INVARIANTS_CACHE = {}
-
-
-def _enumerated(gens, cap=None):
-    """(canonical table, invariants) of the subgroup, memoized on the
-    generator list and the resolved cap, so that the answer to a call does
-    not depend on the calls made before it."""
-    key = (gens.generators, _coset_cap(cap))
-    if key not in _INVARIANTS_CACHE:
-        table = coset_enumerate(gens, cap)
-        _INVARIANTS_CACHE[key] = (_canonical(table), invariants(table))
-    return _INVARIANTS_CACHE[key]
-
-
-def subgroup_invariants(gens, cap=None):
-    """Enumerate and compute invariants, memoized as `_enumerated` is."""
-    return _enumerated(gens, cap)[1]
-
-
-def dim_rho_prim(gens, k):
+def dim_rho_prim(table, k):
     """Twice the excess of cusp-form dimensions over the full modular group,
     in weight k + 2: the dimension of the primitive part of the attached
     parabolic-cohomology representation.
 
     Only defined for the three shipped presets, whose congruence closure is
-    the full modular group (their generator images fill PSL2(Z/level)).  A
-    preset is recognised by its canonical coset table (the presets enumerated
-    at the default cap, whatever cap bounds gens), so any generator list of it
-    is accepted; for any other subgroup the closure is not computed and a
-    ValueError is raised rather than guessing.
+    the full modular group (their generator images fill PSL2(Z/level)).  The
+    table, as coset_enumerate returns it, is looked up among the presets'
+    tables, so any generator list of a preset is accepted; for any other
+    subgroup the closure is not computed and a ValueError is raised rather
+    than guessing.
     """
     if not _is_int(k) or k < 2 or k % 2 != 0:
         raise ValueError(f"need an even integer k >= 2, got {k!r}")
-    table, inv = _enumerated(gens)
-    if all(_enumerated(p, DEFAULT_COSET_CAP)[0] != table for p in PRESETS.values()):
-        raise ValueError(f"congruence closure unknown for subgroup {gens.name!r}: "
+    if not isinstance(table, CosetTable):
+        raise TypeError(f"dim_rho_prim takes a CosetTable, got {type(table).__name__}")
+    presets, full = _preset_invariants()
+    if table not in presets:
+        raise ValueError("congruence closure unknown for this subgroup: "
                          "dim_rho_prim is only defined for the shipped presets")
-    full = subgroup_invariants(FULL_GROUP, DEFAULT_COSET_CAP)
-    return 2 * (dim_cusp_forms(inv, k + 2) - dim_cusp_forms(full, k + 2))
+    return 2 * (dim_cusp_forms(presets[table], k + 2) - dim_cusp_forms(full, k + 2))

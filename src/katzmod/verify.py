@@ -14,7 +14,7 @@ from .sl2 import principal_triple, decompose_adjoint, bracket_support, \
     verify_bracket_identity, invariant_bilinear_form
 from .roots import build_root_system, exponents, algebra_dimension, irreps_up_to
 from .classify import classify, classification_report, frobenius_dimension_check
-from .subgroups import PRESETS, subgroup_invariants, dim_rho_prim
+from .subgroups import PRESETS, coset_enumerate, invariants, dim_rho_prim
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,7 @@ def expected_dim_rho_prim(name, k):
 
 def check_subgroups():
     for name, (index, widths, _, _) in PRESET_DATA.items():
-        inv = subgroup_invariants(PRESETS[name])
+        inv = invariants(coset_enumerate(PRESETS[name]))
         ok = inv.index == index and inv.cusp_widths == widths and not inv.congruence
         yield CheckResult("subgroups", f"{name}: index, widths, noncongruence",
                           f"index {index}, widths {list(widths)}, noncongruence",
@@ -206,8 +206,9 @@ def check_subgroups():
 
 def check_dimension():
     for name in PRESET_DATA:
+        table = coset_enumerate(PRESETS[name])
         for k in range(2, 21, 2):
-            got = dim_rho_prim(PRESETS[name], k)
+            got = dim_rho_prim(table, k)
             want = expected_dim_rho_prim(name, k)
             yield CheckResult("dimension", f"{name}: dim rho_prim at k={k}",
                               str(want), str(got), got == want)

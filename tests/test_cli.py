@@ -12,6 +12,7 @@ import katzmod
 from katzmod import verify
 from katzmod.cli import main
 from katzmod.roots import SIMPLE_TYPES, _valid_type
+from katzmod.subgroups import PRESETS, coset_enumerate
 
 
 def run(capsys, *argv):
@@ -25,7 +26,9 @@ def run(capsys, *argv):
 # still kept a dense change of basis, whose rank `sl2 decompose` printed; the
 # rootsys and `sl2 form` lines while positive roots were still built as
 # coordinate tuples; the `classify --symplectic` and `sl2 identities` lines
-# while the principal triple was still held as three dense matrices.
+# while the principal triple was still held as three dense matrices; the
+# `subgroup --dims` lines while cosets were still numbered in order of
+# definition and relabelled afterwards.
 PINNED = Path(__file__).parent / "data" / "cli_json.jsonl"
 PINNED_COMMANDS = ([("classify", "--k", str(k), "--json") for k in range(2, 33)]
                    + [("sl2", "--k", str(k), "decompose", "--json") for k in range(2, 13)]
@@ -35,7 +38,9 @@ PINNED_COMMANDS = ([("classify", "--k", str(k), "--json") for k in range(2, 33)]
                    + [("sl2", "--k", str(k), "form", "--json") for k in range(2, 13)]
                    + [("classify", "--k", str(k), "--symplectic", "--json")
                       for k in range(2, 13, 2)]
-                   + [("sl2", "--k", str(k), "identities", "--json") for k in range(2, 13)])
+                   + [("sl2", "--k", str(k), "identities", "--json") for k in range(2, 13)]
+                   + [("subgroup", name, "--dims", "--kmax", "20", "--json")
+                      for name in ("gamma43", "gamma52", "gamma711")])
 
 
 class TestPinnedJsonOutputs:
@@ -177,7 +182,6 @@ class TestSubgroupCommand:
 
     def test_cap_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("KATZMOD_COSET_CAP", "2")
-        # fresh generators so the invariants cache cannot satisfy the call
         path_free = [(1, 12, 0, 1), (1, 0, 12, 1)]
         import katzmod.subgroups as sg
         gens = sg.GeneratorSet("wide", path_free)
@@ -188,7 +192,6 @@ class TestSubgroupCommand:
         # the cap bounds the subgroup asked about: Gamma_0(2), of index 3, fits
         # in 12 cosets, and the presets that --dims compares it with are
         # enumerated at the default cap (--dims used to exit 2 here)
-        monkeypatch.setattr(katzmod.subgroups, "_INVARIANTS_CACHE", {})
         monkeypatch.setenv("KATZMOD_COSET_CAP", "12")
         path = tmp_path / "gamma0_2.json"
         path.write_text(json.dumps({"name": "gamma0_2",
@@ -282,8 +285,9 @@ class TestVerifyPaperCommand:
         # negative control: bring back the old assumption dim rho_prim = k for
         # gamma711 and watch exactly its rows beyond k = 4 go red
         real = verify.dim_rho_prim
+        gamma711 = coset_enumerate(PRESETS["gamma711"])
         monkeypatch.setattr(verify, "dim_rho_prim",
-                            lambda gens, k: k if gens.name == "gamma711" else real(gens, k))
+                            lambda table, k: k if table == gamma711 else real(table, k))
         code, out, _ = run(capsys, "verify-paper", "--only", "dimension")
         assert code == 1
         failed = [line[len("[FAIL] "):].split("  expected:")[0].rstrip()

@@ -13,12 +13,12 @@ import katzmod
 import katzmod.verify
 from katzmod.subgroups import (GeneratorSet, matrix_to_word, coset_enumerate,
                                invariants, congruence_test, dim_cusp_forms,
-                               dim_rho_prim, subgroup_invariants, load_generator_file,
+                               dim_rho_prim, load_generator_file,
                                resolve_subgroup, CosetCapExceeded, InfiniteIndex, CosetTable,
                                PRESETS, FULL_GROUP,
                                S_MAT, T_MAT, mat_mul, psl2_canonical,
                                _compose, _perm_inverse, _perm_power, _perm_order, _is_identity,
-                               _canonical, _CosetGraph)
+                               _CosetGraph)
 
 # well-known congruence subgroups, by generators; (index, widths) for cross-checks
 CONGRUENCE_GROUPS = {
@@ -233,10 +233,21 @@ class TestCosetEnumeration:
         ((1, 2, 0), (0, 1, 2), r"S\^2 = 1"),
         ((0, 1), (1, 0), r"\(ST\)\^3 = 1"),
         ((0, 1), (0, 1), "not transitive: 1 of 2"),
+        ((0,), (0, 0), r"perm_T is not a tuple of 1 ints in range\(1\)"),
+        ((True, False), (1, 0), "perm_S is not a tuple of 2 ints"),
+        ((1.0, 0), (1, 0), "perm_S is not a tuple of 2 ints"),
+        ((1, 0), (1, 2), "perm_T is not a tuple of 2 ints"),
+        ((1, 0), (-1, 0), "perm_T is not a tuple of 2 ints"),
+        ([1, 0], (1, 0), "perm_S is not a tuple of 2 ints"),
     ])
     def test_corrupted_table_rejected(self, perm_s, perm_t, message):
         with pytest.raises(RuntimeError, match=message):
             CosetTable(len(perm_s), perm_s, perm_t).validate()
+
+    @pytest.mark.parametrize("index", [True, 1.0])
+    def test_index_that_is_not_an_int_rejected(self, index):
+        with pytest.raises(RuntimeError, match=rf"not a tuple of {index} ints"):
+            CosetTable(index, (0,), (0,)).validate()
 
     def test_corrupted_table_rejected_under_optimize(self):
         # the table checks are explicit raises, so they survive python -O
@@ -342,8 +353,9 @@ class TestCosetFolding:
         monkeypatch.delenv("KATZMOD_COSET_CAP", raising=False)
 
     def test_against_hlt_on_random_words(self):
-        # where HLT finishes, folding gives the same index and invariants;
-        # where folding proves the index infinite, HLT runs into its cap
+        # where HLT finishes, folding gives the same table once HLT's cosets
+        # are renumbered; where folding proves the index infinite, HLT runs
+        # into its cap
         rng = random.Random(1991)
         outcomes = {"equal": 0, "infinite": 0}
         for _ in range(400):
@@ -357,8 +369,7 @@ class TestCosetFolding:
                 outcomes["infinite"] += 1
                 continue
             hlt = hlt_coset_table(gens, cap=20000)
-            assert folded.index == hlt.index, gens
-            assert invariants(folded) == invariants(hlt), gens
+            assert folded == relabel(hlt), gens
             outcomes["equal"] += 1
         assert outcomes["equal"] >= 50 and outcomes["infinite"] >= 200, outcomes
 
@@ -394,7 +405,7 @@ class TestCosetFolding:
 
 class TestInvariants:
     def test_gamma43(self):
-        inv = subgroup_invariants(PRESETS["gamma43"])
+        inv = invariants(coset_enumerate(PRESETS["gamma43"]))
         assert inv.index == 7
         assert inv.cusp_widths == (4, 3)
         assert inv.nu2 == 1 and inv.nu3 == 1
@@ -402,7 +413,7 @@ class TestInvariants:
         assert inv.level == 12
 
     def test_gamma52(self):
-        inv = subgroup_invariants(PRESETS["gamma52"])
+        inv = invariants(coset_enumerate(PRESETS["gamma52"]))
         assert inv.index == 7
         assert inv.cusp_widths == (5, 2)
         assert inv.nu2 == 1 and inv.nu3 == 1
@@ -410,7 +421,7 @@ class TestInvariants:
         assert inv.level == 10
 
     def test_gamma711(self):
-        inv = subgroup_invariants(PRESETS["gamma711"])
+        inv = invariants(coset_enumerate(PRESETS["gamma711"]))
         assert inv.index == 9
         assert inv.cusp_widths == (7, 1, 1)
         assert inv.nu2 == 1 and inv.nu3 == 0
@@ -435,7 +446,7 @@ class TestInvariants:
         assert admissible == [forced]
 
     def test_full_group(self):
-        inv = subgroup_invariants(FULL_GROUP)
+        inv = invariants(coset_enumerate(FULL_GROUP))
         assert inv.index == 1 and inv.cusp_widths == (1,)
         assert inv.nu2 == 1 and inv.nu3 == 1 and inv.genus == 0
 
@@ -462,43 +473,50 @@ class TestInvariants:
             produced += 1
 
 
-class TestInvariantsCacheHonoursCap:
-    """subgroup_invariants answers as coset_enumerate with the same cap,
-    whatever calls came before it."""
+class TestPresetLookupLeavesCapsAlone:
+    """dim_rho_prim looks tables up among the presets enumerated at the
+    default cap; warming that lookup changes nothing that coset_enumerate
+    answers under a smaller cap, whichever comes first."""
 
     @pytest.fixture(autouse=True)
-    def fresh_cache(self, monkeypatch):
-        monkeypatch.setattr(katzmod.subgroups, "_INVARIANTS_CACHE", {})
+    def cold_lookup(self, monkeypatch):
         monkeypatch.delenv("KATZMOD_COSET_CAP", raising=False)
+        katzmod.subgroups._preset_invariants.cache_clear()
 
-    def test_uncapped_then_capped(self):
-        assert subgroup_invariants(PRESETS["gamma43"]).index == 7
-        with pytest.raises(CosetCapExceeded):
-            subgroup_invariants(PRESETS["gamma43"], cap=3)
+    @staticmethod
+    def enumerate_capped(monkeypatch, how):
+        if how == "environment":
+            monkeypatch.setenv("KATZMOD_COSET_CAP", "3")
+            return coset_enumerate(PRESETS["gamma43"])
+        return coset_enumerate(PRESETS["gamma43"], cap=3)
 
-    def test_capped_then_uncapped(self):
+    @pytest.mark.parametrize("how", ["argument", "environment"])
+    def test_lookup_then_capped(self, monkeypatch, how):
+        assert dim_rho_prim(coset_enumerate(PRESETS["gamma43"]), 2) == 2
         with pytest.raises(CosetCapExceeded):
-            subgroup_invariants(PRESETS["gamma43"], cap=3)
-        assert subgroup_invariants(PRESETS["gamma43"]).index == 7
+            self.enumerate_capped(monkeypatch, how)
 
-    def test_environment_cap_after_default(self, monkeypatch):
-        assert subgroup_invariants(PRESETS["gamma43"]).index == 7
-        monkeypatch.setenv("KATZMOD_COSET_CAP", "3")
+    @pytest.mark.parametrize("how", ["argument", "environment"])
+    def test_capped_then_lookup(self, monkeypatch, how):
+        table = coset_enumerate(PRESETS["gamma43"])
         with pytest.raises(CosetCapExceeded):
-            subgroup_invariants(PRESETS["gamma43"])
+            self.enumerate_capped(monkeypatch, how)
+        # the presets are enumerated at the default cap, whatever is in force
+        assert dim_rho_prim(table, 2) == 2
+        with pytest.raises(CosetCapExceeded):
+            self.enumerate_capped(monkeypatch, how)
 
 
 class TestCosetCapValidation:
     @pytest.fixture(autouse=True)
-    def fresh_cache(self, monkeypatch):
-        monkeypatch.setattr(katzmod.subgroups, "_INVARIANTS_CACHE", {})
+    def default_cap(self, monkeypatch):
         monkeypatch.delenv("KATZMOD_COSET_CAP", raising=False)
 
     @pytest.mark.parametrize("cap", [0, -3, True, False, 2.5, 3.0, "7"])
     def test_malformed_argument_rejected(self, cap):
         # cap=True used to be read as 1 and raise CosetCapExceeded
         with pytest.raises(ValueError, match="positive integer, got .* from the cap argument"):
-            subgroup_invariants(FULL_GROUP, cap=cap)
+            coset_enumerate(FULL_GROUP, cap=cap)
         with pytest.raises(ValueError, match="from the cap argument"):
             coset_enumerate(PRESETS["gamma43"], cap=cap)
 
@@ -506,7 +524,7 @@ class TestCosetCapValidation:
     def test_malformed_environment_rejected(self, monkeypatch, value):
         monkeypatch.setenv("KATZMOD_COSET_CAP", value)
         with pytest.raises(ValueError, match="from the environment variable KATZMOD_COSET_CAP"):
-            subgroup_invariants(PRESETS["gamma43"])
+            coset_enumerate(PRESETS["gamma43"])
 
     def test_valid_caps_accepted(self, monkeypatch):
         assert coset_enumerate(PRESETS["gamma43"], cap=1000).index == 7
@@ -523,7 +541,7 @@ class TestCongruence:
 
     def test_presets_noncongruence(self):
         for name in PRESETS:
-            assert not subgroup_invariants(PRESETS[name]).congruence
+            assert not invariants(coset_enumerate(PRESETS[name])).congruence
 
     def test_known_congruence_groups(self):
         # levels 2 and 4 are powers of two, 3 and 5 odd, and gamma43 /
@@ -582,14 +600,14 @@ class TestCongruenceOracle:
 
     def test_presets_against_oracle(self):
         for name in PRESETS:
-            inv = subgroup_invariants(PRESETS[name])
+            inv = invariants(coset_enumerate(PRESETS[name]))
             assert self.oracle(PRESETS[name]) == inv.congruence == False
 
     def test_presets_close_to_full_modular_group(self):
         # the premise of dim_rho_prim: each preset's image mod its level is all
         # of PSL2(Z/level), so its congruence closure is the full modular group
         for name, gens in PRESETS.items():
-            level = subgroup_invariants(gens).level
+            level = invariants(coset_enumerate(gens)).level
             assert image_size_mod_n(gens, level) == psl2_mod_n_size(level), name
 
     def test_congruence_family_against_oracle(self):
@@ -757,19 +775,18 @@ class TestCongruenceFoldedBranches:
         assert seen == {(c, f) for c in ("odd", "power of 2", "mixed") for f in (True, False)}
 
 
-def canonical_from(table, base):
-    """_canonical's breadth-first numbering of the table, started at coset
-    base instead of coset 0."""
-    n = table.index
-    swap = list(range(n))
-    swap[0], swap[base] = base, 0
-    perms = []
-    for p in (table.perm_S, table.perm_T):
-        q = [0] * n
-        for i in range(n):
-            q[swap[i]] = swap[p[i]]
-        perms.append(tuple(q))
-    return _canonical(CosetTable(n, *perms))
+def relabel(table, base=0):
+    """The table with its cosets renumbered breadth-first from coset base,
+    trying s before u = ST, as coset_enumerate numbers them."""
+    perm_u = _compose(table.perm_S, table.perm_T)
+    order, label = [base], {base: 0}
+    for c in order:  # grows while it is read
+        for p in (table.perm_S, perm_u):
+            if p[c] not in label:
+                label[p[c]] = len(order)
+                order.append(p[c])
+    perm_s, perm_u = (tuple(label[p[c]] for c in order) for p in (table.perm_S, perm_u))
+    return CosetTable(table.index, perm_s, _compose(perm_s, perm_u))
 
 
 class TestCosetEnumerationProperties:
@@ -804,7 +821,18 @@ class TestCosetEnumerationProperties:
         for e in reversed(exponents):  # g^-1 = S T^-e_k ... S T^-e_1 in PSL2(Z)
             base = _perm_power(table.perm_T, -e)[table.perm_S[base]]
         a, b, c, d = g
-        return [mat_mul(mat_mul(g, m), (d, -b, -c, a)) for m in gens], canonical_from(table, base)
+        return [mat_mul(mat_mul(g, m), (d, -b, -c, a)) for m in gens], relabel(table, base)
+
+    def test_schreier_round_trip(self):
+        # a table's Schreier generators enumerate back to the same table,
+        # renumbered as coset_enumerate numbers cosets
+        rng = random.Random(64)
+        checked = 0
+        while checked < 300:
+            table = random_coset_table(rng, rng.randint(1, 24))
+            if table is not None:
+                assert coset_enumerate(schreier_generators(table)) == relabel(table), table
+                checked += 1
 
     def test_generator_order(self):
         rng = random.Random(61)
@@ -819,7 +847,7 @@ class TestCosetEnumerationProperties:
             assert self.invariants_of(gens + [mat_mul(a, b)]) == invariants(table), gens
 
     def test_conjugated(self):
-        # invariants cannot see the base coset; the canonical table can
+        # invariants cannot see the base coset; the table can
         rng = random.Random(63)
         cases = self.subgroups(rng) + [(coset_enumerate(gens), gens.generators)
                                        for gens in PRESETS.values()]
@@ -827,7 +855,7 @@ class TestCosetEnumerationProperties:
             exponents = [rng.randint(-20, 20) for _ in range(rng.randint(1, 5))]
             conjugated, want = self.conjugate(table, gens, exponents)
             got = coset_enumerate(GeneratorSet("variant", conjugated))
-            assert _canonical(got) == want, exponents
+            assert got == want, exponents
             assert invariants(got) == invariants(table), exponents
 
     def test_long_conjugator_within_a_small_cap(self):
@@ -836,12 +864,12 @@ class TestCosetEnumerationProperties:
         # it per generator and grew past 2000
         table = coset_enumerate(PRESETS["gamma711"])
         conjugated, want = self.conjugate(table, PRESETS["gamma711"].generators, [250, -180])
-        assert _canonical(coset_enumerate(GeneratorSet("variant", conjugated), cap=2000)) == want
+        assert coset_enumerate(GeneratorSet("variant", conjugated), cap=2000) == want
 
 
 class TestDimCuspForms:
     def test_full_group_weights(self):
-        inv = subgroup_invariants(FULL_GROUP)
+        inv = invariants(coset_enumerate(FULL_GROUP))
         # classical dimensions for the modular group
         assert dim_cusp_forms(inv, 12) == 1
         assert dim_cusp_forms(inv, 4) == 0
@@ -851,15 +879,15 @@ class TestDimCuspForms:
         assert dim_cusp_forms(inv, 2) == 0
 
     def test_gamma43_weight_4(self):
-        inv = subgroup_invariants(PRESETS["gamma43"])
+        inv = invariants(coset_enumerate(PRESETS["gamma43"]))
         assert dim_cusp_forms(inv, 4) == 1
 
     def test_weight_2_is_genus(self):
-        inv = subgroup_invariants(PRESETS["gamma711"])
+        inv = invariants(coset_enumerate(PRESETS["gamma711"]))
         assert dim_cusp_forms(inv, 2) == inv.genus
 
     def test_odd_weight_rejected(self):
-        inv = subgroup_invariants(FULL_GROUP)
+        inv = invariants(coset_enumerate(FULL_GROUP))
         for w in [5, 0, 4.0, True, "4"]:
             with pytest.raises(ValueError, match="even integer"):
                 dim_cusp_forms(inv, w)
@@ -867,27 +895,30 @@ class TestDimCuspForms:
 
 class TestDimRhoPrim:
     def test_gamma43_small(self):
-        assert dim_rho_prim(PRESETS["gamma43"], 2) == 2
-        assert dim_rho_prim(PRESETS["gamma43"], 20) == 20
+        assert dim_rho_prim(coset_enumerate(PRESETS["gamma43"]), 2) == 2
+        assert dim_rho_prim(coset_enumerate(PRESETS["gamma43"]), 20) == 20
 
     def test_gamma52(self):
-        assert dim_rho_prim(PRESETS["gamma52"], 10) == 10
+        assert dim_rho_prim(coset_enumerate(PRESETS["gamma52"]), 10) == 10
 
     def test_gamma711_small(self):
-        assert dim_rho_prim(PRESETS["gamma711"], 2) == 2
-        assert dim_rho_prim(PRESETS["gamma711"], 4) == 4
+        assert dim_rho_prim(coset_enumerate(PRESETS["gamma711"]), 2) == 2
+        assert dim_rho_prim(coset_enumerate(PRESETS["gamma711"]), 4) == 4
 
     def test_gamma711_growth(self):
         # regression pin for what the formula yields at larger k: the cusp
         # and elliptic data of this index-9 subgroup make the excess over the
         # full group exceed k/2 once floor((k+2)/3) < k/2
-        assert dim_rho_prim(PRESETS["gamma711"], 6) == 8
-        assert dim_rho_prim(PRESETS["gamma711"], 20) == 26
+        assert dim_rho_prim(coset_enumerate(PRESETS["gamma711"]), 6) == 8
+        assert dim_rho_prim(coset_enumerate(PRESETS["gamma711"]), 20) == 26
 
     def test_non_preset_rejected(self):
         other = GeneratorSet("gamma2", [(1, 2, 0, 1), (1, 0, 2, 1)])
         with pytest.raises(ValueError, match="congruence closure unknown"):
-            dim_rho_prim(other, 2)
+            dim_rho_prim(coset_enumerate(other), 2)
+        # generators are no longer taken in place of their table
+        with pytest.raises(TypeError, match="takes a CosetTable, got GeneratorSet"):
+            dim_rho_prim(PRESETS["gamma43"], 2)
 
     @staticmethod
     def presentations(name):
@@ -903,10 +934,11 @@ class TestDimRhoPrim:
     def test_any_presentation_of_a_preset(self):
         # the answer must not depend on how the subgroup is presented
         for name in PRESETS:
-            want = [dim_rho_prim(PRESETS[name], k) for k in (2, 6, 20)]
+            table = coset_enumerate(PRESETS[name])
+            want = [dim_rho_prim(table, k) for k in (2, 6, 20)]
             for how, gens in self.presentations(name).items():
-                other = GeneratorSet(f"{name}, {how}", list(gens))
-                assert subgroup_invariants(other) == subgroup_invariants(PRESETS[name])
+                other = coset_enumerate(GeneratorSet(f"{name}, {how}", list(gens)))
+                assert other == table, (name, how)
                 assert [dim_rho_prim(other, k) for k in (2, 6, 20)] == want, (name, how)
 
     def test_conjugate_of_a_preset_rejected(self):
@@ -915,25 +947,34 @@ class TestDimRhoPrim:
         g = PRESETS["gamma43"].generators
         for c in (T_MAT, S_MAT, (1, 0, 1, 1)):
             conj = GeneratorSet("conjugate", [mat_mul(mat_mul(inverse(c), m), c) for m in g])
-            assert subgroup_invariants(conj) == subgroup_invariants(PRESETS["gamma43"])
+            table = coset_enumerate(conj)
+            assert table != coset_enumerate(PRESETS["gamma43"])
+            assert invariants(table) == invariants(coset_enumerate(PRESETS["gamma43"]))
             assert coset_enumerate(GeneratorSet("join", list(g + conj.generators))).index < 7
             with pytest.raises(ValueError, match="congruence closure unknown"):
-                dim_rho_prim(conj, 2)
+                dim_rho_prim(table, 2)
 
     def test_dimension_section_enumerates_each_subgroup_once(self, monkeypatch):
-        monkeypatch.setattr(katzmod.subgroups, "_INVARIANTS_CACHE", {})
+        # the section checks ten k per preset; verify enumerates each preset
+        # once, and a cold preset lookup each preset and the full group once
         monkeypatch.delenv("KATZMOD_COSET_CAP", raising=False)
+        katzmod.subgroups._preset_invariants.cache_clear()
         calls = []
-        real = katzmod.subgroups.coset_enumerate
-        monkeypatch.setattr(katzmod.subgroups, "coset_enumerate",
-                            lambda gens, cap=None: calls.append(gens.name) or real(gens, cap))
-        assert all(row.ok for row in katzmod.verify.check_dimension())
-        assert sorted(calls) == sorted(list(PRESETS) + [FULL_GROUP.name])
+        for module in (katzmod.verify, katzmod.subgroups):
+            real = module.coset_enumerate
+            monkeypatch.setattr(module, "coset_enumerate",
+                                lambda gens, cap=None, real=real, where=module.__name__:
+                                calls.append((where, gens.name)) or real(gens, cap))
+        rows = list(katzmod.verify.check_dimension())
+        assert len(rows) == 10 * len(PRESETS) and all(row.ok for row in rows)
+        assert sorted(calls) == sorted([("katzmod.verify", name) for name in PRESETS]
+                                       + [("katzmod.subgroups", name) for name in PRESETS]
+                                       + [("katzmod.subgroups", FULL_GROUP.name)])
 
     def test_odd_k_rejected(self):
         for k in [3, 4.0, True]:
             with pytest.raises(ValueError, match="even integer"):
-                dim_rho_prim(PRESETS["gamma43"], k)
+                dim_rho_prim(coset_enumerate(PRESETS["gamma43"]), k)
 
 
 class TestGeneratorFiles:
