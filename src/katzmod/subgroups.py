@@ -4,11 +4,13 @@ PSL2(Z) is the free product C2 * C3 on s = S and u = ST, where
 S = (0 -1; 1 0) and T = (1 1; 0 1).  The Euclidean algorithm writes each
 generator matrix straight in the letters s, u, u^-1 (T = s u,
 T^-1 = u^-1 s), reducing freely as it goes, so each word is the normal form
-of its element in C2 * C3.  Coset folding over the presentation
-< s, u | s^2 = u^3 = 1 > (Stallings, Invent. Math. 71 (1983), for free
-products as in Kulkarni, Amer. J. Math. 113 (1991)) traces those words from
-both ends in a graph whose s-edges come in pairs and whose u-edges come as
-whole 3-cycles, so both relators hold by construction, and a conjugate
+of its element in C2 * C3.  Its quotients are truncated toward zero, so it
+takes one step per digit of the regular continued fraction; the normal form
+does not depend on which quotients were taken.  Coset folding over the
+presentation < s, u | s^2 = u^3 = 1 > (Stallings, Invent. Math. 71 (1983),
+for free products as in Kulkarni, Amer. J. Math. 113 (1991)) traces those
+words from both ends in a graph whose s-edges come in pairs and whose u-edges
+come as whole 3-cycles, so both relators hold by construction, and a conjugate
 x c x^-1 defines its path x once; a graph left incomplete proves the index
 infinite.  The cosets are numbered breadth-first from the base coset, trying
 s before u, so the resulting pair of permutations (of S and of T acting on
@@ -188,11 +190,15 @@ def matrix_to_word(m):
     coset-machine letters.
 
     Column reduction repeatedly peels T^q S from the left while the
-    lower-left entry is nonzero, and ends with a T^e.  Each of these goes
-    straight into a reducing stack (_extend_reduced), so the word has no s s,
-    no u u^-1 or u^-1 u, and no u u or u^-1 u^-1.  By the normal form theorem
-    for C2 * C3 it is the only such word that evaluates to the input up to
-    overall sign.
+    lower-left entry is nonzero, and ends with a T^e.  The quotient q = a / c
+    is truncated toward zero, so the remainder keeps a's sign and is smaller
+    than c in size: the loop takes one step per digit of the regular
+    continued fraction of a / c, where a floored quotient would take about
+    |q| steps of q = -2 for each positive T^q once c < 0.  Each T^q S and the
+    last T^e go straight into a reducing stack (_extend_reduced), so the word
+    has no s s, no u u^-1 or u^-1 u, and no u u or u^-1 u^-1.  By the normal
+    form theorem for C2 * C3 it is the only such word that evaluates to the
+    input up to overall sign, whichever quotients were taken.
     """
     m = _int_entries(m)
     if mat_det(m) != 1:
@@ -200,7 +206,7 @@ def matrix_to_word(m):
     word = []
     a, b, c, d = m
     while c != 0:
-        q = a // c
+        q = a // c if (a < 0) == (c < 0) else -(-a // c)
         _extend_reduced(word, _t_power(q, then_s=True))
         # m <- S^-1 T^-q m, with S^-1 = (0 1; -1 0)
         a, b = a - q * c, b - q * d
@@ -251,16 +257,20 @@ class _CosetGraph:
         return c
 
     def unify(self, c1, c2):
+        find, labels, neighbors = self.find, self.labels, self.neighbors
         stack = [(c1, c2)]
         while stack:
             c1, c2 = stack.pop()
-            c1, c2 = self.find(c1), self.find(c2)
+            if labels[c1] != c1:  # nearly every vertex met is a root already
+                c1 = find(c1)
+            if labels[c2] != c2:
+                c2 = find(c2)
             if c1 == c2:
                 continue
             if c2 < c1:
                 c1, c2 = c2, c1
-            self.labels[c2] = c1
-            row1, row2 = self.neighbors[c1], self.neighbors[c2]
+            labels[c2] = c1
+            row1, row2 = neighbors[c1], neighbors[c2]
             for d in range(3):
                 n1, n2 = row1[d], row2[d]
                 if n1 is None:
@@ -269,7 +279,9 @@ class _CosetGraph:
                     stack.append((n1, n2))
 
     def step(self, c, d):
-        c = self.find(c)
+        labels = self.labels
+        if labels[c] != c:
+            c = self.find(c)
         row = self.neighbors[c]
         if row[d] is None:
             if d == 0:  # c <-> n under s
@@ -281,7 +293,8 @@ class _CosetGraph:
                 row[1], row[2] = a, b
                 self.neighbors[a][1], self.neighbors[a][2] = b, c
                 self.neighbors[b][1], self.neighbors[b][2] = c, a
-        return self.find(row[d])
+        n = row[d]
+        return n if labels[n] == n else self.find(n)
 
     def path(self, c, word):
         for d in word:
@@ -301,15 +314,15 @@ class _CosetGraph:
         u-edge once every word is folded proves that the subgroup has infinite
         index.
         """
-        find, neighbors, start = self.find, self.neighbors, self.start
+        find, labels, neighbors, start = self.find, self.labels, self.neighbors, self.start
         for w in sorted(words, key=len):
             i, j = 0, len(w)
             head = tail = start  # the start vertex stays a root: unify keeps the smaller
-            while i < j and neighbors[head][w[i]] is not None:
-                head = find(neighbors[head][w[i]])
+            while i < j and (n := neighbors[head][w[i]]) is not None:
+                head = n if labels[n] == n else find(n)
                 i += 1
-            while i < j and neighbors[tail][_INVERSE[w[j - 1]]] is not None:
-                tail = find(neighbors[tail][_INVERSE[w[j - 1]]])
+            while i < j and (n := neighbors[tail][_INVERSE[w[j - 1]]]) is not None:
+                tail = n if labels[n] == n else find(n)
                 j -= 1
             while head == tail and j - i >= 2 and w[i] == _INVERSE[w[j - 1]]:
                 head = tail = self.step(head, w[i])
@@ -344,10 +357,16 @@ def _compose(p, q):
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Permutation action of PSL2(Z) on the cosets of a finite-index subgroup."""
+    """Permutation action of PSL2(Z) on the cosets of a finite-index subgroup.
+
+    Validated when it is built, so every CosetTable satisfies the relations.
+    """
     index: int
     perm_S: tuple
     perm_T: tuple
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         """The table, once perm_S and perm_T are tuples of index ints in
@@ -413,7 +432,7 @@ def coset_enumerate(gens, cap=None):
     graph.build(words)
     perm_s, perm_u = graph.permutations()
     perm_T = _compose(perm_s, perm_u)  # T = s u
-    table = CosetTable(len(perm_s), perm_s, perm_T).validate()
+    table = CosetTable(len(perm_s), perm_s, perm_T)
     letter_perms = (perm_s, perm_u, _compose(perm_u, perm_u))
     for w, m in zip(words, gens.generators):
         c = 0

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import katzmod
+import katzmod.subgroups
 import katzmod.verify
 from katzmod.subgroups import (GeneratorSet, matrix_to_word, coset_enumerate,
                                invariants, congruence_test, dim_cusp_forms,
@@ -178,6 +179,30 @@ class TestMatrixToWord:
             assert eq_up_to_sign(evaluate(letters), m), m
             assert letters == freely_reduced(st_word_letters(m)), m
 
+    def test_one_step_per_continued_fraction_digit(self, monkeypatch):
+        # each Euclidean step feeds one run to _extend_reduced, and the last
+        # T^e one more; a floored quotient takes about e steps for a T^e after
+        # a sign change (202, 252 and 306 calls on the first three)
+        real = katzmod.subgroups._extend_reduced
+        calls = []
+
+        def counted(word, run):
+            calls.append(1)
+            return real(word, run)
+
+        monkeypatch.setattr(katzmod.subgroups, "_extend_reduced", counted)
+        rng = random.Random(1900)
+        cases = [[300, -250, 200], [-300, 250, -200], [5, 7, 300]]
+        cases += [[rng.randint(-300, 300) for _ in range(rng.randint(1, 12))]
+                  for _ in range(2000)]
+        for exponents in cases:
+            m = (1, 0, 0, 1)
+            for e in exponents:
+                m = mat_mul(mat_mul(m, (1, e, 0, 1)), S_MAT)
+            calls.clear()
+            matrix_to_word(m)
+            assert len(calls) <= 2 * len(exponents) + 2, exponents
+
     def test_non_unimodular_rejected(self):
         with pytest.raises(ValueError):
             matrix_to_word((2, 0, 0, 1))
@@ -259,6 +284,18 @@ class TestCosetEnumeration:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode != 0
         assert "RuntimeError: coset table violates (ST)^3 = 1" in proc.stderr
+
+    @pytest.mark.parametrize("read", [invariants, congruence_test,
+                                      lambda table: dim_rho_prim(table, 4)])
+    @pytest.mark.parametrize("perm_s, perm_t, message", [
+        ((0, 1), (1, 0), r"violates \(ST\)\^3 = 1"),
+        ((0,), (0, 0), r"perm_T is not a tuple of 1 ints"),
+    ])
+    def test_broken_table_never_reaches_a_reader(self, read, perm_s, perm_t, message):
+        # a table is validated when it is built, so the broken relation is
+        # named instead of a Riemann-Hurwitz failure inside invariants
+        with pytest.raises(RuntimeError, match=message):
+            read(CosetTable(len(perm_s), perm_s, perm_t))
 
 
 class HLTCosetGraph:
@@ -706,9 +743,8 @@ def random_coset_table(rng, n):
     rng.shuffle(pts)
     for i in range(0, 3 * rng.randint(0, n // 3), 3):
         perm_st[pts[i]], perm_st[pts[i + 1]], perm_st[pts[i + 2]] = pts[i + 1], pts[i + 2], pts[i]
-    table = CosetTable(n, tuple(perm_s), _compose(tuple(perm_s), tuple(perm_st)))
     try:
-        return table.validate()
+        return CosetTable(n, tuple(perm_s), _compose(tuple(perm_s), tuple(perm_st)))
     except RuntimeError:
         return None
 
@@ -857,6 +893,20 @@ class TestCosetEnumerationProperties:
             got = coset_enumerate(GeneratorSet("variant", conjugated))
             assert got == want, exponents
             assert invariants(got) == invariants(table), exponents
+
+    def test_conjugated_by_long_powers(self):
+        # the shapes of the coset-conjugated benchmark: index 8..32, three
+        # factors T^e S with 100 <= |e| <= 300
+        rng = random.Random(65)
+        cases = [(coset_enumerate(gens), gens.generators) for gens in PRESETS.values()]
+        while len(cases) < 23:
+            table = random_coset_table(rng, rng.randint(8, 32))
+            if table is not None:
+                cases.append((table, schreier_generators(table).generators))
+        for table, gens in cases:
+            exponents = [rng.choice((-1, 1)) * rng.randint(100, 300) for _ in range(3)]
+            conjugated, want = self.conjugate(table, gens, exponents)
+            assert coset_enumerate(GeneratorSet("variant", conjugated)) == want, exponents
 
     def test_long_conjugator_within_a_small_cap(self):
         # folding from both ends defines the path of T^250 S T^-180 S once, in
