@@ -50,7 +50,7 @@ def _int_list(value):
 def cmd_classify(args):
     ht = args.ht_weights
     if args.symplectic and args.k % 2 != 0:
-        raise SystemExit("error: --symplectic requires even k")
+        raise ValueError("--symplectic requires even k")
     report = classification_report(args.k, ht_weights=ht, apply_form_filter=args.symplectic)
     doc = {
         "k": report.k,
@@ -126,14 +126,14 @@ def cmd_rootsys(args):
         _print(doc, args.json, [f"dim {rs.name}{note} = {algebra_dimension(rs)}"])
     elif args.action == "weyl-dim":
         if args.weight is None:
-            raise SystemExit("error: weyl-dim needs --weight c1,c2,...")
+            raise ValueError("weyl-dim needs --weight c1,c2,...")
         weight = list(args.weight)
         dim = weyl_dimension(rs, weight)
         doc = {"type": rs.name, "weight": weight, "dimension": dim}
         _print(doc, args.json, [f"{rs.name}{note}, weight {weight}: dimension {dim}"])
     elif args.action == "irreps":
         if args.dim is None:
-            raise SystemExit("error: irreps needs --dim K")
+            raise ValueError("irreps needs --dim K")
         weights = irreps_of_dimension(rs, args.dim)
         doc = {"type": rs.name, "dimension": args.dim,
                "weights": [list(w) for w in weights]}

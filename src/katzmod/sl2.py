@@ -15,24 +15,28 @@ The basis vector ad(y)^i x^r lies on the single diagonal d = r - i and is held
 only as that diagonal's entries, its strip: no block basis vector is ever a
 dense matrix.  A product or bracket of two strips is one O(k) pass, and lands
 on the sum of their diagonals; x^r is a strip on the diagonal r, so the
-bracket identities are strip computations too.  The basis is held once, as
-these strips, and a question about it splits into one question per diagonal,
-since vectors on different diagonals have disjoint supports.  So the
-decomposition keeps one exact solver per diagonal, projections and bracket
-supports solve one weight space at a time, and the rank of the basis is the
-sum of the ranks of its diagonals.  A bracket support needs only the
-brackets of the top vector x^r of U_r with U_s, because x^r (x) U_s generates
-U_r (x) U_s as an sl2-module.  An h-invariant bilinear form lives on the
-entries with h_a + h_b = 0 (the antidiagonal), which is where `form_kernel`
-starts, from strips, h first; the invariant form is its antidiagonal strip.
-Only `project_to_blocks`, on whole matrices, builds a dense Matrix.
+bracket identities are strip computations too.
+
+Coefficients in the block basis come from the trace form <A, B> = tr(AB).
+For A on the diagonal d and B on -d the two strips have k - |d| entries each,
+and tr(AB) is their dot product index by index; strips on diagonals that are
+not opposite pair to 0.  The form is ad-invariant, so distinct blocks U_t are
+orthogonal, and the basis strips b_t(d) and b_t(-d) of one block pair to a
+nonzero number.  The U_t-coefficient of a strip m on d is therefore
+<m, b_t(-d)> / <b_t(d), b_t(-d)>: one integer dot product over another, with
+no inverse.  A bracket support needs only the brackets of the top vector x^r
+of U_r with U_s, because x^r (x) U_s generates U_r (x) U_s as an sl2-module.
+An h-invariant bilinear form lives on the entries with h_a + h_b = 0 (the
+antidiagonal), which is where `form_kernel` starts, from strips, h first; the
+invariant form is its antidiagonal strip.  Only `project_to_blocks`, on whole
+matrices, builds a dense Matrix.
 """
 
 from fractions import Fraction
 from dataclasses import dataclass
 from math import gcd
 
-from .linalg import Matrix, _gauss_jordan, solve_homogeneous
+from .linalg import Matrix, solve_homogeneous
 from .linalg import rank  # noqa: F401  (perfbench's tracer checks it is rebound here too)
 
 
@@ -97,48 +101,21 @@ class IrrepBlock:
 
 
 @dataclass(frozen=True)
-class StripSolver:
-    """Exact left inverse of the block basis on one diagonal d.
-
-    rs lists the blocks U_r with a basis vector on the diagonal, which are
-    those with r >= max(|d|, 1).  Row j of `inverse` dotted with a strip and
-    divided by denominators[j] gives the coefficient of that vector of
-    U_(rs[j]); the `checks` rows span the left kernel, so a strip lies in the
-    span exactly when each is orthogonal to it.  All rows are integers.
-    """
-    rs: tuple
-    inverse: tuple
-    denominators: tuple
-    checks: tuple
-
-    def coefficients(self, strip):
-        """Block-basis coefficients of a strip on this diagonal, one per rs."""
-        if any(_dot(row, strip) for row in self.checks):
-            raise RuntimeError("projection system inconsistent; decomposition corrupt")
-        return [Fraction(_dot(row, strip), den)
-                for row, den in zip(self.inverse, self.denominators)]
-
-
-@dataclass(frozen=True)
 class AdjointDecomposition:
-    """sl_k = U_1 + ... + U_(k-1): the block basis as strips, and a StripSolver
-    for the basis vectors on each diagonal."""
+    """sl_k = U_1 + ... + U_(k-1): the block basis as strips."""
     k: int
     blocks: tuple  # IrrepBlock for r = 1..k-1
-    solvers: tuple  # StripSolver for the diagonals d = -(k-1) .. k-1
 
     def block(self, r):
         return self.blocks[r - 1]
 
-    def solver(self, d):
-        return self.solvers[d + self.k - 1]
-
     def diagonal_bases(self):
         """For each diagonal d = -(k-1) .. k-1, what linalg.rank reads: the
-        basis strips on d as integer rows, one per U_r in the solver of d, and
-        their length k - |d|.  Vectors on different diagonals have disjoint
-        supports, so these ranks add up to the rank of the whole basis."""
-        return [([self.block(r).strips[r - d] for r in self.solver(d).rs], self.k - abs(d))
+        basis strips on d as integer rows, one per U_r with r >= max(|d|, 1),
+        and their length k - |d|.  Vectors on different diagonals have
+        disjoint supports, so these ranks add up to the rank of the whole
+        basis."""
+        return [([self.block(r).strips[r - d] for r in _blocks_on(self.k, d)], self.k - abs(d))
                 for d in range(1 - self.k, self.k)]
 
 
@@ -185,42 +162,29 @@ def _check_rs(r, s):
             raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
-def _dot(row, strip):
-    return sum(c * v for c, v in zip(row, strip) if v)
+def _blocks_on(k, d):
+    """The r of the blocks U_r with a basis vector on the diagonal d."""
+    return range(max(abs(d), 1), k)
 
 
-def _strip_solver(rs, columns):
-    """StripSolver for the block basis columns (strips, one per r in rs) of
-    one diagonal, by integer Gauss-Jordan on [columns | identity]; raises
-    unless the columns have full rank.
-
-    Row j < len(rs) then reads (0 .. p .. 0 | b) with p in column j and gcd 1,
-    so row j of the inverse is b/p: |p| is its denominator and sign(p) b its
-    numerators.  The remaining rows are zero on the columns: the checks.
-    """
-    n, m = len(columns[0]), len(columns)
-    rows = [[col[i] for col in columns] + [int(i == j) for j in range(n)] for i in range(n)]
-    if len(_gauss_jordan(rows, m)) != m:
-        raise RuntimeError("adjoint decomposition is not direct: "
-                           "the basis strips on one diagonal are dependent")
-    inverse = tuple(tuple(x if row[j] > 0 else -x for x in row[m:])
-                    for j, row in enumerate(rows[:m]))
-    denominators = tuple(abs(row[j]) for j, row in enumerate(rows[:m]))
-    checks = tuple(tuple(row[m:]) for row in rows[m:])
-    return StripSolver(tuple(rs), inverse, denominators, checks)
+def _dot(a, b):
+    """The trace form tr(AB) of A on a diagonal d and B on -d, from their
+    strips: the entries line up index by index."""
+    return sum(u * v for u, v in zip(a, b) if v)
 
 
 def decompose_adjoint(t):
     """Decompose sl_k into the blocks U_r under ad of the given triple.
 
     The basis {ad(y)^i x^r} of each block is computed from the triple's
-    strips and held strip by strip, ad(y)^i x^r on the diagonal r - i.
-    Each diagonal d gets a StripSolver for the basis vectors on it: a square
-    system for d != 0, k x (k-1) for d = 0.  Full column rank on every
-    diagonal is the directness check, and raises if it fails (it never does
-    for a valid triple).  The strips are the only copy of the basis:
-    `diagonal_bases` hands them out per diagonal for callers that check its
-    rank independently.
+    strips and held strip by strip, ad(y)^i x^r on the diagonal r - i.  The
+    directness check pairs, for each d >= 0, the basis strip of every U_t on
+    d with that of every U_u on -d under the trace form: the pairing must be
+    nonzero exactly when t = u.  Then no combination of the strips on d (or
+    on -d) vanishes, so the blocks are independent; it raises RuntimeError
+    otherwise (it never does for a valid triple).  The strips are the only
+    copy of the basis: `diagonal_bases` hands them out per diagonal for
+    callers that check its rank independently.
     """
     k, xs, ys = t.k, t.x, t.y
     blocks = []
@@ -231,19 +195,26 @@ def decompose_adjoint(t):
         for i in range(2 * r):
             strips.append(_strip_bracket(k, -1, ys, r - i, strips[-1]))
         blocks.append(IrrepBlock(r, tuple(map(tuple, strips))))
-    solvers = []
-    for d in range(-(k - 1), k):
-        rs = range(max(abs(d), 1), k)
-        solvers.append(_strip_solver(rs, [blocks[r - 1].strips[r - d] for r in rs]))
-    return AdjointDecomposition(k, tuple(blocks), tuple(solvers))
+    for d in range(k):
+        rs = _blocks_on(k, d)
+        for t_ in rs:
+            for u in rs:
+                p = _dot(blocks[t_ - 1].strips[t_ - d], blocks[u - 1].strips[u + d])
+                if bool(p) != (t_ == u):
+                    raise RuntimeError("adjoint decomposition is not direct: the trace form "
+                                       f"pairs U_{t_} on the diagonal {d} with U_{u} on {-d} "
+                                       f"to {p}")
+    return AdjointDecomposition(k, tuple(blocks))
 
 
 def project_to_blocks(dec, m):
     """Write a traceless matrix as a sum of components, one in each U_r.
 
-    The diagonal d of m is solved for with the decomposition's StripSolver
-    for d.  Returns a dict r -> component matrix, r = 1..k-1, components
-    summing to m.
+    The U_r-coefficient of the diagonal m_d of m is
+    <m_d, b_r(-d)> / <b_r(d), b_r(-d)> under the trace form, b_r(d) the basis
+    strip of U_r on d.  A traceless m lies in the span of the blocks, so
+    nothing else is checked.  Returns a dict r -> component matrix,
+    r = 1..k-1, components summing to m.
     """
     k = dec.k
     if m.rows != k or m.cols != k:
@@ -255,9 +226,10 @@ def project_to_blocks(dec, m):
         strip = _diagonal_strip(m, d)
         if not any(strip):
             continue
-        solver = dec.solver(d)
-        for r, c in zip(solver.rs, solver.coefficients(strip)):
-            for i, v in zip(_strip_rows(k, d), dec.block(r).strips[r - d]):
+        for r in _blocks_on(k, d):
+            b, dual = dec.block(r).strips[r - d], dec.block(r).strips[r + d]
+            c = Fraction(_dot(strip, dual), _dot(b, dual))
+            for i, v in zip(_strip_rows(k, d), b):
                 entries[r][i * k + i + d] = c * v
     return {r: Matrix(k, k, e) for r, e in entries.items()}
 
@@ -269,8 +241,9 @@ def bracket_support(dec, r, s):
     yv (x) w + v (x) yw puts every y^i x^r (x) w in it, by induction on i.
     The bracket and each projection pi_t onto U_t are module maps, so the
     image of [U_r, U_s] meets U_t exactly when pi_t([x^r, U_s]) != 0.  Each
-    [x^r, b], b a basis strip of U_s, is one strip, and the blocks with a
-    nonzero coefficient from its diagonal's StripSolver are recorded.
+    [x^r, b], b a basis strip of U_s, is one strip w on some diagonal d, and
+    its U_t-coefficient is nonzero exactly when w pairs to nonzero with U_t's
+    basis strip on -d under the trace form; those t are recorded.
     Always lands inside {max(r-s,1), ..., min(r+s, k-1)}, never contains
     r+s, and contains r+s-1 whenever r+s <= k.  An r or s that is not an
     int, or is a bool, raises ValueError.
@@ -282,10 +255,11 @@ def bracket_support(dec, r, s):
     top = dec.block(r).strips[0]
     support = set()
     for j, b in enumerate(dec.block(s).strips):
+        d = r + s - j
         w = _strip_bracket(k, r, top, s - j, b)
         if any(w):
-            solver = dec.solver(r + s - j)
-            support.update(t_ for t_, c in zip(solver.rs, solver.coefficients(w)) if c)
+            support.update(t_ for t_ in _blocks_on(k, d)
+                           if _dot(w, dec.block(t_).strips[t_ + d]))
     return support
 
 

@@ -75,22 +75,9 @@ def check_pipeline():
                           want, str(report.conclusion), report.conclusion == want)
 
 
-# k -> (principal triple, its adjoint decomposition), shared by the adjoint
-# and bracket sections while run() runs; a section called alone makes its own
-_decompositions = None
-
-
-def _principal_decomposition(k):
-    cache = {} if _decompositions is None else _decompositions
-    if k not in cache:
-        t = principal_triple(k)
-        cache[k] = t, decompose_adjoint(t)
-    return cache[k]
-
-
 def check_adjoint():
     for k in range(2, 13):
-        _, dec = _principal_decomposition(k)
+        dec = decompose_adjoint(principal_triple(k))
         dims = [len(b.strips) for b in dec.blocks]
         want = [2 * r + 1 for r in range(1, k)]
         basis_rank = sum(rank(rows, n) for rows, n in dec.diagonal_bases())
@@ -102,7 +89,8 @@ def check_adjoint():
 
 def check_bracket():
     for k in range(2, 11):
-        t, dec = _principal_decomposition(k)
+        t = principal_triple(k)
+        dec = decompose_adjoint(t)
         bad = []
         for r in range(1, k):
             for s in range(1, r + 1):
@@ -237,15 +225,10 @@ SECTIONS = {
 
 def run(only=None):
     """Run all checks (or one section); returns the list of CheckResult rows."""
-    global _decompositions
     if only is not None and only not in SECTIONS:
         raise ValueError(f"unknown section {only!r}; choose from {', '.join(SECTIONS)}")
-    _decompositions = {}
-    try:
-        rows = []
-        for name, section in SECTIONS.items():
-            if only in (None, name):
-                rows.extend(section())
-        return rows
-    finally:
-        _decompositions = None
+    rows = []
+    for name, section in SECTIONS.items():
+        if only in (None, name):
+            rows.extend(section())
+    return rows

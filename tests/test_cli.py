@@ -77,8 +77,16 @@ class TestClassifyCommand:
         assert info.value.code != 0
 
     def test_symplectic_odd_k_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            run(capsys, "classify", "--k", "5", "--symplectic")
+        # usage errors found after parsing exit 2 like argparse's own, not 1,
+        # which verify-paper keeps for a failed check
+        for argv, message in (
+                (["classify", "--k", "5", "--symplectic"], "--symplectic requires even k"),
+                (["rootsys", "--type", "G", "--rank", "2", "weyl-dim"],
+                 "weyl-dim needs --weight c1,c2,..."),
+                (["rootsys", "--type", "A", "--rank", "1", "irreps"], "irreps needs --dim K")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert err == f"error: {message}\n" and out == "", argv
 
     def test_json_deterministic(self, capsys):
         _, out1, _ = run(capsys, "classify", "--k", "6", "--json")

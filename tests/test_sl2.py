@@ -6,6 +6,7 @@ import subprocess
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -14,7 +15,7 @@ from katzmod import verify
 from katzmod.linalg import Matrix, bracket, rank, solve_homogeneous, solve_linear
 from katzmod.sl2 import (Sl2Triple, principal_triple, decompose_adjoint,
                          project_to_blocks, bracket_support, verify_bracket_identity,
-                         invariant_bilinear_form, form_kernel, _strip_bracket)
+                         invariant_bilinear_form, form_kernel, _dot, _strip_bracket)
 
 
 # Reference implementations: the dense, ungraded algorithms the graded sl2
@@ -102,8 +103,8 @@ def form_matrix(k, form):
 
 
 def with_strip_replaced(dec, r, i, strip):
-    """dec with the strip of ad(y)^i x^r replaced; its solvers are left as
-    they were."""
+    """dec with the strip of ad(y)^i x^r replaced, and nothing checked: the
+    blocks need no longer be independent."""
     blocks = list(dec.blocks)
     strips = list(blocks[r - 1].strips)
     strips[i] = strip
@@ -111,17 +112,40 @@ def with_strip_replaced(dec, r, i, strip):
     return replace(dec, blocks=tuple(blocks))
 
 
-def exhaustive_bracket_support(dec, r, s):
+def strip_inverse(dec, d):
+    """r -> the U_r-coefficients of the unit strips e_i on the diagonal d, by
+    solve_linear on that diagonal's block basis strips: a route to block
+    coefficients that does not use the trace form.  On d = 0 only traceless
+    strips lie in the span, so the strips e_i - e_last stand in for the e_i
+    and the last is dropped; a traceless w is sum w_i (e_i - e_last).  Each
+    row is scaled to integers, which keeps which coefficients are zero."""
+    k, n = dec.k, dec.k - abs(d)
+    rs = range(max(abs(d), 1), k)
+    cols = [dec.block(r).strips[r - d] for r in rs]
+    m = Matrix(n, len(rs), [c[i] for i in range(n) for c in cols])
+    units = [solve_linear(m, [int(j == i) - int(d == 0 and j == n - 1) for j in range(n)])
+             for i in range(n - (d == 0))]
+    rows = {}
+    for col, r in enumerate(rs):
+        den = lcm(*(u[col].denominator for u in units))
+        rows[r] = [int(u[col] * den) for u in units]
+    return rows
+
+
+def exhaustive_bracket_support(dec, r, s, inverses):
     """Bracket every pair of basis strips of U_r and U_s and record the blocks
-    with a nonzero coefficient: (2r+1)(2s+1) strip brackets."""
+    with a nonzero coefficient: (2r+1)(2s+1) strip brackets.  inverses maps
+    each diagonal d to strip_inverse(dec, d)."""
     k = dec.k
     support = set()
     for i, a in enumerate(dec.block(r).strips):
         for j, b in enumerate(dec.block(s).strips):
             w = _strip_bracket(k, r - i, a, s - j, b)
             if any(w):
-                solver = dec.solver(r - i + s - j)
-                support.update(t_ for t_, c in zip(solver.rs, solver.coefficients(w)) if c)
+                d = r - i + s - j
+                assert d or sum(w) == 0
+                support.update(t_ for t_, row in inverses[d].items()
+                               if sum(c * v for c, v in zip(row, w)))
     return support
 
 
@@ -347,6 +371,13 @@ class TestAdjointDecomposition:
             assert dense_rank(cob) == diagonal_rank(dec) == n
             assert len(dec.diagonal_bases()) == 2 * k - 1
 
+    def test_two_jordan_blocks_rejected(self):
+        # x = E_01 + E_23 squares to 0, so U_2 and U_3 have zero strips and
+        # pair to 0 with themselves
+        t = Sl2Triple(4, (1, 0, 1), (1, -1, 1, -1), (1, 0, 1))
+        with pytest.raises(RuntimeError, match="not direct"):
+            decompose_adjoint(t)
+
     def test_ungraded_triple_rejected(self):
         # an ungraded triple cannot be built: the constructor takes one strip
         # per diagonal and refuses strips of the wrong length, or a matrix
@@ -411,18 +442,6 @@ class TestAdjointDecomposition:
         assert not any(row.ok for row in rows[1:])
         assert rows[1].computed == "[3, 5], sum 8, rank 7"
 
-    def test_verify_decomposes_each_k_once(self, monkeypatch):
-        # the adjoint and bracket sections share one decomposition per k in a
-        # run, and the bracket section alone still makes its own
-        real = verify.decompose_adjoint
-        calls = []
-        monkeypatch.setattr(verify, "decompose_adjoint", lambda t: calls.append(t.k) or real(t))
-        assert all(row.ok for row in verify.run())
-        assert sorted(calls) == list(range(2, 13))
-        calls.clear()
-        assert len(verify.run(only="bracket")) == 9
-        assert sorted(calls) == list(range(2, 11))
-
     def test_block_invariants(self):
         # highest weight killed by ad x; h-weights 2r-2i; lowest killed by ad y
         for k in (3, 5, 6):
@@ -477,19 +496,21 @@ class TestProjectToBlocks:
         assert total == m
 
     def test_random_traceless_against_dense_projection(self):
+        # the Sym^(k-1) triple too: the pairing needs no x of all ones
         rng = random.Random(20040211)
         for k in range(2, 7):
-            dec = decompose_adjoint(principal_triple(k))
-            for _ in range(5):
-                entries = [rng.randint(-9, 9) for _ in range(k * k)]
-                entries[-1] = -sum(entries[i * k + i] for i in range(k - 1))
-                m = Matrix(k, k, entries)
-                comps = project_to_blocks(dec, m)
-                total = Matrix.zeros(k)
-                for c in comps.values():
-                    total = total + c
-                assert total == m
-                assert comps == dense_projection(dec, m)
+            for t in (principal_triple(k), sym_power_rep(k).triple):
+                dec = decompose_adjoint(t)
+                for _ in range(5):
+                    entries = [rng.randint(-9, 9) for _ in range(k * k)]
+                    entries[-1] = -sum(entries[i * k + i] for i in range(k - 1))
+                    m = Matrix(k, k, entries)
+                    comps = project_to_blocks(dec, m)
+                    total = Matrix.zeros(k)
+                    for c in comps.values():
+                        total = total + c
+                    assert total == m
+                    assert comps == dense_projection(dec, m)
 
     def test_nonzero_trace_rejected(self):
         dec = decompose_adjoint(principal_triple(3))
@@ -527,19 +548,21 @@ class TestBracketSupport:
 
     def test_against_dense_brackets(self):
         for k in range(2, 8):
-            dec = decompose_adjoint(principal_triple(k))
-            for r in range(1, k):
-                for s in range(1, r + 1):
-                    assert bracket_support(dec, r, s) == dense_bracket_support(dec, r, s)
+            for t in (principal_triple(k), sym_power_rep(k).triple):
+                dec = decompose_adjoint(t)
+                for r in range(1, k):
+                    for s in range(1, r + 1):
+                        assert bracket_support(dec, r, s) == dense_bracket_support(dec, r, s)
 
     def test_against_exhaustive_strip_brackets(self):
         # [x^r, U_s] alone against all (2r+1)(2s+1) pairs of basis strips
         for k in range(2, 13):
             dec = decompose_adjoint(principal_triple(k))
+            inverses = {d: strip_inverse(dec, d) for d in range(1 - k, k)}
             for r in range(1, k):
                 for s in range(1, r + 1):
-                    assert bracket_support(dec, r, s) == exhaustive_bracket_support(dec, r, s), \
-                        (k, r, s)
+                    assert bracket_support(dec, r, s) == \
+                        exhaustive_bracket_support(dec, r, s, inverses), (k, r, s)
 
     def test_bad_range_rejected(self):
         dec = decompose_adjoint(principal_triple(4))
@@ -602,6 +625,13 @@ class TestBracketIdentity:
                                  == mat_power(x, r + s - 1).scale(2 * r * s))
                         assert dense == holds
                         assert verify_bracket_identity(triple, r, s) == dense, (k, r, s)
+
+    def test_two_jordan_blocks_rejected(self):
+        # x = E_01 + E_23 squares to 0, so U_2 and U_3 have zero strips and
+        # pair to 0 with themselves
+        t = Sl2Triple(4, (1, 0, 1), (1, -1, 1, -1), (1, 0, 1))
+        with pytest.raises(RuntimeError, match="not direct"):
+            decompose_adjoint(t)
 
     def test_ungraded_triple_rejected(self):
         # an ungraded triple cannot be built, nor one with entries that are
@@ -744,15 +774,20 @@ class TestFormKernelAgainstDense:
                 form_kernel(mats, 4)
 
 
-class TestStripSolverRoundTrip:
-    def test_basis_strips_have_unit_coefficients(self):
-        # the solver of diagonal d inverts the block basis on d: the strip of
-        # the U_r basis vector on d has coefficient 1 on r and 0 elsewhere
+class TestTracePairing:
+    def test_blocks_pair_through_the_trace_form(self):
+        # tr(AB) of the basis strip of U_t on d and that of U_u on -d, from
+        # dense products: 0 for t != u, nonzero for t = u, and equal to the
+        # strip dot product that sl2 reads
         for k in range(2, 9):
             for t in (principal_triple(k), sym_power_rep(k).triple):
                 dec = decompose_adjoint(t)
                 for d in range(-(k - 1), k):
-                    solver = dec.solver(d)
-                    for r in solver.rs:
-                        coeffs = solver.coefficients(dec.block(r).strips[r - d])
-                        assert coeffs == [int(s == r) for s in solver.rs], (k, d, r)
+                    rs = range(max(abs(d), 1), k)
+                    for t_ in rs:
+                        a = dec.block(t_).strips[t_ - d]
+                        for u in rs:
+                            b = dec.block(u).strips[u + d]
+                            tr = (strip_matrix(k, d, a) * strip_matrix(k, -d, b)).trace()
+                            assert (tr != 0) == (t_ == u), (k, d, t_, u)
+                            assert tr == _dot(a, b), (k, d, t_, u)

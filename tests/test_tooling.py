@@ -13,9 +13,9 @@ fails here too.  Its root counter must equal the closed-form positive-root
 counts of the types that classify(7) builds: those whose closed-form
 exponents pass the exponent criteria at k = 7.
 
-The Lie side (the invariant form, the form filter and the adjoint rank)
-builds no dense Matrix: a run with `Matrix.__init__` patched to raise must
-pass.
+The Lie side (the invariant form, the form filter, the adjoint
+decomposition and its rank, and the bracket supports) builds no dense Matrix:
+a run with `Matrix.__init__` patched to raise must pass.
 
 Internal checks must survive `python -O`, which strips `assert` statements, so
 no module of katzmod may contain one.
@@ -124,8 +124,9 @@ else:
     raise SystemExit("Matrix.__init__ is not patched")
 codes = {}
 for argv in (["verify-paper", "--only", "form"], ["verify-paper", "--only", "pipeline"],
-             ["verify-paper", "--only", "adjoint"], ["classify", "--k", "30", "--symplectic", "--json"],
-             ["sl2", "--k", "12", "form", "--json"]):
+             ["verify-paper", "--only", "adjoint"], ["verify-paper", "--only", "bracket"],
+             ["classify", "--k", "30", "--symplectic", "--json"],
+             ["sl2", "--k", "12", "form", "--json"], ["sl2", "--k", "12", "decompose", "--json"]):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         codes[" ".join(argv)] = (katzmod.cli.main(argv), bool(out.getvalue()))
 print(json.dumps(codes))
@@ -133,14 +134,15 @@ print(json.dumps(codes))
 
 
 def test_lie_side_builds_no_dense_matrix():
-    # the form, the pipeline's form filter at every even k <= 30 and the
-    # adjoint rank run on integer strips and rows, never on a dense Matrix
+    # the form, the pipeline's form filter at every even k <= 30, the adjoint
+    # decomposition and rank and the bracket supports run on integer strips
+    # and rows, never on a dense Matrix
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", NO_DENSE_RUN], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     codes = json.loads(proc.stdout)
-    assert len(codes) == 5
+    assert len(codes) == 7
     assert all(code == [0, True] for code in codes.values()), codes
 
 
