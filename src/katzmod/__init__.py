@@ -15,7 +15,7 @@ from .classify import (exponent_criteria, classify, ht_filter, form_filter,
                        ClassificationReport)
 from .subgroups import (GeneratorSet, matrix_to_word, coset_enumerate,
                         CosetTable, SubgroupInvariants, invariants,
-                        congruence_test, dim_cusp_forms, dim_rho_prim,
+                        congruence_test, congruence_closure, dim_cusp_forms, dim_rho_prim,
                         PRESETS, FULL_GROUP, load_generator_file,
                         resolve_subgroup, CosetCapExceeded, InfiniteIndex)
 

@@ -168,19 +168,12 @@ def cmd_subgroup(args):
         f"  congruence subgroup: {'yes' if inv.congruence else 'no'}",
     ]
     if args.dims:
-        rows = []
-        for k in range(2, args.kmax + 1, 2):
-            row = {"k": k, "dim_cusp_forms": dim_cusp_forms(inv, k + 2)}
-            try:
-                row["dim_rho_prim"] = dim_rho_prim(table, k)
-            except ValueError:
-                pass  # closure unknown for non-preset subgroups
-            rows.append(row)
+        rows = [{"k": k, "dim_cusp_forms": dim_cusp_forms(inv, k + 2), "dim_rho_prim": prim}
+                for k, prim in dim_rho_prim(table, args.kmax).items()]
         doc["dims"] = rows
         lines.append(f"  {'k':>4} {'dim S_(k+2)':>12} {'dim rho_prim':>13}")
         for row in rows:
-            prim = row.get("dim_rho_prim", "-")
-            lines.append(f"  {row['k']:>4} {row['dim_cusp_forms']:>12} {prim:>13}")
+            lines.append(f"  {row['k']:>4} {row['dim_cusp_forms']:>12} {row['dim_rho_prim']:>13}")
     _print(doc, args.json, lines)
     return 0
 
@@ -247,6 +240,10 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(1, len(argv))):  # argparse reads -5,0 as an option, not a value
+        if argv[i - 1] in ("--ht-weights", "--weight") and argv[i][:1] == "-" and argv[i][1:2].isdigit():
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -102,9 +102,27 @@ class IrrepBlock:
 
 @dataclass(frozen=True)
 class AdjointDecomposition:
-    """sl_k = U_1 + ... + U_(k-1): the block basis as strips."""
+    """sl_k = U_1 + ... + U_(k-1): the block basis as strips.
+
+    Checked when it is built: for each d >= 0 the trace form must pair the
+    basis strip of U_t on d with that of U_u on -d to nonzero exactly when
+    t = u.  Then no combination of the strips on d (or on -d) vanishes, so the
+    blocks are independent; RuntimeError otherwise.
+    """
     k: int
     blocks: tuple  # IrrepBlock for r = 1..k-1
+
+    def __post_init__(self):
+        blocks = self.blocks
+        for d in range(self.k):
+            rs = _blocks_on(self.k, d)
+            for t in rs:
+                for u in rs:
+                    p = _dot(blocks[t - 1].strips[t - d], blocks[u - 1].strips[u + d])
+                    if bool(p) != (t == u):
+                        raise RuntimeError("adjoint decomposition is not direct: the trace form "
+                                           f"pairs U_{t} on the diagonal {d} with U_{u} on {-d} "
+                                           f"to {p}")
 
     def block(self, r):
         return self.blocks[r - 1]
@@ -177,14 +195,10 @@ def decompose_adjoint(t):
     """Decompose sl_k into the blocks U_r under ad of the given triple.
 
     The basis {ad(y)^i x^r} of each block is computed from the triple's
-    strips and held strip by strip, ad(y)^i x^r on the diagonal r - i.  The
-    directness check pairs, for each d >= 0, the basis strip of every U_t on
-    d with that of every U_u on -d under the trace form: the pairing must be
-    nonzero exactly when t = u.  Then no combination of the strips on d (or
-    on -d) vanishes, so the blocks are independent; it raises RuntimeError
-    otherwise (it never does for a valid triple).  The strips are the only
-    copy of the basis: `diagonal_bases` hands them out per diagonal for
-    callers that check its rank independently.
+    strips and held strip by strip, ad(y)^i x^r on the diagonal r - i;
+    AdjointDecomposition checks that the blocks are direct.  The strips are
+    the only copy of the basis: `diagonal_bases` hands them out per diagonal
+    for callers that check its rank independently.
     """
     k, xs, ys = t.k, t.x, t.y
     blocks = []
@@ -195,15 +209,6 @@ def decompose_adjoint(t):
         for i in range(2 * r):
             strips.append(_strip_bracket(k, -1, ys, r - i, strips[-1]))
         blocks.append(IrrepBlock(r, tuple(map(tuple, strips))))
-    for d in range(k):
-        rs = _blocks_on(k, d)
-        for t_ in rs:
-            for u in rs:
-                p = _dot(blocks[t_ - 1].strips[t_ - d], blocks[u - 1].strips[u + d])
-                if bool(p) != (t_ == u):
-                    raise RuntimeError("adjoint decomposition is not direct: the trace form "
-                                       f"pairs U_{t_} on the diagonal {d} with U_{u} on {-d} "
-                                       f"to {p}")
     return AdjointDecomposition(k, tuple(blocks))
 
 

@@ -19,7 +19,10 @@ come from the same subgroup (Kulkarni).  The pair carries everything else:
 cusp widths are the T-cycles, elliptic point counts are fixed points of S and
 of ST, the genus comes from Riemann-Hurwitz, the level is the lcm of the
 widths (Wohlfahrt), and the congruence test is Hsu's criterion [Hsu, Proc.
-AMS 124 (1996)] applied to the permutations of T and of S T^-1 S.
+AMS 124 (1996)] applied to the permutations of T and of S T^-1 S.  Hsu's
+words generate Gamma(N) as a normal subgroup, so unifying each coset with its
+images under them folds the table into that of the congruence closure
+Gamma Gamma(N), against which dim_rho_prim measures the primitive part.
 
 Three subgroups ship as named presets ("gamma43", "gamma52", "gamma711");
 user-defined subgroups load from a small JSON document with fields "name"
@@ -29,7 +32,6 @@ and "generators" (rows [a, b, c, d] for the matrix (a b; c d), determinant 1).
 import json
 import os
 from dataclasses import dataclass
-from functools import cache
 from itertools import cycle, islice
 from math import lcm
 
@@ -382,17 +384,12 @@ class CosetTable:
         st = _compose(self.perm_S, self.perm_T)
         if _compose(_compose(st, st), st) != identity:
             raise RuntimeError("coset table violates (ST)^3 = 1")
-        # transitivity of the joint action
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for p in (self.perm_S, self.perm_T):
-                    if p[c] not in seen:
-                        seen.add(p[c])
-                        nxt.append(p[c])
-            frontier = nxt
+        seen, order = {0}, [0]  # transitivity of the joint action
+        for c in order:  # grows while it is read
+            for p in (self.perm_S, self.perm_T):
+                if p[c] not in seen:
+                    seen.add(p[c])
+                    order.append(p[c])
         if len(seen) != n:
             raise RuntimeError(f"coset table is not transitive: {len(seen)} of {n} cosets reached")
         return self
@@ -485,10 +482,7 @@ def _perm_power(p, e):
 
 
 def _perm_order(p):
-    o = 1
-    for c in _cycle_lengths(p):
-        o = lcm(o, c)
-    return o
+    return lcm(*_cycle_lengths(p))
 
 
 def _is_identity(p):
@@ -525,25 +519,20 @@ def invariants(table):
     twelve_g = 12 + mu - 3 * nu2 - 4 * nu3 - 6 * len(widths)
     if twelve_g % 12 != 0 or twelve_g < 0:
         raise RuntimeError(f"Riemann-Hurwitz failed: 12g = {twelve_g}")
-    level = 1
-    for w in widths:
-        level = lcm(level, w)
-    return SubgroupInvariants(mu, widths, nu2, nu3, twelve_g // 12, level,
+    return SubgroupInvariants(mu, widths, nu2, nu3, twelve_g // 12, lcm(*widths),
                               congruence_test(table))
 
 
-def congruence_test(table):
-    """Hsu's congruence criterion from the coset permutations.
+def _hsu_words(table):
+    """The permutations of Hsu's seven words in L = T and R = S T^-1 S.
 
-    Tests whether specific words in the permutations of L = T and
-    R = S T^-1 S are trivial, with the level N = order of L split as e m (e a
-    power of 2, m odd) by the Chinese remainder theorem.  True exactly for
-    congruence subgroups.  Hsu's odd and power-of-2 criteria are the cases
-    e = 1 and m = 1, since L R^-1 L = S^-1 and L^-1 R = (T^-1 S)^2 act with
-    order dividing 2 and 3 in any coset table.  For e = 1, l = r = s = 1 and
-    every word but (R R L^-half)^-3 is trivial; for m = 1, a = b = 1 and the
-    last word only gains the trivial factor (L R^-1 L)^2; for N = 1 every
-    power is trivial.
+    The level N = order of L is split as e m (e a power of 2, m odd) by the
+    Chinese remainder theorem.  Hsu's odd and power-of-2 criteria are the
+    cases e = 1 and m = 1, since L R^-1 L = S^-1 and L^-1 R = (T^-1 S)^2 act
+    with order dividing 2 and 3 in any coset table.  For e = 1, l = r = s = 1
+    and every word but (R R L^-half)^-3 is trivial; for m = 1, a = b = 1 and
+    the last word only gains the trivial factor (L R^-1 L)^2; for N = 1 every
+    power is trivial.  Their normal closure in PSL2(Z) is Gamma(N).
     """
     L = table.perm_T
     R = _compose(_compose(table.perm_S, _perm_inverse(table.perm_T)), table.perm_S)
@@ -569,7 +558,7 @@ def congruence_test(table):
     half = pow(2, -1, m)
     fifth = pow(5, -1, e)
     s = word(_perm_power(l, 20), _perm_power(r, fifth), _perm_power(l, -4), _perm_inverse(r))
-    rels = [
+    return [
         word(_perm_inverse(a), _perm_inverse(r), a, r),
         _perm_power(word(a, _perm_inverse(b), a), 4),
         word(_perm_power(word(a, _perm_inverse(b), a), 2), _perm_power(word(_perm_inverse(a), b), 3)),
@@ -580,7 +569,32 @@ def congruence_test(table):
         word(_perm_power(word(l, _perm_inverse(r), l), 2),
              _perm_power(word(s, _perm_power(r, 5), l, _perm_inverse(r), l), 3)),
     ]
-    return all(_is_identity(r) for r in rels)
+
+
+def congruence_test(table):
+    """Hsu's congruence criterion: True exactly for congruence subgroups,
+    which is when each of Hsu's words fixes every coset."""
+    return all(_is_identity(w) for w in _hsu_words(table))
+
+
+def congruence_closure(table):
+    """The coset table of the congruence closure Gamma Gamma(N), N the level.
+
+    Gamma(N) is normal and the normal closure of Hsu's words, so a coset x
+    and its image x w under a Hsu word w lie in one coset of the closure.
+    Each such pair is unified in a coset graph loaded with the table, unify
+    carries every merge along s and u, and the classes left are numbered
+    breadth-first from the class of coset 0, like every other table.
+    """
+    graph = _CosetGraph(table.index)
+    u = _compose(table.perm_S, table.perm_T)
+    graph.labels = list(range(table.index))
+    graph.neighbors = [list(row) for row in zip(table.perm_S, u, _compose(u, u))]
+    for w in _hsu_words(table):
+        for c, n in enumerate(w):
+            graph.unify(c, n)
+    perm_s, perm_u = graph.permutations()
+    return CosetTable(len(perm_s), perm_s, _compose(perm_s, perm_u))
 
 
 # ---------------------------------------------------------------------------
@@ -602,35 +616,19 @@ def dim_cusp_forms(inv, w):
             + inv.nu2 * (w // 4) + inv.nu3 * (w // 3))
 
 
-@cache
-def _preset_invariants():
-    """{table of a preset: its invariants}, and the full group's invariants,
-    all enumerated at the default cap whatever cap is in force."""
-    presets = {}
-    for gens in PRESETS.values():
-        table = coset_enumerate(gens, DEFAULT_COSET_CAP)
-        presets[table] = invariants(table)
-    return presets, invariants(coset_enumerate(FULL_GROUP, DEFAULT_COSET_CAP))
+def dim_rho_prim(table, kmax):
+    """{k: dim rho_prim in weight k + 2} for each even k with 2 <= k <= kmax.
 
-
-def dim_rho_prim(table, k):
-    """Twice the excess of cusp-form dimensions over the full modular group,
-    in weight k + 2: the dimension of the primitive part of the attached
-    parabolic-cohomology representation.
-
-    Only defined for the three shipped presets, whose congruence closure is
-    the full modular group (their generator images fill PSL2(Z/level)).  The
-    table, as coset_enumerate returns it, is looked up among the presets'
-    tables, so any generator list of a preset is accepted; for any other
-    subgroup the closure is not computed and a ValueError is raised rather
-    than guessing.
+    dim rho_prim is the dimension of the primitive part of the attached
+    parabolic-cohomology representation: twice the excess of dim S_(k+2)
+    over that of the congruence closure (Scholl, Invent. Math. 79 (1985)),
+    which is computed once for all k.  A kmax that is not an int, is a bool
+    or is below 2 raises ValueError.
     """
-    if not _is_int(k) or k < 2 or k % 2 != 0:
-        raise ValueError(f"need an even integer k >= 2, got {k!r}")
+    if not _is_int(kmax) or kmax < 2:
+        raise ValueError(f"need an integer kmax >= 2, got {kmax!r}")
     if not isinstance(table, CosetTable):
         raise TypeError(f"dim_rho_prim takes a CosetTable, got {type(table).__name__}")
-    presets, full = _preset_invariants()
-    if table not in presets:
-        raise ValueError("congruence closure unknown for this subgroup: "
-                         "dim_rho_prim is only defined for the shipped presets")
-    return 2 * (dim_cusp_forms(presets[table], k + 2) - dim_cusp_forms(full, k + 2))
+    inv, closure = invariants(table), invariants(congruence_closure(table))
+    return {k: 2 * (dim_cusp_forms(inv, k + 2) - dim_cusp_forms(closure, k + 2))
+            for k in range(2, kmax + 1, 2)}

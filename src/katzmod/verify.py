@@ -194,9 +194,7 @@ def check_subgroups():
 
 def check_dimension():
     for name in PRESET_DATA:
-        table = coset_enumerate(PRESETS[name])
-        for k in range(2, 21, 2):
-            got = dim_rho_prim(table, k)
+        for k, got in dim_rho_prim(coset_enumerate(PRESETS[name]), 20).items():
             want = expected_dim_rho_prim(name, k)
             yield CheckResult("dimension", f"{name}: dim rho_prim at k={k}",
                               str(want), str(got), got == want)

@@ -7,8 +7,9 @@ back the `katzmod verify-paper` command.
 Criterion 9 takes its targets from each preset's stated data, not from the
 computation: index, cusp widths, nu2 and nu3, all genus 0 (for gamma711:
 index 9, widths 7+1+1, nu2 = 1, nu3 = 0, the only data Riemann-Hurwitz
-admits).  With the full modular group as congruence closure (each preset's
-generators fill PSL2(Z/level)), the dimension formula for cusp forms gives
+admits).  The congruence closure that dim_rho_prim computes from each
+preset's coset table is the full modular group (the preset's generators fill
+PSL2(Z/level)), so the dimension formula for cusp forms gives
 dim rho_prim = k for gamma43 and gamma52 and 2(k - floor((k+2)/3)) for
 gamma711, which exceeds k from k = 6 on.
 """

@@ -88,6 +88,21 @@ class TestClassifyCommand:
             assert code == 2, argv
             assert err == f"error: {message}\n" and out == "", argv
 
+    @pytest.mark.parametrize("argv, code, err", [
+        (["classify", "--k", "4", "--symplectic", "--ht-weights", "-5,0"], 0, ""),
+        (["rootsys", "--type", "G", "--rank", "2", "weyl-dim", "--weight", "-1,0"], 2,
+         "error: weight must be dominant (nonnegative coordinates)\n"),
+        (["rootsys", "--type", "A", "--rank", "1", "weyl-dim", "--weight", "-1"], 2,
+         "error: weight must be dominant (nonnegative coordinates)\n"),
+    ])
+    def test_list_value_starting_with_a_minus_sign(self, capsys, argv, code, err):
+        # argparse reads a token such as -5,0 as an option, so main joins it
+        # to its flag: both spellings give the same answer
+        joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+        got = run(capsys, *argv)
+        assert got == run(capsys, *joined)
+        assert got[0] == code and got[2] == err
+
     def test_json_deterministic(self, capsys):
         _, out1, _ = run(capsys, "classify", "--k", "6", "--json")
         _, out2, _ = run(capsys, "classify", "--k", "6", "--json")
@@ -198,8 +213,7 @@ class TestSubgroupCommand:
 
     def test_dims_under_a_small_cap(self, capsys, tmp_path, monkeypatch):
         # the cap bounds the subgroup asked about: Gamma_0(2), of index 3, fits
-        # in 12 cosets, and the presets that --dims compares it with are
-        # enumerated at the default cap (--dims used to exit 2 here)
+        # in 12 cosets, and its congruence closure defines no coset
         monkeypatch.setenv("KATZMOD_COSET_CAP", "12")
         path = tmp_path / "gamma0_2.json"
         path.write_text(json.dumps({"name": "gamma0_2",
@@ -208,9 +222,10 @@ class TestSubgroupCommand:
             code, out, err = run(capsys, "subgroup", str(path), *extra, "--json")
             assert (code, err) == (0, ""), extra
             assert json.loads(out)["index"] == 3
-        # not a preset, so no dim rho_prim; every cusp-form dimension is there
+        # a congruence subgroup is its own closure: no primitive part at any k
         dims = json.loads(out)["dims"]
-        assert dims and all(sorted(row) == ["dim_cusp_forms", "k"] for row in dims)
+        assert [row["k"] for row in dims] == list(range(2, 21, 2))
+        assert all(row["dim_rho_prim"] == 0 for row in dims)
 
     def test_infinite_index_exits_2(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("KATZMOD_COSET_CAP", raising=False)
@@ -295,7 +310,8 @@ class TestVerifyPaperCommand:
         real = verify.dim_rho_prim
         gamma711 = coset_enumerate(PRESETS["gamma711"])
         monkeypatch.setattr(verify, "dim_rho_prim",
-                            lambda table, k: k if table == gamma711 else real(table, k))
+                            lambda table, kmax: {k: k for k in range(2, kmax + 1, 2)}
+                            if table == gamma711 else real(table, kmax))
         code, out, _ = run(capsys, "verify-paper", "--only", "dimension")
         assert code == 1
         failed = [line[len("[FAIL] "):].split("  expected:")[0].rstrip()

@@ -13,9 +13,10 @@ import pytest
 import katzmod
 from katzmod import verify
 from katzmod.linalg import Matrix, bracket, rank, solve_homogeneous, solve_linear
-from katzmod.sl2 import (Sl2Triple, principal_triple, decompose_adjoint,
-                         project_to_blocks, bracket_support, verify_bracket_identity,
-                         invariant_bilinear_form, form_kernel, _dot, _strip_bracket)
+from katzmod.sl2 import (Sl2Triple, IrrepBlock, AdjointDecomposition, principal_triple,
+                         decompose_adjoint, project_to_blocks, bracket_support,
+                         verify_bracket_identity, invariant_bilinear_form, form_kernel, _dot,
+                         _strip_bracket)
 
 
 # Reference implementations: the dense, ungraded algorithms the graded sl2
@@ -104,12 +105,17 @@ def form_matrix(k, form):
 
 def with_strip_replaced(dec, r, i, strip):
     """dec with the strip of ad(y)^i x^r replaced, and nothing checked: the
-    blocks need no longer be independent."""
+    blocks need no longer be independent.  The constructor's directness check
+    is bypassed, so that the rank checks that read the strips are tested on
+    their own."""
     blocks = list(dec.blocks)
     strips = list(blocks[r - 1].strips)
     strips[i] = strip
     blocks[r - 1] = replace(blocks[r - 1], strips=tuple(strips))
-    return replace(dec, blocks=tuple(blocks))
+    bad = object.__new__(AdjointDecomposition)
+    object.__setattr__(bad, "k", dec.k)
+    object.__setattr__(bad, "blocks", tuple(blocks))
+    return bad
 
 
 def strip_inverse(dec, d):
@@ -378,6 +384,18 @@ class TestAdjointDecomposition:
         with pytest.raises(RuntimeError, match="not direct"):
             decompose_adjoint(t)
 
+    def test_hand_built_decomposition_checked(self):
+        # the constructor checks directness, so a decomposition that
+        # decompose_adjoint did not build cannot reach a reader: with U_2's
+        # strips zeroed, bracket_support(bad, 2, 1) would return set() and
+        # project_to_blocks divide by zero
+        dec = decompose_adjoint(principal_triple(4))
+        zeroed = IrrepBlock(2, tuple((0,) * len(strip) for strip in dec.block(2).strips))
+        with pytest.raises(RuntimeError, match=r"^adjoint decomposition is not direct: the trace "
+                           r"form pairs U_2 on the diagonal 0 with U_2 on 0 to 0$"):
+            AdjointDecomposition(4, (dec.block(1), zeroed, dec.block(3)))
+        assert AdjointDecomposition(4, dec.blocks) == dec
+
     def test_ungraded_triple_rejected(self):
         # an ungraded triple cannot be built: the constructor takes one strip
         # per diagonal and refuses strips of the wrong length, or a matrix
@@ -426,6 +444,8 @@ class TestAdjointDecomposition:
                 bad = with_strip_replaced(dec, 2, 2 - d, dec.block(1).strips[1 - d])
                 cob = dense_change_of_basis([m for r in range(1, k) for m in dense_basis(bad, r)])
                 assert diagonal_rank(bad) == dense_rank(cob) == k * k - 2, (k, d)
+                with pytest.raises(RuntimeError, match="not direct"):
+                    AdjointDecomposition(k, bad.blocks)
 
     def test_verify_adjoint_row_goes_red_on_dependent_strip(self, monkeypatch):
         real = verify.decompose_adjoint

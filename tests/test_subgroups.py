@@ -13,8 +13,8 @@ import katzmod
 import katzmod.subgroups
 import katzmod.verify
 from katzmod.subgroups import (GeneratorSet, matrix_to_word, coset_enumerate,
-                               invariants, congruence_test, dim_cusp_forms,
-                               dim_rho_prim, load_generator_file,
+                               invariants, congruence_test, congruence_closure,
+                               dim_cusp_forms, dim_rho_prim, load_generator_file,
                                resolve_subgroup, CosetCapExceeded, InfiniteIndex, CosetTable,
                                PRESETS, FULL_GROUP,
                                S_MAT, T_MAT, mat_mul, psl2_canonical,
@@ -510,40 +510,6 @@ class TestInvariants:
             produced += 1
 
 
-class TestPresetLookupLeavesCapsAlone:
-    """dim_rho_prim looks tables up among the presets enumerated at the
-    default cap; warming that lookup changes nothing that coset_enumerate
-    answers under a smaller cap, whichever comes first."""
-
-    @pytest.fixture(autouse=True)
-    def cold_lookup(self, monkeypatch):
-        monkeypatch.delenv("KATZMOD_COSET_CAP", raising=False)
-        katzmod.subgroups._preset_invariants.cache_clear()
-
-    @staticmethod
-    def enumerate_capped(monkeypatch, how):
-        if how == "environment":
-            monkeypatch.setenv("KATZMOD_COSET_CAP", "3")
-            return coset_enumerate(PRESETS["gamma43"])
-        return coset_enumerate(PRESETS["gamma43"], cap=3)
-
-    @pytest.mark.parametrize("how", ["argument", "environment"])
-    def test_lookup_then_capped(self, monkeypatch, how):
-        assert dim_rho_prim(coset_enumerate(PRESETS["gamma43"]), 2) == 2
-        with pytest.raises(CosetCapExceeded):
-            self.enumerate_capped(monkeypatch, how)
-
-    @pytest.mark.parametrize("how", ["argument", "environment"])
-    def test_capped_then_lookup(self, monkeypatch, how):
-        table = coset_enumerate(PRESETS["gamma43"])
-        with pytest.raises(CosetCapExceeded):
-            self.enumerate_capped(monkeypatch, how)
-        # the presets are enumerated at the default cap, whatever is in force
-        assert dim_rho_prim(table, 2) == 2
-        with pytest.raises(CosetCapExceeded):
-            self.enumerate_capped(monkeypatch, how)
-
-
 class TestCosetCapValidation:
     @pytest.fixture(autouse=True)
     def default_cap(self, monkeypatch):
@@ -641,11 +607,13 @@ class TestCongruenceOracle:
             assert self.oracle(PRESETS[name]) == inv.congruence == False
 
     def test_presets_close_to_full_modular_group(self):
-        # the premise of dim_rho_prim: each preset's image mod its level is all
-        # of PSL2(Z/level), so its congruence closure is the full modular group
+        # each preset's image mod its level is all of PSL2(Z/level), so its
+        # congruence closure is the full modular group
         for name, gens in PRESETS.items():
-            level = invariants(coset_enumerate(gens)).level
+            table = coset_enumerate(gens)
+            level = invariants(table).level
             assert image_size_mod_n(gens, level) == psl2_mod_n_size(level), name
+            assert congruence_closure(table) == coset_enumerate(FULL_GROUP), name
 
     def test_congruence_family_against_oracle(self):
         for name, (gens, index, widths) in CONGRUENCE_GROUPS.items():
@@ -811,6 +779,79 @@ class TestCongruenceFoldedBranches:
         assert seen == {(c, f) for c in ("odd", "power of 2", "mixed") for f in (True, False)}
 
 
+def intersection_table(a, b):
+    """The table of the intersection of the subgroups of tables a and b: the
+    orbit of the pair of base cosets (0, 0) under the paired permutations."""
+    label, order = {(0, 0): 0}, [(0, 0)]
+    pairs = ((a.perm_S, b.perm_S), (a.perm_T, b.perm_T))
+    for i, j in order:  # grows while it is read
+        for p, q in pairs:
+            if (p[i], q[j]) not in label:
+                label[(p[i], q[j])] = len(order)
+                order.append((p[i], q[j]))
+    perm_s, perm_t = (tuple(label[(p[i], q[j])] for i, j in order) for p, q in pairs)
+    return CosetTable(len(order), perm_s, perm_t)
+
+
+class TestCongruenceClosure:
+    """congruence_closure folds a table into that of Gamma Gamma(N), N the
+    level, by unifying each coset with its images under Hsu's words."""
+
+    @staticmethod
+    def tables(seed, count, bound=None):
+        """count random tables of index 2..30, and with bound, only those
+        whose level N has |PSL2(Z/N)| <= bound."""
+        rng = random.Random(seed)
+        out = []
+        while len(out) < count:
+            table = random_coset_table(rng, rng.randint(2, 30))
+            if table is not None and (bound is None
+                                      or psl2_mod_n_size(_perm_order(table.perm_T)) <= bound):
+                out.append(table)
+        return out
+
+    def test_index_against_mod_n_oracle(self):
+        # the closure is the preimage of the image mod N, whose index is
+        # |PSL2(Z/N)| / |image|
+        proper = 0
+        for table in self.tables(19, 80, bound=6000):
+            n = _perm_order(table.perm_T)
+            image = image_size_mod_n(schreier_generators(table), n)
+            closure = congruence_closure(table)
+            assert closure.index == psl2_mod_n_size(n) // image, table
+            proper += 1 < closure.index < table.index
+        assert proper > 0
+
+    def test_index_divides_and_closing_twice_changes_nothing(self):
+        for table in self.tables(20, 200):
+            closure = congruence_closure(table)
+            assert table.index % closure.index == 0, table
+            assert congruence_closure(closure) == closure, table
+
+    def test_closed_exactly_when_congruence(self):
+        seen = set()
+        for table in self.tables(21, 300):
+            closed = congruence_closure(table).index == table.index
+            assert closed == congruence_test(table), table
+            seen.add(closed)
+        assert seen == {True, False}
+
+    def test_preset_intersected_with_a_congruence_subgroup(self):
+        # each preset closes to the full group, so its intersection with a
+        # congruence subgroup C closes to C: proper closures of index 3, 4, 6
+        for name, gens in PRESETS.items():
+            preset = coset_enumerate(gens)
+            for c in ("hecke_level_2", "hecke_level_3", "principal_level_2"):
+                congruence = coset_enumerate(GeneratorSet(c, CONGRUENCE_GROUPS[c][0]))
+                table = intersection_table(preset, congruence)
+                assert table.index == preset.index * congruence.index, (name, c)
+                assert congruence_closure(table) == congruence, (name, c)
+
+    def test_dim_rho_prim_is_never_negative(self):
+        for table in self.tables(22, 100):
+            assert min(dim_rho_prim(table, 12).values()) >= 0, table
+
+
 def relabel(table, base=0):
     """The table with its cosets renumbered breadth-first from coset base,
     trying s before u = ST, as coset_enumerate numbers them."""
@@ -945,28 +986,35 @@ class TestDimCuspForms:
 
 class TestDimRhoPrim:
     def test_gamma43_small(self):
-        assert dim_rho_prim(coset_enumerate(PRESETS["gamma43"]), 2) == 2
-        assert dim_rho_prim(coset_enumerate(PRESETS["gamma43"]), 20) == 20
+        dims = dim_rho_prim(coset_enumerate(PRESETS["gamma43"]), 20)
+        assert dims[2] == 2
+        assert dims[20] == 20
 
     def test_gamma52(self):
-        assert dim_rho_prim(coset_enumerate(PRESETS["gamma52"]), 10) == 10
+        assert dim_rho_prim(coset_enumerate(PRESETS["gamma52"]), 10)[10] == 10
 
     def test_gamma711_small(self):
-        assert dim_rho_prim(coset_enumerate(PRESETS["gamma711"]), 2) == 2
-        assert dim_rho_prim(coset_enumerate(PRESETS["gamma711"]), 4) == 4
+        assert dim_rho_prim(coset_enumerate(PRESETS["gamma711"]), 4) == {2: 2, 4: 4}
 
     def test_gamma711_growth(self):
         # regression pin for what the formula yields at larger k: the cusp
         # and elliptic data of this index-9 subgroup make the excess over the
         # full group exceed k/2 once floor((k+2)/3) < k/2
-        assert dim_rho_prim(coset_enumerate(PRESETS["gamma711"]), 6) == 8
-        assert dim_rho_prim(coset_enumerate(PRESETS["gamma711"]), 20) == 26
+        dims = dim_rho_prim(coset_enumerate(PRESETS["gamma711"]), 20)
+        assert dims[6] == 8
+        assert dims[20] == 26
 
-    def test_non_preset_rejected(self):
-        other = GeneratorSet("gamma2", [(1, 2, 0, 1), (1, 0, 2, 1)])
-        with pytest.raises(ValueError, match="congruence closure unknown"):
-            dim_rho_prim(coset_enumerate(other), 2)
-        # generators are no longer taken in place of their table
+    def test_non_preset_answered(self):
+        # a congruence subgroup is its own closure: no primitive part
+        for name, (gens, _, _) in CONGRUENCE_GROUPS.items():
+            table = coset_enumerate(GeneratorSet(name, gens))
+            assert dim_rho_prim(table, 12) == dict.fromkeys(range(2, 13, 2), 0), name
+        # gamma43 meets Gamma_0(2) in a subgroup of index 21 whose closure is
+        # Gamma_0(2), of index 3
+        gamma0_2 = GeneratorSet("gamma0_2", CONGRUENCE_GROUPS["hecke_level_2"][0])
+        table = intersection_table(coset_enumerate(PRESETS["gamma43"]), coset_enumerate(gamma0_2))
+        assert dim_rho_prim(table, 8) == {2: 6, 4: 12, 6: 18, 8: 24}
+        # generators are not taken in place of their table
         with pytest.raises(TypeError, match="takes a CosetTable, got GeneratorSet"):
             dim_rho_prim(PRESETS["gamma43"], 2)
 
@@ -985,30 +1033,39 @@ class TestDimRhoPrim:
         # the answer must not depend on how the subgroup is presented
         for name in PRESETS:
             table = coset_enumerate(PRESETS[name])
-            want = [dim_rho_prim(table, k) for k in (2, 6, 20)]
+            want = dim_rho_prim(table, 20)
             for how, gens in self.presentations(name).items():
                 other = coset_enumerate(GeneratorSet(f"{name}, {how}", list(gens)))
                 assert other == table, (name, how)
-                assert [dim_rho_prim(other, k) for k in (2, 6, 20)] == want, (name, how)
+                assert dim_rho_prim(other, 20) == want, (name, how)
 
-    def test_conjugate_of_a_preset_rejected(self):
+    def test_conjugate_of_a_preset_answered(self):
         # same invariants, different subgroup: joined with gamma43 it
-        # generates a subgroup of smaller index, so it is not contained in it
+        # generates a subgroup of smaller index, so it is not contained in it;
+        # its closure is the full group too, so its dimensions are gamma43's
         g = PRESETS["gamma43"].generators
+        preset = coset_enumerate(PRESETS["gamma43"])
         for c in (T_MAT, S_MAT, (1, 0, 1, 1)):
             conj = GeneratorSet("conjugate", [mat_mul(mat_mul(inverse(c), m), c) for m in g])
             table = coset_enumerate(conj)
-            assert table != coset_enumerate(PRESETS["gamma43"])
-            assert invariants(table) == invariants(coset_enumerate(PRESETS["gamma43"]))
+            assert table != preset
+            assert invariants(table) == invariants(preset)
             assert coset_enumerate(GeneratorSet("join", list(g + conj.generators))).index < 7
-            with pytest.raises(ValueError, match="congruence closure unknown"):
-                dim_rho_prim(table, 2)
+            assert dim_rho_prim(table, 20) == dim_rho_prim(preset, 20)
+
+    def test_answers_under_a_small_cap(self, monkeypatch):
+        # the closure folds the table it is given and defines no coset, so
+        # no cap bounds it; the cap still bounds coset_enumerate after it
+        table = coset_enumerate(PRESETS["gamma43"])
+        monkeypatch.setenv("KATZMOD_COSET_CAP", "3")
+        assert dim_rho_prim(table, 2) == {2: 2}
+        with pytest.raises(CosetCapExceeded):
+            coset_enumerate(PRESETS["gamma43"])
 
     def test_dimension_section_enumerates_each_subgroup_once(self, monkeypatch):
-        # the section checks ten k per preset; verify enumerates each preset
-        # once, and a cold preset lookup each preset and the full group once
+        # the section checks ten k per preset from one dim_rho_prim call, and
+        # verify enumerates each preset once; the closures enumerate nothing
         monkeypatch.delenv("KATZMOD_COSET_CAP", raising=False)
-        katzmod.subgroups._preset_invariants.cache_clear()
         calls = []
         for module in (katzmod.verify, katzmod.subgroups):
             real = module.coset_enumerate
@@ -1017,14 +1074,15 @@ class TestDimRhoPrim:
                                 calls.append((where, gens.name)) or real(gens, cap))
         rows = list(katzmod.verify.check_dimension())
         assert len(rows) == 10 * len(PRESETS) and all(row.ok for row in rows)
-        assert sorted(calls) == sorted([("katzmod.verify", name) for name in PRESETS]
-                                       + [("katzmod.subgroups", name) for name in PRESETS]
-                                       + [("katzmod.subgroups", FULL_GROUP.name)])
+        assert sorted(calls) == sorted(("katzmod.verify", name) for name in PRESETS)
 
-    def test_odd_k_rejected(self):
-        for k in [3, 4.0, True]:
-            with pytest.raises(ValueError, match="even integer"):
-                dim_rho_prim(coset_enumerate(PRESETS["gamma43"]), k)
+    def test_malformed_kmax_rejected(self):
+        table = coset_enumerate(PRESETS["gamma43"])
+        for kmax in [1, 0, -2, 4.0, True, "4", None]:
+            with pytest.raises(ValueError, match="need an integer kmax >= 2"):
+                dim_rho_prim(table, kmax)
+        # an odd kmax is a bound: the even k up to it
+        assert list(dim_rho_prim(table, 5)) == [2, 4]
 
 
 class TestGeneratorFiles:

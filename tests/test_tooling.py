@@ -19,12 +19,17 @@ a run with `Matrix.__init__` patched to raise must pass.
 
 Internal checks must survive `python -O`, which strips `assert` statements, so
 no module of katzmod may contain one.
+
+Every `katzmod ...` line of the README's command block runs through
+`katzmod.cli.main` and exits 0, so the documented commands cannot drift from
+the command line.
 """
 
 import ast
 import importlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -161,3 +166,25 @@ def test_no_assert_statement_in_katzmod():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, f"bare assert statements (stripped by python -O): {found}"
+
+
+def readme_block(heading, lang):
+    """The first ```lang block after the README heading `## heading`."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text[text.index(f"\n## {heading}\n"):]
+    start = section.index(f"```{lang}\n") + len(lang) + 4
+    return section[start:section.index("```", start)]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # ./mygroup.json is the README's own example document
+    (tmp_path / "mygroup.json").write_text(readme_block("Command line", "json"))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("KATZMOD_COSET_CAP", raising=False)
+    commands = [shlex.split(line, comments=True)[1:]
+                for line in readme_block("Command line", "sh").splitlines()
+                if line.startswith("katzmod ")]
+    assert len(commands) == 14
+    for argv in commands:
+        assert katzmod.cli.main(argv) == 0, argv
+        assert capsys.readouterr().out, argv
