@@ -510,6 +510,38 @@ class TestInvariants:
             produced += 1
 
 
+class TestPresetLookupLeavesCapsAlone:
+    """dim_rho_prim folds the table it is given and enumerates nothing, so
+    it answers whatever cap is in force, and calling it changes nothing that
+    coset_enumerate answers under a smaller cap, whichever comes first."""
+
+    @pytest.fixture(autouse=True)
+    def default_cap(self, monkeypatch):
+        monkeypatch.delenv("KATZMOD_COSET_CAP", raising=False)
+
+    @staticmethod
+    def enumerate_capped(monkeypatch, how):
+        if how == "environment":
+            monkeypatch.setenv("KATZMOD_COSET_CAP", "3")
+            return coset_enumerate(PRESETS["gamma43"])
+        return coset_enumerate(PRESETS["gamma43"], cap=3)
+
+    @pytest.mark.parametrize("how", ["argument", "environment"])
+    def test_lookup_then_capped(self, monkeypatch, how):
+        assert dim_rho_prim(coset_enumerate(PRESETS["gamma43"]), 2) == {2: 2}
+        with pytest.raises(CosetCapExceeded):
+            self.enumerate_capped(monkeypatch, how)
+
+    @pytest.mark.parametrize("how", ["argument", "environment"])
+    def test_capped_then_lookup(self, monkeypatch, how):
+        table = coset_enumerate(PRESETS["gamma43"])
+        with pytest.raises(CosetCapExceeded):
+            self.enumerate_capped(monkeypatch, how)
+        assert dim_rho_prim(table, 2) == {2: 2}
+        with pytest.raises(CosetCapExceeded):
+            self.enumerate_capped(monkeypatch, how)
+
+
 class TestCosetCapValidation:
     @pytest.fixture(autouse=True)
     def default_cap(self, monkeypatch):
