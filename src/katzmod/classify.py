@@ -40,6 +40,17 @@ class ExponentCriteria:
         return self.distinct and self.bounded and self.closed
 
 
+def _closed(exps, k):
+    """For every pair r, s of exps (repetition allowed) with r + s <= k, r + s - 1 is in exps."""
+    eset = set(exps)
+    return all(r + s - 1 in eset for i, r in enumerate(exps) for s in exps[i:] if r + s <= k)
+
+
+def _passes(exps, k):
+    """exponent_criteria(exps, k).all_pass() for sorted integer exponents, cheapest test first."""
+    return exps[-1] < k and len(set(exps)) == len(exps) and _closed(exps, k)
+
+
 def exponent_criteria(exps, k):
     """The exponent criteria against dimension k.
 
@@ -55,12 +66,7 @@ def exponent_criteria(exps, k):
     for e in exps:
         if not isinstance(e, int) or isinstance(e, bool):
             raise ValueError(f"exponent {e!r} is not an integer")
-    eset = set(exps)
-    distinct = len(eset) == len(exps)
-    bounded = max(exps) <= k - 1
-    closed = all(r + s - 1 in eset
-                 for i, r in enumerate(exps) for s in exps[i:] if r + s <= k)
-    return ExponentCriteria(distinct, bounded, closed)
+    return ExponentCriteria(len(set(exps)) == len(exps), max(exps) <= k - 1, _closed(exps, k))
 
 
 @dataclass(frozen=True)
@@ -173,9 +179,11 @@ def _label_for(type_label, rank, k):
 def classify(k):
     """All simple algebras passing the exponent criteria with a k-dim irreducible.
 
-    The criteria read each candidate's closed-form exponents; a root system is
-    built, and its exponents checked against its layer sizes, only for the
-    types that pass, to search their weights of dimension k.
+    The scan reads each candidate's closed-form exponents and stops at the
+    first criterion that fails, cheapest first: bounded (the largest exponent
+    is at most k-1), then distinct, then closed.  A root system is built, and
+    its exponents checked against its layer sizes, only for the types that
+    pass, to search their weights of dimension k.
 
     Returns ClassificationCase values in a fixed order: Sym-power sl2, full
     sl_k, the symplectic/orthogonal case, then G_2 (when k = 7).  For k = 2
@@ -186,7 +194,7 @@ def classify(k):
     passing = {}
     for type_label, rank in _candidate_types(k):
         exps = type_exponents(type_label, rank)
-        if not exponent_criteria(exps, k).all_pass():
+        if not _passes(exps, k):
             continue
         weights = _realizing_weights(build_root_system(type_label, rank), k)
         if not weights:

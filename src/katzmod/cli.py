@@ -241,10 +241,15 @@ def build_parser():
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    for i in reversed(range(1, len(argv))):  # argparse reads -5,0 as an option, not a value
-        if argv[i - 1] in ("--ht-weights", "--weight") and argv[i][:1] == "-" and argv[i][1:2].isdigit():
-            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     parser = build_parser()
+    # argparse reads -5,0 as an option, not a value, so it is joined to its
+    # flag, spelled as any prefix that no other option of the subcommand shares
+    sub = parser._subparsers._group_actions[0].choices.get(argv[0]) if argv else None
+    options = sub._option_string_actions if sub else ()
+    for i in reversed(range(1, len(argv))):
+        if argv[i][:1] == "-" and argv[i][1:2].isdigit() and \
+                [o for o in options if o.startswith(argv[i - 1])] in (["--ht-weights"], ["--weight"]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
     try:
         return args.func(args)

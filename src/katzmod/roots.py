@@ -19,15 +19,14 @@ the layer.  Nothing is probed.  Exponents have a closed form for every type
 anything; each root system that is built also reads them off its layer sizes
 as their dual partition (the number of exponents >= h equals the number of
 positive roots of height h; Kostant) and refuses to exist if the two
-disagree.  Dimensions of irreducibles come from the Weyl dimension formula as
-one integer product over the positive roots, divided once by the Weyl
-denominator, which each root system computes on first use and keeps.
+disagree.  Dimensions of irreducibles come from the Weyl dimension formula,
+multiplying only the factors that differ from 1, lowest height first; as no
+factor is below 1, a search up to a bound drops a weight once they pass it.
 """
 
 from functools import cached_property, lru_cache
-from collections import deque
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd
 from operator import mul
 
 SIMPLE_TYPES = ("A", "B", "C", "D", "E", "F", "G")
@@ -153,10 +152,8 @@ class RootSystem:
     @cached_property
     def _rho_pairings(self):
         # h_alpha = sum_j c_j d_j for each positive root alpha = sum_j c_j alpha_j,
-        # which is <rho, alpha^vee> (alpha, alpha) / 2, and their product: the
-        # Weyl denominator up to the same root-length factors as the numerator
-        heights = tuple(sum(map(mul, c, self.symmetrizers)) for c in self.positive_roots)
-        return heights, prod(heights)
+        # which is <rho, alpha^vee> (alpha, alpha) / 2, in positive_roots order
+        return tuple(sum(map(mul, c, self.symmetrizers)) for c in self.positive_roots)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -222,14 +219,35 @@ def algebra_dimension(rs):
     return 2 * len(rs.positive_roots) + rs.rank
 
 
+def _weyl_product(rs, weight, bound=None):
+    """Weyl dimension of a dominant weight, or None once it is seen to exceed bound.
+
+    Each factor (h_alpha + sum c_j w_j d_j) / h_alpha is at least 1, so once
+    the product num / part of those taken so far passes bound, so does the rest.
+    """
+    terms = [(j, w * dj) for j, (w, dj) in enumerate(zip(weight, rs.symmetrizers)) if w]
+    num = part = 1
+    for c, h in zip(rs.positive_roots, rs._rho_pairings):
+        a = h
+        for j, t in terms:
+            a += c[j] * t
+        if a != h:
+            num *= a
+            part *= h
+            if bound is not None and num > bound * part:
+                return None
+    q, r = divmod(num, part)
+    if r:
+        raise RuntimeError("Weyl dimension failed to be an integer")
+    return q
+
+
 def weyl_dimension(rs, weight):
     """Dimension of the irreducible with the given fundamental-weight coordinates.
 
     dim = prod over positive roots of <w + rho, alpha^vee> / <rho, alpha^vee>;
     with alpha = sum c_j alpha_j each factor is
-    (h_alpha + sum c_j w_j d_j) / h_alpha with h_alpha = sum c_j d_j.  The
-    numerators need only the nonzero coordinates of w; their product is
-    divided once by the product of the h_alpha, kept on the root system.
+    (h_alpha + sum c_j w_j d_j) / h_alpha with h_alpha = sum c_j d_j.
     """
     weight = tuple(weight)
     if len(weight) != rs.rank:
@@ -239,43 +257,31 @@ def weyl_dimension(rs, weight):
             raise ValueError(f"weight coordinate {w!r} is not an integer")
     if any(w < 0 for w in weight):
         raise ValueError("weight must be dominant (nonnegative coordinates)")
-    terms = [(j, w * dj) for j, (w, dj) in enumerate(zip(weight, rs.symmetrizers)) if w]
-    heights, den = rs._rho_pairings
-    num = 1
-    for c, h in zip(rs.positive_roots, heights):
-        for j, t in terms:
-            h += c[j] * t
-        num *= h
-    q, r = divmod(num, den)
-    if r:
-        raise RuntimeError("Weyl dimension failed to be an integer")
-    return q
+    return _weyl_product(rs, weight)
 
 
 def irreps_up_to(rs, bound):
     """All dominant weights of dimension <= bound, with their dimensions.
 
-    Breadth-first search from the zero weight along single-coordinate
-    increments; the Weyl dimension is strictly increasing in each coordinate,
-    so the region dim <= bound is downward closed and the search is complete.
+    Search from the zero weight along single-coordinate increments; the Weyl
+    dimension is strictly increasing in each coordinate, so the region
+    dim <= bound is downward closed and the search is complete.
     """
     if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
         raise ValueError(f"bound must be a positive integer, got {bound!r}")
     n = rs.rank
     start = (0,) * n
-    found = {start: 1}
-    queue = deque([start])
-    while queue:
-        w = queue.popleft()
+    dims = {start: 1}
+    todo = [start]
+    while todo:
+        w = todo.pop()
         for i in range(n):
             up = w[:i] + (w[i] + 1,) + w[i + 1:]
-            if up in found:
-                continue
-            dim = weyl_dimension(rs, up)
-            if dim <= bound:
-                found[up] = dim
-                queue.append(up)
-    return sorted(found.items())
+            if up not in dims:
+                dims[up] = dim = _weyl_product(rs, up, bound)
+                if dim is not None:
+                    todo.append(up)
+    return sorted((w, d) for w, d in dims.items() if d is not None)
 
 
 def irreps_of_dimension(rs, k):

@@ -1,12 +1,14 @@
 """The exponent-criteria scan, the two filters, and the Frobenius check."""
 
+import random
+
 import pytest
 
 from katzmod.classify import (exponent_criteria, classify, ht_filter, form_filter,
                               frobenius_dimension_check, classification_report,
                               HodgeTateData, LABEL_SYM_POWER, LABEL_FULL_SL,
                               LABEL_SYMPLECTIC, LABEL_ORTHOGONAL, LABEL_G2,
-                              _candidate_types, _realizing_weights, _label_for)
+                              _candidate_types, _realizing_weights, _label_for, _passes)
 from katzmod.roots import build_root_system, exponents, type_exponents, irreps_of_dimension
 from katzmod.verify import expected_case_names
 
@@ -91,6 +93,26 @@ class TestExponentCriteria:
         for bad in [2.5, 1.0, True, "1"]:
             with pytest.raises(ValueError, match="is not an integer"):
                 exponent_criteria((bad, 3, 5), 6)
+
+
+class TestScanPredicate:
+    def test_matches_the_public_criteria(self):
+        for k in range(2, 61):
+            for t, n in _candidate_types(k):
+                exps = type_exponents(t, n)
+                assert _passes(exps, k) == exponent_criteria(exps, k).all_pass(), (t, n, k)
+
+    def test_closed_matches_the_pair_loop(self):
+        rng = random.Random(2020)
+        for _ in range(3000):
+            exps = [rng.randint(-3, 12) for _ in range(rng.randint(1, 8))]
+            if rng.random() < 0.5:
+                exps.sort()
+            k = rng.randint(-2, 16)
+            eset = set(exps)
+            want = all(r + s - 1 in eset
+                       for i, r in enumerate(exps) for s in exps[i:] if r + s <= k)
+            assert exponent_criteria(exps, k).closed == want, (exps, k)
 
 
 class TestClassify:

@@ -103,6 +103,17 @@ class TestClassifyCommand:
         assert got == run(capsys, *joined)
         assert got[0] == code and got[2] == err
 
+    @pytest.mark.parametrize("argv, short", [
+        (["classify", "--k", "4", "--ht-weights", "-5,0"], "--ht"),
+        (["classify", "--k", "4", "--symplectic", "--ht-weights", "-5,0"], "--ht-w"),
+        (["rootsys", "--type", "A", "--rank", "2", "weyl-dim", "--weight", "-1,0"], "--wei"),
+        (["rootsys", "--type", "G", "--rank", "2", "weyl-dim", "--weight", "-1,0"], "--w"),
+    ])
+    def test_abbreviated_flag_before_a_minus_sign(self, capsys, argv, short):
+        # argparse accepts a prefix of a flag, and main joins it to -5,0 too
+        abbreviated = argv[:-2] + [short, argv[-1]]
+        assert run(capsys, *abbreviated) == run(capsys, *argv)
+
     def test_json_deterministic(self, capsys):
         _, out1, _ = run(capsys, "classify", "--k", "6", "--json")
         _, out2, _ = run(capsys, "classify", "--k", "6", "--json")

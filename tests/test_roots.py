@@ -1,6 +1,7 @@
 """Root systems, exponents, and the Weyl dimension formula."""
 
 import dataclasses
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -424,6 +425,23 @@ class TestIrrepsOfDimension:
         rs = build_root_system("B", 3)
         for w, d in irreps_up_to(rs, 40):
             assert weyl_dimension(rs, w) == d
+
+    @pytest.mark.parametrize("bound", [1, 7, 50, 300])
+    def test_search_cuts_off_nothing(self, bound):
+        # every weight of dimension <= bound lies in the box below the least
+        # c_i with dim(c_i omega_i) > bound, since the dimension grows in each
+        # coordinate; the public formula over that box is the oracle
+        for t, n in all_types(4):
+            rs = build_root_system(t, n)
+            limits = []
+            for i in range(n):
+                c = 1
+                while weyl_dimension(rs, tuple(c if j == i else 0 for j in range(n))) <= bound:
+                    c += 1
+                limits.append(c)
+            want = [(w, d) for w in itertools.product(*map(range, limits))
+                    if (d := weyl_dimension(rs, w)) <= bound]
+            assert irreps_up_to(rs, bound) == want, (t, n)
 
     def test_bad_bound_rejected(self):
         rs = build_root_system("B", 2)

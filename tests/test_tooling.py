@@ -84,6 +84,7 @@ print(json.dumps({"code": code, "letters": layers["subgroups.matrix_to_word.lett
                   "root_misses": layers["roots.build_root_system.misses"],
                   "positive_roots": layers["roots.build_root_system.positive_roots"],
                   "weyl_calls": layers["roots.weyl_dimension.calls"],
+                  "irreps_calls": layers["roots.irreps_up_to.calls"],
                   "cap_exceeded": layers["subgroups.coset_enumerate.cap_exceeded"]}))
 """
 
@@ -106,6 +107,8 @@ def test_traced_run_reads_the_targets():
         positive_root_count(t, n) for t, n in _candidate_types(7)
         if exponent_criteria(type_exponents(t, n), 7).all_pass())
     assert result["weyl_calls"] > 0
+    # the weight search evaluates weights without weyl_dimension: its own span shows it
+    assert result["irreps_calls"] > 0
     # counted by exact type name: an infinite index is not a cap refusal
     assert result["cap_exceeded"] == 1
 
