@@ -3,12 +3,12 @@
 The scan follows the exponent criteria: a simple algebra g inside sl(V) whose
 principal sl2 is the principal sl2 of sl(V) has distinct exponents bounded by
 k-1, closed under (r, s) -> r+s-1 for r+s <= k, and must admit an irreducible
-representation of dimension k.  The exponents of each simple type of rank < k
-come in closed form (roots.type_exponents), so the scan builds no root system;
-only the types that pass it have their root system built, which checks those
-exponents against its height-layer sizes, and are searched for a
-k-dimensional irreducible.  This leaves exactly: sl2 acting by Sym^(k-1);
-sl_k itself; sp_k for even k; so_k for odd k; and G_2 at k = 7.
+representation of dimension k.  Each simple algebra of rank < k is scanned
+once, under one name, with its exponents in closed form (roots.type_exponents),
+so the scan builds no root system; only the types that pass it have their root
+system built, which checks those exponents against its height-layer sizes,
+and are searched for a k-dimensional irreducible.  This leaves exactly: sl2
+acting by Sym^(k-1); sl_k; sp_k for even k; so_k for odd k; G_2 at k = 7.
 
 Two extra filters reproduce the arithmetic endgame for even k: a two-weight
 Hodge-Tate constraint kills the Sym^(k-1) case (its nonzero semisimple
@@ -19,6 +19,7 @@ full group of symplectic similitudes GSp_k.
 
 from dataclasses import dataclass
 
+from .linalg import _is_int
 from .sl2 import principal_triple, invariant_bilinear_form, form_kernel
 from .roots import build_root_system, type_exponents, weyl_dimension, irreps_of_dimension, \
     SIMPLE_TYPES, _valid_type
@@ -30,16 +31,6 @@ LABEL_ORTHOGONAL = "orthogonal"
 LABEL_G2 = "g2"
 
 
-@dataclass(frozen=True)
-class ExponentCriteria:
-    distinct: bool
-    bounded: bool
-    closed: bool
-
-    def all_pass(self):
-        return self.distinct and self.bounded and self.closed
-
-
 def _closed(exps, k):
     """For every pair r, s of exps (repetition allowed) with r + s <= k, r + s - 1 is in exps."""
     eset = set(exps)
@@ -47,30 +38,31 @@ def _closed(exps, k):
 
 
 def _passes(exps, k):
-    """exponent_criteria(exps, k).all_pass() for sorted integer exponents, cheapest test first."""
+    """The exponent criteria for sorted integer exponents, cheapest test first."""
     return exps[-1] < k and len(set(exps)) == len(exps) and _closed(exps, k)
 
 
 def exponent_criteria(exps, k):
-    """The exponent criteria against dimension k.
+    """Whether the exponents pass the exponent criteria against dimension k.
 
-    distinct: exponents pairwise distinct; bounded: all <= k-1; closed: for
-    every pair r, s of exponents (repetition allowed) with r + s <= k, the
-    integer r + s - 1 is again an exponent.
+    They must be pairwise distinct, all <= k-1, and closed: for every pair
+    r, s of exponents (repetition allowed) with r + s <= k, the integer
+    r + s - 1 is again an exponent.
     """
-    if not isinstance(k, int) or isinstance(k, bool):
+    if not _is_int(k):
         raise ValueError(f"k must be an integer, got {k!r}")
     exps = tuple(exps)
     if not exps:
         raise ValueError("empty exponent list")
     for e in exps:
-        if not isinstance(e, int) or isinstance(e, bool):
+        if not _is_int(e):
             raise ValueError(f"exponent {e!r} is not an integer")
-    return ExponentCriteria(len(set(exps)) == len(exps), max(exps) <= k - 1, _closed(exps, k))
+    return _passes(tuple(sorted(exps)), k)
 
 
 @dataclass(frozen=True)
-class CandidateAlgebra:
+class ClassificationCase:
+    label: str
     type_label: str
     rank: int
     exponents: tuple
@@ -79,16 +71,6 @@ class CandidateAlgebra:
     @property
     def name(self):
         return f"{self.type_label}_{self.rank}"
-
-
-@dataclass(frozen=True)
-class ClassificationCase:
-    label: str
-    candidate: CandidateAlgebra
-
-    @property
-    def name(self):
-        return self.candidate.name
 
     def describe(self, k):
         return {
@@ -111,7 +93,7 @@ class HodgeTateData:
     def __init__(self, weights):
         weights = tuple(weights)  # checked before a set can merge True into 1
         for w in weights:
-            if not isinstance(w, int) or isinstance(w, bool):
+            if not _is_int(w):
                 raise ValueError(f"Hodge-Tate weight {w!r} is not an integer")
         object.__setattr__(self, "weights", frozenset(weights))
 
@@ -138,11 +120,13 @@ class ClassificationReport:
 def _candidate_types(k):
     """Isomorphism classes of simple types with rank at most k-1, type by type.
 
-    roots decides which (type, rank) exist; D_3 = A_3 is dropped here as a
-    duplicate.  B_2 and C_2 are both listed and merged later by the caller.
+    roots decides which (type, rank) exist.  D_3 = A_3 is dropped, and of
+    B_2 = C_2 the model of k's parity is kept: C_2 = sp_4 for even k, B_2 =
+    so_5 for odd k (both pass the criteria only at k = 4 and k = 5).
     """
+    dropped = (("D", 3), ("B", 2) if k % 2 == 0 else ("C", 2))
     return [(t, n) for t in SIMPLE_TYPES for n in range(1, k)
-            if _valid_type(t, n) and (t, n) != ("D", 3)]
+            if _valid_type(t, n) and (t, n) not in dropped]
 
 
 def _realizing_weights(rs, k):
@@ -185,13 +169,13 @@ def classify(k):
     its exponents checked against its layer sizes, only for the types that
     pass, to search their weights of dimension k.
 
-    Returns ClassificationCase values in a fixed order: Sym-power sl2, full
-    sl_k, the symplectic/orthogonal case, then G_2 (when k = 7).  For k = 2
-    the cases collapse and the single canonical A_1 is reported.
+    Returns ClassificationCase values in candidate order, which is: Sym-power
+    sl2, full sl_k, the symplectic/orthogonal case, then G_2 (when k = 7).  For
+    k = 2 the cases collapse and the single canonical A_1 is reported.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
+    if not _is_int(k) or k < 2:
         raise ValueError(f"need an integer k >= 2, got {k!r}")
-    passing = {}
+    cases = []
     for type_label, rank in _candidate_types(k):
         exps = type_exponents(type_label, rank)
         if not _passes(exps, k):
@@ -199,21 +183,10 @@ def classify(k):
         weights = _realizing_weights(build_root_system(type_label, rank), k)
         if not weights:
             continue
-        passing[(type_label, rank)] = CandidateAlgebra(type_label, rank, exps, weights)
-
-    # B_2 and C_2 are the same algebra; when both pass, report the one whose
-    # standard k-dimensional model matches the parity of k.
-    if ("B", 2) in passing and ("C", 2) in passing:
-        del passing[("B", 2) if k % 2 == 0 else ("C", 2)]
-
-    cases = []
-    for key, cand in passing.items():
-        label = _label_for(cand.type_label, cand.rank, k)
+        label = _label_for(type_label, rank, k)
         if label is None:
-            raise RuntimeError(f"unexpected classification case {cand.name} at k={k}")
-        cases.append(ClassificationCase(label, cand))
-    order = [LABEL_SYM_POWER, LABEL_FULL_SL, LABEL_SYMPLECTIC, LABEL_ORTHOGONAL, LABEL_G2]
-    cases.sort(key=lambda c: order.index(c.label))
+            raise RuntimeError(f"unexpected classification case {type_label}_{rank} at k={k}")
+        cases.append(ClassificationCase(label, type_label, rank, exps, weights))
     return cases
 
 
@@ -302,7 +275,7 @@ def frobenius_dimension_check(w, k):
     [k].
     """
     for name, x in (("w", w), ("k", k)):
-        if not isinstance(x, int) or isinstance(x, bool):
+        if not _is_int(x):
             raise ValueError(f"{name} must be an integer, got {x!r}")
     if k < 1:
         raise ValueError("need k >= 1")

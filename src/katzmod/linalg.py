@@ -17,8 +17,12 @@ class DimensionError(ValueError):
     """Shapes do not match the operation."""
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _exact(x):
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+    if not (_is_int(x) or isinstance(x, Fraction)):
         raise TypeError(f"matrix entries must be exact rationals, got {type(x).__name__}")
     return x
 

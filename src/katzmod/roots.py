@@ -29,11 +29,13 @@ from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
+from .linalg import _is_int
+
 SIMPLE_TYPES = ("A", "B", "C", "D", "E", "F", "G")
 
 
 def _valid_type(type_label, rank):
-    if not isinstance(rank, int) or isinstance(rank, bool):
+    if not _is_int(rank):
         raise ValueError(f"rank must be an integer, got {rank!r}")
     if type_label == "A":
         return rank >= 1
@@ -253,7 +255,7 @@ def weyl_dimension(rs, weight):
     if len(weight) != rs.rank:
         raise ValueError(f"weight needs {rs.rank} coordinates")
     for w in weight:
-        if not isinstance(w, int) or isinstance(w, bool):
+        if not _is_int(w):
             raise ValueError(f"weight coordinate {w!r} is not an integer")
     if any(w < 0 for w in weight):
         raise ValueError("weight must be dominant (nonnegative coordinates)")
@@ -267,7 +269,7 @@ def irreps_up_to(rs, bound):
     dimension is strictly increasing in each coordinate, so the region
     dim <= bound is downward closed and the search is complete.
     """
-    if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
+    if not _is_int(bound) or bound < 1:
         raise ValueError(f"bound must be a positive integer, got {bound!r}")
     n = rs.rank
     start = (0,) * n
@@ -286,6 +288,6 @@ def irreps_up_to(rs, bound):
 
 def irreps_of_dimension(rs, k):
     """All dominant weights whose irreducible has dimension exactly k."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+    if not _is_int(k) or k < 1:
         raise ValueError(f"dimension must be a positive integer, got {k!r}")
     return [w for w, d in irreps_up_to(rs, k) if d == k]

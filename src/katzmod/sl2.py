@@ -36,12 +36,8 @@ from fractions import Fraction
 from dataclasses import dataclass
 from math import gcd
 
-from .linalg import Matrix, solve_homogeneous
+from .linalg import Matrix, solve_homogeneous, _is_int
 from .linalg import rank  # noqa: F401  (perfbench's tracer checks it is rebound here too)
-
-
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _checked_strip(name, k, d, strip):

@@ -35,6 +35,8 @@ from dataclasses import dataclass
 from itertools import cycle, islice
 from math import lcm
 
+from .linalg import _is_int
+
 COSET_CAP_ENV = "KATZMOD_COSET_CAP"
 DEFAULT_COSET_CAP = 100_000
 
@@ -60,10 +62,6 @@ def mat_mul(a, b):
 
 def mat_det(a):
     return a[0] * a[3] - a[1] * a[2]
-
-
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _int_entries(m):

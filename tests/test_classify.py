@@ -8,7 +8,8 @@ from katzmod.classify import (exponent_criteria, classify, ht_filter, form_filte
                               frobenius_dimension_check, classification_report,
                               HodgeTateData, LABEL_SYM_POWER, LABEL_FULL_SL,
                               LABEL_SYMPLECTIC, LABEL_ORTHOGONAL, LABEL_G2,
-                              _candidate_types, _realizing_weights, _label_for, _passes)
+                              _candidate_types, _realizing_weights, _label_for, _passes,
+                              _closed)
 from katzmod.roots import build_root_system, exponents, type_exponents, irreps_of_dimension
 from katzmod.verify import expected_case_names
 
@@ -38,14 +39,27 @@ def listed_candidate_types(k):
         yield ("G", 2)
 
 
+def spelled_out_criteria(exps, k):
+    """The exponent criteria read off their statement, every pair in both orders."""
+    distinct = len(set(exps)) == len(exps)
+    bounded = max(exps) <= k - 1
+    closed = True
+    for r in exps:
+        for s in exps:
+            if r + s <= k and r + s - 1 not in exps:
+                closed = False
+    return distinct and bounded and closed
+
+
 def classify_building_every_type(k):
     """(name, label, exponents, realizing weights) per case, in order, by the
-    route that builds the root system of every candidate type and reads its
-    exponents off the layer sizes."""
+    route that builds the root system of every written-out type (B_2 and C_2
+    both), reads its exponents off the layer sizes, merges B_2 = C_2 by the
+    parity of k and sorts the cases by label."""
     passing = {}
-    for t, n in _candidate_types(k):
+    for t, n in listed_candidate_types(k):
         rs = build_root_system(t, n)
-        if not exponent_criteria(rs.exponents, k).all_pass():
+        if not exponent_criteria(rs.exponents, k):
             continue
         weights = _realizing_weights(rs, k)
         if weights:
@@ -60,25 +74,31 @@ def classify_building_every_type(k):
 
 class TestExponentCriteria:
     def test_c3_all_pass(self):
-        result = exponent_criteria((1, 3, 5), 6)
-        assert result.distinct and result.bounded and result.closed
+        assert exponent_criteria((1, 3, 5), 6) is True
 
     def test_d4_not_distinct(self):
-        result = exponent_criteria((1, 3, 3, 5), 8)
-        assert not result.distinct
+        exps = (1, 3, 3, 5)
+        assert len(set(exps)) < len(exps)
+        assert exponent_criteria(exps, 8) is False
+        # (1, 1) at k = 2 is bounded (1 <= 1) and closed: distinctness alone rejects it
+        assert _closed((1, 1), 2)
+        assert exponent_criteria((1, 1), 2) is False
 
     def test_f4_not_closed(self):
         # the pair (5, 5) asks for exponent 9, which F_4 lacks
-        result = exponent_criteria((1, 5, 7, 11), 26)
-        assert result.distinct and result.bounded and not result.closed
+        exps = (1, 5, 7, 11)
+        assert len(set(exps)) == len(exps) and max(exps) <= 25
+        assert not _closed(exps, 26)
+        assert exponent_criteria(exps, 26) is False
 
     def test_bounded_flag(self):
-        assert not exponent_criteria((1, 5), 4).bounded
-        assert exponent_criteria((1, 5), 6).bounded
+        # distinct and closed at k = 4, so only the bound 5 > 3 rejects it
+        assert _closed((1, 5), 4)
+        assert exponent_criteria((1, 5), 4) is False
+        assert exponent_criteria((1, 5), 6) is True
 
     def test_matches_computed_exponents(self):
-        result = exponent_criteria(exponents(build_root_system("C", 3)), 6)
-        assert result.distinct and result.bounded and result.closed
+        assert exponent_criteria(exponents(build_root_system("C", 3)), 6) is True
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -98,9 +118,12 @@ class TestExponentCriteria:
 class TestScanPredicate:
     def test_matches_the_public_criteria(self):
         for k in range(2, 61):
-            for t, n in _candidate_types(k):
+            for t, n in listed_candidate_types(k):
                 exps = type_exponents(t, n)
-                assert _passes(exps, k) == exponent_criteria(exps, k).all_pass(), (t, n, k)
+                want = spelled_out_criteria(exps, k)
+                assert _passes(exps, k) == want, (t, n, k)
+                assert exponent_criteria(exps, k) == want, (t, n, k)
+                assert exponent_criteria(reversed(exps), k) == want, (t, n, k)
 
     def test_closed_matches_the_pair_loop(self):
         rng = random.Random(2020)
@@ -112,13 +135,15 @@ class TestScanPredicate:
             eset = set(exps)
             want = all(r + s - 1 in eset
                        for i, r in enumerate(exps) for s in exps[i:] if r + s <= k)
-            assert exponent_criteria(exps, k).closed == want, (exps, k)
+            assert _closed(exps, k) == want, (exps, k)
 
 
 class TestClassify:
     def test_candidate_types_against_written_out_list(self):
         for k in range(2, 40):
-            assert _candidate_types(k) == list(listed_candidate_types(k)), k
+            dropped = ("B", 2) if k % 2 == 0 else ("C", 2)
+            assert _candidate_types(k) == [tn for tn in listed_candidate_types(k)
+                                           if tn != dropped], k
 
     def test_k4(self):
         assert names(classify(4)) == ["A_1", "A_3", "C_2"]
@@ -153,11 +178,11 @@ class TestClassify:
     def test_realizing_weights_nonempty(self):
         for k in (4, 5, 7, 10):
             for case in classify(k):
-                assert case.candidate.realizing_weights
+                assert case.realizing_weights
 
     def test_matches_building_every_type(self):
         for k in range(2, 25):
-            got = [(c.name, c.label, c.candidate.exponents, c.candidate.realizing_weights)
+            got = [(c.name, c.label, c.exponents, c.realizing_weights)
                    for c in classify(k)]
             assert got == classify_building_every_type(k), k
 
@@ -165,9 +190,16 @@ class TestClassify:
         for k in range(31, 65):
             assert names(classify(k)) == expected_case_names(k), k
 
+    def test_labels_in_case_order(self):
+        for k in range(2, 65):
+            want = ([LABEL_SYM_POWER] + [LABEL_FULL_SL] * (k > 2)
+                    + [LABEL_SYMPLECTIC] * (k % 2 == 0 and k > 2)
+                    + [LABEL_ORTHOGONAL] * (k % 2 == 1 and k > 3) + [LABEL_G2] * (k == 7))
+            assert [c.label for c in classify(k)] == want, k
+
     def test_builds_only_the_types_that_pass(self):
         for k in (2, 7, 12, 25):
-            passing = sum(exponent_criteria(type_exponents(t, n), k).all_pass()
+            passing = sum(exponent_criteria(type_exponents(t, n), k)
                           for t, n in _candidate_types(k))
             build_root_system.cache_clear()
             classify(k)
@@ -189,31 +221,40 @@ class TestScanNegatives:
     def test_f4_at_26(self):
         rs = build_root_system("F", 4)
         assert irreps_of_dimension(rs, 26)  # the 26-dim representation exists
-        assert not exponent_criteria(exponents(rs), 26).closed
+        exps = exponents(rs)
+        assert len(set(exps)) == len(exps) and max(exps) <= 25
+        assert not _closed(exps, 26)
+        assert exponent_criteria(exps, 26) is False
 
     def test_a2_at_6(self):
         rs = build_root_system("A", 2)
         assert irreps_of_dimension(rs, 6)  # Sym^2 of the defining rep
-        assert not exponent_criteria(exponents(rs), 6).closed
+        exps = exponents(rs)
+        assert len(set(exps)) == len(exps) and max(exps) <= 5
+        assert not _closed(exps, 6)
+        assert exponent_criteria(exps, 6) is False
 
     def test_e_series_never_pass(self):
         # bounded forces k past the point where closure already failed
         for n, first_bounded_k in ((6, 12), (7, 18), (8, 30)):
             exp = exponents(build_root_system("E", n))
-            assert not exponent_criteria(exp, first_bounded_k - 1).bounded
-            assert not exponent_criteria(exp, first_bounded_k).closed
+            assert max(exp) == first_bounded_k - 1
+            assert exponent_criteria(exp, first_bounded_k - 1) is False
+            assert len(set(exp)) == len(exp) and not _closed(exp, first_bounded_k)
+            assert exponent_criteria(exp, first_bounded_k) is False
 
     def test_b5_at_10_lacks_irrep(self):
         # exponent flags all pass, but so_11 has no 10-dimensional irreducible
         rs = build_root_system("B", 5)
-        result = exponent_criteria(exponents(rs), 10)
-        assert result.distinct and result.bounded and result.closed
+        assert exponent_criteria(exponents(rs), 10) is True
         assert irreps_of_dimension(rs, 10) == []
         assert "B_5" not in names(classify(10))
 
     def test_d5_at_8(self):
-        rs = build_root_system("D", 5)
-        assert not exponent_criteria(exponents(rs), 8).closed
+        exps = exponents(build_root_system("D", 5))
+        assert len(set(exps)) == len(exps) and max(exps) <= 7
+        assert not _closed(exps, 8)
+        assert exponent_criteria(exps, 8) is False
 
 
 class TestHtFilter:

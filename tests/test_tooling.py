@@ -23,6 +23,9 @@ no module of katzmod may contain one.
 Every `katzmod ...` line of the README's command block runs through
 `katzmod.cli.main` and exits 0, so the documented commands cannot drift from
 the command line.
+
+The public names of `katzmod` are written out, so an export added or removed
+shows in the diff of this file.
 """
 
 import ast
@@ -32,8 +35,10 @@ import os
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
+import katzmod
 import katzmod.cli
 import katzmod.linalg
 import katzmod.sl2
@@ -105,7 +110,7 @@ def test_traced_run_reads_the_targets():
     # that passes the exponent criteria once
     assert result["positive_roots"] == sum(
         positive_root_count(t, n) for t, n in _candidate_types(7)
-        if exponent_criteria(type_exponents(t, n), 7).all_pass())
+        if exponent_criteria(type_exponents(t, n), 7))
     assert result["weyl_calls"] > 0
     # the weight search evaluates weights without weyl_dimension: its own span shows it
     assert result["irreps_calls"] > 0
@@ -191,3 +196,25 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     for argv in commands:
         assert katzmod.cli.main(argv) == 0, argv
         assert capsys.readouterr().out, argv
+
+
+PUBLIC_NAMES = [
+    "AdjointDecomposition", "ClassificationCase", "ClassificationReport", "CosetCapExceeded",
+    "CosetTable", "DimensionError", "FULL_GROUP", "GeneratorSet", "HodgeTateData",
+    "InfiniteIndex", "IrrepBlock", "Matrix", "PRESETS", "RootSystem", "Sl2Triple",
+    "SubgroupInvariants", "algebra_dimension", "bracket", "bracket_support",
+    "build_root_system", "classification_report", "classify", "congruence_closure",
+    "congruence_test", "coset_enumerate", "decompose_adjoint", "dim_cusp_forms",
+    "dim_rho_prim", "exponent_criteria", "exponents", "form_filter",
+    "frobenius_dimension_check", "ht_filter", "invariant_bilinear_form", "invariants",
+    "irreps_of_dimension", "irreps_up_to", "load_generator_file", "matrix_to_word",
+    "principal_triple", "project_to_blocks", "rank", "resolve_subgroup", "solve_homogeneous",
+    "verify_bracket_identity", "weyl_dimension",
+]
+
+
+def test_public_names_of_katzmod():
+    # submodules are attributes of the package too, but not its exports
+    public = sorted(name for name, value in vars(katzmod).items()
+                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert public == PUBLIC_NAMES
