@@ -11,7 +11,7 @@ from .roots import (RootSystem, build_root_system, exponents, algebra_dimension,
                     weyl_dimension, irreps_of_dimension, irreps_up_to)
 from .classify import (exponent_criteria, classify, ht_filter, form_filter,
                        frobenius_dimension_check, classification_report,
-                       HodgeTateData, ClassificationCase, ClassificationReport)
+                       ClassificationCase, ClassificationReport)
 from .subgroups import (GeneratorSet, matrix_to_word, coset_enumerate,
                         CosetTable, SubgroupInvariants, invariants,
                         congruence_test, congruence_closure, dim_cusp_forms, dim_rho_prim,

@@ -14,13 +14,18 @@ Two extra filters reproduce the arithmetic endgame for even k: a two-weight
 Hodge-Tate constraint kills the Sym^(k-1) case (its nonzero semisimple
 elements have k distinct eigenvalues), and the invariant alternating form
 singles out the symplectic algebra, so the connected monodromy group is the
-full group of symplectic similitudes GSp_k.
+full group of symplectic similitudes GSp_k.  One form decides the second
+filter: every case contains the principal sl2, whose invariant forms are the
+multiples of one form B, so a case preserves a form only if it preserves B.
+E_00 - E_11, which generates sl_k together with that sl2, moves B once k > 2,
+so sl_k preserves no form; Sym^(k-1) and sp_k preserve B, which is
+alternating for even k.
 """
 
 from dataclasses import dataclass
 
 from .linalg import _is_int
-from .sl2 import principal_triple, invariant_bilinear_form, form_kernel
+from .sl2 import principal_triple, invariant_bilinear_form
 from .roots import build_root_system, type_exponents, weyl_dimension, irreps_of_dimension, \
     SIMPLE_TYPES, _valid_type
 
@@ -80,26 +85,6 @@ class ClassificationCase:
             LABEL_ORTHOGONAL: f"B_{(k - 1) // 2} = so_{k}",
             LABEL_G2: "G_2 in its 7-dimensional representation",
         }[self.label]
-
-
-@dataclass(frozen=True)
-class HodgeTateData:
-    """A bare set of integer weights standing in for the Hodge-Tate cocharacter.
-
-    Any weight that is not an int, or is a bool, raises ValueError.
-    """
-    weights: frozenset
-
-    def __init__(self, weights):
-        weights = tuple(weights)  # checked before a set can merge True into 1
-        for w in weights:
-            if not _is_int(w):
-                raise ValueError(f"Hodge-Tate weight {w!r} is not an integer")
-        object.__setattr__(self, "weights", frozenset(weights))
-
-    @property
-    def weight_count(self):
-        return len(self.weights)
 
 
 @dataclass(frozen=True)
@@ -190,16 +175,22 @@ def classify(k):
     return cases
 
 
-def ht_filter(cases, k, ht):
-    """Remove the Sym-power case when exactly two Hodge-Tate weights are given.
+def ht_filter(cases, k, weights):
+    """Remove the Sym-power case given exactly two distinct Hodge-Tate weights.
 
+    The weights stand in for the Hodge-Tate cocharacter; any weight that is
+    not an int, or is a bool, raises ValueError, and so does an empty list.
     The exclusion is recomputed, not assumed: the diagonal semisimple element
     h of the Sym^(k-1) model, which is the h of principal_triple(k), has k
     distinct eigenvalues, so for k > 2 it cannot have only two.
     """
-    if ht.weight_count < 1:
+    weights = tuple(weights)  # checked before a set can merge True into 1
+    for w in weights:
+        if not _is_int(w):
+            raise ValueError(f"Hodge-Tate weight {w!r} is not an integer")
+    if not weights:
         raise ValueError("need at least one Hodge-Tate weight")
-    if ht.weight_count != 2 or k <= 2:
+    if len(set(weights)) != 2 or k <= 2:
         return list(cases)
     eigenvalue_count = len(set(principal_triple(k).h))
     if eigenvalue_count != k:
@@ -207,41 +198,28 @@ def ht_filter(cases, k, ht):
     return [c for c in cases if c.label != LABEL_SYM_POWER]
 
 
-def _sl_preserves_no_form(k):
-    """Solvability check: sl_k leaves no nonzero bilinear form invariant (k > 2).
-
-    The invariance condition m^T B + B m = 0 propagates to Lie brackets, so it
-    is imposed on a generating set: the principal x, h, y together with
-    E_00 - E_11, which generate sl_k for k >= 3, each as its strip.  h goes
-    first, so the kernel starts from the k antidiagonal h-invariant forms.
-    """
-    t = principal_triple(k)
-    return not form_kernel([(0, t.h), (1, t.x), (-1, t.y), (0, [1, -1] + [0] * (k - 2))], k)
-
-
 def form_filter(cases, k):
     """Keep the cases preserving an alternating form; conclude GSp_k if unique.
 
-    Only defined for even k.  The full sl_k case is discarded by computing
-    that it preserves no nonzero form at all; the Sym-power case (if still
-    present) is kept or dropped according to the parity of its computed
-    invariant form; the symplectic case preserves its defining form.
+    Only defined for even k.  Every case contains the principal sl2, so a form
+    one of them preserves is a multiple of that sl2's invariant form B, which
+    is computed once and decides all three cases: the symplectic case
+    preserves its defining form; the Sym-power case (if still present) is
+    kept when B is alternating; the full sl_k case is kept only when B is also
+    invariant under E_00 - E_11, which with the principal sl2 generates sl_k.
     """
     if k % 2 != 0:
         raise ValueError("form filter applies to even k only")
-    kept = []
-    for case in cases:
-        if case.label == LABEL_SYMPLECTIC:
-            kept.append(case)
-        elif case.label == LABEL_SYM_POWER:
-            form = invariant_bilinear_form(principal_triple(k))
-            if not form.symmetric:
-                kept.append(case)
-        elif case.label == LABEL_FULL_SL:
-            if not _sl_preserves_no_form(k):
-                kept.append(case)
-        # orthogonal and G_2 cases preserve only symmetric forms and cannot
-        # arise for even k; they are dropped.
+    form = invariant_bilinear_form(principal_triple(k))
+    # D = E_00 - E_11 scales B's antidiagonal entry (a, k-1-a) by d_a + d_(k-1-a)
+    d = [1, -1] + [0] * (k - 2)
+    sl_preserves_form = not any(b * (d[a] + d[k - 1 - a]) for a, b in enumerate(form.form))
+    # orthogonal and G_2 cases preserve only symmetric forms and cannot arise
+    # for even k; they are dropped.
+    kept = [case for case in cases
+            if case.label == LABEL_SYMPLECTIC
+            or case.label == LABEL_SYM_POWER and not form.symmetric
+            or case.label == LABEL_FULL_SL and sl_preserves_form]
     conclusion = None
     if len(kept) == 1:
         sole = kept[0]
@@ -255,7 +233,7 @@ def classification_report(k, ht_weights=None, apply_form_filter=False):
     raw = classify(k)
     after_ht = list(raw)
     if ht_weights is not None:
-        after_ht = ht_filter(raw, k, HodgeTateData(ht_weights))
+        after_ht = ht_filter(raw, k, ht_weights)
     after_form = list(after_ht)
     conclusion = None
     if apply_form_filter:

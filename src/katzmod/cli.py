@@ -8,6 +8,7 @@ honors the KATZMOD_COSET_CAP environment variable.
 
 import argparse
 import json
+import re
 import sys
 
 from . import verify
@@ -64,7 +65,7 @@ def cmd_classify(args):
     for c in report.raw_cases:
         lines.append(f"  {c.name:<6} {c.describe(args.k)}")
     if ht is not None:
-        lines.append(f"after Hodge-Tate filter (weights {sorted(ht)}): "
+        lines.append(f"after Hodge-Tate filter (weights {sorted(set(ht))}): "
                      + ", ".join(c.name for c in report.after_ht_filter))
     if args.symplectic:
         lines.append("after alternating-form filter: "
@@ -236,21 +237,16 @@ def build_parser():
     p.add_argument("--only", choices=sorted(verify.SECTIONS), help="run one section")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify_paper)
+    # argparse reads a token such as -5,0 as an option unless the parser's
+    # negative-number pattern matches it; no option of these two starts with
+    # - and a digit, so such a token is a value
+    for name in ("classify", "rootsys"):
+        sub.choices[name]._negative_number_matcher = re.compile(r"-\d")
     return parser
 
 
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    # argparse reads -5,0 as an option, not a value, so it is joined to its
-    # flag, spelled as any prefix that no other option of the subcommand shares
-    sub = parser._subparsers._group_actions[0].choices.get(argv[0]) if argv else None
-    options = sub._option_string_actions if sub else ()
-    for i in reversed(range(1, len(argv))):
-        if argv[i][:1] == "-" and argv[i][1:2].isdigit() and \
-                [o for o in options if o.startswith(argv[i - 1])] in (["--ht-weights"], ["--weight"]):
-            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CosetCapExceeded, ValueError, OSError) as exc:

@@ -27,9 +27,10 @@ nonzero number.  The U_t-coefficient of a strip m on d is therefore
 no inverse.  A bracket support needs only the brackets of the top vector x^r
 of U_r with U_s, because x^r (x) U_s generates U_r (x) U_s as an sl2-module.
 An h-invariant bilinear form lives on the entries with h_a + h_b = 0 (the
-antidiagonal), which is where `form_kernel` starts, from strips, h first; the
-invariant form is its antidiagonal strip.  Only `project_to_blocks`, on whole
-matrices, builds a dense Matrix.
+antidiagonal), which is where `form_kernel` starts: it takes the triple and
+refines h's antidiagonal forms by x and y; the invariant form is its
+antidiagonal strip.  Only `project_to_blocks`, on whole matrices, builds a
+dense Matrix.
 """
 
 from fractions import Fraction
@@ -38,17 +39,6 @@ from math import gcd
 
 from .linalg import Matrix, solve_homogeneous, _is_int
 from .linalg import rank  # noqa: F401  (perfbench's tracer checks it is rebound here too)
-
-
-def _checked_strip(name, k, d, strip):
-    """strip as a tuple, after checking it holds k - |d| ints (no bools)."""
-    if not isinstance(strip, (list, tuple)) or len(strip) != k - abs(d):
-        raise ValueError(f"{name} must be a list of {k - abs(d)} integers "
-                         f"(the diagonal j - i = {d} of sl_{k}), got {strip!r}")
-    for v in strip:
-        if not _is_int(v):
-            raise ValueError(f"{name} entry {v!r} is not an integer")
-    return tuple(strip)
 
 
 @dataclass(frozen=True)
@@ -64,10 +54,18 @@ class Sl2Triple:
     y: tuple
 
     def __post_init__(self):
-        if not _is_int(self.k) or self.k < 2:
-            raise ValueError(f"need an integer k >= 2, got {self.k!r}")
+        k = self.k
+        if not _is_int(k) or k < 2:
+            raise ValueError(f"need an integer k >= 2, got {k!r}")
         for name, d in (("x", 1), ("h", 0), ("y", -1)):
-            object.__setattr__(self, name, _checked_strip(name, self.k, d, getattr(self, name)))
+            strip = getattr(self, name)
+            if not isinstance(strip, (list, tuple)) or len(strip) != k - abs(d):
+                raise ValueError(f"{name} must be a list of {k - abs(d)} integers "
+                                 f"(the diagonal j - i = {d} of sl_{k}), got {strip!r}")
+            for v in strip:
+                if not _is_int(v):
+                    raise ValueError(f"{name} entry {v!r} is not an integer")
+            object.__setattr__(self, name, tuple(strip))
 
     def validate(self):
         """Check the defining relations; raises ValueError on the first failure.
@@ -281,35 +279,21 @@ def verify_bracket_identity(t, r, s):
     return lhs == [2 * r * s * v for v in powers[r + s - 1]]
 
 
-def form_kernel(mats, k):
-    """Basis of { B : m^T B + B m = 0 for all m in mats }, as {(a, b): int}.
+def form_kernel(t):
+    """Basis of { B : m^T B + B m = 0 for m in {h, x, y} }, as {(a, b): int}.
 
-    Each m is graded, given as (d, strip): the integer strip of m on the
-    diagonal d.  The first must be diagonal (d = 0) and starts the kernel:
-    D^T E_ab + E_ab D = (D_aa + D_bb) E_ab, so it is spanned by the E_ab with
-    D_aa + D_bb = 0 (for h, the k antidiagonal ones).  An empty list, or any
-    input that is not graded this way, raises ValueError.  The kernel is then
-    refined one matrix at a time: the solution space is kept as a list of
-    basis forms, each a sparse integer combination of the E_ab holding its
-    nonzero entries, and each new condition becomes a small linear system in
-    the basis coefficients; a strip on the diagonal d sends E_ab to one term
-    per side.  The invariance condition propagates to Lie brackets, so
-    imposing it on a generating set imposes it on the whole generated algebra.
+    h is diagonal, and h^T E_ab + E_ab h = (h_a + h_b) E_ab, so the kernel
+    starts from the E_ab with h_a + h_b = 0 (for the principal h, the k
+    antidiagonal ones).  It is then refined by x and then y: the solution space
+    is kept as a list of basis forms, each a sparse integer combination of the
+    E_ab holding its nonzero entries, and each new condition becomes a small
+    linear system in the basis coefficients; a strip on the diagonal d sends
+    E_ab to one term per side.  The invariance condition propagates to Lie
+    brackets, so the kernel is that of the whole sl2 the triple spans.
     """
-    graded = []
-    for m in mats:
-        if not (isinstance(m, (list, tuple)) and len(m) == 2 and _is_int(m[0])
-                and abs(m[0]) < k):
-            raise ValueError(f"form_kernel needs graded (d, strip) inputs with |d| < {k}, "
-                             f"got {m!r}")
-        graded.append((m[0], _checked_strip(f"strip on the diagonal {m[0]}", k, *m)))
-    if not graded or graded[0][0] != 0:
-        raise ValueError("form_kernel needs a diagonal (d = 0) strip first")
-    diag = graded[0][1]
-    basis = [{(a, b): 1} for a in range(k) for b in range(k) if diag[a] + diag[b] == 0]
-    for d, strip in graded[1:]:
-        if not basis:
-            return []
+    k, h = t.k, t.h
+    basis = [{(a, b): 1} for a in range(k) for b in range(k) if h[a] + h[b] == 0]
+    for d, strip in ((1, t.x), (-1, t.y)):
         m = {a: v for a, v in zip(_strip_rows(k, d), strip) if v}  # a -> m[a, a + d]
         cond = {}  # entry (i, j) of m^T B + B m -> its coefficient on each basis form
         for col, form in enumerate(basis):
@@ -341,14 +325,14 @@ def invariant_bilinear_form(t):
     """The invariant bilinear form of the triple: the unique (up to scalar)
     B with m^T B + B m = 0 for m in {x, h, y}.
 
-    h comes first, so form_kernel refines only the k antidiagonal forms; B is
-    returned as its antidiagonal strip, primitive, first nonzero entry
+    form_kernel starts from h, so it refines only the k antidiagonal forms; B
+    is returned as its antidiagonal strip, primitive, first nonzero entry
     positive.  B^T is invariant too, so B^T = +-B: symmetric when the strip is
     a palindrome, else antisymmetric (minus its reversal).  Symmetric exactly
     when k is odd (Sym^(k-1) of sl2 is orthogonal or symplectic accordingly).
     Raises unless the solution space is one form on the antidiagonal.
     """
-    kernel = form_kernel([(0, t.h), (1, t.x), (-1, t.y)], t.k)
+    kernel = form_kernel(t)
     if len(kernel) != 1 or any(a + b != t.k - 1 for a, b in kernel[0]):
         raise RuntimeError(f"invariant form space has dimension {len(kernel)}, "
                            "expected one form on the antidiagonal")

@@ -6,12 +6,14 @@ import pytest
 
 from katzmod.classify import (exponent_criteria, classify, ht_filter, form_filter,
                               frobenius_dimension_check, classification_report,
-                              HodgeTateData, LABEL_SYM_POWER, LABEL_FULL_SL,
+                              ClassificationCase, LABEL_SYM_POWER, LABEL_FULL_SL,
                               LABEL_SYMPLECTIC, LABEL_ORTHOGONAL, LABEL_G2,
                               _candidate_types, _realizing_weights, _label_for, _passes,
                               _closed)
 from katzmod.roots import build_root_system, exponents, type_exponents, irreps_of_dimension
+from katzmod.sl2 import principal_triple
 from katzmod.verify import expected_case_names
+from test_sl2 import dense_form_kernel, strip_matrix
 
 
 def names(cases):
@@ -259,30 +261,31 @@ class TestScanNegatives:
 
 class TestHtFilter:
     def test_two_weights_remove_sym_power(self):
-        filtered = ht_filter(classify(4), 4, HodgeTateData({0, -5}))
+        filtered = ht_filter(classify(4), 4, {0, -5})
         assert names(filtered) == ["A_3", "C_2"]
 
     def test_k2_untouched(self):
         cases = classify(2)
-        assert ht_filter(cases, 2, HodgeTateData({0, -3})) == list(cases)
+        assert ht_filter(cases, 2, [0, -3]) == list(cases)
 
     def test_many_weights_untouched(self):
         cases = classify(6)
-        assert ht_filter(cases, 6, HodgeTateData({0, 1, 2, 3, 4, 5})) == list(cases)
+        assert ht_filter(cases, 6, range(6)) == list(cases)
 
     def test_weight_count(self):
-        assert HodgeTateData({0, -5}).weight_count == 2
-        assert HodgeTateData([1, 1, 2]).weight_count == 2
+        # a repeated weight counts once: [0, 0] is one weight, [0, -5, -5] two
+        assert names(ht_filter(classify(4), 4, [0, 0])) == ["A_1", "A_3", "C_2"]
+        assert names(ht_filter(classify(4), 4, [0, -5, -5])) == ["A_3", "C_2"]
 
     def test_empty_weights_rejected(self):
-        with pytest.raises(ValueError):
-            ht_filter(classify(4), 4, HodgeTateData(set()))
+        with pytest.raises(ValueError, match="need at least one Hodge-Tate weight"):
+            ht_filter(classify(4), 4, set())
 
     @pytest.mark.parametrize("weights", [{0.5, -5}, [True, 2], [1, True], [0, 1.0], ("0", -5)])
     def test_non_integer_weights_rejected(self, weights):
         # a weight is never coerced: int() used to read 0.5 as 0 and True as 1
-        with pytest.raises(ValueError, match="is not an integer"):
-            HodgeTateData(weights)
+        with pytest.raises(ValueError, match="Hodge-Tate weight .* is not an integer"):
+            ht_filter(classify(4), 4, weights)
 
     def test_float_weights_rejected_by_report(self):
         with pytest.raises(ValueError, match="is not an integer"):
@@ -291,7 +294,7 @@ class TestHtFilter:
 
 class TestFormFilter:
     def test_k4_concludes_gsp4(self):
-        cases = ht_filter(classify(4), 4, HodgeTateData({0, -5}))
+        cases = ht_filter(classify(4), 4, [0, -5])
         result = form_filter(cases, 4)
         assert names(result.cases) == ["C_2"]
         assert result.conclusion == "GSp_4"
@@ -301,7 +304,7 @@ class TestFormFilter:
         assert result.conclusion == "GSp_2"
 
     def test_k10(self):
-        cases = ht_filter(classify(10), 10, HodgeTateData({0, -11}))
+        cases = ht_filter(classify(10), 10, [0, -11])
         assert names(cases) == ["A_9", "C_5"]
         result = form_filter(cases, 10)
         assert names(result.cases) == ["C_5"]
@@ -310,6 +313,21 @@ class TestFormFilter:
     def test_odd_k_rejected(self):
         with pytest.raises(ValueError):
             form_filter(classify(5), 5)
+
+    def test_full_sl_kept_exactly_when_sl_k_preserves_a_form(self):
+        # the dense oracle: every k^2 entry of B unknown, invariant under h, x,
+        # y and E00-E11, which generate sl_k; classify(2) has no sl_2 case
+        # apart from A_1, so one is built by hand there
+        for k in range(2, 13, 2):
+            t = principal_triple(k)
+            gens = [strip_matrix(k, 0, t.h), strip_matrix(k, 1, t.x), strip_matrix(k, -1, t.y),
+                    strip_matrix(k, 0, [1, -1] + [0] * (k - 2))]
+            full = [c for c in classify(k) if c.label == LABEL_FULL_SL] or \
+                [ClassificationCase(LABEL_FULL_SL, "A", 1, (1,), ((1,),))]
+            assert len(full) == 1, k
+            kept = form_filter(full, k).cases
+            assert bool(kept) == bool(dense_form_kernel(gens, k)), k
+            assert bool(kept) == (k == 2), k
 
     def test_without_ht_filter_no_conclusion(self):
         # Sym^(k-1) also preserves an alternating form at even k, so skipping

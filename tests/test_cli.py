@@ -28,7 +28,8 @@ def run(capsys, *argv):
 # coordinate tuples; the `classify --symplectic` and `sl2 identities` lines
 # while the principal triple was still held as three dense matrices; the
 # `subgroup --dims` lines while cosets were still numbered in order of
-# definition and relabelled afterwards.
+# definition and relabelled afterwards; the `classify --ht-weights` lines while
+# the form filter still solved for sl_k's invariant forms from four generators.
 PINNED = Path(__file__).parent / "data" / "cli_json.jsonl"
 PINNED_COMMANDS = ([("classify", "--k", str(k), "--json") for k in range(2, 33)]
                    + [("sl2", "--k", str(k), "decompose", "--json") for k in range(2, 13)]
@@ -40,7 +41,9 @@ PINNED_COMMANDS = ([("classify", "--k", str(k), "--json") for k in range(2, 33)]
                       for k in range(2, 13, 2)]
                    + [("sl2", "--k", str(k), "identities", "--json") for k in range(2, 13)]
                    + [("subgroup", name, "--dims", "--kmax", "20", "--json")
-                      for name in ("gamma43", "gamma52", "gamma711")])
+                      for name in ("gamma43", "gamma52", "gamma711")]
+                   + [("classify", "--k", str(k), "--ht-weights", f"0,-{k + 1}", "--symplectic",
+                       "--json") for k in (2, 4, 6, 8, 10, 12, 30)])
 
 
 class TestPinnedJsonOutputs:
@@ -96,8 +99,8 @@ class TestClassifyCommand:
          "error: weight must be dominant (nonnegative coordinates)\n"),
     ])
     def test_list_value_starting_with_a_minus_sign(self, capsys, argv, code, err):
-        # argparse reads a token such as -5,0 as an option, so main joins it
-        # to its flag: both spellings give the same answer
+        # argparse reads a token such as -5,0 as an option unless told
+        # otherwise: both spellings give the same answer
         joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
         got = run(capsys, *argv)
         assert got == run(capsys, *joined)
@@ -110,9 +113,16 @@ class TestClassifyCommand:
         (["rootsys", "--type", "G", "--rank", "2", "weyl-dim", "--weight", "-1,0"], "--w"),
     ])
     def test_abbreviated_flag_before_a_minus_sign(self, capsys, argv, short):
-        # argparse accepts a prefix of a flag, and main joins it to -5,0 too
+        # argparse accepts a prefix of a flag, with -5,0 as its value too
         abbreviated = argv[:-2] + [short, argv[-1]]
         assert run(capsys, *abbreviated) == run(capsys, *argv)
+
+    def test_ht_echo_lists_distinct_weights(self, capsys):
+        # the filter counts distinct weights, so 0,0 is the one weight 0 and
+        # keeps A_1; the echo says so
+        code, out, _ = run(capsys, "classify", "--k", "4", "--ht-weights", "0,0")
+        assert code == 0
+        assert "after Hodge-Tate filter (weights [0]): A_1, A_3, C_2\n" in out
 
     def test_json_deterministic(self, capsys):
         _, out1, _ = run(capsys, "classify", "--k", "6", "--json")

@@ -734,7 +734,7 @@ class TestInvariantBilinearForm:
         # h = diag(-2, 0) leaves E_11 as the only invariant form: one form,
         # but not on the antidiagonal, so it has no antidiagonal strip
         t = Sl2Triple(2, (1,), (-2, 0), (0,))
-        assert form_kernel([(0, t.h), (1, t.x), (-1, t.y)], 2) == [{(1, 1): 1}]
+        assert form_kernel(t) == [{(1, 1): 1}]
         with pytest.raises(RuntimeError, match="expected one form on the antidiagonal"):
             invariant_bilinear_form(t)
 
@@ -752,46 +752,20 @@ class TestFormKernelPropagation:
         for k in (3, 4, 5):
             t = principal_triple(k)
             x, _, y = dense_triple(t)
-            for form in form_kernel([(0, t.h), (1, t.x), (-1, t.y)], k):
+            for form in form_kernel(t):
                 b = form_matrix(k, form)
                 for m in (bracket(x, y), bracket(x, bracket(x, y)), bracket(y, bracket(x, y))):
                     assert (m.transpose() * b + b * m).is_zero()
 
 
 class TestFormKernelAgainstDense:
-    @staticmethod
-    def generator_lists(k):
-        t = principal_triple(k)
-        h, x, y, d = (0, t.h), (1, t.x), (-1, t.y), (0, [1, -1] + [0] * (k - 2))
-        return {
-            "h, x, y": [h, x, y],
-            "h, x, y, E00-E11": [h, x, y, d],
-            "E00-E11, x, y (diagonal, not h)": [d, x, y],
-        }
-
     def test_same_span_as_dense_kernel(self):
         for k in range(2, 9):
-            for name, mats in self.generator_lists(k).items():
-                dense = [strip_matrix(k, d, strip) for d, strip in mats]
-                forms = form_kernel(mats, k)
-                assert all(type(v) is int and v for f in forms for v in f.values()), (k, name)
+            for t in (principal_triple(k), sym_power_rep(k).triple):
+                forms = form_kernel(t)
+                assert all(type(v) is int and v for f in forms for v in f.values()), k
                 assert same_span([form_matrix(k, f) for f in forms],
-                                 dense_form_kernel(dense, k)), (k, name)
-
-    def test_ungraded_or_empty_input_rejected(self):
-        t = principal_triple(4)
-        h, x, y = (0, t.h), (1, t.x), (-1, t.y)
-        for mats, message in (
-                ([x, y], "diagonal .* first"),  # the first is not diagonal
-                ([], "diagonal .* first"),
-                ([h, dense_triple(t)[0]], "graded"),  # a dense matrix
-                ([h, (4, ())], "graded"),  # no diagonal 4 in sl_4
-                ([h, (1.0, t.x)], "graded"),
-                ([h, (1, t.x + (1,))], "must be a list of 3 integers"),
-                ([h, (1, (1, 1.0, 1))], "is not an integer"),
-                ([(0, (Fraction(3), 1, -1, -3)), x], "is not an integer")):
-            with pytest.raises(ValueError, match=message):
-                form_kernel(mats, 4)
+                                 dense_form_kernel(dense_triple(t), k)), k
 
 
 class TestTracePairing:

@@ -200,8 +200,8 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
 
 PUBLIC_NAMES = [
     "AdjointDecomposition", "ClassificationCase", "ClassificationReport", "CosetCapExceeded",
-    "CosetTable", "DimensionError", "FULL_GROUP", "GeneratorSet", "HodgeTateData",
-    "InfiniteIndex", "IrrepBlock", "Matrix", "PRESETS", "RootSystem", "Sl2Triple",
+    "CosetTable", "DimensionError", "FULL_GROUP", "GeneratorSet", "InfiniteIndex",
+    "IrrepBlock", "Matrix", "PRESETS", "RootSystem", "Sl2Triple",
     "SubgroupInvariants", "algebra_dimension", "bracket", "bracket_support",
     "build_root_system", "classification_report", "classify", "congruence_closure",
     "congruence_test", "coset_enumerate", "decompose_adjoint", "dim_cusp_forms",
