@@ -1,5 +1,9 @@
 """Root systems of the simple types, exponents, and the Weyl dimension formula.
 
+A simple type is its Dynkin diagram and the half squared lengths d_i of its
+simple roots, shortest 1 (Bourbaki LIE VI, Planches I-IX).  The Cartan matrix
+is derived from them: linked simple roots have (alpha_i, alpha_j) =
+-max(d_i, d_j), and A[i][j] = <alpha_j, alpha_i^vee> = (alpha_i, alpha_j) / d_i.
 Positive roots are generated from the Cartan matrix by root-string closure
 (Bourbaki LIE VI 1.6), one height layer at a time, with no Euclidean
 coordinates: a candidate alpha + alpha_i is a root exactly when
@@ -26,7 +30,6 @@ factor is below 1, a search up to a bound drops a weight once they pass it.
 
 from functools import cached_property, lru_cache
 from dataclasses import dataclass
-from math import gcd
 from operator import mul
 
 from .linalg import _is_int
@@ -74,63 +77,32 @@ def type_exponents(type_label, rank):
     return _EXCEPTIONAL_EXPONENTS[(type_label, rank)]
 
 
-def cartan_matrix(type_label, rank):
-    """Cartan matrix with A[i][j] = <alpha_j, alpha_i^vee>, Bourbaki numbering."""
+def _dynkin(type_label, rank):
+    """Dynkin edges and half squared simple-root lengths d, Bourbaki numbering."""
     if not _valid_type(type_label, rank):
         raise ValueError(f"not a simple type: {type_label}{rank}")
     n = rank
-    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def link(i, j, aij=-1, aji=-1):
-        a[i][j] = aij
-        a[j][i] = aji
-
-    if type_label == "A":
-        for i in range(n - 1):
-            link(i, i + 1)
-    elif type_label == "B":
-        for i in range(n - 2):
-            link(i, i + 1)
-        link(n - 2, n - 1, -1, -2)  # last simple root short
-    elif type_label == "C":
-        for i in range(n - 2):
-            link(i, i + 1)
-        link(n - 2, n - 1, -2, -1)  # last simple root long
-    elif type_label == "D":
-        for i in range(n - 2):
-            link(i, i + 1)
-        link(n - 3, n - 1)
+    edges = [(i, i + 1) for i in range(n - 1)]
+    if type_label == "D":
+        edges[-1] = (n - 3, n - 1)
     elif type_label == "E":
-        chain = [0, 2, 3, 4, 5, 6, 7][:n - 1]
-        for u, v in zip(chain, chain[1:]):
-            link(u, v)
-        link(1, 3)  # node 2 hangs off node 4
-    elif type_label == "F":
-        link(0, 1)
-        link(1, 2, -1, -2)  # alpha_1, alpha_2 long; alpha_3, alpha_4 short
-        link(2, 3)
-    elif type_label == "G":
-        link(0, 1, -3, -1)  # alpha_1 short, alpha_2 long
+        edges = [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)][:n - 2] + [(1, 3)]
+    d = {"B": (2,) * (n - 1) + (1,), "C": (1,) * (n - 1) + (2,),
+         "F": (2, 2, 1, 1), "G": (1, 3)}.get(type_label, (1,) * n)
+    return edges, d
+
+
+def _cartan(edges, d):
+    a = [[2 if i == j else 0 for j in range(len(d))] for i in range(len(d))]
+    for i, j in edges:
+        a[i][j] = -max(d[i], d[j]) // d[i]
+        a[j][i] = -max(d[i], d[j]) // d[j]
     return a
 
 
-def _symmetrizers(cartan):
-    """Coprime positive integers d_i with d_i * A[i][j] = d_j * A[j][i]."""
-    n = len(cartan)
-    d = [0] * n
-    d[0] = 1
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(n):
-            if i != j and cartan[i][j] and not d[j]:
-                a, b = cartan[i][j], cartan[j][i]
-                if d[i] * a % b:
-                    d = [v * -b for v in d]  # b < 0: keeps every d_i positive
-                d[j] = d[i] * a // b
-                stack.append(j)
-    g = gcd(*d)
-    return tuple(v // g for v in d)
+def cartan_matrix(type_label, rank):
+    """Cartan matrix with A[i][j] = <alpha_j, alpha_i^vee>, Bourbaki numbering."""
+    return _cartan(*_dynkin(type_label, rank))
 
 
 @dataclass(frozen=True)
@@ -139,7 +111,8 @@ class RootSystem:
     rank: int
     cartan: tuple            # rows of the Cartan matrix
     positive_roots: tuple    # coordinate tuples in the simple-root basis
-    symmetrizers: tuple      # d_i, proportional to half the squared root lengths
+    symmetrizers: tuple      # d_i, half the squared simple-root lengths, shortest 1;
+                             # with the Dynkin edges they give the Cartan matrix
     exponents: tuple         # sorted; the dual partition of the height-layer sizes
 
     @property
@@ -161,7 +134,8 @@ class RootSystem:
 @lru_cache(maxsize=None, typed=True)
 def build_root_system(type_label, rank):
     """Root system for one simple type, positive roots by string closure."""
-    cartan = cartan_matrix(type_label, rank)
+    edges, d = _dynkin(type_label, rank)
+    cartan = _cartan(edges, d)
     n = rank
     # alpha_i packed, alpha_0 in the most significant byte; one byte per
     # coordinate suffices because no coefficient of a root exceeds 6 (the
@@ -208,7 +182,7 @@ def build_root_system(type_label, rank):
         raise RuntimeError(f"{type_label}{rank}: layer sizes give exponents {exps}, "
                            f"not the closed form {want}")
     return RootSystem(type_label, rank, tuple(tuple(r) for r in cartan),
-                      tuple(positive), _symmetrizers(cartan), exps)
+                      tuple(positive), d, exps)
 
 
 def exponents(rs):

@@ -29,7 +29,9 @@ def run(capsys, *argv):
 # while the principal triple was still held as three dense matrices; the
 # `subgroup --dims` lines while cosets were still numbered in order of
 # definition and relabelled afterwards; the `classify --ht-weights` lines while
-# the form filter still solved for sl_k's invariant forms from four generators.
+# the form filter still solved for sl_k's invariant forms from four generators;
+# the `rootsys weyl-dim` and `irreps` lines while the Cartan matrix was still
+# written out link by link and the root lengths were searched for in it.
 PINNED = Path(__file__).parent / "data" / "cli_json.jsonl"
 PINNED_COMMANDS = ([("classify", "--k", str(k), "--json") for k in range(2, 33)]
                    + [("sl2", "--k", str(k), "decompose", "--json") for k in range(2, 13)]
@@ -43,7 +45,11 @@ PINNED_COMMANDS = ([("classify", "--k", str(k), "--json") for k in range(2, 33)]
                    + [("subgroup", name, "--dims", "--kmax", "20", "--json")
                       for name in ("gamma43", "gamma52", "gamma711")]
                    + [("classify", "--k", str(k), "--ht-weights", f"0,-{k + 1}", "--symplectic",
-                       "--json") for k in (2, 4, 6, 8, 10, 12, 30)])
+                       "--json") for k in (2, 4, 6, 8, 10, 12, 30)]
+                   + [("rootsys", "--type", t, "--rank", str(n), "weyl-dim", "--weight",
+                       ",".join(str(int(j == i)) for j in range(n)), "--json")
+                      for t, n in (("B", 3), ("C", 3), ("F", 4), ("G", 2)) for i in range(n)]
+                   + [("rootsys", "--type", "F", "--rank", "4", "irreps", "--dim", "26", "--json")])
 
 
 class TestPinnedJsonOutputs:

@@ -5,6 +5,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from math import comb
 from operator import mul
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 import katzmod.roots
 from katzmod.roots import (SIMPLE_TYPES, build_root_system, exponents, type_exponents,
                            algebra_dimension, weyl_dimension, irreps_of_dimension,
-                           irreps_up_to, cartan_matrix, _symmetrizers, _valid_type)
+                           irreps_up_to, cartan_matrix, _valid_type)
 
 
 def all_types(max_rank):
@@ -46,6 +47,47 @@ def expected_symmetrizers(t, n):
     if t == "G":
         return (1, 3)
     return (1,) * n
+
+
+# Bourbaki, LIE VI, Planches I-IX, with A[i][j] = <alpha_j, alpha_i^vee>
+BOURBAKI_CARTAN = {
+    ("A", 3): [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+    ("B", 2): [[2, -1], [-2, 2]],
+    ("C", 2): [[2, -2], [-1, 2]],
+    ("B", 4): [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -2, 2]],
+    ("C", 4): [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]],
+    ("D", 4): [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+    ("D", 5): [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1], [0, 0, -1, 2, 0],
+               [0, 0, -1, 0, 2]],
+    ("E", 6): [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
+               [0, -1, -1, 2, -1, 0], [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]],
+    ("E", 7): [[2, 0, -1, 0, 0, 0, 0], [0, 2, 0, -1, 0, 0, 0], [-1, 0, 2, -1, 0, 0, 0],
+               [0, -1, -1, 2, -1, 0, 0], [0, 0, 0, -1, 2, -1, 0], [0, 0, 0, 0, -1, 2, -1],
+               [0, 0, 0, 0, 0, -1, 2]],
+    ("E", 8): [[2, 0, -1, 0, 0, 0, 0, 0], [0, 2, 0, -1, 0, 0, 0, 0],
+               [-1, 0, 2, -1, 0, 0, 0, 0], [0, -1, -1, 2, -1, 0, 0, 0],
+               [0, 0, 0, -1, 2, -1, 0, 0], [0, 0, 0, 0, -1, 2, -1, 0],
+               [0, 0, 0, 0, 0, -1, 2, -1], [0, 0, 0, 0, 0, 0, -1, 2]],
+    ("F", 4): [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]],
+    ("G", 2): [[2, -3], [-1, 2]],
+}
+
+
+def fundamental_dimensions(t, n):
+    """dim V(omega_i) for i = 1..n, in Bourbaki numbering."""
+    if t == "A":
+        return [comb(n + 1, i) for i in range(1, n + 1)]
+    if t == "B":
+        return [comb(2 * n + 1, i) for i in range(1, n)] + [2 ** n]
+    if t == "C":
+        return [comb(2 * n, i) - (comb(2 * n, i - 2) if i >= 2 else 0) for i in range(1, n + 1)]
+    if t == "D":
+        return [comb(2 * n, i) for i in range(1, n - 1)] + [2 ** (n - 1)] * 2
+    return {("E", 6): [27, 78, 351, 2925, 351, 27],
+            ("E", 7): [133, 912, 8645, 365750, 27664, 1539, 56],
+            ("E", 8): [3875, 147250, 6696000, 6899079264, 146325270, 2450240, 30380, 248],
+            ("F", 4): [52, 1274, 273, 26],
+            ("G", 2): [7, 14]}[(t, n)]
 
 
 def probing_closure(cartan):
@@ -196,9 +238,18 @@ class TestBuildRootSystem:
             assert heights.count(heights[-1]) == 1
 
     def test_symmetrizers_closed_form(self):
+        # d symmetrizes the Cartan matrix: d_i A[i][j] = (alpha_i, alpha_j)
         for t, n in all_types(31):
-            assert _symmetrizers(cartan_matrix(t, n)) == expected_symmetrizers(t, n), (t, n)
-            assert build_root_system(t, n).symmetrizers == expected_symmetrizers(t, n)
+            d = build_root_system(t, n).symmetrizers
+            assert d == expected_symmetrizers(t, n), (t, n)
+            a = cartan_matrix(t, n)
+            assert all(d[i] * a[i][j] == d[j] * a[j][i]
+                       for i in range(n) for j in range(n)), (t, n)
+
+    @pytest.mark.parametrize("t, n", sorted(BOURBAKI_CARTAN))
+    def test_cartan_matrix_written_out(self, t, n):
+        assert cartan_matrix(t, n) == BOURBAKI_CARTAN[(t, n)]
+        assert build_root_system(t, n).cartan == tuple(map(tuple, BOURBAKI_CARTAN[(t, n)]))
 
     def test_layered_closure_matches_probing_closure(self):
         for t, n in all_types(10):
@@ -321,6 +372,15 @@ class TestWeylDimension:
         rs = build_root_system("G", 2)
         assert weyl_dimension(rs, (1, 0)) == 7
         assert weyl_dimension(rs, (0, 1)) == 14
+
+    def test_every_fundamental_dimension(self):
+        # B_n and C_n share root counts and exponents; these tell them apart
+        types = [(t, n) for t, n in all_types(8) if t in "ABCD"] + \
+                [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+        for t, n in types:
+            rs = build_root_system(t, n)
+            got = [weyl_dimension(rs, tuple(int(j == i) for j in range(n))) for i in range(n)]
+            assert got == fundamental_dimensions(t, n), (t, n)
 
     def test_c3_first_fundamental(self):
         rs = build_root_system("C", 3)

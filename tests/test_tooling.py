@@ -18,7 +18,8 @@ decomposition and its rank, and the bracket supports) builds no dense Matrix:
 a run with `Matrix.__init__` patched to raise must pass.
 
 Internal checks must survive `python -O`, which strips `assert` statements, so
-no module of katzmod may contain one.
+no module of katzmod may contain one, and the whole `verify-paper --json` run
+under `-O` must print the reference output byte for byte.
 
 Every `katzmod ...` line of the README's command block runs through
 `katzmod.cli.main` and exits 0, so the documented commands cannot drift from
@@ -174,6 +175,15 @@ def test_no_assert_statement_in_katzmod():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, f"bare assert statements (stripped by python -O): {found}"
+
+
+def test_verify_paper_under_dash_o_is_byte_identical():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-m", "katzmod", "verify-paper", "--json"],
+                          env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (ROOT / "tests" / "data" / "verify_paper.json").read_text(
+        encoding="utf-8")
 
 
 def readme_block(heading, lang):
