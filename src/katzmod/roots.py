@@ -18,9 +18,12 @@ it is tried and refused).  Since q >= 1 needs p > 0 or a negative pairing,
 only the indices of the pairing map are tried, not all n.  The pairings of
 alpha + alpha_i are those of alpha plus the sparse Cartan column i; its depth
 along alpha_j is set by the root alpha + alpha_i - alpha_j when that lies in
-the layer.  Nothing is probed.  Exponents have a closed form for every type
-(Bourbaki LIE VI, Planches I-IX), given by type_exponents without building
-anything; each root system that is built also reads them off its layer sizes
+the layer.  Nothing is probed.  Each root also carries its Weyl denominator
+h_alpha = sum_j c_j d_j: h of alpha + alpha_i is h_alpha + d_i, one addition
+per new root, so the Weyl dimension formula makes no second pass over the
+roots.  Exponents have a closed form for every type (Bourbaki LIE VI,
+Planches I-IX), given by type_exponents without building anything; each
+root system that is built also reads them off its layer sizes
 as their dual partition (the number of exponents >= h equals the number of
 positive roots of height h; Kostant) and refuses to exist if the two
 disagree.  Dimensions of irreducibles come from the Weyl dimension formula,
@@ -28,9 +31,8 @@ multiplying only the factors that differ from 1, lowest height first; as no
 factor is below 1, a search up to a bound drops a weight once they pass it.
 """
 
-from functools import cached_property, lru_cache
-from dataclasses import dataclass
-from operator import mul
+from functools import lru_cache
+from dataclasses import dataclass, field
 
 from .linalg import _is_int
 
@@ -114,6 +116,11 @@ class RootSystem:
     symmetrizers: tuple      # d_i, half the squared simple-root lengths, shortest 1;
                              # with the Dynkin edges they give the Cartan matrix
     exponents: tuple         # sorted; the dual partition of the height-layer sizes
+    # the Weyl denominators h_alpha = sum_j c_j d_j of the positive roots
+    # alpha = sum_j c_j alpha_j, in positive_roots order: h_alpha is
+    # <rho, alpha^vee> (alpha, alpha) / 2, carried by the closure; derived
+    # from the fields above, so ==, hash and repr leave it out
+    rho_pairings: tuple = field(compare=False, repr=False)
 
     @property
     def name(self):
@@ -123,12 +130,6 @@ class RootSystem:
     def a3_isomorphic(self):
         # D_3 carries the same root system as A_3
         return self.type_label == "D" and self.rank == 3
-
-    @cached_property
-    def _rho_pairings(self):
-        # h_alpha = sum_j c_j d_j for each positive root alpha = sum_j c_j alpha_j,
-        # which is <rho, alpha^vee> (alpha, alpha) / 2, in positive_roots order
-        return tuple(sum(map(mul, c, self.symmetrizers)) for c in self.positive_roots)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -145,15 +146,19 @@ def build_root_system(type_label, rank):
     # its pairings <., alpha_j^vee> by A[j][i], for the diagonal and at most
     # 3 neighbours j
     cols = [[(j, cartan[j][i]) for j in range(n) if cartan[j][i]] for i in range(n)]
-    # the current height layer: root -> (its pairings, its positive depths p_j)
-    layer = {unit[i]: (dict(cols[i]), {}) for i in range(n)}
+    # the current height layer: root -> (its pairings, its positive depths
+    # p_j, its h = sum_j c_j d_j)
+    layer = {unit[i]: (dict(cols[i]), {}, d[i]) for i in range(n)}
     positive = []
+    denominators = []        # h of each positive root, in the same order
     sizes = []               # number of positive roots of each height 1, 2, ...
     while layer:
-        positive.extend(tuple(r.to_bytes(n, "big")) for r in sorted(layer))
+        for r in sorted(layer):
+            positive.append(tuple(r.to_bytes(n, "big")))
+            denominators.append(layer[r][2])
         sizes.append(len(layer))
         nxt = {}
-        for alpha, (pairings, depths) in layer.items():
+        for alpha, (pairings, depths, h) in layer.items():
             for i, a in pairings.items():
                 p = depths.get(i, 0)
                 if p - a < 1:
@@ -168,7 +173,7 @@ def build_root_system(type_label, rank):
                             up[j] = v
                         else:
                             del up[j]
-                    entry = nxt[t] = (up, {})
+                    entry = nxt[t] = (up, {}, h + d[i])
                 # every root t - alpha_j lies in this layer and reaches t, so
                 # each positive depth of t is set here, its pairing kept even
                 # when 0 so that the index is tried
@@ -182,7 +187,7 @@ def build_root_system(type_label, rank):
         raise RuntimeError(f"{type_label}{rank}: layer sizes give exponents {exps}, "
                            f"not the closed form {want}")
     return RootSystem(type_label, rank, tuple(tuple(r) for r in cartan),
-                      tuple(positive), d, exps)
+                      tuple(positive), d, exps, tuple(denominators))
 
 
 def exponents(rs):
@@ -203,7 +208,7 @@ def _weyl_product(rs, weight, bound=None):
     """
     terms = [(j, w * dj) for j, (w, dj) in enumerate(zip(weight, rs.symmetrizers)) if w]
     num = part = 1
-    for c, h in zip(rs.positive_roots, rs._rho_pairings):
+    for c, h in zip(rs.positive_roots, rs.rho_pairings):
         a = h
         for j, t in terms:
             a += c[j] * t

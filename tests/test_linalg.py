@@ -1,5 +1,7 @@
 """Exact linear algebra: brackets, rank, kernels."""
 
+import copy
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -8,6 +10,7 @@ import pytest
 
 from katzmod.linalg import (Matrix, bracket, rank, solve_homogeneous, solve_linear,
                             DimensionError)
+from katzmod.sl2 import decompose_adjoint, principal_triple
 
 
 def superdiagonal_ones(k):
@@ -153,9 +156,11 @@ class TestRankAndKernel:
                 solve([[1, 0], [1, 0, 0]], 2)
             with pytest.raises(DimensionError, match="a row of 1 entries"):
                 solve([[1]], 2)
-            for entry in (0.5, True):
+            for entry in (0.5, True, "1"):
                 with pytest.raises(TypeError, match="exact rationals"):
                     solve([[1, entry]], 2)
+                with pytest.raises(TypeError, match="exact rationals"):
+                    solve([(1, 2), (entry, 1)], 2)
 
     def test_solve_linear_consistent(self):
         m = Matrix.from_rows([[2, 0], [0, 3]])
@@ -276,25 +281,65 @@ class TestEliminationAgainstFractionRref:
             for _ in range(60):
                 yield name, rng, random_shaped_matrix(rng, r, c)
 
-    def test_rank_equals_pivot_count(self):
+    def structured_systems(self):
+        """Integer rows of the shapes the elimination meets in katzmod, with
+        their column count: the bidiagonal k x (k+1) systems of
+        sl2.form_kernel, top-down and bottom-up, and the adjoint's dense
+        diagonal bases, tuples of large ints."""
+        rng = random.Random(37)
+        for k in range(1, 41):
+            rows = [[0] * (k + 1) for _ in range(k)]
+            for i, row in enumerate(rows):
+                row[i], row[i + 1] = (rng.choice((-3, -2, -1, 0, 1, 2, 5)) for _ in range(2))
+            yield f"bidiagonal {k}", rows, k + 1
+            yield f"bidiagonal {k} bottom-up", rows[::-1], k + 1
+        for k in range(2, 9):
+            for rows, n in decompose_adjoint(principal_triple(k)).diagonal_bases():
+                yield f"adjoint {k}", rows, n
+
+    def systems(self):
+        """Rows and their column count as callers pass them: each random
+        matrix as Fraction lists, as tuples of ints and as lists mixing ints
+        and Fractions, then the structured systems."""
         for name, _, m in self.matrices():
-            assert rank_of(m) == len(fraction_rref(m.row_lists(), m.cols)), (name, m)
+            rows = m.row_lists()
+            yield name, rows, m.cols
+            yield f"{name} int tuples", [tuple(x.numerator for x in row) for row in rows], m.cols
+            yield (f"{name} ints and Fractions",
+                   [[int(x) if x.denominator == 1 else x for x in row] for row in rows], m.cols)
+        yield from self.structured_systems()
+
+    def test_rank_equals_pivot_count(self):
+        # rank reads the forward sweep alone, and leaves the caller's rows as they were
+        for name, rows, ncols in self.systems():
+            before = copy.deepcopy(rows)
+            assert rank(rows, ncols) == len(fraction_rref(Matrix.from_rows(rows).row_lists(),
+                                                          ncols)), name
+            assert rows == before, name
 
     def test_kernel_basis_vector_for_vector(self):
         # the integer basis vector is the reference one (1 in its free column)
-        # made primitive, so it is positive there
-        for name, _, m in self.matrices():
-            got = kernel_of(m)
-            assert got == [primitive(v) for v in reference_kernel(m)], (name, m)
+        # made primitive, so it is positive there; it is read after the
+        # back-substitution, which leaves the caller's rows as they were
+        for name, rows, ncols in self.systems():
+            before = copy.deepcopy(rows)
+            assert solve_homogeneous(rows, ncols) == \
+                [primitive(v) for v in reference_kernel(Matrix.from_rows(rows))], name
+            assert rows == before, name
 
     def test_solve_linear_solution_or_none(self):
         nones = 0
-        for name, rng, m in self.matrices():
+        rhs_rng = random.Random(41)
+        structured = ((name, rhs_rng, Matrix.from_rows(rows))
+                      for name, rows, _ in self.structured_systems())
+        for name, rng, m in itertools.chain(self.matrices(), structured):
             for rhs in ([Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(m.rows)],
                         [sum(m.row(i), Fraction(0)) for i in range(m.rows)]):
+                before = list(rhs)
                 expected = reference_solve(m, rhs)
                 nones += expected is None
                 assert solve_linear(m, rhs) == expected, (name, m, rhs)
+                assert rhs == before, name
         assert nones  # the inconsistent branch is exercised
 
     def test_negative_pivots(self):

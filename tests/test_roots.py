@@ -240,8 +240,12 @@ class TestBuildRootSystem:
     def test_symmetrizers_closed_form(self):
         # d symmetrizes the Cartan matrix: d_i A[i][j] = (alpha_i, alpha_j)
         for t, n in all_types(31):
-            d = build_root_system(t, n).symmetrizers
+            rs = build_root_system(t, n)
+            d = rs.symmetrizers
             assert d == expected_symmetrizers(t, n), (t, n)
+            # the Weyl denominators carried by the closure, recomputed
+            assert rs.rho_pairings == tuple(sum(c * dj for c, dj in zip(r, d))
+                                            for r in rs.positive_roots), (t, n)
             a = cartan_matrix(t, n)
             assert all(d[i] * a[i][j] == d[j] * a[j][i]
                        for i in range(n) for j in range(n)), (t, n)
@@ -441,7 +445,8 @@ class TestWeylDimension:
             assert weyl_dimension(build_root_system("C", 3), (1, 0, 0)) == 6
 
     def test_evaluated_root_system_equals_a_fresh_copy(self):
-        # the cached denominator is no field: ==, hash and repr ignore it
+        # the carried denominators are a field left out of ==, hash and repr,
+        # and evaluating a weight caches nothing on the root system
         rs = build_root_system("F", 4)
         weyl_dimension(rs, (0, 0, 0, 1))
         fresh = dataclasses.replace(rs)

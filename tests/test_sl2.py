@@ -725,8 +725,10 @@ class TestInvariantBilinearForm:
 
     def test_closed_form_strip(self):
         # x is the superdiagonal of ones, so (x^T B + B x)[a, k-a] = b_(a-1)
-        # + b_a for the antidiagonal strip b of B: b_a = (-1)^a b_0
-        for k in range(2, 31):
+        # + b_a for the antidiagonal strip b of B: b_a = (-1)^a b_0.  The x-
+        # and y-conditions are bidiagonal, which back-substitution solves in
+        # O(k^2) and clearing pivot columns top-down would fill in at O(k^3)
+        for k in range(2, 151):
             assert invariant_bilinear_form(principal_triple(k)).form == \
                 tuple((-1) ** a for a in range(k)), k
 

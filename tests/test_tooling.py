@@ -83,10 +83,11 @@ for gens, cap in ((sub.PRESETS["gamma711"], 3), (sub.GeneratorSet("t", [sub.T_MA
         pass
 importlib.import_module("katzmod.classify").classify(7)
 with contextlib.redirect_stdout(io.StringIO()):
-    code = katzmod.cli.main(["verify-paper", "--only", "adjoint"])
+    codes = [katzmod.cli.main(["verify-paper", "--only", only]) for only in ("adjoint", "form")]
 layers = tracer.per_layer(t, 1)
-print(json.dumps({"code": code, "letters": layers["subgroups.matrix_to_word.letters"],
+print(json.dumps({"codes": codes, "letters": layers["subgroups.matrix_to_word.letters"],
                   "rank_calls": layers["linalg.rank.calls"],
+                  "kernel_calls": layers["linalg.solve_homogeneous.calls"],
                   "root_misses": layers["roots.build_root_system.misses"],
                   "positive_roots": layers["roots.build_root_system.positive_roots"],
                   "weyl_calls": layers["roots.weyl_dimension.calls"],
@@ -102,10 +103,13 @@ def test_traced_run_reads_the_targets():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["code"] == 0
+    assert result["codes"] == [0, 0]
     # gamma43, gamma711 and T: any change to the words shows here
     assert result["letters"] == 50
     assert result["rank_calls"] > 0
+    # form_kernel's elimination is traced only while it calls the public
+    # solve_homogeneous: a private route would read 0 here, not fail
+    assert result["kernel_calls"] > 0
     assert result["root_misses"] > 0
     # classify(7) is the only caller that builds root systems here, each type
     # that passes the exponent criteria once
