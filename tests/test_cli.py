@@ -31,7 +31,9 @@ def run(capsys, *argv):
 # definition and relabelled afterwards; the `classify --ht-weights` lines while
 # the form filter still solved for sl_k's invariant forms from four generators;
 # the `rootsys weyl-dim` and `irreps` lines while the Cartan matrix was still
-# written out link by link and the root lengths were searched for in it.
+# written out link by link and the root lengths were searched for in it; the
+# `classify --ht-weights` lines without --symplectic while the classification
+# endgame still ran through one report function with keyword options.
 PINNED = Path(__file__).parent / "data" / "cli_json.jsonl"
 PINNED_COMMANDS = ([("classify", "--k", str(k), "--json") for k in range(2, 33)]
                    + [("sl2", "--k", str(k), "decompose", "--json") for k in range(2, 13)]
@@ -49,7 +51,9 @@ PINNED_COMMANDS = ([("classify", "--k", str(k), "--json") for k in range(2, 33)]
                    + [("rootsys", "--type", t, "--rank", str(n), "weyl-dim", "--weight",
                        ",".join(str(int(j == i)) for j in range(n)), "--json")
                       for t, n in (("B", 3), ("C", 3), ("F", 4), ("G", 2)) for i in range(n)]
-                   + [("rootsys", "--type", "F", "--rank", "4", "irreps", "--dim", "26", "--json")])
+                   + [("rootsys", "--type", "F", "--rank", "4", "irreps", "--dim", "26", "--json")]
+                   + [("classify", "--k", str(k), "--ht-weights", f"0,-{k + 1}", "--json")
+                      for k in (2, 4, 7, 12)])
 
 
 class TestPinnedJsonOutputs:
@@ -129,6 +133,45 @@ class TestClassifyCommand:
         code, out, _ = run(capsys, "classify", "--k", "4", "--ht-weights", "0,0")
         assert code == 0
         assert "after Hodge-Tate filter (weights [0]): A_1, A_3, C_2\n" in out
+
+    # the text report of each endgame stage, pinned before the report function
+    # it went through was deleted
+    @pytest.mark.parametrize("argv, want", [
+        (["--k", "4"], """classification for k = 4:
+  A_1    A_1 acting by Sym^3
+  A_3    A_3 = sl_4
+  C_2    C_2 = sp_4
+"""),
+        (["--k", "4", "--ht-weights", "0,-5"], """classification for k = 4:
+  A_1    A_1 acting by Sym^3
+  A_3    A_3 = sl_4
+  C_2    C_2 = sp_4
+after Hodge-Tate filter (weights [-5, 0]): A_3, C_2
+"""),
+        (["--k", "4", "--symplectic"], """classification for k = 4:
+  A_1    A_1 acting by Sym^3
+  A_3    A_3 = sl_4
+  C_2    C_2 = sp_4
+after alternating-form filter: A_1, C_2
+conclusion: (none)
+"""),
+        (["--k", "4", "--ht-weights", "0,-5", "--symplectic"], """classification for k = 4:
+  A_1    A_1 acting by Sym^3
+  A_3    A_3 = sl_4
+  C_2    C_2 = sp_4
+after Hodge-Tate filter (weights [-5, 0]): A_3, C_2
+after alternating-form filter: C_2
+conclusion: GSp_4
+"""),
+        (["--k", "2", "--ht-weights", "0,-3", "--symplectic"], """classification for k = 2:
+  A_1    A_1 acting by Sym^1
+after Hodge-Tate filter (weights [-3, 0]): A_1
+after alternating-form filter: A_1
+conclusion: GSp_2
+"""),
+    ])
+    def test_text_report(self, capsys, argv, want):
+        assert run(capsys, "classify", *argv) == (0, want, "")
 
     def test_json_deterministic(self, capsys):
         _, out1, _ = run(capsys, "classify", "--k", "6", "--json")

@@ -11,7 +11,9 @@ how it is cached (the miss counter reads `build_root_system.cache_info()`) or
 to what it raises (the cap counter reads the exact type name CosetCapExceeded)
 fails here too.  Its root counter must equal the closed-form positive-root
 counts of the types that classify(7) builds: those whose closed-form
-exponents pass the exponent criteria at k = 7.
+exponents pass the exponent criteria at k = 7.  A second traced run counts
+the calls of each stage of the classification endgame (classify, ht_filter,
+form_filter) from verify-paper's pipeline section and from `katzmod classify`.
 
 The Lie side (the invariant form, the form filter, the adjoint
 decomposition and its rank, and the bracket supports) builds no dense Matrix:
@@ -121,6 +123,35 @@ def test_traced_run_reads_the_targets():
     assert result["irreps_calls"] > 0
     # counted by exact type name: an infinite index is not a cap refusal
     assert result["cap_exceeded"] == 1
+
+
+ENDGAME_RUN = """
+import contextlib, io, json
+import tracer
+import katzmod.cli
+t = tracer.Tracer()
+tracer.install(t)
+layers = ("classify.classify", "classify.ht_filter", "classify.form_filter")
+counts = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["verify-paper", "--only", "pipeline"],
+                 ["classify", "--k", "4", "--ht-weights", "0,-5", "--symplectic"]):
+        code = katzmod.cli.main(argv)
+        counts.append([code] + [t.calls[name] for name in layers])
+print(json.dumps(counts))
+"""
+
+
+def test_traced_endgame_calls_each_layer():
+    # the pipeline section runs classify, ht_filter and form_filter once at
+    # each even k <= 30, and `classify` once more each: a filter inlined into
+    # its caller would read 0 calls here, not fail
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(TRACER.parent)]))
+    proc = subprocess.run([sys.executable, "-c", ENDGAME_RUN], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 15, 15, 15], [0, 16, 16, 16]]
 
 
 NO_DENSE_RUN = """
