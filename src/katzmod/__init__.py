@@ -10,8 +10,7 @@ from .sl2 import (Sl2Triple, IrrepBlock, AdjointDecomposition, principal_triple,
 from .roots import (RootSystem, build_root_system, exponents, algebra_dimension,
                     weyl_dimension, irreps_of_dimension, irreps_up_to)
 from .classify import (exponent_criteria, classify, ht_filter, form_filter,
-                       frobenius_dimension_check, classification_report,
-                       ClassificationCase, ClassificationReport)
+                       frobenius_dimension_check, ClassificationCase)
 from .subgroups import (GeneratorSet, matrix_to_word, coset_enumerate,
                         CosetTable, SubgroupInvariants, invariants,
                         congruence_test, congruence_closure, dim_cusp_forms, dim_rho_prim,

@@ -87,21 +87,6 @@ class ClassificationCase:
         }[self.label]
 
 
-@dataclass(frozen=True)
-class FormFilterResult:
-    cases: tuple
-    conclusion: str | None
-
-
-@dataclass(frozen=True)
-class ClassificationReport:
-    k: int
-    raw_cases: tuple
-    after_ht_filter: tuple
-    after_form_filter: tuple
-    conclusion: str | None
-
-
 def _candidate_types(k):
     """Isomorphism classes of simple types with rank at most k-1, type by type.
 
@@ -201,12 +186,16 @@ def ht_filter(cases, k, weights):
 def form_filter(cases, k):
     """Keep the cases preserving an alternating form; conclude GSp_k if unique.
 
-    Only defined for even k.  Every case contains the principal sl2, so a form
-    one of them preserves is a multiple of that sl2's invariant form B, which
-    is computed once and decides all three cases: the symplectic case
-    preserves its defining form; the Sym-power case (if still present) is
-    kept when B is alternating; the full sl_k case is kept only when B is also
-    invariant under E_00 - E_11, which with the principal sl2 generates sl_k.
+    Only defined for even k.  Returns the pair (kept, conclusion): the kept
+    cases as a tuple, and "GSp_k" when the one case left is the symplectic
+    algebra (or sl2 itself at k = 2), None otherwise.
+
+    Every case contains the principal sl2, so a form one of them preserves is
+    a multiple of that sl2's invariant form B, which is computed once and
+    decides all three cases: the symplectic case preserves its defining form;
+    the Sym-power case (if still present) is kept when B is alternating; the
+    full sl_k case is kept only when B is also invariant under E_00 - E_11,
+    which with the principal sl2 generates sl_k.
     """
     if k % 2 != 0:
         raise ValueError("form filter applies to even k only")
@@ -216,31 +205,16 @@ def form_filter(cases, k):
     sl_preserves_form = not any(b * (d[a] + d[k - 1 - a]) for a, b in enumerate(form.form))
     # orthogonal and G_2 cases preserve only symmetric forms and cannot arise
     # for even k; they are dropped.
-    kept = [case for case in cases
-            if case.label == LABEL_SYMPLECTIC
-            or case.label == LABEL_SYM_POWER and not form.symmetric
-            or case.label == LABEL_FULL_SL and sl_preserves_form]
+    kept = tuple(case for case in cases
+                 if case.label == LABEL_SYMPLECTIC
+                 or case.label == LABEL_SYM_POWER and not form.symmetric
+                 or case.label == LABEL_FULL_SL and sl_preserves_form)
     conclusion = None
     if len(kept) == 1:
         sole = kept[0]
         if sole.label == LABEL_SYMPLECTIC or (k == 2 and sole.label == LABEL_SYM_POWER):
             conclusion = f"GSp_{k}"
-    return FormFilterResult(tuple(kept), conclusion)
-
-
-def classification_report(k, ht_weights=None, apply_form_filter=False):
-    """Run classify and the optional filters, collecting every stage."""
-    raw = classify(k)
-    after_ht = list(raw)
-    if ht_weights is not None:
-        after_ht = ht_filter(raw, k, ht_weights)
-    after_form = list(after_ht)
-    conclusion = None
-    if apply_form_filter:
-        result = form_filter(after_ht, k)
-        after_form = list(result.cases)
-        conclusion = result.conclusion
-    return ClassificationReport(k, tuple(raw), tuple(after_ht), tuple(after_form), conclusion)
+    return kept, conclusion
 
 
 def frobenius_dimension_check(w, k):

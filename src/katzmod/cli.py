@@ -17,7 +17,7 @@ from .sl2 import principal_triple, decompose_adjoint, verify_bracket_identity, \
     invariant_bilinear_form
 from .roots import build_root_system, exponents, algebra_dimension, \
     weyl_dimension, irreps_of_dimension, SIMPLE_TYPES
-from .classify import classification_report
+from .classify import classify, ht_filter, form_filter
 from .subgroups import resolve_subgroup, coset_enumerate, invariants, dim_rho_prim, \
     dim_cusp_forms, CosetCapExceeded
 
@@ -30,10 +30,18 @@ def _print(doc, as_json, text_lines):
             print(line)
 
 
+def _integer(value):
+    """An ASCII decimal integer such as -12: int() alone would also read 1_0,
+    surrounding spaces and other scripts' digits."""
+    if not re.fullmatch(r"-?[0-9]+", value):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _k_at_least_2(value):
     try:
-        k = int(value)
-    except ValueError:
+        k = _integer(value)
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(f"k must be an integer, got {value!r}") from None
     if k < 2:
         raise argparse.ArgumentTypeError(f"k must be at least 2, got {k}")
@@ -42,35 +50,36 @@ def _k_at_least_2(value):
 
 def _int_list(value):
     try:
-        return tuple(int(c) for c in value.split(","))
-    except ValueError:
+        return tuple(_integer(c) for c in value.split(","))
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {value!r}") from None
 
 
 def cmd_classify(args):
-    ht = args.ht_weights
-    if args.symplectic and args.k % 2 != 0:
+    k, ht = args.k, args.ht_weights
+    if args.symplectic and k % 2 != 0:
         raise ValueError("--symplectic requires even k")
-    report = classification_report(args.k, ht_weights=ht, apply_form_filter=args.symplectic)
+    raw = classify(k)
+    after_ht = raw if ht is None else ht_filter(raw, k, ht)
+    after_form, conclusion = form_filter(after_ht, k) if args.symplectic else (after_ht, None)
     doc = {
-        "k": report.k,
-        "raw_cases": [{"name": c.name, "label": c.label, "description": c.describe(args.k)}
-                      for c in report.raw_cases],
-        "after_ht_filter": [c.name for c in report.after_ht_filter],
-        "after_form_filter": [c.name for c in report.after_form_filter],
-        "conclusion": report.conclusion,
+        "k": k,
+        "raw_cases": [{"name": c.name, "label": c.label, "description": c.describe(k)}
+                      for c in raw],
+        "after_ht_filter": [c.name for c in after_ht],
+        "after_form_filter": [c.name for c in after_form],
+        "conclusion": conclusion,
     }
-    lines = [f"classification for k = {args.k}:"]
-    for c in report.raw_cases:
-        lines.append(f"  {c.name:<6} {c.describe(args.k)}")
+    lines = [f"classification for k = {k}:"]
+    for c in raw:
+        lines.append(f"  {c.name:<6} {c.describe(k)}")
     if ht is not None:
         lines.append(f"after Hodge-Tate filter (weights {sorted(set(ht))}): "
-                     + ", ".join(c.name for c in report.after_ht_filter))
+                     + ", ".join(doc["after_ht_filter"]))
     if args.symplectic:
-        lines.append("after alternating-form filter: "
-                     + ", ".join(c.name for c in report.after_form_filter))
-        lines.append(f"conclusion: {report.conclusion or '(none)'}")
+        lines.append("after alternating-form filter: " + ", ".join(doc["after_form_filter"]))
+        lines.append(f"conclusion: {conclusion or '(none)'}")
     _print(doc, args.json, lines)
     return 0
 
@@ -219,10 +228,10 @@ def build_parser():
 
     p = sub.add_parser("rootsys", help="root system data for one simple type")
     p.add_argument("--type", required=True, choices=list(SIMPLE_TYPES))
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=_integer, required=True)
     p.add_argument("action", choices=["exponents", "dim", "weyl-dim", "irreps"])
     p.add_argument("--weight", type=_int_list, help="fundamental-weight coordinates, e.g. 1,0")
-    p.add_argument("--dim", type=int, help="target dimension for the irreps action")
+    p.add_argument("--dim", type=_integer, help="target dimension for the irreps action")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_rootsys)
 

@@ -55,11 +55,6 @@ class InfiniteIndex(CosetCapExceeded):
     """
 
 
-def mat_mul(a, b):
-    return (a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
-            a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
-
-
 def mat_det(a):
     return a[0] * a[3] - a[1] * a[2]
 
@@ -133,6 +128,8 @@ def load_generator_file(path):
             return GeneratorSet(doc["name"], doc["generators"])
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError too
             raise ValueError(f"{path}: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"{path}: nested too deeply") from None
 
 
 def resolve_subgroup(spec):
@@ -395,13 +392,16 @@ class CosetTable:
 
 def _coset_cap(cap):
     """The cap argument, else KATZMOD_COSET_CAP, else the default; a cap that
-    is not a positive int, or is a bool, raises ValueError naming its source."""
+    is not a positive int, or is a bool, raises ValueError naming its source.
+    The environment value must be ASCII digits, surrounding whitespace allowed:
+    int() alone would also read 1_0 and other scripts' digits."""
     source = "cap argument"
     if cap is None:
         raw = os.environ.get(COSET_CAP_ENV)
         if raw is None:
             return DEFAULT_COSET_CAP
-        cap = int(raw) if raw.strip().isdecimal() else raw
+        digits = raw.strip()
+        cap = int(digits) if digits.isascii() and digits.isdecimal() else raw
         source = f"environment variable {COSET_CAP_ENV}"
     if not _is_int(cap) or cap < 1:
         raise ValueError(f"coset cap must be a positive integer, got {cap!r} from the {source}")

@@ -13,7 +13,7 @@ from .linalg import rank
 from .sl2 import principal_triple, decompose_adjoint, bracket_support, \
     verify_bracket_identity, invariant_bilinear_form
 from .roots import build_root_system, exponents, algebra_dimension, irreps_up_to
-from .classify import classify, classification_report, frobenius_dimension_check
+from .classify import classify, ht_filter, form_filter, frobenius_dimension_check
 from .subgroups import PRESETS, coset_enumerate, invariants, dim_rho_prim
 
 
@@ -69,10 +69,10 @@ def check_classification():
 
 def check_pipeline():
     for k in range(2, 31, 2):
-        report = classification_report(k, ht_weights=(0, -k - 1), apply_form_filter=True)
+        _, conclusion = form_filter(ht_filter(classify(k), k, (0, -k - 1)), k)
         want = f"GSp_{k}"
         yield CheckResult("pipeline", f"k={k}: two HT weights + alternating form",
-                          want, str(report.conclusion), report.conclusion == want)
+                          want, str(conclusion), conclusion == want)
 
 
 def check_adjoint():

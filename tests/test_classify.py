@@ -1,13 +1,15 @@
 """The exponent-criteria scan, the two filters, and the Frobenius check."""
 
+import json
 import random
 
 import pytest
 
+from katzmod.cli import main
 from katzmod.classify import (exponent_criteria, classify, ht_filter, form_filter,
-                              frobenius_dimension_check, classification_report,
-                              ClassificationCase, LABEL_SYM_POWER, LABEL_FULL_SL,
-                              LABEL_SYMPLECTIC, LABEL_ORTHOGONAL, LABEL_G2,
+                              frobenius_dimension_check, ClassificationCase,
+                              LABEL_SYM_POWER, LABEL_FULL_SL, LABEL_SYMPLECTIC,
+                              LABEL_ORTHOGONAL, LABEL_G2,
                               _candidate_types, _realizing_weights, _label_for, _passes,
                               _closed)
 from katzmod.roots import build_root_system, exponents, type_exponents, irreps_of_dimension
@@ -287,28 +289,29 @@ class TestHtFilter:
         with pytest.raises(ValueError, match="Hodge-Tate weight .* is not an integer"):
             ht_filter(classify(4), 4, weights)
 
-    def test_float_weights_rejected_by_report(self):
+    def test_float_weights_rejected(self):
         with pytest.raises(ValueError, match="is not an integer"):
-            classification_report(4, ht_weights=(0.9, -5.2))
+            ht_filter(classify(4), 4, (0.9, -5.2))
 
 
 class TestFormFilter:
     def test_k4_concludes_gsp4(self):
         cases = ht_filter(classify(4), 4, [0, -5])
-        result = form_filter(cases, 4)
-        assert names(result.cases) == ["C_2"]
-        assert result.conclusion == "GSp_4"
+        kept, conclusion = form_filter(cases, 4)
+        assert names(kept) == ["C_2"]
+        assert conclusion == "GSp_4"
 
     def test_k2_concludes_gsp2(self):
-        result = form_filter(classify(2), 2)
-        assert result.conclusion == "GSp_2"
+        kept, conclusion = form_filter(classify(2), 2)
+        assert names(kept) == ["A_1"]
+        assert conclusion == "GSp_2"
 
     def test_k10(self):
         cases = ht_filter(classify(10), 10, [0, -11])
         assert names(cases) == ["A_9", "C_5"]
-        result = form_filter(cases, 10)
-        assert names(result.cases) == ["C_5"]
-        assert result.conclusion == "GSp_10"
+        kept, conclusion = form_filter(cases, 10)
+        assert names(kept) == ["C_5"]
+        assert conclusion == "GSp_10"
 
     def test_odd_k_rejected(self):
         with pytest.raises(ValueError):
@@ -325,30 +328,38 @@ class TestFormFilter:
             full = [c for c in classify(k) if c.label == LABEL_FULL_SL] or \
                 [ClassificationCase(LABEL_FULL_SL, "A", 1, (1,), ((1,),))]
             assert len(full) == 1, k
-            kept = form_filter(full, k).cases
+            kept, _ = form_filter(full, k)
             assert bool(kept) == bool(dense_form_kernel(gens, k)), k
             assert bool(kept) == (k == 2), k
 
     def test_without_ht_filter_no_conclusion(self):
         # Sym^(k-1) also preserves an alternating form at even k, so skipping
         # the Hodge-Tate step leaves two survivors and no conclusion
-        result = form_filter(classify(4), 4)
-        assert names(result.cases) == ["A_1", "C_2"]
-        assert result.conclusion is None
+        kept, conclusion = form_filter(classify(4), 4)
+        assert names(kept) == ["A_1", "C_2"]
+        assert conclusion is None
 
 
-class TestClassificationReport:
+class TestEndgameChain:
+    """classify, then ht_filter, then form_filter, chained as their callers chain them."""
+
     def test_stages_nest(self):
-        report = classification_report(8, ht_weights=(0, -9), apply_form_filter=True)
-        assert set(names(report.after_ht_filter)) <= set(names(report.raw_cases))
-        assert set(names(report.after_form_filter)) <= set(names(report.after_ht_filter))
-        assert report.conclusion == "GSp_8"
+        raw = classify(8)
+        after_ht = ht_filter(raw, 8, (0, -9))
+        after_form, conclusion = form_filter(after_ht, 8)
+        assert set(names(after_ht)) <= set(names(raw))
+        assert set(names(after_form)) <= set(names(after_ht))
+        assert conclusion == "GSp_8"
 
-    def test_no_filters(self):
-        report = classification_report(6)
-        assert report.after_ht_filter == report.raw_cases
-        assert report.after_form_filter == report.raw_cases
-        assert report.conclusion is None
+    def test_no_filters(self, capsys):
+        # `katzmod classify` chains only the filters asked for: with none,
+        # every stage it reports is classify(6), and there is no conclusion
+        assert main(["classify", "--k", "6", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        want = [c.name for c in classify(6)]
+        assert [c["name"] for c in doc["raw_cases"]] == want
+        assert doc["after_ht_filter"] == doc["after_form_filter"] == want
+        assert doc["conclusion"] is None
 
 
 class TestFrobeniusDimensionCheck:

@@ -134,8 +134,7 @@ class TestClassifyCommand:
         assert code == 0
         assert "after Hodge-Tate filter (weights [0]): A_1, A_3, C_2\n" in out
 
-    # the text report of each endgame stage, pinned before the report function
-    # it went through was deleted
+    # every line of the text report, one filter combination each
     @pytest.mark.parametrize("argv, want", [
         (["--k", "4"], """classification for k = 4:
   A_1    A_1 acting by Sym^3
@@ -254,6 +253,9 @@ class TestSubgroupCommand:
          "generator must be a list of four integers, got 7"),
         ({"name": None, "generators": [[1, 1, 0, 1]]}, "subgroup name must be a string"),
         ("{bad", "Expecting property name"),
+        # json.load used to raise RecursionError here, a traceback and exit 1
+        pytest.param('{"name": "g", "generators": ' + "[" * 100000 + "]" * 100000 + "}",
+                     "nested too deeply", id="generators-nested-100000-deep"),
     ])
     def test_malformed_file_exits_2(self, capsys, tmp_path, doc, message):
         path = tmp_path / "bad.json"
@@ -305,7 +307,8 @@ class TestSubgroupCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: infinite index")
 
-    @pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5", "", "\u00b2"])
+    @pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5", "", "\u00b2", "1_0",
+                                       "\uff11\uff12", "\u0667"])
     def test_malformed_cap_env_exits_2(self, capsys, monkeypatch, value):
         # used to report "index bound exceeded" for 0 and -3
         monkeypatch.setenv("KATZMOD_COSET_CAP", value)
@@ -334,6 +337,20 @@ class TestMalformedOptionValues:
          "argument --ht-weights: expected comma-separated integers, got '0,,1'"),
         (["rootsys", "--type", "A", "--rank", "2", "weyl-dim", "--weight", "1,x"],
          "argument --weight: expected comma-separated integers, got '1,x'"),
+        # int() alone reads an underscore and any script's decimal digits: these
+        # used to answer for k = 10, k = 7 and A_10
+        (["classify", "--k", "1_0"], "argument --k: k must be an integer, got '1_0'"),
+        (["classify", "--k", "\u0667"], "argument --k: k must be an integer, got '\u0667'"),
+        (["rootsys", "--type", "A", "--rank", "1_0", "exponents"],
+         "argument --rank: expected an integer, got '1_0'"),
+        (["rootsys", "--type", "A", "--rank", "2", "irreps", "--dim", "\uff13"],
+         "argument --dim: expected an integer, got '\uff13'"),
+        (["subgroup", "gamma43", "--dims", "--kmax", " 8"],
+         "argument --kmax: k must be an integer, got ' 8'"),
+        (["classify", "--k", "4", "--ht-weights", "0,-\u0665"],
+         "argument --ht-weights: expected comma-separated integers, got '0,-\u0665'"),
+        (["rootsys", "--type", "A", "--rank", "2", "weyl-dim", "--weight", "1,+1"],
+         "argument --weight: expected comma-separated integers, got '1,+1'"),
     ])
     def test_usage_error_names_the_option(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -342,6 +359,7 @@ class TestMalformedOptionValues:
         err = capsys.readouterr().err
         assert message in err
         assert "_k_at_least_2" not in err and "invalid literal" not in err
+        assert "_integer" not in err and "invalid int value" not in err
 
 
 class TestVerifyPaperCommand:

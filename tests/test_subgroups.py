@@ -17,7 +17,7 @@ from katzmod.subgroups import (GeneratorSet, matrix_to_word, coset_enumerate,
                                dim_cusp_forms, dim_rho_prim, load_generator_file,
                                resolve_subgroup, CosetCapExceeded, InfiniteIndex, CosetTable,
                                PRESETS, FULL_GROUP,
-                               S_MAT, T_MAT, mat_mul, psl2_canonical,
+                               S_MAT, T_MAT, psl2_canonical,
                                _compose, _perm_inverse, _perm_power, _perm_order, _is_identity,
                                _CosetGraph)
 
@@ -29,6 +29,11 @@ CONGRUENCE_GROUPS = {
     "hecke_level_4": ([(1, 1, 0, 1), (1, 0, 4, 1), (3, -1, 4, -1)], 6, (4, 1, 1)),
     "hecke_level_5": ([(1, 1, 0, 1), (1, 0, 5, 1), (2, -1, 5, -2), (3, -2, 5, -3)], 6, (5, 1)),
 }
+
+
+def mat_mul(a, b):
+    return (a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+            a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
 
 
 T_INV_MAT = (1, -1, 0, 1)
@@ -555,8 +560,10 @@ class TestCosetCapValidation:
         with pytest.raises(ValueError, match="from the cap argument"):
             coset_enumerate(PRESETS["gamma43"], cap=cap)
 
-    @pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5", "", "1e3", "\u00b2"])
+    @pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5", "", "1e3", "\u00b2", "1_0",
+                                       "\uff11\uff12", "\u0667"])
     def test_malformed_environment_rejected(self, monkeypatch, value):
+        # int() alone would read 1_0 as 10 and the full-width digits as 12
         monkeypatch.setenv("KATZMOD_COSET_CAP", value)
         with pytest.raises(ValueError, match="from the environment variable KATZMOD_COSET_CAP"):
             coset_enumerate(PRESETS["gamma43"])

@@ -144,8 +144,8 @@ print(json.dumps(counts))
 
 def test_traced_endgame_calls_each_layer():
     # the pipeline section runs classify, ht_filter and form_filter once at
-    # each even k <= 30, and `classify` once more each: a filter inlined into
-    # its caller would read 0 calls here, not fail
+    # each even k <= 30, and `katzmod classify` with both filters runs each
+    # once more: a stage inlined into its caller would read 0 here, not fail
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(TRACER.parent)]))
     proc = subprocess.run([sys.executable, "-c", ENDGAME_RUN], env=env, cwd=ROOT,
@@ -244,11 +244,11 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
 
 
 PUBLIC_NAMES = [
-    "AdjointDecomposition", "ClassificationCase", "ClassificationReport", "CosetCapExceeded",
+    "AdjointDecomposition", "ClassificationCase", "CosetCapExceeded",
     "CosetTable", "DimensionError", "FULL_GROUP", "GeneratorSet", "InfiniteIndex",
     "IrrepBlock", "Matrix", "PRESETS", "RootSystem", "Sl2Triple",
     "SubgroupInvariants", "algebra_dimension", "bracket", "bracket_support",
-    "build_root_system", "classification_report", "classify", "congruence_closure",
+    "build_root_system", "classify", "congruence_closure",
     "congruence_test", "coset_enumerate", "decompose_adjoint", "dim_cusp_forms",
     "dim_rho_prim", "exponent_criteria", "exponents", "form_filter",
     "frobenius_dimension_check", "ht_filter", "invariant_bilinear_form", "invariants",
