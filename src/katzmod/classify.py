@@ -3,12 +3,15 @@
 The scan follows the exponent criteria: a simple algebra g inside sl(V) whose
 principal sl2 is the principal sl2 of sl(V) has distinct exponents bounded by
 k-1, closed under (r, s) -> r+s-1 for r+s <= k, and must admit an irreducible
-representation of dimension k.  Each simple algebra of rank < k is scanned
-once, under one name, with its exponents in closed form (roots.type_exponents),
-so the scan builds no root system; only the types that pass it have their root
-system built, which checks those exponents against its height-layer sizes,
-and are searched for a k-dimensional irreducible.  This leaves exactly: sl2
-acting by Sym^(k-1); sl_k; sp_k for even k; so_k for odd k; G_2 at k = 7.
+representation of dimension k.  Bounded means max E < k, and closed means
+k < m, m the least r + s (r, s in E) with r + s - 1 not in E, so distinct
+exponents pass on the open interval (max E, m) of k.  Each simple algebra is
+read once, under one name, with its exponents in closed form
+(roots.type_exponents), so the scan builds no root system for the types that
+fail; a type whose interval meets the requested k has its root system built
+once, which checks those exponents against its height-layer sizes, and one
+weight search up to the largest such k.  This leaves exactly: sl2 acting by
+Sym^(k-1); sl_k; sp_k for even k; so_k for odd k; G_2 at k = 7.
 
 Two extra filters reproduce the arithmetic endgame for even k: a two-weight
 Hodge-Tate constraint kills the Sym^(k-1) case (its nonzero semisimple
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 from .linalg import _is_int
 from .sl2 import principal_triple, invariant_bilinear_form
-from .roots import build_root_system, type_exponents, weyl_dimension, irreps_of_dimension, \
+from .roots import build_root_system, type_exponents, weyl_dimension, irreps_up_to, \
     SIMPLE_TYPES, _valid_type
 
 LABEL_SYM_POWER = "sym_power_sl2"
@@ -36,15 +39,29 @@ LABEL_ORTHOGONAL = "orthogonal"
 LABEL_G2 = "g2"
 
 
-def _closed(exps, k):
-    """For every pair r, s of exps (repetition allowed) with r + s <= k, r + s - 1 is in exps."""
+def _passing_ks(exps, limit):
+    """The k <= limit at which sorted integer exponents pass the criteria, a range.
+
+    They pass on the open interval (max(exps), m) when distinct, m the least
+    r + s (r, s in exps) whose r + s - 1 is not in exps: the pairs with
+    r + s <= k only grow with k.  Bounded is tested first, and m is searched
+    only up to limit.
+    """
+    lo = exps[-1]
+    if lo >= limit:
+        return range(0)
     eset = set(exps)
-    return all(r + s - 1 in eset for i, r in enumerate(exps) for s in exps[i:] if r + s <= k)
-
-
-def _passes(exps, k):
-    """The exponent criteria for sorted integer exponents, cheapest test first."""
-    return exps[-1] < k and len(set(exps)) == len(exps) and _closed(exps, k)
+    if len(eset) != len(exps):
+        return range(0)
+    end = limit + 1
+    for i, r in enumerate(exps):
+        for s in exps[i:]:
+            if r + s >= end:
+                break
+            if r + s - 1 not in eset:
+                end = r + s
+                break
+    return range(lo + 1, end)
 
 
 def exponent_criteria(exps, k):
@@ -62,7 +79,7 @@ def exponent_criteria(exps, k):
     for e in exps:
         if not _is_int(e):
             raise ValueError(f"exponent {e!r} is not an integer")
-    return _passes(tuple(sorted(exps)), k)
+    return k in _passing_ks(tuple(sorted(exps)), k)
 
 
 @dataclass(frozen=True)
@@ -87,33 +104,46 @@ class ClassificationCase:
         }[self.label]
 
 
+def _left_out(k):
+    """The models of low-rank isomorphisms that are not candidates at k.
+
+    D_3 = A_3 is dropped, and of B_2 = C_2 the model of k's parity is kept:
+    C_2 = sp_4 for even k, B_2 = so_5 for odd k (both pass the criteria only
+    at k = 4 and k = 5).
+    """
+    return (("D", 3), ("B", 2) if k % 2 == 0 else ("C", 2))
+
+
 def _candidate_types(k):
     """Isomorphism classes of simple types with rank at most k-1, type by type.
 
-    roots decides which (type, rank) exist.  D_3 = A_3 is dropped, and of
-    B_2 = C_2 the model of k's parity is kept: C_2 = sp_4 for even k, B_2 =
-    so_5 for odd k (both pass the criteria only at k = 4 and k = 5).
+    roots decides which (type, rank) exist; _left_out(k) names each low-rank
+    isomorphism once.
     """
-    dropped = (("D", 3), ("B", 2) if k % 2 == 0 else ("C", 2))
     return [(t, n) for t in SIMPLE_TYPES for n in range(1, k)
-            if _valid_type(t, n) and (t, n) not in dropped]
+            if _valid_type(t, n) and (t, n) not in _left_out(k)]
 
 
-def _realizing_weights(rs, k):
-    """Dominant weights of dimension exactly k, nonempty only if one exists.
+def _realizing_weights(rs, ks):
+    """{k: dominant weights of dimension exactly k} for k in ks, from one search.
 
-    For A_(k-1) the defining weight and its dual are verified directly by the
+    The search runs up to max(ks).  For A_(k-1), which passes the criteria
+    only at k, the defining weight and its dual are verified directly by the
     Weyl dimension formula instead of searching the weight lattice.
     """
     n = rs.rank
-    if rs.type_label == "A" and n == k - 1 and n >= 2:
+    if rs.type_label == "A" and n >= 2 and ks == [n + 1]:
         first = (1,) + (0,) * (n - 1)
         last = (0,) * (n - 1) + (1,)
-        out = [w for w in (first, last) if weyl_dimension(rs, w) == k]
+        out = [w for w in (first, last) if weyl_dimension(rs, w) == n + 1]
         if not out:
             raise RuntimeError("defining representation of A_(k-1) must have dimension k")
-        return tuple(out)
-    return tuple(irreps_of_dimension(rs, k))
+        return {n + 1: tuple(out)}
+    found = {k: [] for k in ks}
+    for w, d in irreps_up_to(rs, max(ks)):
+        if d in found:
+            found[d].append(w)
+    return {k: tuple(weights) for k, weights in found.items()}
 
 
 def _label_for(type_label, rank, k):
@@ -130,34 +160,56 @@ def _label_for(type_label, rank, k):
     return None
 
 
+def classify_all(ks):
+    """classify(k) for every k in ks, from one sweep over the simple types.
+
+    Each type of rank below max(ks) is read once: its closed-form exponents
+    give the interval of k at which it passes the criteria, and only a type
+    whose interval meets ks has its root system built, once, and its weights
+    searched, once, up to the largest such k.  Returns {k: cases}, keyed in
+    the order of ks, each list in classify's candidate order.
+    """
+    ks = tuple(ks)
+    for k in ks:
+        if not _is_int(k) or k < 2:
+            raise ValueError(f"need an integer k >= 2, got {k!r}")
+    out = {k: [] for k in ks}
+    top = max(ks, default=0)
+    for type_label in SIMPLE_TYPES:
+        # a rank of at least k leaves an exponent of at least k: not bounded
+        for rank in range(1, top):
+            if not _valid_type(type_label, rank):
+                continue
+            exps = type_exponents(type_label, rank)
+            here = [k for k in _passing_ks(exps, top)
+                    if k in out and (type_label, rank) not in _left_out(k)]
+            if not here:
+                continue
+            rs = build_root_system(type_label, rank)
+            for k, weights in _realizing_weights(rs, here).items():
+                if not weights:
+                    continue
+                label = _label_for(type_label, rank, k)
+                if label is None:
+                    raise RuntimeError(
+                        f"unexpected classification case {type_label}_{rank} at k={k}")
+                out[k].append(ClassificationCase(label, type_label, rank, exps, weights))
+    return out
+
+
 def classify(k):
     """All simple algebras passing the exponent criteria with a k-dim irreducible.
 
-    The scan reads each candidate's closed-form exponents and stops at the
-    first criterion that fails, cheapest first: bounded (the largest exponent
-    is at most k-1), then distinct, then closed.  A root system is built, and
-    its exponents checked against its layer sizes, only for the types that
-    pass, to search their weights of dimension k.
+    The one-k case of classify_all: a type is skipped as soon as its largest
+    exponent reaches k, and a root system is built, and its exponents checked
+    against its layer sizes, only for the types that pass, to search their
+    weights of dimension k.
 
     Returns ClassificationCase values in candidate order, which is: Sym-power
     sl2, full sl_k, the symplectic/orthogonal case, then G_2 (when k = 7).  For
     k = 2 the cases collapse and the single canonical A_1 is reported.
     """
-    if not _is_int(k) or k < 2:
-        raise ValueError(f"need an integer k >= 2, got {k!r}")
-    cases = []
-    for type_label, rank in _candidate_types(k):
-        exps = type_exponents(type_label, rank)
-        if not _passes(exps, k):
-            continue
-        weights = _realizing_weights(build_root_system(type_label, rank), k)
-        if not weights:
-            continue
-        label = _label_for(type_label, rank, k)
-        if label is None:
-            raise RuntimeError(f"unexpected classification case {type_label}_{rank} at k={k}")
-        cases.append(ClassificationCase(label, type_label, rank, exps, weights))
-    return cases
+    return classify_all((k,))[k]
 
 
 def ht_filter(cases, k, weights):

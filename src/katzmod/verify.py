@@ -5,6 +5,11 @@ against the expected values; the CLI command `verify-paper` renders the rows
 as a table and exits nonzero when anything fails.  The expected exponent
 table lives here as data so that the root-system code is tested against it
 rather than reading from it.
+
+Within one run() call the sections share what they both read: the
+classification and pipeline sections one classify_all sweep, the adjoint and
+bracket sections one decompose_adjoint(principal_triple(k)) per k.  A section
+called on its own computes its objects afresh, and nothing outlives the call.
 """
 
 from dataclasses import dataclass
@@ -13,7 +18,7 @@ from .linalg import rank
 from .sl2 import principal_triple, decompose_adjoint, bracket_support, \
     verify_bracket_identity, invariant_bilinear_form
 from .roots import build_root_system, exponents, algebra_dimension, irreps_up_to
-from .classify import classify, ht_filter, form_filter, frobenius_dimension_check
+from .classify import classify_all, ht_filter, form_filter, frobenius_dimension_check
 from .subgroups import PRESETS, coset_enumerate, invariants, dim_rho_prim
 
 
@@ -59,17 +64,42 @@ def expected_case_names(k):
     return sorted(names)
 
 
+# The objects shared by the sections of the current run() call; None outside
+# one.  SECTIONS holds zero-argument callables (perfbench wraps them), so the
+# sections find the run's objects here rather than as arguments.
+_shared = None
+
+
+def _once(key, compute):
+    """compute(), once per run() call, and afresh when no run() is under way."""
+    if _shared is None:
+        return compute()
+    if key not in _shared:
+        _shared[key] = compute()
+    return _shared[key]
+
+
+def _classified():
+    return _once("classified", lambda: classify_all(range(2, 31)))
+
+
+def _decomposition(k):
+    return _once(("adjoint", k), lambda: decompose_adjoint(principal_triple(k)))
+
+
 def check_classification():
+    classified = _classified()
     for k in range(2, 31):
-        got = sorted(c.name for c in classify(k))
+        got = sorted(c.name for c in classified[k])
         want = expected_case_names(k)
         yield CheckResult("classification", f"classify({k}) case list",
                           ", ".join(want), ", ".join(got), got == want)
 
 
 def check_pipeline():
+    classified = _classified()
     for k in range(2, 31, 2):
-        _, conclusion = form_filter(ht_filter(classify(k), k, (0, -k - 1)), k)
+        _, conclusion = form_filter(ht_filter(classified[k], k, (0, -k - 1)), k)
         want = f"GSp_{k}"
         yield CheckResult("pipeline", f"k={k}: two HT weights + alternating form",
                           want, str(conclusion), conclusion == want)
@@ -77,7 +107,7 @@ def check_pipeline():
 
 def check_adjoint():
     for k in range(2, 13):
-        dec = decompose_adjoint(principal_triple(k))
+        dec = _decomposition(k)
         dims = [len(b.strips) for b in dec.blocks]
         want = [2 * r + 1 for r in range(1, k)]
         basis_rank = sum(rank(rows, n) for rows, n in dec.diagonal_bases())
@@ -90,7 +120,7 @@ def check_adjoint():
 def check_bracket():
     for k in range(2, 11):
         t = principal_triple(k)
-        dec = decompose_adjoint(t)
+        dec = _decomposition(k)
         bad = []
         for r in range(1, k):
             for s in range(1, r + 1):
@@ -225,8 +255,13 @@ def run(only=None):
     """Run all checks (or one section); returns the list of CheckResult rows."""
     if only is not None and only not in SECTIONS:
         raise ValueError(f"unknown section {only!r}; choose from {', '.join(SECTIONS)}")
-    rows = []
-    for name, section in SECTIONS.items():
-        if only in (None, name):
-            rows.extend(section())
-    return rows
+    global _shared
+    outer, _shared = _shared, {}
+    try:
+        rows = []
+        for name, section in SECTIONS.items():
+            if only in (None, name):
+                rows.extend(section())
+        return rows
+    finally:
+        _shared = outer

@@ -1,18 +1,19 @@
 """The exponent-criteria scan, the two filters, and the Frobenius check."""
 
+import importlib
 import json
 import random
 
 import pytest
 
 from katzmod.cli import main
-from katzmod.classify import (exponent_criteria, classify, ht_filter, form_filter,
-                              frobenius_dimension_check, ClassificationCase,
+from katzmod.classify import (exponent_criteria, classify, classify_all, ht_filter,
+                              form_filter, frobenius_dimension_check, ClassificationCase,
                               LABEL_SYM_POWER, LABEL_FULL_SL, LABEL_SYMPLECTIC,
                               LABEL_ORTHOGONAL, LABEL_G2,
-                              _candidate_types, _realizing_weights, _label_for, _passes,
-                              _closed)
-from katzmod.roots import build_root_system, exponents, type_exponents, irreps_of_dimension
+                              _candidate_types, _realizing_weights, _label_for, _passing_ks)
+from katzmod.roots import build_root_system, exponents, type_exponents, irreps_of_dimension, \
+    SIMPLE_TYPES, _valid_type
 from katzmod.sl2 import principal_triple
 from katzmod.verify import expected_case_names
 from test_sl2 import dense_form_kernel, strip_matrix
@@ -43,16 +44,34 @@ def listed_candidate_types(k):
         yield ("G", 2)
 
 
-def spelled_out_criteria(exps, k):
-    """The exponent criteria read off their statement, every pair in both orders."""
-    distinct = len(set(exps)) == len(exps)
-    bounded = max(exps) <= k - 1
+def pairwise_closed(exps, k):
+    """Closure read off its statement, every pair in both orders."""
     closed = True
     for r in exps:
         for s in exps:
             if r + s <= k and r + s - 1 not in exps:
                 closed = False
-    return distinct and bounded and closed
+    return closed
+
+
+def spelled_out_criteria(exps, k):
+    """The exponent criteria read off their statement."""
+    distinct = len(set(exps)) == len(exps)
+    bounded = max(exps) <= k - 1
+    return distinct and bounded and pairwise_closed(exps, k)
+
+
+def spelled_out_cases(k):
+    """(name, label, exponents, sorted realizing weights) per case, in order,
+    from the pairwise criteria and irreps_of_dimension over the candidates."""
+    rows = []
+    for t, n in _candidate_types(k):
+        exps = type_exponents(t, n)
+        if spelled_out_criteria(exps, k):
+            weights = irreps_of_dimension(build_root_system(t, n), k)
+            if weights:
+                rows.append((f"{t}_{n}", _label_for(t, n, k), exps, weights))
+    return rows
 
 
 def classify_building_every_type(k):
@@ -65,7 +84,7 @@ def classify_building_every_type(k):
         rs = build_root_system(t, n)
         if not exponent_criteria(rs.exponents, k):
             continue
-        weights = _realizing_weights(rs, k)
+        weights = _realizing_weights(rs, [k])[k]
         if weights:
             passing[(t, n)] = (rs.exponents, weights)
     if ("B", 2) in passing and ("C", 2) in passing:
@@ -85,19 +104,19 @@ class TestExponentCriteria:
         assert len(set(exps)) < len(exps)
         assert exponent_criteria(exps, 8) is False
         # (1, 1) at k = 2 is bounded (1 <= 1) and closed: distinctness alone rejects it
-        assert _closed((1, 1), 2)
+        assert pairwise_closed((1, 1), 2)
         assert exponent_criteria((1, 1), 2) is False
 
     def test_f4_not_closed(self):
         # the pair (5, 5) asks for exponent 9, which F_4 lacks
         exps = (1, 5, 7, 11)
         assert len(set(exps)) == len(exps) and max(exps) <= 25
-        assert not _closed(exps, 26)
+        assert not pairwise_closed(exps, 26)
         assert exponent_criteria(exps, 26) is False
 
     def test_bounded_flag(self):
         # distinct and closed at k = 4, so only the bound 5 > 3 rejects it
-        assert _closed((1, 5), 4)
+        assert pairwise_closed((1, 5), 4)
         assert exponent_criteria((1, 5), 4) is False
         assert exponent_criteria((1, 5), 6) is True
 
@@ -125,21 +144,27 @@ class TestScanPredicate:
             for t, n in listed_candidate_types(k):
                 exps = type_exponents(t, n)
                 want = spelled_out_criteria(exps, k)
-                assert _passes(exps, k) == want, (t, n, k)
+                assert (k in _passing_ks(exps, k)) == want, (t, n, k)
                 assert exponent_criteria(exps, k) == want, (t, n, k)
                 assert exponent_criteria(reversed(exps), k) == want, (t, n, k)
 
-    def test_closed_matches_the_pair_loop(self):
+    def test_interval_matches_the_pairwise_definition(self):
+        # every simple type of rank <= 40, and random integer tuples with
+        # duplicates, 0 and negatives; none of those passes at any k below 2,
+        # so the interval up to 45 is the list of k in -2..45 that pass
+        types = [type_exponents(t, n) for t in SIMPLE_TYPES for n in range(1, 41)
+                 if _valid_type(t, n)]
         rng = random.Random(2020)
-        for _ in range(3000):
-            exps = [rng.randint(-3, 12) for _ in range(rng.randint(1, 8))]
-            if rng.random() < 0.5:
-                exps.sort()
-            k = rng.randint(-2, 16)
-            eset = set(exps)
-            want = all(r + s - 1 in eset
-                       for i, r in enumerate(exps) for s in exps[i:] if r + s <= k)
-            assert _closed(exps, k) == want, (exps, k)
+        tuples = [tuple(rng.randint(-3, 12) for _ in range(rng.randint(1, 8)))
+                  for _ in range(1500)]
+        for exps in types + tuples:
+            want = [k for k in range(-2, 46) if spelled_out_criteria(exps, k)]
+            assert [k for k in range(-2, 46) if exponent_criteria(exps, k)] == want, exps
+            assert list(_passing_ks(tuple(sorted(exps)), 45)) == want, exps
+        # each interval is stopped at the limit, and cut off by the bound first
+        assert _passing_ks((1,), 9) == range(2, 10)
+        assert _passing_ks((1, 3, 5), 30) == range(6, 8)
+        assert _passing_ks((1, 3, 5), 5) == range(0)
 
 
 class TestClassify:
@@ -209,6 +234,45 @@ class TestClassify:
             classify(k)
             assert build_root_system.cache_info().misses == passing, k
 
+    def test_classify_all_matches_the_pairwise_scan(self):
+        swept = classify_all(range(2, 41))
+        assert list(swept) == list(range(2, 41))
+        for k, cases in swept.items():
+            got = [(c.name, c.label, c.exponents, sorted(c.realizing_weights)) for c in cases]
+            assert got == spelled_out_cases(k), k
+            assert cases == classify(k), k
+
+    def test_classify_all_builds_and_searches_each_type_once(self, monkeypatch):
+        ks = range(2, 41)
+        passing = {}
+        for k in ks:
+            for t, n in _candidate_types(k):
+                if spelled_out_criteria(type_exponents(t, n), k):
+                    passing.setdefault(f"{t}{n}", []).append(k)
+        searches = []
+        module = importlib.import_module("katzmod.classify")  # katzmod.classify is the function
+        real = module.irreps_up_to
+        monkeypatch.setattr(module, "irreps_up_to",
+                            lambda rs, bound: searches.append((rs.name, bound)) or real(rs, bound))
+        build_root_system.cache_clear()
+        classify_all(ks)
+        assert build_root_system.cache_info().misses == len(passing)
+        # one search per type, up to its largest passing k; A_(k-1) for
+        # k > 2 is checked on its defining weight and its dual instead
+        assert sorted(searches) == sorted(
+            (name, max(at)) for name, at in passing.items()
+            if not (name.startswith("A") and name != "A1"))
+        assert ("A1", 40) in searches and ("C20", 40) in searches and ("G2", 9) in searches
+
+    def test_classify_all_keys_and_errors(self):
+        swept = classify_all([9, 3, 9])
+        assert list(swept) == [9, 3]
+        assert swept[9] == classify(9) and swept[3] == classify(3)
+        assert classify_all([]) == {}
+        for ks in ([4, 1], [4, 4.0], [True]):
+            with pytest.raises(ValueError, match="integer k >= 2, got"):
+                classify_all(ks)
+
     def test_k_below_2_rejected(self):
         with pytest.raises(ValueError):
             classify(1)
@@ -227,7 +291,7 @@ class TestScanNegatives:
         assert irreps_of_dimension(rs, 26)  # the 26-dim representation exists
         exps = exponents(rs)
         assert len(set(exps)) == len(exps) and max(exps) <= 25
-        assert not _closed(exps, 26)
+        assert not pairwise_closed(exps, 26)
         assert exponent_criteria(exps, 26) is False
 
     def test_a2_at_6(self):
@@ -235,7 +299,7 @@ class TestScanNegatives:
         assert irreps_of_dimension(rs, 6)  # Sym^2 of the defining rep
         exps = exponents(rs)
         assert len(set(exps)) == len(exps) and max(exps) <= 5
-        assert not _closed(exps, 6)
+        assert not pairwise_closed(exps, 6)
         assert exponent_criteria(exps, 6) is False
 
     def test_e_series_never_pass(self):
@@ -244,7 +308,7 @@ class TestScanNegatives:
             exp = exponents(build_root_system("E", n))
             assert max(exp) == first_bounded_k - 1
             assert exponent_criteria(exp, first_bounded_k - 1) is False
-            assert len(set(exp)) == len(exp) and not _closed(exp, first_bounded_k)
+            assert len(set(exp)) == len(exp) and not pairwise_closed(exp, first_bounded_k)
             assert exponent_criteria(exp, first_bounded_k) is False
 
     def test_b5_at_10_lacks_irrep(self):
@@ -257,7 +321,7 @@ class TestScanNegatives:
     def test_d5_at_8(self):
         exps = exponents(build_root_system("D", 5))
         assert len(set(exps)) == len(exps) and max(exps) <= 7
-        assert not _closed(exps, 8)
+        assert not pairwise_closed(exps, 8)
         assert exponent_criteria(exps, 8) is False
 
 

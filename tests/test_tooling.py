@@ -143,15 +143,16 @@ print(json.dumps(counts))
 
 
 def test_traced_endgame_calls_each_layer():
-    # the pipeline section runs classify, ht_filter and form_filter once at
-    # each even k <= 30, and `katzmod classify` with both filters runs each
-    # once more: a stage inlined into its caller would read 0 here, not fail
+    # the pipeline section reads its cases from one classify_all sweep, never
+    # from classify, and runs ht_filter and form_filter once at each even
+    # k <= 30; `katzmod classify` with both filters runs each stage once: a
+    # stage inlined into its caller would read 0 here, not fail
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(TRACER.parent)]))
     proc = subprocess.run([sys.executable, "-c", ENDGAME_RUN], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[0, 15, 15, 15], [0, 16, 16, 16]]
+    assert json.loads(proc.stdout) == [[0, 0, 15, 15], [0, 1, 16, 16]]
 
 
 NO_DENSE_RUN = """
