@@ -8,9 +8,11 @@ k < m, m the least r + s (r, s in E) with r + s - 1 not in E, so distinct
 exponents pass on the open interval (max E, m) of k.  Each simple algebra is
 read once, under one name, with its exponents in closed form
 (roots.type_exponents), so the scan builds no root system for the types that
-fail; a type whose interval meets the requested k has its root system built
-once, which checks those exponents against its height-layer sizes, and one
-weight search up to the largest such k.  This leaves exactly: sl2 acting by
+fail; a type whose interval meets the requested k has its root system checked
+once, its exponents against its height-layer sizes, and one weight search up
+to the largest such k.  The root systems of one letter are built once, at the
+largest rank that passes, and the lower ranks are cut from it
+(roots.restrict).  This leaves exactly: sl2 acting by
 Sym^(k-1); sl_k; sp_k for even k; so_k for odd k; G_2 at k = 7.
 
 Two extra filters reproduce the arithmetic endgame for even k: a two-weight
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 
 from .linalg import _is_int
 from .sl2 import principal_triple, invariant_bilinear_form
-from .roots import build_root_system, type_exponents, weyl_dimension, irreps_up_to, \
-    SIMPLE_TYPES, _valid_type
+from .roots import build_root_system, restrict, type_exponents, weyl_dimension, \
+    irreps_up_to, SIMPLE_TYPES, _valid_type
 
 LABEL_SYM_POWER = "sym_power_sl2"
 LABEL_FULL_SL = "full_sl"
@@ -165,9 +167,11 @@ def classify_all(ks):
 
     Each type of rank below max(ks) is read once: its closed-form exponents
     give the interval of k at which it passes the criteria, and only a type
-    whose interval meets ks has its root system built, once, and its weights
-    searched, once, up to the largest such k.  Returns {k: cases}, keyed in
-    the order of ks, each list in classify's candidate order.
+    whose interval meets ks has its weights searched, once, up to the largest
+    such k.  Root systems are built once per letter A..G, at the largest rank
+    whose interval meets ks, and the lower such ranks are cut from that one
+    (roots.restrict).  Returns {k: cases}, keyed in the order of ks, each list
+    in classify's candidate order.
     """
     ks = tuple(ks)
     for k in ks:
@@ -176,6 +180,7 @@ def classify_all(ks):
     out = {k: [] for k in ks}
     top = max(ks, default=0)
     for type_label in SIMPLE_TYPES:
+        passing = []
         # a rank of at least k leaves an exponent of at least k: not bounded
         for rank in range(1, top):
             if not _valid_type(type_label, rank):
@@ -183,9 +188,13 @@ def classify_all(ks):
             exps = type_exponents(type_label, rank)
             here = [k for k in _passing_ks(exps, top)
                     if k in out and (type_label, rank) not in _left_out(k)]
-            if not here:
-                continue
-            rs = build_root_system(type_label, rank)
+            if here:
+                passing.append((rank, exps, here))
+        if not passing:
+            continue
+        largest = build_root_system(type_label, passing[-1][0])
+        for rank, exps, here in passing:
+            rs = restrict(largest, rank)
             for k, weights in _realizing_weights(rs, here).items():
                 if not weights:
                     continue

@@ -26,11 +26,16 @@ Planches I-IX), given by type_exponents without building anything; each
 root system that is built also reads them off its layer sizes
 as their dual partition (the number of exponents >= h equals the number of
 positive roots of height h; Kostant) and refuses to exist if the two
-disagree.  Dimensions of irreducibles come from the Weyl dimension formula,
-multiplying only the factors that differ from 1, lowest height first; as no
-factor is below 1, a search up to a bound drops a weight once they pass it.
+disagree.  A lower rank of a classical type is cut from a higher one
+(restrict): the last nodes of A_N, B_N, C_N or D_N form the same type, and
+its roots are those of the higher one that vanish on the first coordinates,
+so a sweep over the ranks of one type runs one closure.  Dimensions of
+irreducibles come from the Weyl dimension formula, multiplying only the
+factors that differ from 1, lowest height first; as no factor is below 1, a
+search up to a bound drops a weight once they pass it.
 """
 
+from bisect import bisect_left
 from functools import lru_cache
 from dataclasses import dataclass, field
 
@@ -180,14 +185,65 @@ def build_root_system(type_label, rank):
                 entry[0].setdefault(i, 0)
                 entry[1][i] = p + 1
         layer = nxt
-    sizes.append(0)
+    return RootSystem(type_label, rank, tuple(tuple(r) for r in cartan), tuple(positive),
+                      d, _layer_exponents(type_label, rank, sizes), tuple(denominators))
+
+
+def _layer_exponents(type_label, rank, sizes):
+    """The exponents read off the sizes of the height layers 1, 2, ..., as
+    their dual partition; RuntimeError unless they are the closed form."""
+    sizes = [*sizes, 0]
     exps = tuple(h for h in range(1, len(sizes)) for _ in range(sizes[h - 1] - sizes[h]))
     want = type_exponents(type_label, rank)
     if exps != want:
         raise RuntimeError(f"{type_label}{rank}: layer sizes give exponents {exps}, "
                            f"not the closed form {want}")
-    return RootSystem(type_label, rank, tuple(tuple(r) for r in cartan),
-                      tuple(positive), d, exps, tuple(denominators))
+    return exps
+
+
+def restrict(rs, rank):
+    """The root system of rs's classical type at a lower rank, cut from rs.
+
+    In Bourbaki numbering the last `rank` nodes of A_N, B_N, C_N or D_N form
+    the diagram of the same type at that rank, and the roots of a subdiagram
+    are the roots in the span of its simple roots (Bourbaki LIE VI 1.7): those
+    whose first m = N - rank coordinates are 0.  positive_roots runs through
+    the height layers, layer h holding the #{exponents >= h} roots of height h
+    in coordinate order, so the kept roots are a prefix of each layer, found
+    by one bisection against the unit vector of coordinate m - 1.  Each keeps
+    its last `rank` coordinates and its Weyl denominator; the Cartan matrix
+    keeps its lower-right block and d its last `rank` entries.  The exponents
+    are read again from the cut layer sizes and checked against the closed
+    form, and the layers must hold every root of rs; RuntimeError otherwise.
+    restrict(rs, rs.rank) is rs; a rank that is not an int, or is a bool, or
+    is above rs.rank or not a rank of the type, and a lower rank of E, F or
+    G, raise ValueError.
+    """
+    if not _is_int(rank):
+        raise ValueError(f"rank must be an integer, got {rank!r}")
+    if rank == rs.rank:
+        return rs
+    if rs.type_label not in ("A", "B", "C", "D") or rank > rs.rank or not _valid_type(rs.type_label, rank):
+        raise ValueError(f"cannot cut {rs.type_label}{rank} from {rs.name}")
+    m = rs.rank - rank
+    unit = (0,) * (m - 1) + (1,) + (0,) * rank
+    roots, exps = rs.positive_roots, rs.exponents
+    # the layer sizes #{exponents >= h} add up to the sum of the exponents
+    if sum(exps) != len(roots):
+        raise RuntimeError(f"{rs.name}: {len(roots)} positive roots, but its exponents "
+                           f"give layers of {sum(exps)}")
+    positive, denominators, sizes = [], [], []
+    start = 0
+    for h in range(1, exps[-1] + 1):
+        end = start + len(exps) - bisect_left(exps, h)
+        cut = bisect_left(roots, unit, start, end)
+        positive.extend(c[m:] for c in roots[start:cut])
+        denominators.extend(rs.rho_pairings[start:cut])
+        sizes.append(cut - start)
+        start = end
+    return RootSystem(rs.type_label, rank, tuple(row[m:] for row in rs.cartan[m:]),
+                      tuple(positive), rs.symmetrizers[m:],
+                      _layer_exponents(rs.type_label, rank, sizes), tuple(denominators))
 
 
 def exponents(rs):

@@ -24,8 +24,10 @@ not opposite pair to 0.  The form is ad-invariant, so distinct blocks U_t are
 orthogonal, and the basis strips b_t(d) and b_t(-d) of one block pair to a
 nonzero number.  The U_t-coefficient of a strip m on d is therefore
 <m, b_t(-d)> / <b_t(d), b_t(-d)>: one integer dot product over another, with
-no inverse.  A bracket support needs only the brackets of the top vector x^r
-of U_r with U_s, because x^r (x) U_s generates U_r (x) U_s as an sl2-module.
+no inverse.  A bracket support needs only one bracket, of the top vector x^r
+of U_r with the lowest vector of U_s: x^r (x) U_s generates U_r (x) U_s as an
+sl2-module, and bracketing with x^r commutes with ad x, which carries the
+lowest vector of U_s onto the rest of its basis.
 An h-invariant bilinear form lives on the entries with h_a + h_b = 0 (the
 antidiagonal), which is where `form_kernel` starts: it takes the triple and
 refines h's antidiagonal forms by x and y; the invariant form is its
@@ -234,15 +236,20 @@ def project_to_blocks(dec, m):
 
 
 def bracket_support(dec, r, s):
-    """The set T of blocks hit by [U_r, U_s], from the 2s+1 brackets [x^r, U_s].
+    """The set T of blocks hit by [U_r, U_s], from the one bracket
+    [x^r, ad(y)^(2s) x^s] of the top vector of U_r with the lowest of U_s.
 
     As an sl2-module U_r (x) U_s is generated by x^r (x) U_s: y(v (x) w) =
     yv (x) w + v (x) yw puts every y^i x^r (x) w in it, by induction on i.
     The bracket and each projection pi_t onto U_t are module maps, so the
-    image of [U_r, U_s] meets U_t exactly when pi_t([x^r, U_s]) != 0.  Each
-    [x^r, b], b a basis strip of U_s, is one strip w on some diagonal d, and
-    its U_t-coefficient is nonzero exactly when w pairs to nonzero with U_t's
-    basis strip on -d under the trace form; those t are recorded.
+    image of [U_r, U_s] meets U_t exactly when pi_t([x^r, U_s]) != 0.  The
+    map v -> pi_t([x^r, v]) commutes with ad x, as [x, x^r] = 0 and pi_t is a
+    module map, and every basis strip ad(y)^j x^s of U_s is a nonzero
+    multiple of ad(x)^(2s-j) applied to the lowest one, b = ad(y)^(2s) x^s on
+    the diagonal -s; so the map vanishes on U_s exactly when it vanishes on
+    b.  [x^r, b] is one strip w on the diagonal d = r - s, and its
+    U_t-coefficient is nonzero exactly when w pairs to nonzero with U_t's
+    basis strip on -d under the trace form; those t >= r - s are recorded.
     Always lands inside {max(r-s,1), ..., min(r+s, k-1)}, never contains
     r+s, and contains r+s-1 whenever r+s <= k.  An r or s that is not an
     int, or is a bool, raises ValueError.
@@ -251,15 +258,9 @@ def bracket_support(dec, r, s):
     k = dec.k
     if not (1 <= s <= r <= k - 1):
         raise ValueError(f"need 1 <= s <= r <= k-1, got r={r}, s={s}")
-    top = dec.block(r).strips[0]
-    support = set()
-    for j, b in enumerate(dec.block(s).strips):
-        d = r + s - j
-        w = _strip_bracket(k, r, top, s - j, b)
-        if any(w):
-            support.update(t_ for t_ in _blocks_on(k, d)
-                           if _dot(w, dec.block(t_).strips[t_ + d]))
-    return support
+    d = r - s
+    w = _strip_bracket(k, r, dec.block(r).strips[0], -s, dec.block(s).strips[2 * s])
+    return {t_ for t_ in _blocks_on(k, d) if _dot(w, dec.block(t_).strips[t_ + d])}
 
 
 def verify_bracket_identity(t, r, s):

@@ -13,7 +13,7 @@ import pytest
 import katzmod.roots
 from katzmod.roots import (SIMPLE_TYPES, build_root_system, exponents, type_exponents,
                            algebra_dimension, weyl_dimension, irreps_of_dimension,
-                           irreps_up_to, cartan_matrix, _valid_type)
+                           irreps_up_to, cartan_matrix, restrict, _valid_type)
 
 
 def all_types(max_rank):
@@ -357,6 +357,56 @@ class TestExponents:
             exp = exponents(rs)
             assert sum(exp) == len(rs.positive_roots)
             assert sum(2 * r + 1 for r in exp) == algebra_dimension(rs)
+
+
+class TestRestrict:
+    @pytest.mark.parametrize("t, top", [("A", 40), ("B", 30), ("C", 30), ("D", 30)])
+    def test_equals_a_direct_build_at_every_lower_rank(self, t, top):
+        largest = build_root_system(t, top)
+        for n in range(1, top):
+            if not _valid_type(t, n):
+                continue
+            cut, built = restrict(largest, n), build_root_system(t, n)
+            assert cut == built and repr(cut) == repr(built), (t, n)
+            assert cut.rho_pairings == built.rho_pairings, (t, n)
+            assert cut.symmetrizers == built.symmetrizers and cut.cartan == built.cartan, (t, n)
+
+    def test_own_rank_is_the_same_object(self):
+        for t, n in all_types(8):
+            rs = build_root_system(t, n)
+            assert restrict(rs, n) is rs
+
+    def test_what_cannot_be_cut_is_rejected(self):
+        for t, top, n, message in [("E", 8, 7, "cannot cut E7 from E8"),
+                                   ("E", 7, 6, "cannot cut E6 from E7"),
+                                   ("F", 4, 2, "cannot cut F2 from F4"),
+                                   ("G", 2, 1, "cannot cut G1 from G2"),
+                                   ("A", 3, 4, "cannot cut A4 from A3"),
+                                   ("D", 5, 2, "cannot cut D2 from D5"),
+                                   ("B", 4, 1, "cannot cut B1 from B4"),
+                                   ("C", 4, 1, "cannot cut C1 from C4"),
+                                   ("A", 3, 0, "cannot cut A0 from A3"),
+                                   ("A", 3, 2.0, "rank must be an integer, got 2.0"),
+                                   ("A", 3, 3.0, "rank must be an integer, got 3.0"),
+                                   ("A", 1, True, "rank must be an integer, got True")]:
+            with pytest.raises(ValueError, match=message):
+                restrict(build_root_system(t, top), n)
+
+    def test_a_dropped_root_is_refused(self):
+        rs = build_root_system("B", 5)
+        for i in (0, 7, len(rs.positive_roots) - 1):
+            roots = rs.positive_roots[:i] + rs.positive_roots[i + 1:]
+            pairings = rs.rho_pairings[:i] + rs.rho_pairings[i + 1:]
+            bad = dataclasses.replace(rs, positive_roots=roots, rho_pairings=pairings)
+            with pytest.raises(RuntimeError, match="B5: 24 positive roots, but its exponents "
+                                                   "give layers of 25"):
+                restrict(bad, 3)
+
+    def test_cut_layer_sizes_are_checked(self, monkeypatch):
+        rs = build_root_system("C", 5)
+        monkeypatch.setattr(katzmod.roots, "type_exponents", lambda t, n: tuple(range(1, n + 1)))
+        with pytest.raises(RuntimeError, match=r"C3: layer sizes give exponents \(1, 3, 5\)"):
+            restrict(rs, 3)
 
 
 class TestAlgebraDimension:

@@ -10,8 +10,9 @@ target returns (a counter reads `len()` of `matrix_to_word`'s letters), to
 how it is cached (the miss counter reads `build_root_system.cache_info()`) or
 to what it raises (the cap counter reads the exact type name CosetCapExceeded)
 fails here too.  Its root counter must equal the closed-form positive-root
-counts of the types that classify(7) builds: those whose closed-form
-exponents pass the exponent criteria at k = 7.  A second traced run counts
+counts of the types that classify(7) builds: of each letter whose
+closed-form exponents pass the exponent criteria at k = 7, the largest rank
+that passes (the lower ones are cut from it, not built).  A second traced run counts
 the calls of each stage of the classification endgame (classify, ht_filter,
 form_filter) from verify-paper's pipeline section and from `katzmod classify`.
 
@@ -113,11 +114,13 @@ def test_traced_run_reads_the_targets():
     # solve_homogeneous: a private route would read 0 here, not fail
     assert result["kernel_calls"] > 0
     assert result["root_misses"] > 0
-    # classify(7) is the only caller that builds root systems here, each type
-    # that passes the exponent criteria once
-    assert result["positive_roots"] == sum(
-        positive_root_count(t, n) for t, n in _candidate_types(7)
-        if exponent_criteria(type_exponents(t, n), 7))
+    # classify(7) is the only caller that builds root systems here, each
+    # letter that passes the exponent criteria once, at its largest passing rank
+    largest = {}
+    for t, n in _candidate_types(7):
+        if exponent_criteria(type_exponents(t, n), 7):
+            largest[t] = n
+    assert result["positive_roots"] == sum(positive_root_count(t, n) for t, n in largest.items())
     assert result["weyl_calls"] > 0
     # the weight search evaluates weights without weyl_dimension: its own span shows it
     assert result["irreps_calls"] > 0
