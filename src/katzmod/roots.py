@@ -223,7 +223,8 @@ def restrict(rs, rank):
         raise ValueError(f"rank must be an integer, got {rank!r}")
     if rank == rs.rank:
         return rs
-    if rs.type_label not in ("A", "B", "C", "D") or rank > rs.rank or not _valid_type(rs.type_label, rank):
+    if rs.type_label not in ("A", "B", "C", "D") or rank > rs.rank \
+            or not _valid_type(rs.type_label, rank):
         raise ValueError(f"cannot cut {rs.type_label}{rank} from {rs.name}")
     m = rs.rank - rank
     unit = (0,) * (m - 1) + (1,) + (0,) * rank
