@@ -4,12 +4,12 @@ block, and the invariants of three finite-index noncongruence subgroups of
 PSL2(Z), including the cusp-form dimension counts behind both."""
 
 from .linalg import Matrix, bracket, rank, solve_homogeneous, DimensionError
-from .sl2 import (Sl2Triple, IrrepBlock, AdjointDecomposition, principal_triple,
+from .sl2 import (Sl2Triple, AdjointDecomposition, principal_triple,
                   decompose_adjoint, project_to_blocks, bracket_support,
                   verify_bracket_identity, invariant_bilinear_form)
 from .roots import (RootSystem, build_root_system, exponents, algebra_dimension,
                     weyl_dimension, irreps_of_dimension, irreps_up_to)
-from .classify import (exponent_criteria, classify, ht_filter, form_filter,
+from .classify import (exponent_criteria, ht_filter, form_filter,
                        frobenius_dimension_check, ClassificationCase)
 from .subgroups import (GeneratorSet, matrix_to_word, coset_enumerate,
                         CosetTable, SubgroupInvariants, invariants,

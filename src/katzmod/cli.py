@@ -12,7 +12,6 @@ import re
 import sys
 
 from . import verify
-from .linalg import rank
 from .sl2 import principal_triple, decompose_adjoint, verify_bracket_identity, \
     invariant_bilinear_form
 from .roots import build_root_system, exponents, algebra_dimension, \
@@ -87,37 +86,37 @@ def cmd_classify(args):
 def cmd_sl2(args):
     k = args.k
     t = principal_triple(k)
+    if args.action == "form":
+        form = invariant_bilinear_form(t)
+        parity = "symmetric" if form.symmetric else "antisymmetric"
+        doc = {"k": k, "parity": parity}
+        _print(doc, args.json, [f"invariant bilinear form for k = {k}: {parity}"])
+        return 0
+    dec = decompose_adjoint(t)
     if args.action == "decompose":
-        dec = decompose_adjoint(t)
-        dims = [len(b.strips) for b in dec.blocks]
+        dims = [len(strips) for strips in dec.blocks]
         doc = {"k": k, "block_dimensions": dims, "total": sum(dims),
-               "change_of_basis_rank": sum(rank(rows, n) for rows, n in dec.diagonal_bases())}
+               "change_of_basis_rank": dec.basis_rank()}
         _print(doc, args.json, [
             f"adjoint decomposition of sl_{k}: blocks U_1 .. U_{k - 1}",
             f"  dimensions: {', '.join(map(str, dims))} (sum {sum(dims)} = {k * k - 1})",
             f"  change of basis rank: {doc['change_of_basis_rank']}",
         ])
-    elif args.action == "identities":
-        results = {}
-        for r in range(1, k):
-            for s in range(1, k):
-                if r + s <= k:
-                    results[f"{r},{s}"] = verify_bracket_identity(t, r, s)
-        ok = all(results.values())
-        doc = {"k": k, "identity": "[x^r, ad(y)x^s] = 2rs x^(r+s-1)",
-               "pairs": results, "all_pass": ok}
-        _print(doc, args.json, [
-            f"[x^r, ad(y)x^s] = 2rs x^(r+s-1) over all r, s >= 1 with r+s <= {k}: "
-            + ("all pass" if ok else "FAILURES: "
-               + ", ".join(p for p, good in results.items() if not good)),
-        ])
-        return 0 if ok else 1
-    elif args.action == "form":
-        form = invariant_bilinear_form(t)
-        parity = "symmetric" if form.symmetric else "antisymmetric"
-        doc = {"k": k, "parity": parity}
-        _print(doc, args.json, [f"invariant bilinear form for k = {k}: {parity}"])
-    return 0
+        return 0
+    results = {}
+    for r in range(1, k):
+        for s in range(1, k):
+            if r + s <= k:
+                results[f"{r},{s}"] = verify_bracket_identity(dec, r, s)
+    ok = all(results.values())
+    doc = {"k": k, "identity": "[x^r, ad(y)x^s] = 2rs x^(r+s-1)",
+           "pairs": results, "all_pass": ok}
+    _print(doc, args.json, [
+        f"[x^r, ad(y)x^s] = 2rs x^(r+s-1) over all r, s >= 1 with r+s <= {k}: "
+        + ("all pass" if ok else "FAILURES: "
+           + ", ".join(p for p, good in results.items() if not good)),
+    ])
+    return 0 if ok else 1
 
 
 def cmd_rootsys(args):

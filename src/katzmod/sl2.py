@@ -14,8 +14,8 @@ h_i - h_j = 2(j - i), so the weight spaces of sl_k are its diagonals j - i = d.
 The basis vector ad(y)^i x^r lies on the single diagonal d = r - i and is held
 only as that diagonal's entries, its strip: no block basis vector is ever a
 dense matrix.  A product or bracket of two strips is one O(k) pass, and lands
-on the sum of their diagonals; x^r is a strip on the diagonal r, so the
-bracket identities are strip computations too.
+on the sum of their diagonals; x^r is the top strip of U_r and ad(y) x^s the
+next of U_s, so each bracket identity is one bracket of two held strips.
 
 Coefficients in the block basis come from the trace form <A, B> = tr(AB).
 For A on the diagonal d and B on -d the two strips have k - |d| entries each,
@@ -39,8 +39,7 @@ from fractions import Fraction
 from dataclasses import dataclass
 from math import gcd
 
-from .linalg import Matrix, solve_homogeneous, _is_int
-from .linalg import rank  # noqa: F401  (perfbench's tracer checks it is rebound here too)
+from .linalg import Matrix, rank, solve_homogeneous, _is_int
 
 
 @dataclass(frozen=True)
@@ -90,31 +89,35 @@ class Sl2Triple:
 
 
 @dataclass(frozen=True)
-class IrrepBlock:
-    """The irreducible summand U_r generated by x^r, basis ad(y)^i x^r."""
-    r: int
-    strips: tuple  # 2r+1 strips: ad(y)^i x^r as its entries on the diagonal r - i
-
-
-@dataclass(frozen=True)
 class AdjointDecomposition:
     """sl_k = U_1 + ... + U_(k-1): the block basis as strips.
 
-    Checked when it is built: for each d >= 0 the trace form must pair the
-    basis strip of U_t on d with that of U_u on -d to nonzero exactly when
-    t = u.  Then no combination of the strips on d (or on -d) vanishes, so the
-    blocks are independent; RuntimeError otherwise.
+    Checked when it is built: the shape (ValueError), then for each d >= 0
+    the trace form must pair the basis strip of U_t on d with that of U_u on
+    -d to nonzero exactly when t = u.  Then no combination of the strips on d
+    (or on -d) vanishes, so the blocks are independent; RuntimeError otherwise.
     """
     k: int
-    blocks: tuple  # IrrepBlock for r = 1..k-1
+    blocks: tuple  # U_r at r - 1: 2r+1 int tuples, ad(y)^i x^r on the diagonal r - i
 
     def __post_init__(self):
-        blocks = self.blocks
-        for d in range(self.k):
-            rs = _blocks_on(self.k, d)
+        k, blocks = self.k, self.blocks
+        if type(blocks) is not tuple or len(blocks) != k - 1:
+            got = len(blocks) if type(blocks) is tuple else type(blocks).__name__
+            raise ValueError(f"sl_{k} needs a tuple of k - 1 = {k - 1} blocks, got {got}")
+        for r, strips in enumerate(blocks, 1):
+            if type(strips) is not tuple or len(strips) != 2 * r + 1:
+                raise ValueError(f"U_{r} must be a tuple of {2 * r + 1} strips")
+            for i, strip in enumerate(strips):
+                n = k - abs(r - i)
+                if type(strip) is not tuple or len(strip) != n or not all(map(_is_int, strip)):
+                    raise ValueError(f"strip {i} of U_{r} must be a tuple of {n} ints, "
+                                     f"got {strip!r}")
+        for d in range(k):
+            rs = _blocks_on(k, d)
             for t in rs:
                 for u in rs:
-                    p = _dot(blocks[t - 1].strips[t - d], blocks[u - 1].strips[u + d])
+                    p = _dot(blocks[t - 1][t - d], blocks[u - 1][u + d])
                     if bool(p) != (t == u):
                         raise RuntimeError("adjoint decomposition is not direct: the trace form "
                                            f"pairs U_{t} on the diagonal {d} with U_{u} on {-d} "
@@ -123,14 +126,15 @@ class AdjointDecomposition:
     def block(self, r):
         return self.blocks[r - 1]
 
-    def diagonal_bases(self):
-        """For each diagonal d = -(k-1) .. k-1, what linalg.rank reads: the
-        basis strips on d as integer rows, one per U_r with r >= max(|d|, 1),
-        and their length k - |d|.  Vectors on different diagonals have
-        disjoint supports, so these ranks add up to the rank of the whole
-        basis."""
-        return [([self.block(r).strips[r - d] for r in _blocks_on(self.k, d)], self.k - abs(d))
-                for d in range(1 - self.k, self.k)]
+    def basis_rank(self):
+        """The rank of the block basis, by linalg.rank on each diagonal d:
+        the basis strips on d, one per U_r with r >= max(|d|, 1), as integer
+        rows of length k - |d|.  Vectors on different diagonals have disjoint
+        supports, so these ranks add up to the rank of the whole basis.  No
+        use is made of the trace form that the constructor checks."""
+        k = self.k
+        return sum(rank([self.block(r)[r - d] for r in _blocks_on(k, d)], k - abs(d))
+                   for d in range(1 - k, k))
 
 
 def principal_triple(k):
@@ -193,8 +197,8 @@ def decompose_adjoint(t):
     The basis {ad(y)^i x^r} of each block is computed from the triple's
     strips and held strip by strip, ad(y)^i x^r on the diagonal r - i;
     AdjointDecomposition checks that the blocks are direct.  The strips are
-    the only copy of the basis: `diagonal_bases` hands them out per diagonal
-    for callers that check its rank independently.
+    the only copy of the basis: `basis_rank` and the bracket identities read
+    them.
     """
     k, xs, ys = t.k, t.x, t.y
     blocks = []
@@ -204,7 +208,7 @@ def decompose_adjoint(t):
         strips = [power]
         for i in range(2 * r):
             strips.append(_strip_bracket(k, -1, ys, r - i, strips[-1]))
-        blocks.append(IrrepBlock(r, tuple(map(tuple, strips))))
+        blocks.append(tuple(map(tuple, strips)))
     return AdjointDecomposition(k, tuple(blocks))
 
 
@@ -228,7 +232,7 @@ def project_to_blocks(dec, m):
         if not any(strip):
             continue
         for r in _blocks_on(k, d):
-            b, dual = dec.block(r).strips[r - d], dec.block(r).strips[r + d]
+            b, dual = dec.block(r)[r - d], dec.block(r)[r + d]
             c = Fraction(_dot(strip, dual), _dot(b, dual))
             for i, v in zip(_strip_rows(k, d), b):
                 entries[r][i * k + i + d] = c * v
@@ -259,25 +263,23 @@ def bracket_support(dec, r, s):
     if not (1 <= s <= r <= k - 1):
         raise ValueError(f"need 1 <= s <= r <= k-1, got r={r}, s={s}")
     d = r - s
-    w = _strip_bracket(k, r, dec.block(r).strips[0], -s, dec.block(s).strips[2 * s])
-    return {t_ for t_ in _blocks_on(k, d) if _dot(w, dec.block(t_).strips[t_ + d])}
+    w = _strip_bracket(k, r, dec.block(r)[0], -s, dec.block(s)[2 * s])
+    return {t_ for t_ in _blocks_on(k, d) if _dot(w, dec.block(t_)[t_ + d])}
 
 
-def verify_bracket_identity(t, r, s):
-    """Check [x^r, ad(y) x^s] == 2rs x^(r+s-1) exactly, on strips: both sides
-    lie on the diagonal r + s - 1.  An r or s that is not an int, or is a
-    bool, raises ValueError."""
+def verify_bracket_identity(dec, r, s):
+    """Check [x^r, ad(y) x^s] == 2rs x^(r+s-1) exactly, on the strips of the
+    decomposition: x^r is strip 0 of U_r and ad(y) x^s strip 1 of U_s, and
+    both sides lie on the diagonal r + s - 1.  An r or s that is not an int,
+    or is a bool, raises ValueError."""
     _check_rs(r, s)
     if r < 1 or s < 1:
         raise ValueError("need r, s >= 1")
-    k, xs, ys = t.k, t.x, t.y
+    k = dec.k
     if r + s > k:
         raise ValueError(f"need r + s <= k = {k}, got {r + s}")
-    powers = [[1] * k]  # powers[e] is the strip of x^e on the diagonal e
-    for e in range(1, r + s):
-        powers.append(_strip_product(k, e - 1, powers[-1], 1, xs))
-    lhs = _strip_bracket(k, r, powers[r], s - 1, _strip_bracket(k, -1, ys, s, powers[s]))
-    return lhs == [2 * r * s * v for v in powers[r + s - 1]]
+    lhs = _strip_bracket(k, r, dec.block(r)[0], s - 1, dec.block(s)[1])
+    return lhs == [2 * r * s * v for v in dec.block(r + s - 1)[0]]
 
 
 def form_kernel(t):

@@ -14,7 +14,6 @@ called on its own computes its objects afresh, and nothing outlives the call.
 
 from dataclasses import dataclass
 
-from .linalg import rank
 from .sl2 import principal_triple, decompose_adjoint, bracket_support, \
     verify_bracket_identity, invariant_bilinear_form
 from .roots import build_root_system, exponents, algebra_dimension, irreps_up_to
@@ -108,9 +107,9 @@ def check_pipeline():
 def check_adjoint():
     for k in range(2, 13):
         dec = _decomposition(k)
-        dims = [len(b.strips) for b in dec.blocks]
+        dims = [len(strips) for strips in dec.blocks]
         want = [2 * r + 1 for r in range(1, k)]
-        basis_rank = sum(rank(rows, n) for rows, n in dec.diagonal_bases())
+        basis_rank = dec.basis_rank()
         ok = dims == want and sum(dims) == k * k - 1 and basis_rank == k * k - 1
         yield CheckResult("adjoint", f"k={k}: block dimensions and invertible basis",
                           f"{want}, sum {k * k - 1}, rank {k * k - 1}",
@@ -119,14 +118,13 @@ def check_adjoint():
 
 def check_bracket():
     for k in range(2, 11):
-        t = principal_triple(k)
         dec = _decomposition(k)
         bad = []
         for r in range(1, k):
             for s in range(1, r + 1):
                 if r + s > k:
                     continue
-                if not verify_bracket_identity(t, r, s):
+                if not verify_bracket_identity(dec, r, s):
                     bad.append(f"identity({r},{s})")
                 support = bracket_support(dec, r, s)
                 if r + s - 1 not in support:

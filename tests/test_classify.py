@@ -1,11 +1,11 @@
 """The exponent-criteria scan, the two filters, and the Frobenius check."""
 
-import importlib
 import json
 import random
 
 import pytest
 
+import katzmod.classify
 from katzmod.cli import main
 from katzmod.classify import (exponent_criteria, classify, classify_all, ht_filter,
                               form_filter, frobenius_dimension_check, ClassificationCase,
@@ -251,9 +251,8 @@ class TestClassify:
                 if spelled_out_criteria(type_exponents(t, n), k):
                     passing.setdefault(f"{t}{n}", []).append(k)
         searches = []
-        module = importlib.import_module("katzmod.classify")  # katzmod.classify is the function
-        real = module.irreps_up_to
-        monkeypatch.setattr(module, "irreps_up_to",
+        real = katzmod.classify.irreps_up_to
+        monkeypatch.setattr(katzmod.classify, "irreps_up_to",
                             lambda rs, bound: searches.append((rs.name, bound)) or real(rs, bound))
         build_root_system.cache_clear()
         classify_all(ks)

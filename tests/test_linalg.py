@@ -284,8 +284,8 @@ class TestEliminationAgainstFractionRref:
     def structured_systems(self):
         """Integer rows of the shapes the elimination meets in katzmod, with
         their column count: the bidiagonal k x (k+1) systems of
-        sl2.form_kernel, top-down and bottom-up, and the adjoint's dense
-        diagonal bases, tuples of large ints."""
+        sl2.form_kernel, top-down and bottom-up, and the adjoint's basis
+        strips on each diagonal, tuples of large ints."""
         rng = random.Random(37)
         for k in range(1, 41):
             rows = [[0] * (k + 1) for _ in range(k)]
@@ -294,8 +294,10 @@ class TestEliminationAgainstFractionRref:
             yield f"bidiagonal {k}", rows, k + 1
             yield f"bidiagonal {k} bottom-up", rows[::-1], k + 1
         for k in range(2, 9):
-            for rows, n in decompose_adjoint(principal_triple(k)).diagonal_bases():
-                yield f"adjoint {k}", rows, n
+            dec = decompose_adjoint(principal_triple(k))
+            for d in range(1 - k, k):
+                rows = [dec.block(r)[r - d] for r in range(max(abs(d), 1), k)]
+                yield f"adjoint {k}", rows, k - abs(d)
 
     def systems(self):
         """Rows and their column count as callers pass them: each random

@@ -4,7 +4,7 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -13,7 +13,7 @@ import pytest
 import katzmod
 from katzmod import verify
 from katzmod.linalg import Matrix, bracket, rank, solve_homogeneous, solve_linear
-from katzmod.sl2 import (Sl2Triple, IrrepBlock, AdjointDecomposition, principal_triple,
+from katzmod.sl2 import (Sl2Triple, AdjointDecomposition, principal_triple,
                          decompose_adjoint, project_to_blocks, bracket_support,
                          verify_bracket_identity, invariant_bilinear_form, form_kernel, _dot,
                          _strip_bracket)
@@ -45,7 +45,7 @@ def mat_power(m, e):
 
 def dense_basis(dec, r):
     """The basis ad(y)^i x^r of U_r as dense matrices: strip i on the diagonal r - i."""
-    return [strip_matrix(dec.k, r - i, strip) for i, strip in enumerate(dec.block(r).strips)]
+    return [strip_matrix(dec.k, r - i, strip) for i, strip in enumerate(dec.block(r))]
 
 
 def dense_elementary_coordinates(m):
@@ -81,11 +81,6 @@ def dense_change_of_basis(basis):
     return Matrix(n, n, [columns[j][i] for i in range(n) for j in range(n)])
 
 
-def diagonal_rank(dec):
-    """The rank that verify-paper and `sl2 decompose` report."""
-    return sum(rank(rows, n) for rows, n in dec.diagonal_bases())
-
-
 def dense_rank(m):
     """linalg.rank of a dense Matrix, read through its Fraction rows."""
     return rank(m.row_lists(), m.cols)
@@ -105,13 +100,13 @@ def form_matrix(k, form):
 
 def with_strip_replaced(dec, r, i, strip):
     """dec with the strip of ad(y)^i x^r replaced, and nothing checked: the
-    blocks need no longer be independent.  The constructor's directness check
-    is bypassed, so that the rank checks that read the strips are tested on
-    their own."""
+    blocks need no longer be independent.  The constructor's shape and
+    directness checks are bypassed, so that the rank checks that read the
+    strips are tested on their own."""
     blocks = list(dec.blocks)
-    strips = list(blocks[r - 1].strips)
+    strips = list(blocks[r - 1])
     strips[i] = strip
-    blocks[r - 1] = replace(blocks[r - 1], strips=tuple(strips))
+    blocks[r - 1] = tuple(strips)
     bad = object.__new__(AdjointDecomposition)
     object.__setattr__(bad, "k", dec.k)
     object.__setattr__(bad, "blocks", tuple(blocks))
@@ -127,7 +122,7 @@ def strip_inverse(dec, d):
     row is scaled to integers, which keeps which coefficients are zero."""
     k, n = dec.k, dec.k - abs(d)
     rs = range(max(abs(d), 1), k)
-    cols = [dec.block(r).strips[r - d] for r in rs]
+    cols = [dec.block(r)[r - d] for r in rs]
     m = Matrix(n, len(rs), [c[i] for i in range(n) for c in cols])
     units = [solve_linear(m, [int(j == i) - int(d == 0 and j == n - 1) for j in range(n)])
              for i in range(n - (d == 0))]
@@ -144,8 +139,8 @@ def exhaustive_bracket_support(dec, r, s, inverses):
     each diagonal d to strip_inverse(dec, d)."""
     k = dec.k
     support = set()
-    for i, a in enumerate(dec.block(r).strips):
-        for j, b in enumerate(dec.block(s).strips):
+    for i, a in enumerate(dec.block(r)):
+        for j, b in enumerate(dec.block(s)):
             w = _strip_bracket(k, r - i, a, s - j, b)
             if any(w):
                 d = r - i + s - j
@@ -354,18 +349,18 @@ class TestSymPowerRep:
 class TestAdjointDecomposition:
     def test_k2_single_block(self):
         dec = decompose_adjoint(principal_triple(2))
-        assert [b.r for b in dec.blocks] == [1]
+        assert len(dec.blocks) == 1
         assert len(dense_basis(dec, 1)) == 3
 
     def test_k3_dimension_count(self):
         dec = decompose_adjoint(principal_triple(3))
-        assert [len(dense_basis(dec, b.r)) for b in dec.blocks] == [3, 5]
-        assert sum(len(dense_basis(dec, b.r)) for b in dec.blocks) == 8
+        assert [len(dense_basis(dec, r)) for r in (1, 2)] == [3, 5]
+        assert sum(len(strips) for strips in dec.blocks) == 8
 
     def test_k6_dimensions(self):
         dec = decompose_adjoint(principal_triple(6))
-        assert [len(dense_basis(dec, b.r)) for b in dec.blocks] == [3, 5, 7, 9, 11]
-        assert sum(len(dense_basis(dec, b.r)) for b in dec.blocks) == 35
+        assert [len(dense_basis(dec, r)) for r in range(1, 6)] == [3, 5, 7, 9, 11]
+        assert sum(len(strips) for strips in dec.blocks) == 35
 
     def test_change_of_basis_invertible(self):
         for k in range(2, 9):
@@ -374,8 +369,7 @@ class TestAdjointDecomposition:
             n = k * k - 1
             cob = dense_change_of_basis(dense_block_basis(t))
             assert cob.rows == n
-            assert dense_rank(cob) == diagonal_rank(dec) == n
-            assert len(dec.diagonal_bases()) == 2 * k - 1
+            assert dense_rank(cob) == dec.basis_rank() == n
 
     def test_two_jordan_blocks_rejected(self):
         # x = E_01 + E_23 squares to 0, so U_2 and U_3 have zero strips and
@@ -390,11 +384,31 @@ class TestAdjointDecomposition:
         # strips zeroed, bracket_support(bad, 2, 1) would return set() and
         # project_to_blocks divide by zero
         dec = decompose_adjoint(principal_triple(4))
-        zeroed = IrrepBlock(2, tuple((0,) * len(strip) for strip in dec.block(2).strips))
+        zeroed = tuple((0,) * len(strip) for strip in dec.block(2))
         with pytest.raises(RuntimeError, match=r"^adjoint decomposition is not direct: the trace "
                            r"form pairs U_2 on the diagonal 0 with U_2 on 0 to 0$"):
             AdjointDecomposition(4, (dec.block(1), zeroed, dec.block(3)))
         assert AdjointDecomposition(4, dec.blocks) == dec
+
+    def test_hand_built_decomposition_shape_checked(self):
+        # a block's position is its only label, so the constructor checks the
+        # count of blocks, of strips and of entries before anything reads them
+        dec = decompose_adjoint(principal_triple(3))
+        u1, u2 = dec.blocks
+        for blocks, got in ((dec.blocks + dec.blocks, "4"), ((), "0"), (dec.blocks[:1], "1"),
+                            (list(dec.blocks), "list")):
+            with pytest.raises(ValueError, match=rf"^sl_3 needs a tuple of k - 1 = 2 blocks, "
+                               rf"got {got}$"):
+                AdjointDecomposition(3, blocks)
+        for blocks, r, n in (((u2, u1), 1, 3), ((u1, u2[:4]), 2, 5), ((u1, list(u2)), 2, 5)):
+            with pytest.raises(ValueError, match=rf"^U_{r} must be a tuple of {n} strips$"):
+                AdjointDecomposition(3, blocks)
+        for strip, i, n in ((u2[0] + (0,), 0, 1), (u2[1][:1], 1, 2), (list(u2[2]), 2, 3),
+                            ((1.0,), 0, 1), ((True,), 0, 1), ((Fraction(1),), 0, 1)):
+            bad = (u1, u2[:i] + (strip,) + u2[i + 1:])
+            with pytest.raises(ValueError, match=rf"^strip {i} of U_2 must be a tuple of {n} "
+                               "ints, got "):
+                AdjointDecomposition(3, bad)
 
     def test_ungraded_triple_rejected(self):
         # an ungraded triple cannot be built: the constructor takes one strip
@@ -413,25 +427,23 @@ class TestAdjointDecomposition:
         for k in range(2, 9):
             t = sym_power_rep(k).triple
             dec = decompose_adjoint(t)
-            assert [len(b.strips) for b in dec.blocks] == [2 * r + 1 for r in range(1, k)]
+            assert [len(strips) for strips in dec.blocks] == [2 * r + 1 for r in range(1, k)]
             cob = dense_change_of_basis(dense_block_basis(t))
-            assert dense_rank(cob) == diagonal_rank(dec) == k * k - 1
+            assert dense_rank(cob) == dec.basis_rank() == k * k - 1
 
     def test_change_of_basis_against_dense_coordinates(self):
-        # row r of diagonal d, put on d, is column r^2 - 1 + (r - d) of the
+        # the strip of U_r on d, put on d, is column r^2 - 1 + (r - d) of the
         # change of basis built from the densely computed block basis (the
         # blocks before U_r fill the first 3 + 5 + ... + (2r-1) = r^2 - 1)
         for k in range(2, 9):
             for t in (principal_triple(k), sym_power_rep(k).triple):
                 dec = decompose_adjoint(t)
                 cob = dense_change_of_basis(dense_block_basis(t))
-                for d, (rows, n) in zip(range(1 - k, k), dec.diagonal_bases()):
-                    rs = range(max(abs(d), 1), k)
-                    assert len(rows) == len(rs) and n == k - abs(d)
-                    assert all(len(row) == n and all(type(v) is int for v in row) for row in rows)
-                    for r, row in zip(rs, rows):
+                for d in range(1 - k, k):
+                    for r in range(max(abs(d), 1), k):
                         col = r * r - 1 + r - d
-                        assert dense_elementary_coordinates(strip_matrix(k, d, row)) == \
+                        m = strip_matrix(k, d, dec.block(r)[r - d])
+                        assert dense_elementary_coordinates(m) == \
                             [cob[i, col] for i in range(k * k - 1)], (k, d, r)
 
     def test_dependent_strip_lowers_the_rank(self):
@@ -441,9 +453,9 @@ class TestAdjointDecomposition:
             dec = decompose_adjoint(principal_triple(k))
             for d in (0, 1):
                 # the vector of U_2 on d becomes the one of U_1 on d
-                bad = with_strip_replaced(dec, 2, 2 - d, dec.block(1).strips[1 - d])
+                bad = with_strip_replaced(dec, 2, 2 - d, dec.block(1)[1 - d])
                 cob = dense_change_of_basis([m for r in range(1, k) for m in dense_basis(bad, r)])
-                assert diagonal_rank(bad) == dense_rank(cob) == k * k - 2, (k, d)
+                assert bad.basis_rank() == dense_rank(cob) == k * k - 2, (k, d)
                 with pytest.raises(RuntimeError, match="not direct"):
                     AdjointDecomposition(k, bad.blocks)
 
@@ -454,7 +466,7 @@ class TestAdjointDecomposition:
             dec = real(t)
             if t.k == 2:
                 return dec
-            return with_strip_replaced(dec, 2, 1, dec.block(1).strips[0])  # diagonal 1
+            return with_strip_replaced(dec, 2, 1, dec.block(1)[0])  # diagonal 1
 
         monkeypatch.setattr(verify, "decompose_adjoint", corrupted)
         rows = list(verify.check_adjoint())
@@ -468,8 +480,7 @@ class TestAdjointDecomposition:
             t = principal_triple(k)
             x, h, y = dense_triple(t)
             dec = decompose_adjoint(t)
-            for block in dec.blocks:
-                r = block.r
+            for r in range(1, k):
                 basis = dense_basis(dec, r)
                 assert bracket(x, basis[0]).is_zero()
                 for i, v in enumerate(basis):
@@ -605,31 +616,31 @@ class TestBracketIdentity:
         t = principal_triple(3)
         x, _, y = dense_triple(t)
         assert bracket(x, bracket(y, x)) == x.scale(2)
-        assert verify_bracket_identity(t, 1, 1)
+        assert verify_bracket_identity(decompose_adjoint(t), 1, 1)
 
     def test_k5_coefficient_eight(self):
         t = principal_triple(5)
         x, _, y = dense_triple(t)
-        assert verify_bracket_identity(t, 2, 2)
+        assert verify_bracket_identity(decompose_adjoint(t), 2, 2)
         assert bracket(mat_power(x, 2), bracket(y, mat_power(x, 2))) == mat_power(x, 3).scale(8)
 
     def test_k4_coefficient_six(self):
         t = principal_triple(4)
         x, _, y = dense_triple(t)
-        assert verify_bracket_identity(t, 3, 1)
+        assert verify_bracket_identity(decompose_adjoint(t), 3, 1)
         assert bracket(mat_power(x, 3), bracket(y, x)) == mat_power(x, 3).scale(6)
 
     def test_all_pairs_small_k(self):
         for k in range(2, 9):
-            t = principal_triple(k)
+            dec = decompose_adjoint(principal_triple(k))
             for r in range(1, k):
                 for s in range(1, k - r + 1):
-                    assert verify_bracket_identity(t, r, s)
+                    assert verify_bracket_identity(dec, r, s)
 
     def test_out_of_range_rejected(self):
-        t = principal_triple(4)
+        dec = decompose_adjoint(principal_triple(4))
         with pytest.raises(ValueError):
-            verify_bracket_identity(t, 3, 2)
+            verify_bracket_identity(dec, 3, 2)
 
     def test_against_dense_formula(self):
         # a triple with y doubled is graded but breaks the identity (4rs, not
@@ -639,12 +650,13 @@ class TestBracketIdentity:
             doubled = Sl2Triple(k, t.x, t.h, tuple(2 * v for v in t.y))
             for triple, holds in ((t, True), (sym_power_rep(k).triple, True), (doubled, False)):
                 x, _, y = dense_triple(triple)
+                dec = decompose_adjoint(triple)
                 for r in range(1, k):
                     for s in range(1, k - r + 1):
                         dense = (bracket(mat_power(x, r), bracket(y, mat_power(x, s)))
                                  == mat_power(x, r + s - 1).scale(2 * r * s))
                         assert dense == holds
-                        assert verify_bracket_identity(triple, r, s) == dense, (k, r, s)
+                        assert verify_bracket_identity(dec, r, s) == dense, (k, r, s)
 
     def test_two_jordan_blocks_rejected(self):
         # x = E_01 + E_23 squares to 0, so U_2 and U_3 have zero strips and
@@ -663,10 +675,10 @@ class TestBracketIdentity:
                 Sl2Triple(3, x, h, y)
 
     def test_float_or_bool_r_s_rejected(self):
-        t = principal_triple(4)
+        dec = decompose_adjoint(principal_triple(4))
         for r, s, name in ((1.0, 1, "r"), (True, 1, "r"), (1, 2.0, "s"), (1, True, "s")):
             with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
-                verify_bracket_identity(t, r, s)
+                verify_bracket_identity(dec, r, s)
 
 
 class TestInvariantBilinearForm:
@@ -781,9 +793,9 @@ class TestTracePairing:
                 for d in range(-(k - 1), k):
                     rs = range(max(abs(d), 1), k)
                     for t_ in rs:
-                        a = dec.block(t_).strips[t_ - d]
+                        a = dec.block(t_)[t_ - d]
                         for u in rs:
-                            b = dec.block(u).strips[u + d]
+                            b = dec.block(u)[u + d]
                             tr = (strip_matrix(k, d, a) * strip_matrix(k, -d, b)).trace()
                             assert (tr != 0) == (t_ == u), (k, d, t_, u)
                             assert tr == _dot(a, b), (k, d, t_, u)
