@@ -92,7 +92,7 @@ class Sl2Triple:
 class AdjointDecomposition:
     """sl_k = U_1 + ... + U_(k-1): the block basis as strips.
 
-    Checked when it is built: the shape (ValueError), then for each d >= 0
+    Checked when it is built: k and the shape (ValueError), then for each d >= 0
     the trace form must pair the basis strip of U_t on d with that of U_u on
     -d to nonzero exactly when t = u.  Then no combination of the strips on d
     (or on -d) vanishes, so the blocks are independent; RuntimeError otherwise.
@@ -102,6 +102,8 @@ class AdjointDecomposition:
 
     def __post_init__(self):
         k, blocks = self.k, self.blocks
+        if not _is_int(k) or k < 2:
+            raise ValueError(f"need an integer k >= 2, got {k!r}")
         if type(blocks) is not tuple or len(blocks) != k - 1:
             got = len(blocks) if type(blocks) is tuple else type(blocks).__name__
             raise ValueError(f"sl_{k} needs a tuple of k - 1 = {k - 1} blocks, got {got}")
@@ -197,8 +199,7 @@ def decompose_adjoint(t):
     The basis {ad(y)^i x^r} of each block is computed from the triple's
     strips and held strip by strip, ad(y)^i x^r on the diagonal r - i;
     AdjointDecomposition checks that the blocks are direct.  The strips are
-    the only copy of the basis: `basis_rank` and the bracket identities read
-    them.
+    the only copy of the basis, read by `basis_rank` and the bracket identities.
     """
     k, xs, ys = t.k, t.x, t.y
     blocks = []
@@ -275,10 +276,9 @@ def verify_bracket_identity(dec, r, s):
     _check_rs(r, s)
     if r < 1 or s < 1:
         raise ValueError("need r, s >= 1")
-    k = dec.k
-    if r + s > k:
-        raise ValueError(f"need r + s <= k = {k}, got {r + s}")
-    lhs = _strip_bracket(k, r, dec.block(r)[0], s - 1, dec.block(s)[1])
+    if r + s > dec.k:
+        raise ValueError(f"need r + s <= k = {dec.k}, got {r + s}")
+    lhs = _strip_bracket(dec.k, r, dec.block(r)[0], s - 1, dec.block(s)[1])
     return lhs == [2 * r * s * v for v in dec.block(r + s - 1)[0]]
 
 

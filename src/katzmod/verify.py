@@ -14,6 +14,7 @@ called on its own computes its objects afresh, and nothing outlives the call.
 
 from dataclasses import dataclass
 
+from .linalg import rank  # noqa: F401  (perfbench's tracer checks it is rebound here too)
 from .sl2 import principal_triple, decompose_adjoint, bracket_support, \
     verify_bracket_identity, invariant_bilinear_form
 from .roots import build_root_system, exponents, algebra_dimension, irreps_up_to
@@ -121,9 +122,7 @@ def check_bracket():
         dec = _decomposition(k)
         bad = []
         for r in range(1, k):
-            for s in range(1, r + 1):
-                if r + s > k:
-                    continue
+            for s in range(1, min(r, k - r) + 1):
                 if not verify_bracket_identity(dec, r, s):
                     bad.append(f"identity({r},{s})")
                 support = bracket_support(dec, r, s)

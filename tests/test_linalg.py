@@ -10,7 +10,7 @@ import pytest
 
 from katzmod.linalg import (Matrix, bracket, rank, solve_homogeneous, solve_linear,
                             DimensionError)
-from katzmod.sl2 import decompose_adjoint, principal_triple
+from katzmod.sl2 import _blocks_on, decompose_adjoint, principal_triple
 
 
 def superdiagonal_ones(k):
@@ -296,7 +296,7 @@ class TestEliminationAgainstFractionRref:
         for k in range(2, 9):
             dec = decompose_adjoint(principal_triple(k))
             for d in range(1 - k, k):
-                rows = [dec.block(r)[r - d] for r in range(max(abs(d), 1), k)]
+                rows = [dec.block(r)[r - d] for r in _blocks_on(k, d)]
                 yield f"adjoint {k}", rows, k - abs(d)
 
     def systems(self):

@@ -391,8 +391,8 @@ class TestAdjointDecomposition:
         assert AdjointDecomposition(4, dec.blocks) == dec
 
     def test_hand_built_decomposition_shape_checked(self):
-        # a block's position is its only label, so the constructor checks the
-        # count of blocks, of strips and of entries before anything reads them
+        # a block's position is its only label, so the constructor checks k and
+        # the count of blocks, of strips and of entries before anything reads them
         dec = decompose_adjoint(principal_triple(3))
         u1, u2 = dec.blocks
         for blocks, got in ((dec.blocks + dec.blocks, "4"), ((), "0"), (dec.blocks[:1], "1"),
@@ -409,6 +409,10 @@ class TestAdjointDecomposition:
             with pytest.raises(ValueError, match=rf"^strip {i} of U_2 must be a tuple of {n} "
                                "ints, got "):
                 AdjointDecomposition(3, bad)
+        (u,) = decompose_adjoint(principal_triple(2)).blocks
+        for k, blocks in ((True, ()), (1, ()), (2.0, (u,))):
+            with pytest.raises(ValueError, match=rf"^need an integer k >= 2, got {k!r}$"):
+                AdjointDecomposition(k, blocks)
 
     def test_ungraded_triple_rejected(self):
         # an ungraded triple cannot be built: the constructor takes one strip
