@@ -116,16 +116,6 @@ def _left_out(k):
     return (("D", 3), ("B", 2) if k % 2 == 0 else ("C", 2))
 
 
-def _candidate_types(k):
-    """Isomorphism classes of simple types with rank at most k-1, type by type.
-
-    roots decides which (type, rank) exist; _left_out(k) names each low-rank
-    isomorphism once.
-    """
-    return [(t, n) for t in SIMPLE_TYPES for n in range(1, k)
-            if _valid_type(t, n) and (t, n) not in _left_out(k)]
-
-
 def _realizing_weights(rs, ks):
     """{k: dominant weights of dimension exactly k} for k in ks, from one search.
 
@@ -225,11 +215,14 @@ def ht_filter(cases, k, weights):
     """Remove the Sym-power case given exactly two distinct Hodge-Tate weights.
 
     The weights stand in for the Hodge-Tate cocharacter; any weight that is
-    not an int, or is a bool, raises ValueError, and so does an empty list.
+    not an int, or is a bool, raises ValueError, and so does an empty list or
+    a k that is not an integer >= 2.
     The exclusion is recomputed, not assumed: the diagonal semisimple element
     h of the Sym^(k-1) model, which is the h of principal_triple(k), has k
     distinct eigenvalues, so for k > 2 it cannot have only two.
     """
+    if not _is_int(k) or k < 2:
+        raise ValueError(f"need an integer k >= 2, got {k!r}")
     weights = tuple(weights)  # checked before a set can merge True into 1
     for w in weights:
         if not _is_int(w):

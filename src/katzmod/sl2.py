@@ -8,6 +8,8 @@ Sign convention: [x, y] = +h, so that the displayed structure constants
 the adjoint action of this sl2, the traceless matrices decompose into
 irreducible pieces U_r of highest weight 2r, r = 1..k-1, with basis
 {ad(y)^i x^r | 0 <= i <= 2r}; cf. Bourbaki LIE VIII.11 or Kostant.
+AdjointDecomposition is built from its triple and from nothing else, so every
+decomposition is one whose strips were computed here and checked direct.
 
 The decomposition works in the h-weight grading.  ad(h) multiplies E_ij by
 h_i - h_j = 2(j - i), so the weight spaces of sl_k are its diagonals j - i = d.
@@ -88,44 +90,39 @@ class Sl2Triple:
         return self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AdjointDecomposition:
-    """sl_k = U_1 + ... + U_(k-1): the block basis as strips.
+    """sl_k = U_1 + ... + U_(k-1) under ad of the triple t: the block basis as
+    strips.
 
-    Checked when it is built: k and the shape (ValueError), then for each d >= 0
-    the trace form must pair the basis strip of U_t on d with that of U_u on
-    -d to nonzero exactly when t = u.  Then no combination of the strips on d
-    (or on -d) vanishes, so the blocks are independent; RuntimeError otherwise.
+    The basis {ad(y)^i x^r} of each block is computed from the triple's
+    strips and held strip by strip, ad(y)^i x^r on the diagonal r - i: x^r
+    by strip products, then 2r brackets with y.  The strips are the only copy
+    of the basis, read by `basis_rank` and the bracket identities.  Then
+    `_check_direct` raises RuntimeError unless the blocks are direct.
     """
     k: int
     blocks: tuple  # U_r at r - 1: 2r+1 int tuples, ad(y)^i x^r on the diagonal r - i
 
-    def __post_init__(self):
-        k, blocks = self.k, self.blocks
-        if not _is_int(k) or k < 2:
-            raise ValueError(f"need an integer k >= 2, got {k!r}")
-        if type(blocks) is not tuple or len(blocks) != k - 1:
-            got = len(blocks) if type(blocks) is tuple else type(blocks).__name__
-            raise ValueError(f"sl_{k} needs a tuple of k - 1 = {k - 1} blocks, got {got}")
-        for r, strips in enumerate(blocks, 1):
-            if type(strips) is not tuple or len(strips) != 2 * r + 1:
-                raise ValueError(f"U_{r} must be a tuple of {2 * r + 1} strips")
-            for i, strip in enumerate(strips):
-                n = k - abs(r - i)
-                if type(strip) is not tuple or len(strip) != n or not all(map(_is_int, strip)):
-                    raise ValueError(f"strip {i} of U_{r} must be a tuple of {n} ints, "
-                                     f"got {strip!r}")
-        for d in range(k):
-            rs = _blocks_on(k, d)
-            for t in rs:
-                for u in rs:
-                    p = _dot(blocks[t - 1][t - d], blocks[u - 1][u + d])
-                    if bool(p) != (t == u):
-                        raise RuntimeError("adjoint decomposition is not direct: the trace form "
-                                           f"pairs U_{t} on the diagonal {d} with U_{u} on {-d} "
-                                           f"to {p}")
+    def __init__(self, t):
+        k, xs, ys = t.k, t.x, t.y
+        blocks = []
+        power = [1] * k  # strip of x^0 on the main diagonal
+        for r in range(1, k):
+            power = _strip_product(k, r - 1, power, 1, xs)
+            strips = [power]
+            for i in range(2 * r):
+                strips.append(_strip_bracket(k, -1, ys, r - i, strips[-1]))
+            blocks.append(tuple(map(tuple, strips)))
+        blocks = tuple(blocks)
+        _check_direct(k, blocks)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "blocks", blocks)
 
     def block(self, r):
+        """The strips of U_r; an r that is not an int in 1..k-1 raises ValueError."""
+        if not _is_int(r) or not 1 <= r < self.k:
+            raise ValueError(f"need an integer r in 1..{self.k - 1}, got {r!r}")
         return self.blocks[r - 1]
 
     def basis_rank(self):
@@ -133,10 +130,26 @@ class AdjointDecomposition:
         the basis strips on d, one per U_r with r >= max(|d|, 1), as integer
         rows of length k - |d|.  Vectors on different diagonals have disjoint
         supports, so these ranks add up to the rank of the whole basis.  No
-        use is made of the trace form that the constructor checks."""
-        k = self.k
-        return sum(rank([self.block(r)[r - d] for r in _blocks_on(k, d)], k - abs(d))
+        use is made of the trace form that `_check_direct` reads."""
+        k, blocks = self.k, self.blocks
+        return sum(rank([blocks[r - 1][r - d] for r in _blocks_on(k, d)], k - abs(d))
                    for d in range(1 - k, k))
+
+
+def _check_direct(k, blocks):
+    """For each d >= 0 the trace form must pair the basis strip of U_t on d
+    with that of U_u on -d to nonzero exactly when t = u.  Then no
+    combination of the strips on d (or on -d) vanishes, so the blocks are
+    independent; RuntimeError otherwise."""
+    for d in range(k):
+        rs = _blocks_on(k, d)
+        for t in rs:
+            for u in rs:
+                p = _dot(blocks[t - 1][t - d], blocks[u - 1][u + d])
+                if bool(p) != (t == u):
+                    raise RuntimeError("adjoint decomposition is not direct: the trace form "
+                                       f"pairs U_{t} on the diagonal {d} with U_{u} on {-d} "
+                                       f"to {p}")
 
 
 def principal_triple(k):
@@ -194,23 +207,8 @@ def _dot(a, b):
 
 
 def decompose_adjoint(t):
-    """Decompose sl_k into the blocks U_r under ad of the given triple.
-
-    The basis {ad(y)^i x^r} of each block is computed from the triple's
-    strips and held strip by strip, ad(y)^i x^r on the diagonal r - i;
-    AdjointDecomposition checks that the blocks are direct.  The strips are
-    the only copy of the basis, read by `basis_rank` and the bracket identities.
-    """
-    k, xs, ys = t.k, t.x, t.y
-    blocks = []
-    power = [1] * k  # strip of x^0 on the main diagonal
-    for r in range(1, k):
-        power = _strip_product(k, r - 1, power, 1, xs)
-        strips = [power]
-        for i in range(2 * r):
-            strips.append(_strip_bracket(k, -1, ys, r - i, strips[-1]))
-        blocks.append(tuple(map(tuple, strips)))
-    return AdjointDecomposition(k, tuple(blocks))
+    """Decompose sl_k into the blocks U_r under ad of the given triple."""
+    return AdjointDecomposition(t)
 
 
 def project_to_blocks(dec, m):

@@ -11,7 +11,7 @@ from katzmod.classify import (exponent_criteria, classify, classify_all, ht_filt
                               form_filter, frobenius_dimension_check, ClassificationCase,
                               LABEL_SYM_POWER, LABEL_FULL_SL, LABEL_SYMPLECTIC,
                               LABEL_ORTHOGONAL, LABEL_G2,
-                              _candidate_types, _realizing_weights, _label_for, _passing_ks)
+                              _left_out, _realizing_weights, _label_for, _passing_ks)
 from katzmod.roots import build_root_system, exponents, type_exponents, irreps_of_dimension, \
     SIMPLE_TYPES, _valid_type
 from katzmod.sl2 import principal_triple
@@ -63,9 +63,12 @@ def spelled_out_criteria(exps, k):
 
 def spelled_out_cases(k):
     """(name, label, exponents, sorted realizing weights) per case, in order,
-    from the pairwise criteria and irreps_of_dimension over the candidates."""
+    from the pairwise criteria and irreps_of_dimension over the candidates:
+    the written-out types less the low-rank models left out at k."""
     rows = []
-    for t, n in _candidate_types(k):
+    for t, n in listed_candidate_types(k):
+        if (t, n) in _left_out(k):
+            continue
         exps = type_exponents(t, n)
         if spelled_out_criteria(exps, k):
             weights = irreps_of_dimension(build_root_system(t, n), k)
@@ -168,12 +171,6 @@ class TestScanPredicate:
 
 
 class TestClassify:
-    def test_candidate_types_against_written_out_list(self):
-        for k in range(2, 40):
-            dropped = ("B", 2) if k % 2 == 0 else ("C", 2)
-            assert _candidate_types(k) == [tn for tn in listed_candidate_types(k)
-                                           if tn != dropped], k
-
     def test_k4(self):
         assert names(classify(4)) == ["A_1", "A_3", "C_2"]
 
@@ -229,7 +226,7 @@ class TestClassify:
     def test_builds_only_the_types_that_pass(self):
         # one build per letter with a passing rank: A_1 is cut from A_(k-1)
         for k in (2, 7, 12, 25):
-            passing = {t for t, n in _candidate_types(k)
+            passing = {t for t, n in listed_candidate_types(k)
                        if exponent_criteria(type_exponents(t, n), k)}
             build_root_system.cache_clear()
             classify(k)
@@ -247,8 +244,8 @@ class TestClassify:
         ks = range(2, 41)
         passing = {}
         for k in ks:
-            for t, n in _candidate_types(k):
-                if spelled_out_criteria(type_exponents(t, n), k):
+            for t, n in listed_candidate_types(k):
+                if (t, n) not in _left_out(k) and spelled_out_criteria(type_exponents(t, n), k):
                     passing.setdefault(f"{t}{n}", []).append(k)
         searches = []
         real = katzmod.classify.irreps_up_to
@@ -358,6 +355,13 @@ class TestHtFilter:
     def test_float_weights_rejected(self):
         with pytest.raises(ValueError, match="is not an integer"):
             ht_filter(classify(4), 4, (0.9, -5.2))
+
+    def test_bad_k_rejected(self):
+        # checked before the weights: these used to return the cases unfiltered,
+        # or die with a bare TypeError for a str
+        for k in (True, 1, 0, -3, "4", 4.0):
+            with pytest.raises(ValueError, match=rf"^need an integer k >= 2, got {k!r}$"):
+                ht_filter(classify(4), k, (0, -5))
 
 
 class TestFormFilter:

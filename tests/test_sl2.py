@@ -16,7 +16,7 @@ from katzmod.linalg import Matrix, bracket, rank, solve_homogeneous, solve_linea
 from katzmod.sl2 import (Sl2Triple, AdjointDecomposition, principal_triple,
                          decompose_adjoint, project_to_blocks, bracket_support,
                          verify_bracket_identity, invariant_bilinear_form, form_kernel, _dot,
-                         _strip_bracket)
+                         _check_direct, _strip_bracket)
 
 
 # Reference implementations: the dense, ungraded algorithms the graded sl2
@@ -100,9 +100,9 @@ def form_matrix(k, form):
 
 def with_strip_replaced(dec, r, i, strip):
     """dec with the strip of ad(y)^i x^r replaced, and nothing checked: the
-    blocks need no longer be independent.  The constructor's shape and
-    directness checks are bypassed, so that the rank checks that read the
-    strips are tested on their own."""
+    blocks need no longer be independent.  The constructor, which builds the
+    strips from a triple and checks them direct, is bypassed, so that the rank
+    checks that read the strips are tested on their own."""
     blocks = list(dec.blocks)
     strips = list(blocks[r - 1])
     strips[i] = strip
@@ -379,40 +379,23 @@ class TestAdjointDecomposition:
             decompose_adjoint(t)
 
     def test_hand_built_decomposition_checked(self):
-        # the constructor checks directness, so a decomposition that
-        # decompose_adjoint did not build cannot reach a reader: with U_2's
-        # strips zeroed, bracket_support(bad, 2, 1) would return set() and
-        # project_to_blocks divide by zero
-        dec = decompose_adjoint(principal_triple(4))
-        zeroed = tuple((0,) * len(strip) for strip in dec.block(2))
+        # directness is checked on every decomposition: with y zeroed, every
+        # ad(y)^i x^r with i > 0 is 0, and U_1 pairs to 0 with itself on d = 0
+        t = principal_triple(4)
         with pytest.raises(RuntimeError, match=r"^adjoint decomposition is not direct: the trace "
-                           r"form pairs U_2 on the diagonal 0 with U_2 on 0 to 0$"):
-            AdjointDecomposition(4, (dec.block(1), zeroed, dec.block(3)))
-        assert AdjointDecomposition(4, dec.blocks) == dec
+                           r"form pairs U_1 on the diagonal 0 with U_1 on 0 to 0$"):
+            decompose_adjoint(Sl2Triple(4, t.x, t.h, (0, 0, 0)))
+        dec = decompose_adjoint(t)
+        assert AdjointDecomposition(t) == dec
+        with pytest.raises(TypeError):
+            AdjointDecomposition(4, dec.blocks)
 
-    def test_hand_built_decomposition_shape_checked(self):
-        # a block's position is its only label, so the constructor checks k and
-        # the count of blocks, of strips and of entries before anything reads them
-        dec = decompose_adjoint(principal_triple(3))
-        u1, u2 = dec.blocks
-        for blocks, got in ((dec.blocks + dec.blocks, "4"), ((), "0"), (dec.blocks[:1], "1"),
-                            (list(dec.blocks), "list")):
-            with pytest.raises(ValueError, match=rf"^sl_3 needs a tuple of k - 1 = 2 blocks, "
-                               rf"got {got}$"):
-                AdjointDecomposition(3, blocks)
-        for blocks, r, n in (((u2, u1), 1, 3), ((u1, u2[:4]), 2, 5), ((u1, list(u2)), 2, 5)):
-            with pytest.raises(ValueError, match=rf"^U_{r} must be a tuple of {n} strips$"):
-                AdjointDecomposition(3, blocks)
-        for strip, i, n in ((u2[0] + (0,), 0, 1), (u2[1][:1], 1, 2), (list(u2[2]), 2, 3),
-                            ((1.0,), 0, 1), ((True,), 0, 1), ((Fraction(1),), 0, 1)):
-            bad = (u1, u2[:i] + (strip,) + u2[i + 1:])
-            with pytest.raises(ValueError, match=rf"^strip {i} of U_2 must be a tuple of {n} "
-                               "ints, got "):
-                AdjointDecomposition(3, bad)
-        (u,) = decompose_adjoint(principal_triple(2)).blocks
-        for k, blocks in ((True, ()), (1, ()), (2.0, (u,))):
-            with pytest.raises(ValueError, match=rf"^need an integer k >= 2, got {k!r}$"):
-                AdjointDecomposition(k, blocks)
+    def test_block_checks_r(self):
+        dec = decompose_adjoint(principal_triple(4))
+        assert [len(dec.block(r)) for r in (1, 2, 3)] == [3, 5, 7]
+        for r in (0, -1, 4, True, 1.0, "1", None):
+            with pytest.raises(ValueError, match=rf"^need an integer r in 1\.\.3, got {r!r}$"):
+                dec.block(r)
 
     def test_ungraded_triple_rejected(self):
         # an ungraded triple cannot be built: the constructor takes one strip
@@ -461,7 +444,7 @@ class TestAdjointDecomposition:
                 cob = dense_change_of_basis([m for r in range(1, k) for m in dense_basis(bad, r)])
                 assert bad.basis_rank() == dense_rank(cob) == k * k - 2, (k, d)
                 with pytest.raises(RuntimeError, match="not direct"):
-                    AdjointDecomposition(k, bad.blocks)
+                    _check_direct(k, bad.blocks)
 
     def test_verify_adjoint_row_goes_red_on_dependent_strip(self, monkeypatch):
         real = verify.decompose_adjoint

@@ -47,8 +47,9 @@ import katzmod.cli
 import katzmod.linalg
 import katzmod.sl2
 import katzmod.verify
-from katzmod.classify import _candidate_types, exponent_criteria
+from katzmod.classify import exponent_criteria
 from katzmod.roots import type_exponents
+from test_classify import listed_candidate_types
 from test_roots import positive_root_count
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -116,8 +117,9 @@ def test_traced_run_reads_the_targets():
     assert result["root_misses"] > 0
     # classify(7) is the only caller that builds root systems here, each
     # letter that passes the exponent criteria once, at its largest passing rank
+    # (of the models classify leaves out, B_2 and C_2 pass only at k = 4 and 5)
     largest = {}
-    for t, n in _candidate_types(7):
+    for t, n in listed_candidate_types(7):
         if exponent_criteria(type_exponents(t, n), 7):
             largest[t] = n
     assert result["positive_roots"] == sum(positive_root_count(t, n) for t, n in largest.items())
