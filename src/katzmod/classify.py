@@ -240,9 +240,10 @@ def ht_filter(cases, k, weights):
 def form_filter(cases, k):
     """Keep the cases preserving an alternating form; conclude GSp_k if unique.
 
-    Only defined for even k.  Returns the pair (kept, conclusion): the kept
-    cases as a tuple, and "GSp_k" when the one case left is the symplectic
-    algebra (or sl2 itself at k = 2), None otherwise.
+    Only defined for even k: a k that is odd, or is not an integer >= 2,
+    raises ValueError.  Returns the pair (kept, conclusion): the kept cases as
+    a tuple, and "GSp_k" when the one case left is the symplectic algebra (or
+    sl2 itself at k = 2), None otherwise.
 
     Every case contains the principal sl2, so a form one of them preserves is
     a multiple of that sl2's invariant form B, which is computed once and
@@ -251,6 +252,8 @@ def form_filter(cases, k):
     full sl_k case is kept only when B is also invariant under E_00 - E_11,
     which with the principal sl2 generates sl_k.
     """
+    if not _is_int(k) or k < 2:
+        raise ValueError(f"need an integer k >= 2, got {k!r}")
     if k % 2 != 0:
         raise ValueError("form filter applies to even k only")
     form = invariant_bilinear_form(principal_triple(k))

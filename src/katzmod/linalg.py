@@ -5,10 +5,10 @@ and solves share one fraction-free elimination on integer rows (a row with
 `fractions.Fraction`s is taken times the lcm of its denominators), which
 leaves rows alone where the pivot column is zero and so is fast on the sparse
 structured systems that arise here.  `rank` reads its forward sweep alone;
-kernels and solves add a back-substitution, last pivot first, which keeps the
-bidiagonal systems of `sl2.form_kernel` at O(k^2).  `rank` and
-`solve_homogeneous` take rows and their column count, and read a kernel basis
-in integers.
+`solve_homogeneous` adds a back-substitution, last pivot first, which keeps the
+bidiagonal systems of `sl2.form_kernel` at O(k^2), and reads a kernel basis in
+integers; `solve_linear` reads its solution from the kernel of the augmented
+system.  `rank` and `solve_homogeneous` take rows and their column count.
 `Matrix` is a dense matrix of Fractions, with rows `m.row_lists()`.
 """
 
@@ -164,7 +164,9 @@ def bracket(a, b):
 
 def _integer_rows(rows, ncols):
     """Each row, checked to hold ncols ints or Fractions, times the lcm of its
-    denominators; a row of ints is copied."""
+    denominators; a row of ints is copied.  ncols must be an int >= 0."""
+    if not _is_int(ncols) or ncols < 0:
+        raise DimensionError(f"need a column count that is an integer >= 0, got {ncols!r}")
     out = []
     for row in rows:
         if len(row) != ncols:
@@ -220,19 +222,6 @@ def _forward_sweep(rows, ncols):
     return pivots
 
 
-def _back_substitute(rows, pivots):
-    """In place, clear each pivot column from the rows above it, last pivot
-    first; `solve_homogeneous` and `solve_linear` run it after the forward
-    sweep, and then row i of the reduced row echelon form is rows[i] divided
-    by its entry in column pivots[i].  Each pivot row is already clear of the
-    later pivot columns, so on a bidiagonal system (`form_kernel`'s shape)
-    each pivot meets one row above: O(k^2) for k rows, against O(k^3) when
-    clearing top-down fills in every row above.
-    """
-    for r in range(len(pivots) - 1, 0, -1):
-        _clear_column(rows, r, pivots[r], range(r))
-
-
 def rank(rows, ncols):
     """Rank over Q of rows of ncols ints or Fractions: the number of pivots."""
     return len(_forward_sweep(_integer_rows(rows, ncols), ncols))
@@ -246,7 +235,14 @@ def solve_homogeneous(rows, ncols):
     """
     rows = _integer_rows(rows, ncols)
     pivots = _forward_sweep(rows, ncols)
-    _back_substitute(rows, pivots)
+    # Back-substitution: clear each pivot column from the rows above it, last
+    # pivot first; then row i of the reduced row echelon form is rows[i]
+    # divided by its entry in column pivots[i].  Each pivot row is already
+    # clear of the later pivot columns, so on a bidiagonal system
+    # (`form_kernel`'s shape) each pivot meets one row above: O(k^2) for k
+    # rows, against O(k^3) when clearing top-down fills in every row above.
+    for r in range(len(pivots) - 1, 0, -1):
+        _clear_column(rows, r, pivots[r], range(r))
     basis = []
     for free in sorted(set(range(ncols)) - set(pivots)):
         scale = lcm(*(abs(row[c]) // gcd(row[c], row[free]) for row, c in zip(rows, pivots)))
@@ -262,18 +258,15 @@ def solve_linear(m, rhs):
     """One solution of m*v = rhs over Q, or None if inconsistent.
 
     rhs is a list of exact rationals of length m.rows; any other length
-    raises DimensionError.
+    raises DimensionError.  The solution is read from the kernel of [m | rhs]:
+    v solves the system exactly when (v, -1) is in it.  The kernel vector free
+    in the last column is the one that ends in a nonzero entry, and it gives
+    the solution whose free columns are 0; when the last column is a pivot,
+    its pivot row is zero on m, and every kernel vector ends in 0.
     """
     if len(rhs) != m.rows:
         raise DimensionError(f"right-hand side has {len(rhs)} entries, "
                              f"a {m.rows}x{m.cols} system needs {m.rows}")
-    ncols = m.cols
-    rows = _integer_rows((row + [r] for row, r in zip(m.row_lists(), rhs)), ncols + 1)
-    pivots = _forward_sweep(rows, ncols)
-    if any(row[ncols] for row in rows[len(pivots):]):
-        return None
-    _back_substitute(rows, pivots)
-    sol = [Fraction(0)] * ncols
-    for row, c in zip(rows, pivots):
-        sol[c] = Fraction(row[ncols], row[c])
-    return sol
+    kernel = solve_homogeneous([row + [r] for row, r in zip(m.row_lists(), rhs)], m.cols + 1)
+    v = next((v for v in kernel if v[-1]), None)
+    return None if v is None else [Fraction(-x, v[-1]) for x in v[:-1]]

@@ -387,6 +387,16 @@ class TestFormFilter:
         with pytest.raises(ValueError):
             form_filter(classify(5), 5)
 
+    def test_bad_k_rejected(self):
+        # checked before the parity: a str used to die with a bare TypeError,
+        # and True was reported as odd
+        for k in (True, False, 0, -2, "4", 4.0):
+            with pytest.raises(ValueError, match=rf"^need an integer k >= 2, got {k!r}$"):
+                form_filter(classify(4), k)
+        for k in (3, 5):
+            with pytest.raises(ValueError, match="^form filter applies to even k only$"):
+                form_filter(classify(k), k)
+
     def test_full_sl_kept_exactly_when_sl_k_preserves_a_form(self):
         # the dense oracle: every k^2 entry of B unknown, invariant under h, x,
         # y and E00-E11, which generate sl_k; classify(2) has no sl_2 case

@@ -3,6 +3,7 @@
 import copy
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -170,6 +171,10 @@ class TestRankAndKernel:
     def test_solve_linear_inconsistent(self):
         m = Matrix.from_rows([[1, 1], [1, 1]])
         assert solve_linear(m, [0, 1]) is None
+        # a zero row with a nonzero right-hand side, with and without columns
+        assert solve_linear(Matrix.from_rows([[1, 0], [0, 0]]), [1, 2]) is None
+        assert solve_linear(Matrix(2, 0, []), [0, 1]) is None
+        assert solve_linear(Matrix(2, 0, []), [0, 0]) == []
 
     def test_solve_linear_rhs_length_checked(self):
         # a short rhs must not drop an equation, nor a long one be cut short
@@ -179,6 +184,38 @@ class TestRankAndKernel:
         with pytest.raises(DimensionError, match="has 3 entries"):
             solve_linear(m, [1, 1, 5])
         assert solve_linear(m, [1, 1]) == [1, 0]
+
+    @pytest.mark.parametrize("entry", [True, 1.0])
+    def test_solve_linear_inexact_rhs_rejected(self, entry):
+        # a bool is not taken as the int it equals, nor a float as its value
+        with pytest.raises(TypeError, match="exact rationals"):
+            solve_linear(Matrix.identity(2), [1, entry])
+
+    def test_solve_linear_empty_systems(self):
+        assert solve_linear(Matrix(0, 0, []), []) == []
+        sol = solve_linear(Matrix(0, 3, []), [])
+        assert sol == [0, 0, 0] and all(type(x) is Fraction for x in sol)
+
+    def test_solve_linear_free_columns_read_zero(self):
+        assert solve_linear(Matrix.from_rows([[1, 2, 0, 3]]), [5]) == [5, 0, 0, 0]
+        assert solve_linear(Matrix.from_rows([[0, 1, 1], [0, 0, 0]]), [2, 0]) == [0, 2, 0]
+
+    def test_solve_linear_fraction_rhs_exact(self):
+        m = Matrix.from_rows([[3, 1], [0, 7]])
+        rhs = [Fraction(1, 2), Fraction(-2, 3)]
+        sol = solve_linear(m, rhs)
+        assert sol == [Fraction(25, 126), Fraction(-2, 21)]
+        assert m * Matrix(2, 1, sol) == Matrix(2, 1, rhs)
+
+    @pytest.mark.parametrize("ncols", [-5, -1, True, False, 2.0, "2", None])
+    def test_column_count_checked(self, ncols):
+        # these used to read as 0 or 1 columns, or die with a bare TypeError
+        for solve in (rank, solve_homogeneous):
+            for rows in ([], [[1]]):
+                with pytest.raises(DimensionError,
+                                   match=rf"^need a column count that is an integer >= 0, "
+                                         rf"got {re.escape(repr(ncols))}$"):
+                    solve(rows, ncols)
 
 
 class TestRationalInvariants:

@@ -1,11 +1,18 @@
-"""verify.run computes what several sections read once per call, and only there.
+"""verify.run computes what several sections read once per call, and only there,
+and each section can fail.
 
 The classification and pipeline sections read one classify_all sweep, and the
 adjoint and bracket sections one decomposition of sl_k per k.  A section run
 alone must give the rows it gives inside a full run, a corrupted sweep or
 decomposition must turn every section that reads it red, and the sharing must
-end with the call: a run after the corruption is undone is green again.
+end with the call: a run after the corruption is undone is green again.  The
+exponents, weyl, form, subgroups and dimension sections each turn red, alone,
+when the one input they read is corrupted.  frobenius is the one section that
+cannot fail yet: its check compares two expressions that agree for every input
+(ROADMAP item 12).
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -88,3 +95,52 @@ def test_nothing_is_shared_outside_a_run(monkeypatch):
     list(verify.check_adjoint())
     list(verify.check_bracket())
     assert calls == list(range(2, 13)) + list(range(2, 11))
+
+
+def without_least_dimension(real):
+    # the irreps of the least nontrivial dimension go missing from the search
+    def irreps_up_to(rs, bound):
+        found = real(rs, bound)
+        least = min(d for _, d in found if d > 1)
+        return [(w, d) for w, d in found if d != least]
+    return irreps_up_to
+
+
+def with_parity_flipped(real):
+    def invariant_bilinear_form(t):
+        form = real(t)
+        return replace(form, symmetric=not form.symmetric)
+    return invariant_bilinear_form
+
+
+def with_congruence_flipped(real):
+    def invariants(table):
+        inv = real(table)
+        return replace(inv, congruence=not inv.congruence)
+    return invariants
+
+
+CORRUPTIONS = {
+    # section: (the name verify imports, its corruption, the section's red rows)
+    "exponents": ("exponents", lambda real: lambda rs: real(rs)[:-1], 33),
+    "weyl": ("irreps_up_to", without_least_dimension, 22),
+    "form": ("invariant_bilinear_form", with_parity_flipped, 11),
+    "subgroups": ("invariants", with_congruence_flipped, 3),
+    "dimension": ("dim_rho_prim",
+                  lambda real: lambda table, kmax: {k: d + 1 for k, d in real(table, kmax).items()},
+                  30),
+}
+
+
+@pytest.mark.parametrize("section", CORRUPTIONS)
+def test_corrupted_input_turns_its_section_red(full_run, monkeypatch, section):
+    name, corrupt, count = CORRUPTIONS[section]
+    monkeypatch.setattr(verify, name, corrupt(getattr(verify, name)))
+    want = [(row.section, row.claim) for row in full_run if row.section == section]
+    if section == "exponents":
+        # the algebra dimensions are read from the root system, not its exponents
+        want = [w for w in want if not w[1].startswith("dim ")]
+    assert len(want) == count
+    assert red(verify.run()) == sorted(want)
+    monkeypatch.undo()
+    assert not red(verify.run())
