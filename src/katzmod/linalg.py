@@ -35,11 +35,14 @@ def _as_fraction(x):
 
 
 class Matrix:
-    """Immutable dense matrix of Fractions, row-major."""
+    """Immutable dense matrix of Fractions, row-major.  rows and cols must be
+    ints >= 0, not bools; any other shape raises DimensionError."""
 
     __slots__ = ("rows", "cols", "_d")
 
     def __init__(self, rows, cols, entries):
+        if not (_is_int(rows) and _is_int(cols)) or rows < 0 or cols < 0:
+            raise DimensionError(f"need a shape of integers >= 0, got {rows!r}x{cols!r}")
         entries = [_as_fraction(x) for x in entries]
         if len(entries) != rows * cols:
             raise DimensionError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")

@@ -29,7 +29,8 @@ positive roots of height h; Kostant) and refuses to exist if the two
 disagree.  A lower rank of a classical type is cut from a higher one
 (restrict): the last nodes of A_N, B_N, C_N or D_N form the same type, and
 its roots are those of the higher one that vanish on the first coordinates,
-so a sweep over the ranks of one type runs one closure.  Dimensions of
+so a sweep over the ranks of one type runs one closure, and the cut reads
+the layers only up to the first that keeps no root.  Dimensions of
 irreducibles come from the Weyl dimension formula, multiplying only the
 factors that differ from 1, lowest height first; as no factor is below 1, a
 search up to a bound drops a weight once they pass it.
@@ -38,6 +39,7 @@ search up to a bound drops a weight once they pass it.
 from bisect import bisect_left
 from functools import lru_cache
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .linalg import _is_int
 
@@ -211,8 +213,12 @@ def restrict(rs, rank):
     the height layers, layer h holding the #{exponents >= h} roots of height h
     in coordinate order, so the kept roots are a prefix of each layer, found
     by one bisection against the unit vector of coordinate m - 1.  Each keeps
-    its last `rank` coordinates and its Weyl denominator; the Cartan matrix
-    keeps its lower-right block and d its last `rank` entries.  The exponents
+    its last `rank` coordinates (one builtin slice per root) and its Weyl
+    denominator; the Cartan matrix keeps its lower-right block and d its last
+    `rank` entries.  The layers are read up to the first one that keeps no
+    root: every positive root of height h + 1 is one of height h plus a
+    simple root (Bourbaki LIE VI 1.6, Prop. 19), so in the cut, as in any
+    root system, no layer above an empty one holds a root.  The exponents
     are read again from the cut layer sizes and checked against the closed
     form, and the layers must hold every root of rs; RuntimeError otherwise.
     restrict(rs, rs.rank) is rs; a rank that is not an int, or is a bool, or
@@ -238,7 +244,9 @@ def restrict(rs, rank):
     for h in range(1, exps[-1] + 1):
         end = start + len(exps) - bisect_left(exps, h)
         cut = bisect_left(roots, unit, start, end)
-        positive.extend(c[m:] for c in roots[start:cut])
+        if cut == start:
+            break
+        positive.extend(map(itemgetter(slice(m, None)), roots[start:cut]))
         denominators.extend(rs.rho_pairings[start:cut])
         sizes.append(cut - start)
         start = end
@@ -262,18 +270,31 @@ def _weyl_product(rs, weight, bound=None):
 
     Each factor (h_alpha + sum c_j w_j d_j) / h_alpha is at least 1, so once
     the product num / part of those taken so far passes bound, so does the rest.
+    A weight with one nonzero coordinate j reads only coordinate j of each
+    root (a builtin itemgetter pass) and skips the roots where it is 0; the
+    factors it multiplies, and their order, are those of the general loop,
+    which takes every other weight.
     """
     terms = [(j, w * dj) for j, (w, dj) in enumerate(zip(weight, rs.symmetrizers)) if w]
     num = part = 1
-    for c, h in zip(rs.positive_roots, rs.rho_pairings):
-        a = h
-        for j, t in terms:
-            a += c[j] * t
-        if a != h:
-            num *= a
-            part *= h
-            if bound is not None and num > bound * part:
-                return None
+    if len(terms) == 1:
+        (j, t), = terms
+        for c, h in zip(map(itemgetter(j), rs.positive_roots), rs.rho_pairings):
+            if c:
+                num *= h + c * t
+                part *= h
+                if bound is not None and num > bound * part:
+                    return None
+    else:
+        for c, h in zip(rs.positive_roots, rs.rho_pairings):
+            a = h
+            for j, t in terms:
+                a += c[j] * t
+            if a != h:
+                num *= a
+                part *= h
+                if bound is not None and num > bound * part:
+                    return None
     q, r = divmod(num, part)
     if r:
         raise RuntimeError("Weyl dimension failed to be an integer")

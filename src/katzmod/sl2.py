@@ -18,6 +18,10 @@ only as that diagonal's entries, its strip: no block basis vector is ever a
 dense matrix.  A product or bracket of two strips is one O(k) pass, and lands
 on the sum of their diagonals; x^r is the top strip of U_r and ad(y) x^s the
 next of U_s, so each bracket identity is one bracket of two held strips.
+The 2r steps ad(y) down each block run on one kernel: for S on e, the strips
+of YS and SY are one entrywise product each, and they line up on e - 1 once
+the entry each one lacks at an end is taken as 0, so [Y, S] is one entrywise
+difference.  Dot products are builtin maps too.
 
 Coefficients in the block basis come from the trace form <A, B> = tr(AB).
 For A on the diagonal d and B on -d the two strips have k - |d| entries each,
@@ -40,6 +44,7 @@ dense Matrix.
 from fractions import Fraction
 from dataclasses import dataclass
 from math import gcd
+from operator import mul, sub
 
 from .linalg import Matrix, rank, solve_homogeneous, _is_int
 
@@ -97,9 +102,10 @@ class AdjointDecomposition:
 
     The basis {ad(y)^i x^r} of each block is computed from the triple's
     strips and held strip by strip, ad(y)^i x^r on the diagonal r - i: x^r
-    by strip products, then 2r brackets with y.  The strips are the only copy
-    of the basis, read by `basis_rank` and the bracket identities.  Then
-    `_check_direct` raises RuntimeError unless the blocks are direct.
+    by strip products, then 2r brackets with y by `_ad_y`.  The strips are
+    the only copy of the basis, read by `basis_rank` and the bracket
+    identities.  Then `_check_direct` raises RuntimeError unless the blocks
+    are direct.
     """
     k: int
     blocks: tuple  # U_r at r - 1: 2r+1 int tuples, ad(y)^i x^r on the diagonal r - i
@@ -110,10 +116,10 @@ class AdjointDecomposition:
         power = [1] * k  # strip of x^0 on the main diagonal
         for r in range(1, k):
             power = _strip_product(k, r - 1, power, 1, xs)
-            strips = [power]
-            for i in range(2 * r):
-                strips.append(_strip_bracket(k, -1, ys, r - i, strips[-1]))
-            blocks.append(tuple(map(tuple, strips)))
+            strips = [tuple(power)]
+            for e in range(r, -r, -1):
+                strips.append(_ad_y(ys, e, strips[-1]))
+            blocks.append(tuple(strips))
         blocks = tuple(blocks)
         _check_direct(k, blocks)
         object.__setattr__(self, "k", k)
@@ -189,6 +195,18 @@ def _strip_bracket(k, d1, a, d2, b):
                                   _strip_product(k, d2, b, d1, a))]
 
 
+def _ad_y(y, e, s):
+    """Strip of [Y, S] for Y on the diagonal -1 (strip y) and S on e (strip
+    s), as a tuple on e - 1: the strips of YS and SY are one product each,
+    entry by entry, and line up on e - 1 once the one entry missing from
+    each end is taken as 0 (for e > 0 the first entry of YS and the last of
+    SY; for e <= 0 both have the length of the result).  The same strip as
+    _strip_bracket(k, -1, y, e, s)."""
+    if e > 0:
+        return tuple(map(sub, (0, *map(mul, y, s)), (*map(mul, s, y[e - 1:]), 0)))
+    return tuple(map(sub, map(mul, y[-e:], s), map(mul, s[1:], y)))
+
+
 def _check_rs(r, s):
     for name, v in (("r", r), ("s", s)):
         if not _is_int(v):
@@ -203,7 +221,7 @@ def _blocks_on(k, d):
 def _dot(a, b):
     """The trace form tr(AB) of A on a diagonal d and B on -d, from their
     strips: the entries line up index by index."""
-    return sum(u * v for u, v in zip(a, b) if v)
+    return sum(map(mul, a, b))
 
 
 def decompose_adjoint(t):

@@ -263,6 +263,30 @@ class TestClassify:
             if not (name.startswith("A") and name != "A1"))
         assert ("A1", 40) in searches and ("C20", 40) in searches and ("G2", 9) in searches
 
+    def test_classify_all_closed_form_cases_up_to_80(self):
+        # one sweep: A_1 by Sym^(k-1), A_(k-1) by its defining weight and its
+        # dual, C_(k/2) for even k and B_((k-1)/2) for odd k >= 5 by their
+        # first fundamental weight, and G_2 by its 7-dimensional one at 7
+        def unit(n, i):
+            return tuple(int(j == i) for j in range(n))
+
+        swept = classify_all(range(2, 81))
+        assert list(swept) == list(range(2, 81))
+        for k, cases in swept.items():
+            want = [("A_1", LABEL_SYM_POWER, ((k - 1,),))]
+            if k > 2:
+                n = k - 1
+                want.append((f"A_{n}", LABEL_FULL_SL, (unit(n, 0), unit(n, n - 1))))
+            if k % 2 == 0 and k > 2:
+                want.append((f"C_{k // 2}", LABEL_SYMPLECTIC, (unit(k // 2, 0),)))
+            if k % 2 == 1 and k >= 5:
+                want.append((f"B_{(k - 1) // 2}", LABEL_ORTHOGONAL, (unit((k - 1) // 2, 0),)))
+            if k == 7:
+                want.append(("G_2", LABEL_G2, ((1, 0),)))
+            got = [(c.name, c.label, tuple(sorted(c.realizing_weights, reverse=True)))
+                   for c in cases]
+            assert got == want, k
+
     def test_classify_all_keys_and_errors(self):
         swept = classify_all([9, 3, 9])
         assert list(swept) == [9, 3]

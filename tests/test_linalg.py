@@ -238,6 +238,20 @@ class TestRationalInvariants:
         with pytest.raises(TypeError, match="exact rationals"):
             Matrix(1, 1, [entry])
 
+    @pytest.mark.parametrize("rows, cols, entries", [
+        (-1, -1, [1]), (-1, 0, []), (0, -3, []), (True, True, [1]), (False, 2, []),
+        (2.0, 1, [1, 2]), (1, Fraction(1), [1]), ("1", 1, [1]), (None, 0, [])])
+    def test_shape_must_be_integers_at_least_zero(self, rows, cols, entries):
+        with pytest.raises(DimensionError, match=r"^need a shape of integers >= 0, got "):
+            Matrix(rows, cols, entries)
+
+    def test_zeros_and_identity_check_the_shape(self):
+        for n in (-2, -1, True):
+            for build in (Matrix.zeros, Matrix.identity):
+                with pytest.raises(DimensionError, match="need a shape of integers >= 0"):
+                    build(n)
+        assert Matrix.zeros(0).rows == 0 and Matrix.zeros(2, 0).cols == 0
+
 
 # Reference elimination: Gauss-Jordan over Fractions, as linalg ran it before
 # rank, kernels and solves moved to one integer elimination.

@@ -13,7 +13,7 @@ import pytest
 import katzmod.roots
 from katzmod.roots import (SIMPLE_TYPES, build_root_system, exponents, type_exponents,
                            algebra_dimension, weyl_dimension, irreps_of_dimension,
-                           irreps_up_to, cartan_matrix, restrict, _valid_type)
+                           irreps_up_to, cartan_matrix, restrict, _valid_type, _weyl_product)
 
 
 def all_types(max_rank):
@@ -189,6 +189,26 @@ def weyl_dimension_fraction(t, n, weight):
         rho = sum(Fraction(c[j] * d[j]) for j in range(n)) / half_norm
         out *= shifted / rho
     return out
+
+
+def weyl_factors(rs, weight):
+    """The Weyl factor (sum_j c_j (w_j + 1) d_j) / (sum_j c_j d_j) of each
+    positive root, in positive_roots order."""
+    d = rs.symmetrizers
+    return [Fraction(sum(cj * (wj + 1) * dj for cj, wj, dj in zip(c, weight, d)),
+                     sum(cj * dj for cj, dj in zip(c, d))) for c in rs.positive_roots]
+
+
+def running_product(factors, bound):
+    """The product of the factors, or None as soon as the product so far
+    passes bound."""
+    out = Fraction(1)
+    for f in factors:
+        out *= f
+        if bound is not None and out > bound:
+            return None
+    assert out.denominator == 1
+    return int(out)
 
 
 class TestBuildRootSystem:
@@ -488,6 +508,21 @@ class TestWeylDimension:
             rs = build_root_system(t, n)
             w = tuple(rng.randint(0, 3) for _ in range(n))
             assert weyl_dimension(rs, w) == weyl_dimension_dense(rs, w), (t, n, w)
+
+    def test_one_coordinate_weights_against_the_spelled_out_product(self):
+        # c * omega_j reads one coordinate of each root; the bound is decided
+        # on either side of the dimension D
+        for t, n in all_types(8) + [("A", 29)]:
+            rs = build_root_system(t, n)
+            for j in range(n):
+                for c in range(1, 4):
+                    w = tuple(c * (i == j) for i in range(n))
+                    factors = weyl_factors(rs, w)
+                    dim = running_product(factors, None)
+                    for bound in (None, dim - 1, dim, dim + 1):
+                        want = running_product(factors, bound)
+                        assert want == (None if bound == dim - 1 else dim)
+                        assert _weyl_product(rs, w, bound) == want, (t, n, w, bound)
 
     def test_interleaved_root_systems_keep_their_own_denominators(self):
         for _ in range(2):

@@ -16,7 +16,7 @@ from katzmod.linalg import Matrix, bracket, rank, solve_homogeneous, solve_linea
 from katzmod.sl2 import (Sl2Triple, AdjointDecomposition, principal_triple,
                          decompose_adjoint, project_to_blocks, bracket_support,
                          verify_bracket_identity, invariant_bilinear_form, form_kernel, _dot,
-                         _check_direct, _strip_bracket)
+                         _check_direct, _strip_bracket, _ad_y)
 
 
 # Reference implementations: the dense, ungraded algorithms the graded sl2
@@ -460,6 +460,33 @@ class TestAdjointDecomposition:
         assert rows[0].ok  # k = 2 has a single block, left alone
         assert not any(row.ok for row in rows[1:])
         assert rows[1].computed == "[3, 5], sum 8, rank 7"
+
+    def test_ad_y_kernel_equals_the_generic_bracket(self):
+        # every strip the decomposition holds, the lowest of each block too
+        # (its bracket with y is 0, on the diagonal -r - 1), against the
+        # generic strip bracket; the held strip below is the kernel's image
+        ends = set()
+        for k in range(2, 13):
+            for t in (principal_triple(k), sym_power_rep(k).triple):
+                for r, strips in enumerate(decompose_adjoint(t).blocks, 1):
+                    for i, s in enumerate(strips):
+                        e = r - i
+                        want = tuple(_strip_bracket(k, -1, t.y, e, s))
+                        assert _ad_y(t.y, e, s) == want, (k, r, i)
+                        assert i == 2 * r or strips[i + 1] == want, (k, r, i)
+                        if want:
+                            # the end entries are the ones a product misses
+                            ends.update((e > 0, end) for end in (0, -1) if want[end])
+        assert ends == {(True, 0), (True, -1), (False, 0), (False, -1)}
+
+    def test_ad_y_kernel_on_random_strips(self):
+        # arbitrary integer strips, on every diagonal of each sign
+        rng = random.Random(31)
+        for k in range(2, 13):
+            y = tuple(rng.randint(-4, 4) for _ in range(k - 1))
+            for e in range(1 - k, k):
+                s = tuple(rng.randint(-4, 4) for _ in range(k - abs(e)))
+                assert _ad_y(y, e, s) == tuple(_strip_bracket(k, -1, y, e, s)), (k, e)
 
     def test_block_invariants(self):
         # highest weight killed by ad x; h-weights 2r-2i; lowest killed by ad y

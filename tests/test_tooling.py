@@ -20,6 +20,9 @@ The Lie side (the invariant form, the form filter, the adjoint
 decomposition and its rank, and the bracket supports) builds no dense Matrix:
 a run with `Matrix.__init__` patched to raise must pass.
 
+katzmod has no runtime dependencies: every absolute import in its modules
+names a module of the standard library (`sys.stdlib_module_names`).
+
 Internal checks must survive `python -O`, which strips `assert` statements, so
 no module of katzmod may contain one, and the whole `verify-paper --json` run
 under `-O` must print the reference output byte for byte.
@@ -217,6 +220,24 @@ def test_no_assert_statement_in_katzmod():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, f"bare assert statements (stripped by python -O): {found}"
+
+
+def test_katzmod_imports_only_the_standard_library():
+    # relative imports stay inside katzmod
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 9
+    outside = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert not outside, f"imports from outside the standard library: {outside}"
 
 
 def test_verify_paper_under_dash_o_is_byte_identical():
