@@ -11,9 +11,9 @@ read once, under one name, with its exponents in closed form
 fail; a type whose interval meets the requested k has its root system checked
 once, its exponents against its height-layer sizes, and one weight search up
 to the largest such k.  The root systems of one letter are built once, at the
-largest rank that passes, and the lower ranks are cut from it
-(roots.restrict).  This leaves exactly: sl2 acting by
-Sym^(k-1); sl_k; sp_k for even k; so_k for odd k; G_2 at k = 7.
+largest rank that passes, and the lower ranks are read in place from it
+(roots._cut, which shares its root tuples).  This leaves exactly: sl2 acting
+by Sym^(k-1); sl_k; sp_k for even k; so_k for odd k; G_2 at k = 7.
 
 Two extra filters reproduce the arithmetic endgame for even k: a two-weight
 Hodge-Tate constraint kills the Sym^(k-1) case (its nonzero semisimple
@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 from .linalg import _is_int
 from .sl2 import principal_triple, invariant_bilinear_form
-from .roots import build_root_system, restrict, type_exponents, weyl_dimension, \
-    irreps_up_to, SIMPLE_TYPES, _valid_type
+from .roots import build_root_system, type_exponents, weyl_dimension, irreps_up_to, \
+    SIMPLE_TYPES, _cut, _valid_type
 
 LABEL_SYM_POWER = "sym_power_sl2"
 LABEL_FULL_SL = "full_sl"
@@ -159,9 +159,11 @@ def classify_all(ks):
     give the interval of k at which it passes the criteria, and only a type
     whose interval meets ks has its weights searched, once, up to the largest
     such k.  Root systems are built once per letter A..G, at the largest rank
-    whose interval meets ks, and the lower such ranks are cut from that one
-    (roots.restrict).  Returns {k: cases}, keyed in the order of ks, each list
-    in classify's candidate order.
+    whose interval meets ks, and the lower such ranks are read in place from
+    that one (roots._cut: the kept roots are the largest system's own tuples,
+    read at a coordinate offset and checked as roots.restrict checks them,
+    and no RootSystem is built).  Returns {k: cases}, keyed in the order of
+    ks, each list in classify's candidate order.
     """
     ks = tuple(ks)
     for k in ks:
@@ -184,7 +186,7 @@ def classify_all(ks):
             continue
         largest = build_root_system(type_label, passing[-1][0])
         for rank, exps, here in passing:
-            rs = restrict(largest, rank)
+            rs = _cut(largest, rank)
             for k, weights in _realizing_weights(rs, here).items():
                 if not weights:
                     continue

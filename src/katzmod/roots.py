@@ -26,17 +26,23 @@ Planches I-IX), given by type_exponents without building anything; each
 root system that is built also reads them off its layer sizes
 as their dual partition (the number of exponents >= h equals the number of
 positive roots of height h; Kostant) and refuses to exist if the two
-disagree.  A lower rank of a classical type is cut from a higher one
-(restrict): the last nodes of A_N, B_N, C_N or D_N form the same type, and
-its roots are those of the higher one that vanish on the first coordinates,
-so a sweep over the ranks of one type runs one closure, and the cut reads
-the layers only up to the first that keeps no root.  Dimensions of
-irreducibles come from the Weyl dimension formula, multiplying only the
-factors that differ from 1, lowest height first; as no factor is below 1, a
-search up to a bound drops a weight once they pass it.
+disagree.  A lower rank of a classical type is cut from a higher one: the
+last nodes of A_N, B_N, C_N or D_N form the same type, and its roots are
+those of the higher one that vanish on the first coordinates, a prefix of
+each height layer, so a sweep over the ranks of one type runs one closure.
+The cut reads the layers only up to the first that keeps no root, and
+shares the higher system's root tuples and Weyl denominators, read at a
+coordinate offset, so it builds no tuple per root (_cut); restrict
+materialises it as a RootSystem of its own.  Dimensions of irreducibles
+come from the Weyl dimension formula, multiplying only the factors that
+differ from 1, lowest height first; as no factor is below 1, a search up to
+a bound drops a weight once they pass it, and as no factor falls when a
+coordinate grows, it marks a weight outside the bound, with no product,
+when a weight one step below it is already outside.
 """
 
 from bisect import bisect_left
+from collections import namedtuple
 from functools import lru_cache
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -203,8 +209,25 @@ def _layer_exponents(type_label, rank, sizes):
     return exps
 
 
-def restrict(rs, rank):
-    """The root system of rs's classical type at a lower rank, cut from rs.
+class _Cut(namedtuple("_Cut", "type_label rank positive_roots symmetrizers exponents "
+                             "rho_pairings")):
+    """A lower rank of a classical type, read in place from a larger system.
+
+    positive_roots and rho_pairings hold the larger system's own root tuples
+    and denominators for the kept roots, in its order, and symmetrizers are
+    the larger system's: coordinate j of the cut is coordinate j + N - rank
+    of the N-coordinate tuples, whose first N - rank coordinates are 0.
+    exponents are the cut's own, read off its layer sizes.  Weyl dimensions
+    and the weight search read it as they read a RootSystem.  A namedtuple,
+    not a dataclass, as a dataclass costs more to define on every import.
+    """
+    __slots__ = ()
+
+    name = RootSystem.name
+
+
+def _cut(rs, rank):
+    """rs's classical type at a lower rank, read in place from rs; rs at its own rank.
 
     In Bourbaki numbering the last `rank` nodes of A_N, B_N, C_N or D_N form
     the diagram of the same type at that rank, and the roots of a subdiagram
@@ -212,18 +235,16 @@ def restrict(rs, rank):
     whose first m = N - rank coordinates are 0.  positive_roots runs through
     the height layers, layer h holding the #{exponents >= h} roots of height h
     in coordinate order, so the kept roots are a prefix of each layer, found
-    by one bisection against the unit vector of coordinate m - 1.  Each keeps
-    its last `rank` coordinates (one builtin slice per root) and its Weyl
-    denominator; the Cartan matrix keeps its lower-right block and d its last
-    `rank` entries.  The layers are read up to the first one that keeps no
+    by one bisection against the unit vector of coordinate m - 1 and taken,
+    with their Weyl denominators, by one builtin slice per layer: no root
+    tuple is built.  The layers are read up to the first one that keeps no
     root: every positive root of height h + 1 is one of height h plus a
     simple root (Bourbaki LIE VI 1.6, Prop. 19), so in the cut, as in any
     root system, no layer above an empty one holds a root.  The exponents
     are read again from the cut layer sizes and checked against the closed
     form, and the layers must hold every root of rs; RuntimeError otherwise.
-    restrict(rs, rs.rank) is rs; a rank that is not an int, or is a bool, or
-    is above rs.rank or not a rank of the type, and a lower rank of E, F or
-    G, raise ValueError.
+    A rank that is not an int, or is a bool, or is above rs.rank or not a
+    rank of the type, and a lower rank of E, F or G, raise ValueError.
     """
     if not _is_int(rank):
         raise ValueError(f"rank must be an integer, got {rank!r}")
@@ -246,13 +267,29 @@ def restrict(rs, rank):
         cut = bisect_left(roots, unit, start, end)
         if cut == start:
             break
-        positive.extend(map(itemgetter(slice(m, None)), roots[start:cut]))
-        denominators.extend(rs.rho_pairings[start:cut])
+        positive += roots[start:cut]
+        denominators += rs.rho_pairings[start:cut]
         sizes.append(cut - start)
         start = end
+    return _Cut(rs.type_label, rank, tuple(positive), rs.symmetrizers,
+                _layer_exponents(rs.type_label, rank, sizes), tuple(denominators))
+
+
+def restrict(rs, rank):
+    """The root system of rs's classical type at a lower rank, cut from rs.
+
+    The cut is _cut's, with its checks and errors; it is materialised here:
+    each kept root keeps its last `rank` coordinates (one builtin slice per
+    root), the Cartan matrix its lower-right block and d its last `rank`
+    entries.  restrict(rs, rs.rank) is rs.
+    """
+    cut = _cut(rs, rank)
+    if cut is rs:
+        return rs
+    m = rs.rank - rank
     return RootSystem(rs.type_label, rank, tuple(row[m:] for row in rs.cartan[m:]),
-                      tuple(positive), rs.symmetrizers[m:],
-                      _layer_exponents(rs.type_label, rank, sizes), tuple(denominators))
+                      tuple(map(itemgetter(slice(m, None)), cut.positive_roots)),
+                      rs.symmetrizers[m:], cut.exponents, cut.rho_pairings)
 
 
 def exponents(rs):
@@ -275,7 +312,10 @@ def _weyl_product(rs, weight, bound=None):
     factors it multiplies, and their order, are those of the general loop,
     which takes every other weight.
     """
-    terms = [(j, w * dj) for j, (w, dj) in enumerate(zip(weight, rs.symmetrizers)) if w]
+    d = rs.symmetrizers
+    # coordinate j of the weight is coordinate j + m of the roots: m = 0 for
+    # a RootSystem, m = N - rank for a cut read in place from rank N
+    terms = [(j, w * d[j]) for j, w in enumerate(weight, len(d) - rs.rank) if w]
     num = part = 1
     if len(terms) == 1:
         (j, t), = terms
@@ -322,9 +362,12 @@ def weyl_dimension(rs, weight):
 def irreps_up_to(rs, bound):
     """All dominant weights of dimension <= bound, with their dimensions.
 
-    Search from the zero weight along single-coordinate increments; the Weyl
-    dimension is strictly increasing in each coordinate, so the region
-    dim <= bound is downward closed and the search is complete.
+    Search from the zero weight along single-coordinate increments; each
+    factor (h_alpha + sum c_j w_j d_j) / h_alpha of the Weyl dimension is
+    nondecreasing in each coordinate, and the dimension strictly increasing,
+    so the region dim <= bound is downward closed and the search is complete.
+    For the same reason a weight one step above a weight already found
+    outside the region is outside too, and is marked so without a product.
     """
     if not _is_int(bound) or bound < 1:
         raise ValueError(f"bound must be a positive integer, got {bound!r}")
@@ -334,10 +377,15 @@ def irreps_up_to(rs, bound):
     todo = [start]
     while todo:
         w = todo.pop()
+        support = [j for j in range(n) if w[j]]
         for i in range(n):
             up = w[:i] + (w[i] + 1,) + w[i + 1:]
             if up not in dims:
-                dims[up] = dim = _weyl_product(rs, up, bound)
+                # w, one step below up in coordinate i, is inside; each other
+                # weight one step below up steps down a coordinate of w's support
+                below_outside = any(dims.get(up[:j] + (up[j] - 1,) + up[j + 1:], 0) is None
+                                    for j in support if j != i)
+                dims[up] = dim = None if below_outside else _weyl_product(rs, up, bound)
                 if dim is not None:
                     todo.append(up)
     return sorted((w, d) for w, d in dims.items() if d is not None)

@@ -77,6 +77,32 @@ def spelled_out_cases(k):
     return rows
 
 
+def assert_closed_form_cases(top):
+    """One sweep over k = 2..top gives the closed-form case list at every k:
+    A_1 by Sym^(k-1), A_(k-1) by its defining weight and its dual, C_(k/2) for
+    even k and B_((k-1)/2) for odd k >= 5 by their first fundamental weight,
+    and G_2 by its 7-dimensional one at 7."""
+    def unit(n, i):
+        return tuple(int(j == i) for j in range(n))
+
+    swept = classify_all(range(2, top + 1))
+    assert list(swept) == list(range(2, top + 1))
+    for k, cases in swept.items():
+        want = [("A_1", LABEL_SYM_POWER, ((k - 1,),))]
+        if k > 2:
+            n = k - 1
+            want.append((f"A_{n}", LABEL_FULL_SL, (unit(n, 0), unit(n, n - 1))))
+        if k % 2 == 0 and k > 2:
+            want.append((f"C_{k // 2}", LABEL_SYMPLECTIC, (unit(k // 2, 0),)))
+        if k % 2 == 1 and k >= 5:
+            want.append((f"B_{(k - 1) // 2}", LABEL_ORTHOGONAL, (unit((k - 1) // 2, 0),)))
+        if k == 7:
+            want.append(("G_2", LABEL_G2, ((1, 0),)))
+        got = [(c.name, c.label, tuple(sorted(c.realizing_weights, reverse=True)))
+               for c in cases]
+        assert got == want, k
+
+
 def classify_building_every_type(k):
     """(name, label, exponents, realizing weights) per case, in order, by the
     route that builds the root system of every written-out type (B_2 and C_2
@@ -264,28 +290,12 @@ class TestClassify:
         assert ("A1", 40) in searches and ("C20", 40) in searches and ("G2", 9) in searches
 
     def test_classify_all_closed_form_cases_up_to_80(self):
-        # one sweep: A_1 by Sym^(k-1), A_(k-1) by its defining weight and its
-        # dual, C_(k/2) for even k and B_((k-1)/2) for odd k >= 5 by their
-        # first fundamental weight, and G_2 by its 7-dimensional one at 7
-        def unit(n, i):
-            return tuple(int(j == i) for j in range(n))
+        assert_closed_form_cases(80)
 
-        swept = classify_all(range(2, 81))
-        assert list(swept) == list(range(2, 81))
-        for k, cases in swept.items():
-            want = [("A_1", LABEL_SYM_POWER, ((k - 1,),))]
-            if k > 2:
-                n = k - 1
-                want.append((f"A_{n}", LABEL_FULL_SL, (unit(n, 0), unit(n, n - 1))))
-            if k % 2 == 0 and k > 2:
-                want.append((f"C_{k // 2}", LABEL_SYMPLECTIC, (unit(k // 2, 0),)))
-            if k % 2 == 1 and k >= 5:
-                want.append((f"B_{(k - 1) // 2}", LABEL_ORTHOGONAL, (unit((k - 1) // 2, 0),)))
-            if k == 7:
-                want.append(("G_2", LABEL_G2, ((1, 0),)))
-            got = [(c.name, c.label, tuple(sorted(c.realizing_weights, reverse=True)))
-                   for c in cases]
-            assert got == want, k
+    def test_classify_all_closed_form_cases_up_to_200(self):
+        # the sweep reads A_1..A_198 in place from A_199, and B_n, C_n from
+        # B_100, C_100
+        assert_closed_form_cases(200)
 
     def test_classify_all_keys_and_errors(self):
         swept = classify_all([9, 3, 9])

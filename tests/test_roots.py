@@ -13,7 +13,8 @@ import pytest
 import katzmod.roots
 from katzmod.roots import (SIMPLE_TYPES, build_root_system, exponents, type_exponents,
                            algebra_dimension, weyl_dimension, irreps_of_dimension,
-                           irreps_up_to, cartan_matrix, restrict, _valid_type, _weyl_product)
+                           irreps_up_to, cartan_matrix, restrict, _cut, _valid_type,
+                           _weyl_product)
 
 
 def all_types(max_rank):
@@ -209,6 +210,24 @@ def running_product(factors, bound):
             return None
     assert out.denominator == 1
     return int(out)
+
+
+def unpruned_irreps_up_to(rs, bound):
+    """The weight search that evaluates every weight one step above a weight
+    inside the bound, whatever its other lower neighbours are."""
+    n = rs.rank
+    start = (0,) * n
+    dims = {start: 1}
+    todo = [start]
+    while todo:
+        w = todo.pop()
+        for i in range(n):
+            up = w[:i] + (w[i] + 1,) + w[i + 1:]
+            if up not in dims:
+                dims[up] = dim = katzmod.roots._weyl_product(rs, up, bound)
+                if dim is not None:
+                    todo.append(up)
+    return sorted((w, d) for w, d in dims.items() if d is not None)
 
 
 class TestBuildRootSystem:
@@ -428,6 +447,43 @@ class TestRestrict:
         with pytest.raises(RuntimeError, match=r"C3: layer sizes give exponents \(1, 3, 5\)"):
             restrict(rs, 3)
 
+    @pytest.mark.parametrize("t, top", [("A", 40), ("B", 30), ("C", 30), ("D", 30)])
+    def test_the_sweeps_cut_reads_a_direct_build_in_place(self, t, top):
+        largest = build_root_system(t, top)
+        own = set(map(id, largest.positive_roots))
+        assert _cut(largest, top) is largest
+        for n in range(1, top):
+            if not _valid_type(t, n):
+                continue
+            cut, built = _cut(largest, n), build_root_system(t, n)
+            m = top - n
+            assert cut.name == built.name and cut.rank == n, (t, n)
+            # the largest system's own tuples, zero on the first m coordinates
+            assert own.issuperset(map(id, cut.positive_roots)), (t, n)
+            assert all(not any(r[:m]) for r in cut.positive_roots), (t, n)
+            assert tuple(r[m:] for r in cut.positive_roots) == built.positive_roots, (t, n)
+            assert cut.rho_pairings == built.rho_pairings, (t, n)
+            assert cut.symmetrizers[m:] == built.symmetrizers, (t, n)
+            assert cut.exponents == built.exponents, (t, n)
+            # the fundamental weights first: a coordinate read at the wrong
+            # offset fails here, before a search that could not end
+            for j in range(n):
+                w = tuple(int(i == j) for i in range(n))
+                assert weyl_dimension(cut, w) == weyl_dimension(built, w), (t, n, j)
+            assert irreps_up_to(cut, 300) == irreps_up_to(built, 300), (t, n)
+
+    def test_the_sweeps_cut_refuses_a_dropped_root_and_a_wrong_closed_form(self, monkeypatch):
+        rs = build_root_system("B", 5)
+        bad = dataclasses.replace(rs, positive_roots=rs.positive_roots[1:],
+                                  rho_pairings=rs.rho_pairings[1:])
+        with pytest.raises(RuntimeError, match="B5: 24 positive roots, but its exponents "
+                                               "give layers of 25"):
+            _cut(bad, 3)
+        rs = build_root_system("C", 5)
+        monkeypatch.setattr(katzmod.roots, "type_exponents", lambda t, n: tuple(range(1, n + 1)))
+        with pytest.raises(RuntimeError, match=r"C3: layer sizes give exponents \(1, 3, 5\)"):
+            _cut(rs, 3)
+
 
 class TestAlgebraDimension:
     def test_small_values(self):
@@ -592,6 +648,45 @@ class TestIrrepsOfDimension:
             want = [(w, d) for w in itertools.product(*map(range, limits))
                     if (d := weyl_dimension(rs, w)) <= bound]
             assert irreps_up_to(rs, bound) == want, (t, n)
+
+    @pytest.mark.parametrize("bound", [1, 2, 9, 60, 300, 2000])
+    def test_pruned_search_equals_the_unpruned_one(self, bound):
+        for t, n in all_types(8):
+            rs = build_root_system(t, n)
+            assert irreps_up_to(rs, bound) == unpruned_irreps_up_to(rs, bound), (t, n)
+
+    def test_no_weight_above_one_found_outside_is_evaluated(self, monkeypatch):
+        # a spy on every Weyl product: the weights the search evaluates, and
+        # those it evaluates although one step below them lies a weight
+        # already found outside
+        real = katzmod.roots._weyl_product
+        evaluated, outside, late = [], set(), []
+
+        def spy(rs, weight, bound=None):
+            evaluated.append(weight)
+            late.extend(weight for j, w in enumerate(weight)
+                        if w and weight[:j] + (w - 1,) + weight[j + 1:] in outside)
+            dim = real(rs, weight, bound)
+            if dim is None:
+                outside.add(weight)
+            return dim
+
+        def products(search, rs, bound):
+            evaluated.clear()
+            outside.clear()
+            late.clear()
+            search(rs, bound)
+            return len(evaluated)
+
+        monkeypatch.setattr(katzmod.roots, "_weyl_product", spy)
+        pruned = unpruned = 0
+        for t, n in all_types(8):
+            rs = build_root_system(t, n)
+            for bound in (60, 2000):
+                unpruned += products(unpruned_irreps_up_to, rs, bound)
+                pruned += products(irreps_up_to, rs, bound)
+                assert not late, (t, n, bound)
+        assert pruned < unpruned
 
     def test_bad_bound_rejected(self):
         rs = build_root_system("B", 2)

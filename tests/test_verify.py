@@ -16,6 +16,7 @@ from dataclasses import replace
 
 import pytest
 
+import katzmod.roots
 from katzmod import verify
 from katzmod.classify import LABEL_SYMPLECTIC
 from test_sl2 import with_strip_replaced
@@ -144,3 +145,24 @@ def test_corrupted_input_turns_its_section_red(full_run, monkeypatch, section):
     assert red(verify.run()) == sorted(want)
     monkeypatch.undo()
     assert not red(verify.run())
+
+
+def test_a_search_without_a_nontrivial_irreducible_turns_weyl_red(full_run, monkeypatch):
+    # every search finds the trivial weight alone: no least dimension to read
+    monkeypatch.setattr(verify, "irreps_up_to", lambda rs, bound: [((0,) * rs.rank, 1)])
+    want = [(row.section, row.claim) for row in full_run if row.section == "weyl"]
+    assert len(want) == 22
+    assert red(verify.run()) == sorted(want)
+    monkeypatch.undo()
+    assert not red(verify.run())
+
+
+def test_a_run_makes_at_most_650_weyl_products(monkeypatch):
+    # the weight search evaluates no weight one step above one found outside
+    real = katzmod.roots._weyl_product
+    weights = []
+    monkeypatch.setattr(katzmod.roots, "_weyl_product",
+                        lambda rs, weight, bound=None: weights.append(weight)
+                        or real(rs, weight, bound))
+    assert not red(verify.run())
+    assert len(weights) <= 650
