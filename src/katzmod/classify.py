@@ -27,7 +27,7 @@ so sl_k preserves no form; Sym^(k-1) and sp_k preserve B, which is
 alternating for even k.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .linalg import _is_int
 from .sl2 import principal_triple, invariant_bilinear_form
@@ -84,13 +84,9 @@ def exponent_criteria(exps, k):
     return k in _passing_ks(tuple(sorted(exps)), k)
 
 
-@dataclass(frozen=True)
-class ClassificationCase:
-    label: str
-    type_label: str
-    rank: int
-    exponents: tuple
-    realizing_weights: tuple
+class ClassificationCase(namedtuple("ClassificationCase",
+                                    "label type_label rank exponents realizing_weights")):
+    __slots__ = ()
 
     @property
     def name(self):

@@ -24,6 +24,12 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _make_checked(cls, fields):
+    """namedtuple's _make for a record whose constructor checks its fields:
+    through the constructor, so that _replace runs the same checks."""
+    return cls(*fields)
+
+
 def _exact(x):
     if not (_is_int(x) or isinstance(x, Fraction)):
         raise TypeError(f"matrix entries must be exact rationals, got {type(x).__name__}")

@@ -44,7 +44,6 @@ when a weight one step below it is already outside.
 from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .linalg import _is_int
@@ -120,20 +119,22 @@ def cartan_matrix(type_label, rank):
     return _cartan(*_dynkin(type_label, rank))
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    type_label: str
-    rank: int
-    cartan: tuple            # rows of the Cartan matrix
-    positive_roots: tuple    # coordinate tuples in the simple-root basis
-    symmetrizers: tuple      # d_i, half the squared simple-root lengths, shortest 1;
-                             # with the Dynkin edges they give the Cartan matrix
-    exponents: tuple         # sorted; the dual partition of the height-layer sizes
-    # the Weyl denominators h_alpha = sum_j c_j d_j of the positive roots
-    # alpha = sum_j c_j alpha_j, in positive_roots order: h_alpha is
-    # <rho, alpha^vee> (alpha, alpha) / 2, carried by the closure; derived
-    # from the fields above, so ==, hash and repr leave it out
-    rho_pairings: tuple = field(compare=False, repr=False)
+class RootSystem(namedtuple("RootSystem", "type_label rank cartan positive_roots "
+                                         "symmetrizers exponents rho_pairings")):
+    """A simple type's root system.
+
+    cartan holds the rows of the Cartan matrix, positive_roots coordinate
+    tuples in the simple-root basis, symmetrizers the d_i (half the squared
+    simple-root lengths, shortest 1; with the Dynkin edges they give the
+    Cartan matrix) and exponents the sorted dual partition of the
+    height-layer sizes.  rho_pairings holds the Weyl denominators
+    h_alpha = sum_j c_j d_j of the positive roots alpha = sum_j c_j alpha_j,
+    in positive_roots order: h_alpha is <rho, alpha^vee> (alpha, alpha) / 2,
+    carried by the closure.  It takes part in ==, hash and repr, but it is
+    derived from the other fields, so two genuine systems are equal exactly
+    when those are.
+    """
+    __slots__ = ()
 
     @property
     def name(self):
@@ -218,8 +219,8 @@ class _Cut(namedtuple("_Cut", "type_label rank positive_roots symmetrizers expon
     the larger system's: coordinate j of the cut is coordinate j + N - rank
     of the N-coordinate tuples, whose first N - rank coordinates are 0.
     exponents are the cut's own, read off its layer sizes.  Weyl dimensions
-    and the weight search read it as they read a RootSystem.  A namedtuple,
-    not a dataclass, as a dataclass costs more to define on every import.
+    and the weight search read it as they read a RootSystem, which has the
+    same fields and a cartan besides.
     """
     __slots__ = ()
 
@@ -368,6 +369,9 @@ def irreps_up_to(rs, bound):
     so the region dim <= bound is downward closed and the search is complete.
     For the same reason a weight one step above a weight already found
     outside the region is outside too, and is marked so without a product.
+    A weight whose dimension is not above that of the weight one step below
+    it, as in a system whose roots do not meet it, raises RuntimeError: the
+    search would not end.
     """
     if not _is_int(bound) or bound < 1:
         raise ValueError(f"bound must be a positive integer, got {bound!r}")
@@ -377,6 +381,7 @@ def irreps_up_to(rs, bound):
     todo = [start]
     while todo:
         w = todo.pop()
+        below = dims[w]
         support = [j for j in range(n) if w[j]]
         for i in range(n):
             up = w[:i] + (w[i] + 1,) + w[i + 1:]
@@ -387,6 +392,9 @@ def irreps_up_to(rs, bound):
                                     for j in support if j != i)
                 dims[up] = dim = None if below_outside else _weyl_product(rs, up, bound)
                 if dim is not None:
+                    if dim <= below:
+                        raise RuntimeError(f"{rs.name}: weight {up} has dimension {dim}, "
+                                           f"not above the {below} of {w}")
                     todo.append(up)
     return sorted((w, d) for w, d in dims.items() if d is not None)
 

@@ -41,39 +41,35 @@ antidiagonal strip.  Only `project_to_blocks`, on whole matrices, builds a
 dense Matrix.
 """
 
+from collections import namedtuple
 from fractions import Fraction
-from dataclasses import dataclass
 from math import gcd
 from operator import mul, sub
 
-from .linalg import Matrix, rank, solve_homogeneous, _is_int
+from .linalg import Matrix, rank, solve_homogeneous, _is_int, _make_checked
 
 
-@dataclass(frozen=True)
-class Sl2Triple:
+class Sl2Triple(namedtuple("Sl2Triple", "k x h y")):
     """An sl2-triple (x, h, y) in sl_k with [h,x]=2x, [h,y]=-2y, [x,y]=h, held
     as integer strips: x is the superdiagonal (k-1 entries), h the diagonal
     (k entries) and y the subdiagonal (k-1 entries).  Strips of the wrong
     length and entries that are not ints (floats, bools, Fractions) raise
-    ValueError."""
-    k: int
-    x: tuple
-    h: tuple
-    y: tuple
+    ValueError, also from _replace."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        k = self.k
+    def __new__(cls, k, x, h, y):
         if not _is_int(k) or k < 2:
             raise ValueError(f"need an integer k >= 2, got {k!r}")
-        for name, d in (("x", 1), ("h", 0), ("y", -1)):
-            strip = getattr(self, name)
+        for name, d, strip in (("x", 1, x), ("h", 0, h), ("y", -1, y)):
             if not isinstance(strip, (list, tuple)) or len(strip) != k - abs(d):
                 raise ValueError(f"{name} must be a list of {k - abs(d)} integers "
                                  f"(the diagonal j - i = {d} of sl_{k}), got {strip!r}")
             for v in strip:
                 if not _is_int(v):
                     raise ValueError(f"{name} entry {v!r} is not an integer")
-            object.__setattr__(self, name, tuple(strip))
+        return super().__new__(cls, k, tuple(x), tuple(h), tuple(y))
+
+    _make = classmethod(_make_checked)
 
     def validate(self):
         """Check the defining relations; raises ValueError on the first failure.
@@ -95,8 +91,7 @@ class Sl2Triple:
         return self
 
 
-@dataclass(frozen=True, init=False)
-class AdjointDecomposition:
+class AdjointDecomposition(namedtuple("AdjointDecomposition", "k blocks")):
     """sl_k = U_1 + ... + U_(k-1) under ad of the triple t: the block basis as
     strips.
 
@@ -105,12 +100,14 @@ class AdjointDecomposition:
     by strip products, then 2r brackets with y by `_ad_y`.  The strips are
     the only copy of the basis, read by `basis_rank` and the bracket
     identities.  Then `_check_direct` raises RuntimeError unless the blocks
-    are direct.
+    are direct.  blocks holds U_r at r - 1, its 2r+1 int tuples.  The
+    constructor takes the triple alone, so _make and _replace raise
+    TypeError; a copy or an unpickled decomposition is rebuilt from its
+    fields, with nothing computed or checked again.
     """
-    k: int
-    blocks: tuple  # U_r at r - 1: 2r+1 int tuples, ad(y)^i x^r on the diagonal r - i
+    __slots__ = ()
 
-    def __init__(self, t):
+    def __new__(cls, t):
         k, xs, ys = t.k, t.x, t.y
         blocks = []
         power = [1] * k  # strip of x^0 on the main diagonal
@@ -122,8 +119,12 @@ class AdjointDecomposition:
             blocks.append(tuple(strips))
         blocks = tuple(blocks)
         _check_direct(k, blocks)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "blocks", blocks)
+        return super().__new__(cls, k, blocks)
+
+    _make = classmethod(_make_checked)
+
+    def __reduce__(self):
+        return tuple.__new__, (type(self), tuple(self))
 
     def block(self, r):
         """The strips of U_r; an r that is not an int in 1..k-1 raises ValueError."""
@@ -334,10 +335,8 @@ def _combine(forms, coeffs):
     return {ab: x for ab, x in out.items() if x}
 
 
-@dataclass(frozen=True)
-class BilinearForm:
-    form: tuple  # the antidiagonal strip B[a, k-1-a], a = 0..k-1
-    symmetric: bool
+# form is the antidiagonal strip B[a, k-1-a], a = 0..k-1
+BilinearForm = namedtuple("BilinearForm", "form symmetric")
 
 
 def invariant_bilinear_form(t):

@@ -31,11 +31,11 @@ and "generators" (rows [a, b, c, d] for the matrix (a b; c d), determinant 1).
 
 import json
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import cycle, islice
 from math import lcm
 
-from .linalg import _is_int
+from .linalg import _is_int, _make_checked
 
 COSET_CAP_ENV = "KATZMOD_COSET_CAP"
 DEFAULT_COSET_CAP = 100_000
@@ -78,17 +78,16 @@ def psl2_canonical(m):
     raise ValueError("zero matrix is not in PSL2(Z)")
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(namedtuple("GeneratorSet", "name generators")):
     """A named list of determinant-1 integer matrices, taken modulo +-1.
 
     The name must be a str, the generators a list or tuple of matrices, and
-    each matrix a list or tuple of four ints; anything else raises ValueError.
+    each matrix a list or tuple of four ints; anything else raises ValueError,
+    also from _replace.
     """
-    name: str
-    generators: tuple
+    __slots__ = ()
 
-    def __init__(self, name, generators):
+    def __new__(cls, name, generators):
         if not isinstance(name, str):
             raise ValueError(f"subgroup name must be a string, got {name!r}")
         if not isinstance(generators, (list, tuple)):
@@ -103,8 +102,9 @@ class GeneratorSet:
             if mat_det(m) != 1:
                 raise ValueError(f"generator {m} has determinant {mat_det(m)}, not 1")
             gens.append(psl2_canonical(m))
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "generators", tuple(gens))
+        return super().__new__(cls, name, tuple(gens))
+
+    _make = classmethod(_make_checked)
 
 
 PRESETS = {
@@ -352,18 +352,18 @@ def _compose(p, q):
     return tuple([q[i] for i in p])  # exact size: no resize
 
 
-@dataclass(frozen=True)
-class CosetTable:
+class CosetTable(namedtuple("CosetTable", "index perm_S perm_T")):
     """Permutation action of PSL2(Z) on the cosets of a finite-index subgroup.
 
-    Validated when it is built, so every CosetTable satisfies the relations.
+    Validated when it is built, also by _replace, so every CosetTable
+    satisfies the relations.
     """
-    index: int
-    perm_S: tuple
-    perm_T: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.validate()
+    def __new__(cls, index, perm_S, perm_T):
+        return super().__new__(cls, index, perm_S, perm_T).validate()
+
+    _make = classmethod(_make_checked)
 
     def validate(self):
         """The table, once perm_S and perm_T are tuples of index ints in
@@ -487,15 +487,11 @@ def _is_identity(p):
     return all(i == j for i, j in enumerate(p))
 
 
-@dataclass(frozen=True)
-class SubgroupInvariants:
-    index: int
-    cusp_widths: tuple      # multiset, sorted decreasing
-    nu2: int                # elliptic points of order 2
-    nu3: int                # elliptic points of order 3
-    genus: int
-    level: int              # lcm of the cusp widths
-    congruence: bool
+class SubgroupInvariants(namedtuple("SubgroupInvariants",
+                                    "index cusp_widths nu2 nu3 genus level congruence")):
+    """cusp_widths is a multiset, sorted decreasing; nu2 and nu3 count the
+    elliptic points of order 2 and 3; level is the lcm of the cusp widths."""
+    __slots__ = ()
 
     @property
     def cusp_count(self):

@@ -12,7 +12,7 @@ bracket sections one decompose_adjoint(principal_triple(k)) per k.  A section
 called on its own computes its objects afresh, and nothing outlives the call.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .linalg import rank  # noqa: F401  (perfbench's tracer checks it is rebound here too)
 from .sl2 import principal_triple, decompose_adjoint, bracket_support, \
@@ -22,13 +22,7 @@ from .classify import classify_all, ht_filter, form_filter, frobenius_dimension_
 from .subgroups import PRESETS, coset_enumerate, invariants, dim_rho_prim
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    section: str
-    claim: str
-    expected: str
-    computed: str
-    ok: bool
+CheckResult = namedtuple("CheckResult", "section claim expected computed ok")
 
 
 # Reference exponent table (the scan's oracle): simple type -> exponents.

@@ -1,6 +1,5 @@
 """Root systems, exponents, and the Weyl dimension formula."""
 
-import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -436,7 +435,7 @@ class TestRestrict:
         for i in (0, 7, len(rs.positive_roots) - 1):
             roots = rs.positive_roots[:i] + rs.positive_roots[i + 1:]
             pairings = rs.rho_pairings[:i] + rs.rho_pairings[i + 1:]
-            bad = dataclasses.replace(rs, positive_roots=roots, rho_pairings=pairings)
+            bad = rs._replace(positive_roots=roots, rho_pairings=pairings)
             with pytest.raises(RuntimeError, match="B5: 24 positive roots, but its exponents "
                                                    "give layers of 25"):
                 restrict(bad, 3)
@@ -474,8 +473,8 @@ class TestRestrict:
 
     def test_the_sweeps_cut_refuses_a_dropped_root_and_a_wrong_closed_form(self, monkeypatch):
         rs = build_root_system("B", 5)
-        bad = dataclasses.replace(rs, positive_roots=rs.positive_roots[1:],
-                                  rho_pairings=rs.rho_pairings[1:])
+        bad = rs._replace(positive_roots=rs.positive_roots[1:],
+                          rho_pairings=rs.rho_pairings[1:])
         with pytest.raises(RuntimeError, match="B5: 24 positive roots, but its exponents "
                                                "give layers of 25"):
             _cut(bad, 3)
@@ -586,11 +585,10 @@ class TestWeylDimension:
             assert weyl_dimension(build_root_system("C", 3), (1, 0, 0)) == 6
 
     def test_evaluated_root_system_equals_a_fresh_copy(self):
-        # the carried denominators are a field left out of ==, hash and repr,
-        # and evaluating a weight caches nothing on the root system
+        # evaluating a weight caches nothing on the root system
         rs = build_root_system("F", 4)
         weyl_dimension(rs, (0, 0, 0, 1))
-        fresh = dataclasses.replace(rs)
+        fresh = rs._replace()
         assert rs == fresh and hash(rs) == hash(fresh) and repr(rs) == repr(fresh)
 
     def test_bad_weights_rejected(self):
@@ -605,6 +603,29 @@ class TestWeylDimension:
 
 
 class TestIrrepsOfDimension:
+    @pytest.mark.parametrize("kept", [0, 1])
+    def test_a_system_whose_roots_miss_a_weight_is_refused(self, kept, monkeypatch):
+        # every Weyl product of a weight the roots do not meet is 1, so a
+        # search that trusted the dimension to grow would never end; it
+        # stops at the first such weight, one step above the zero weight
+        rs = build_root_system("A", 2)
+        rs = rs._replace(positive_roots=rs.positive_roots[:kept],
+                         rho_pairings=rs.rho_pairings[:kept])
+        calls = []
+        real = katzmod.roots._weyl_product
+
+        def counted(*args):
+            calls.append(args[1])
+            if len(calls) > 10:
+                raise AssertionError(f"the search goes on: {calls}")
+            return real(*args)
+
+        monkeypatch.setattr(katzmod.roots, "_weyl_product", counted)
+        with pytest.raises(RuntimeError, match=r"A2: weight \(\d, \d\) has dimension 1, "
+                                               r"not above the 1 of \(0, 0\)"):
+            irreps_up_to(rs, 10)
+        assert len(calls) <= 2
+
     def test_a1_unique_sym8(self):
         rs = build_root_system("A", 1)
         assert irreps_of_dimension(rs, 9) == [(8,)]

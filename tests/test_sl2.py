@@ -107,10 +107,7 @@ def with_strip_replaced(dec, r, i, strip):
     strips = list(blocks[r - 1])
     strips[i] = strip
     blocks[r - 1] = tuple(strips)
-    bad = object.__new__(AdjointDecomposition)
-    object.__setattr__(bad, "k", dec.k)
-    object.__setattr__(bad, "blocks", tuple(blocks))
-    return bad
+    return tuple.__new__(AdjointDecomposition, (dec.k, tuple(blocks)))
 
 
 def strip_inverse(dec, d):

@@ -27,6 +27,10 @@ Internal checks must survive `python -O`, which strips `assert` statements, so
 no module of katzmod may contain one, and the whole `verify-paper --json` run
 under `-O` must print the reference output byte for byte.
 
+`import katzmod.cli` loads neither dataclasses nor inspect beyond what a bare
+interpreter has loaded: the records are namedtuples, so that no katzmod
+process pays for those imports at start.
+
 Every `katzmod ...` line of the README's command block runs through
 `katzmod.cli.main` and exits 0, so the documented commands cannot drift from
 the command line.
@@ -238,6 +242,22 @@ def test_katzmod_imports_only_the_standard_library():
             outside += [f"{path.name}:{node.lineno} {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert not outside, f"imports from outside the standard library: {outside}"
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # the records are namedtuples; dataclasses, with the inspect, ast and dis
+    # it pulls in, would add some 8 ms to the start of every katzmod process.
+    # Measured against a bare interpreter, whose site may load either module
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def loaded(code):
+        proc = subprocess.run([sys.executable, "-c", code + "; import sys; print(sorted("
+                               "m for m in ('dataclasses', 'inspect') if m in sys.modules))"],
+                              env=env, cwd=ROOT, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return set(ast.literal_eval(proc.stdout))
+
+    assert loaded("import katzmod.cli") <= loaded("pass")
 
 
 def test_verify_paper_under_dash_o_is_byte_identical():

@@ -12,8 +12,6 @@ cannot fail yet: its check compares two expressions that agree for every input
 (ROADMAP item 12).
 """
 
-from dataclasses import replace
-
 import pytest
 
 import katzmod.roots
@@ -110,14 +108,14 @@ def without_least_dimension(real):
 def with_parity_flipped(real):
     def invariant_bilinear_form(t):
         form = real(t)
-        return replace(form, symmetric=not form.symmetric)
+        return form._replace(symmetric=not form.symmetric)
     return invariant_bilinear_form
 
 
 def with_congruence_flipped(real):
     def invariants(table):
         inv = real(table)
-        return replace(inv, congruence=not inv.congruence)
+        return inv._replace(congruence=not inv.congruence)
     return invariants
 
 
