@@ -5,15 +5,19 @@ principal sl2 is the principal sl2 of sl(V) has distinct exponents bounded by
 k-1, closed under (r, s) -> r+s-1 for r+s <= k, and must admit an irreducible
 representation of dimension k.  Bounded means max E < k, and closed means
 k < m, m the least r + s (r, s in E) with r + s - 1 not in E, so distinct
-exponents pass on the open interval (max E, m) of k.  Each simple algebra is
-read once, under one name, with its exponents in closed form
-(roots.type_exponents), so the scan builds no root system for the types that
-fail; a type whose interval meets the requested k has its root system checked
-once, its exponents against its height-layer sizes, and one weight search up
-to the largest such k.  The root systems of one letter are built once, at the
-largest rank that passes, and the lower ranks are read in place from it
-(roots._cut, which shares its root tuples).  This leaves exactly: sl2 acting
-by Sym^(k-1); sl_k; sp_k for even k; so_k for odd k; G_2 at k = 7.
+exponents pass on the open interval (max E, m) of k, read off bitmasks of E
+(_passing_ks).  Each simple algebra is read once, under one name, with its
+exponents in closed form (roots.type_exponents), so the scan builds no root
+system for the types that fail.  Within a letter the largest exponent, h - 1,
+grows with the rank, so each letter's ranks are read in increasing order up
+to the first whose largest exponent reaches the largest k asked for, and no
+higher rank is read.  A type whose interval meets the requested k has its
+root system checked once, its exponents against its height-layer sizes, and
+one weight search up to the largest such k.  The root systems of one letter
+are built once, at the largest rank that passes, and the lower ranks are read
+in place from it (roots._cut, which shares its root tuples).  This leaves
+exactly: sl2 acting by Sym^(k-1); sl_k; sp_k for even k; so_k for odd k; G_2
+at k = 7.
 
 Two extra filters reproduce the arithmetic endgame for even k: a two-weight
 Hodge-Tate constraint kills the Sym^(k-1) case (its nonzero semisimple
@@ -32,7 +36,7 @@ from collections import namedtuple
 from .linalg import _is_int
 from .sl2 import principal_triple, invariant_bilinear_form
 from .roots import build_root_system, type_exponents, weyl_dimension, irreps_up_to, \
-    SIMPLE_TYPES, _cut, _valid_type
+    SIMPLE_TYPES, _cut, _ranks
 
 LABEL_SYM_POWER = "sym_power_sl2"
 LABEL_FULL_SL = "full_sl"
@@ -46,23 +50,28 @@ def _passing_ks(exps, limit):
 
     They pass on the open interval (max(exps), m) when distinct, m the least
     r + s (r, s in exps) whose r + s - 1 is not in exps: the pairs with
-    r + s <= k only grow with k.  Bounded is tested first, and m is searched
-    only up to limit.
+    r + s <= k only grow with k.  Bounded is tested first; the rest is read
+    off bitmasks of the exponents shifted by o, which makes the least one at
+    least 1: the exponents are M, a repeat leaves M fewer bits than
+    exponents, E + E is the OR of M shifted by each exponent, and m is the
+    lowest bit of E + E not in M shifted by one, less 2o.
     """
     lo = exps[-1]
     if lo >= limit:
         return range(0)
-    eset = set(exps)
-    if len(eset) != len(exps):
+    o = max(0, 1 - exps[0])
+    mask = 0
+    for r in exps:
+        mask |= 1 << (r + o)
+    if mask.bit_count() != len(exps):
         return range(0)
+    sums = 0
+    for r in exps:
+        sums |= mask << (r + o)
+    gaps = sums & ~(mask << (1 + o))
     end = limit + 1
-    for i, r in enumerate(exps):
-        for s in exps[i:]:
-            if r + s >= end:
-                break
-            if r + s - 1 not in eset:
-                end = r + s
-                break
+    if gaps:
+        end = min(end, (gaps & -gaps).bit_length() - 1 - 2 * o)
     return range(lo + 1, end)
 
 
@@ -151,15 +160,17 @@ def _label_for(type_label, rank, k):
 def classify_all(ks):
     """classify(k) for every k in ks, from one sweep over the simple types.
 
-    Each type of rank below max(ks) is read once: its closed-form exponents
-    give the interval of k at which it passes the criteria, and only a type
-    whose interval meets ks has its weights searched, once, up to the largest
-    such k.  Root systems are built once per letter A..G, at the largest rank
-    whose interval meets ks, and the lower such ranks are read in place from
-    that one (roots._cut: the kept roots are the largest system's own tuples,
-    read at a coordinate offset and checked as roots.restrict checks them,
-    and no RootSystem is built).  Returns {k: cases}, keyed in the order of
-    ks, each list in classify's candidate order.
+    Each letter's types are read once, in increasing rank, up to the first
+    rank whose largest exponent reaches max(ks): their closed-form exponents
+    give the interval of k at which each passes the criteria, and only a
+    type whose interval meets ks has its weights searched, once, up to the
+    largest such k.  Root systems are built once per letter A..G, at the
+    largest rank whose interval meets ks, and the lower such ranks are read
+    in place from that one (roots._cut: the kept roots are the largest
+    system's own tuples, read at a coordinate offset and checked as
+    roots.restrict checks them, and no RootSystem is built).  Returns
+    {k: cases}, keyed in the order of ks, each list in classify's candidate
+    order.
     """
     ks = tuple(ks)
     for k in ks:
@@ -169,11 +180,12 @@ def classify_all(ks):
     top = max(ks, default=0)
     for type_label in SIMPLE_TYPES:
         passing = []
-        # a rank of at least k leaves an exponent of at least k: not bounded
-        for rank in range(1, top):
-            if not _valid_type(type_label, rank):
-                continue
+        # the largest exponent, h - 1, grows with the rank: the first rank
+        # whose largest exponent reaches max(ks) is not bounded, nor any above
+        for rank in _ranks(type_label):
             exps = type_exponents(type_label, rank)
+            if exps[-1] >= top:
+                break
             here = [k for k in _passing_ks(exps, top)
                     if k in out and (type_label, rank) not in _left_out(k)]
             if here:
@@ -197,10 +209,10 @@ def classify_all(ks):
 def classify(k):
     """All simple algebras passing the exponent criteria with a k-dim irreducible.
 
-    The one-k case of classify_all: a type is skipped as soon as its largest
-    exponent reaches k, and a root system is built, and its exponents checked
-    against its layer sizes, only for the types that pass, to search their
-    weights of dimension k.
+    The one-k case of classify_all: each letter is read up to the first rank
+    whose largest exponent reaches k, and a root system is built, and its
+    exponents checked against its layer sizes, only for the types that pass,
+    to search their weights of dimension k.
 
     Returns ClassificationCase values in candidate order, which is: Sym-power
     sl2, full sl_k, the symplectic/orthogonal case, then G_2 (when k = 7).  For

@@ -44,29 +44,31 @@ when a weight one step below it is already outside.
 from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
+from itertools import count
 from operator import itemgetter
 
 from .linalg import _is_int
 
-SIMPLE_TYPES = ("A", "B", "C", "D", "E", "F", "G")
+# each letter's first and last rank: every rank from the first for the four
+# classical series (D_3 permitted; isomorphic to A_3), a few for the others
+_RANKS = {"A": (1, None), "B": (2, None), "C": (2, None), "D": (3, None),
+          "E": (6, 8), "F": (4, 4), "G": (2, 2)}
+SIMPLE_TYPES = tuple(_RANKS)
 
 
 def _valid_type(type_label, rank):
     if not _is_int(rank):
         raise ValueError(f"rank must be an integer, got {rank!r}")
-    if type_label == "A":
-        return rank >= 1
-    if type_label in ("B", "C"):
-        return rank >= 2
-    if type_label == "D":
-        return rank >= 3  # D_3 permitted; isomorphic to A_3
-    if type_label == "E":
-        return rank in (6, 7, 8)
-    if type_label == "F":
-        return rank == 4
-    if type_label == "G":
-        return rank == 2
-    return False
+    if type_label not in SIMPLE_TYPES:
+        return False
+    first, last = _RANKS[type_label]
+    return first <= rank and (last is None or rank <= last)
+
+
+def _ranks(type_label):
+    """A letter's ranks in increasing order, without end for A, B, C and D."""
+    first, last = _RANKS[type_label]
+    return count(first) if last is None else range(first, last + 1)
 
 
 _EXCEPTIONAL_EXPONENTS = {

@@ -2,6 +2,8 @@
 
 import json
 import random
+import re
+import time
 
 import pytest
 
@@ -59,6 +61,48 @@ def spelled_out_criteria(exps, k):
     distinct = len(set(exps)) == len(exps)
     bounded = max(exps) <= k - 1
     return distinct and bounded and pairwise_closed(exps, k)
+
+
+def pair_scan(exps, limit):
+    """The criterion's interval by a scan over the sorted pairs r <= s of
+    sorted integer exponents, stopped at the first failing sum of each r."""
+    lo = exps[-1]
+    if lo >= limit:
+        return range(0)
+    eset = set(exps)
+    if len(eset) != len(exps):
+        return range(0)
+    end = limit + 1
+    for i, r in enumerate(exps):
+        for s in exps[i:]:
+            if r + s >= end:
+                break
+            if r + s - 1 not in eset:
+                end = r + s
+                break
+    return range(lo + 1, end)
+
+
+def passing_by_hand(t, n):
+    """The k at which t_n passes the criteria, read off Bourbaki's exponents
+    letter by letter: E = {1} is closed at every k; 1..n first fails at
+    2 + n, the odd 1..2n-1 at 3 + (2n-1), D_3's 1, 2, 3 at 2 + 3, and G_2's
+    1, 5 at 5 + 5; D_n for n >= 4 repeats n-1 or fails at (n-1) + 3 below
+    its bound 2n-2, and E_6, E_7, E_8, F_4 fail at 5 + 5, 7 + 9, 11 + 11, 5 + 5
+    below theirs."""
+    if t == "A":
+        return range(2, 10**9) if n == 1 else range(n + 1, n + 2)
+    if t in ("B", "C"):
+        return range(2 * n, 2 * n + 2)
+    if (t, n) == ("D", 3):
+        return range(4, 5)
+    if t == "G":
+        return range(6, 10)
+    return range(0)
+
+
+def same_range(a, b):
+    return (a.start, a.stop, a.step) == (b.start, b.stop, b.step)
 
 
 def spelled_out_cases(k):
@@ -194,6 +238,76 @@ class TestScanPredicate:
         assert _passing_ks((1,), 9) == range(2, 10)
         assert _passing_ks((1, 3, 5), 30) == range(6, 8)
         assert _passing_ks((1, 3, 5), 5) == range(0)
+
+
+class TestBitmaskCriterion:
+    def test_every_type_up_to_rank_300_at_every_limit(self):
+        # the statement itself up to rank 40 (its cost grows as rank^5); the
+        # by-hand sets, checked there against it, up to rank 300
+        for t in SIMPLE_TYPES:
+            for n in range(1, 301):
+                if not _valid_type(t, n):
+                    continue
+                exps = type_exponents(t, n)
+                by_hand = passing_by_hand(t, n)
+                if n <= 40:
+                    want = [k for k in range(-2, 2 * n + 5) if spelled_out_criteria(exps, k)]
+                    assert want == [k for k in range(-2, 2 * n + 5) if k in by_hand], (t, n)
+                for limit in range(-2, 2 * n + 5):
+                    got = _passing_ks(exps, limit)
+                    assert got == range(by_hand.start, min(by_hand.stop, limit + 1)), \
+                        (t, n, limit)
+
+    def test_same_range_as_the_pair_scan(self):
+        # ints in -6..14 with duplicates, 0 and negatives; the start and stop
+        # of every range agree, empty ones included
+        rng = random.Random(34)
+        for _ in range(5000):
+            exps = tuple(sorted(rng.randint(-6, 14) for _ in range(rng.randint(1, 8))))
+            for limit in range(-7, 31):
+                got, want = _passing_ks(exps, limit), pair_scan(exps, limit)
+                assert same_range(got, want), (exps, limit, got, want)
+
+    def test_wide_spans_stay_fast(self):
+        # the masks are as wide as the span of the exponents
+        for exps, k, want in (((1, 10**6), 10**6 + 1, True), ((-10**6, 1), 5, False)):
+            assert (k in pair_scan(exps, k)) is want
+            start = time.perf_counter()
+            got = exponent_criteria(exps, k)
+            assert time.perf_counter() - start < 0.05, exps
+            assert got is want, exps
+
+    def test_malformed_input_raises_as_before(self):
+        for bad in (True, 2.5, "1", ()):
+            shown = re.escape(repr(bad))
+            with pytest.raises(ValueError, match=rf"^k must be an integer, got {shown}$"):
+                exponent_criteria((1, 3), bad)
+            if bad != ():
+                with pytest.raises(ValueError, match=rf"^exponent {shown} is not an integer$"):
+                    exponent_criteria((1, bad), 6)
+        with pytest.raises(ValueError, match="^empty exponent list$"):
+            exponent_criteria((), 6)
+
+
+class TestSweepBound:
+    def test_largest_exponent_grows_with_the_rank(self):
+        # so the first rank of a letter whose largest exponent reaches k is
+        # not bounded, and neither is any higher one
+        for t in SIMPLE_TYPES:
+            tops = [type_exponents(t, n)[-1] for n in range(1, 301) if _valid_type(t, n)]
+            assert tops and all(a < b for a, b in zip(tops, tops[1:])), t
+
+    def test_criterion_runs_only_below_the_bound(self, monkeypatch):
+        calls = []
+        real = katzmod.classify._passing_ks
+        monkeypatch.setattr(katzmod.classify, "_passing_ks",
+                            lambda exps, limit: calls.append((exps, limit)) or real(exps, limit))
+        for k in range(2, 41):
+            calls.clear()
+            classify_all((k,))
+            want = [(type_exponents(t, n), k) for t in SIMPLE_TYPES for n in range(1, k + 1)
+                    if _valid_type(t, n) and type_exponents(t, n)[-1] < k]
+            assert calls == want, k
 
 
 class TestClassify:
