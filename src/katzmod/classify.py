@@ -50,28 +50,39 @@ def _passing_ks(exps, limit):
 
     They pass on the open interval (max(exps), m) when distinct, m the least
     r + s (r, s in exps) whose r + s - 1 is not in exps: the pairs with
-    r + s <= k only grow with k.  Bounded is tested first; the rest is read
-    off bitmasks of the exponents shifted by o, which makes the least one at
-    least 1: the exponents are M, a repeat leaves M fewer bits than
-    exponents, E + E is the OR of M shifted by each exponent, and m is the
-    lowest bit of E + E not in M shifted by one, less 2o.
+    r + s <= k only grow with k.  Bounded is tested first.  When the least
+    exponent is 0 or below, m is twice it, since 2 min - 1 < min is no
+    exponent, and the interval is empty.  Otherwise m is read off bitmasks
+    of the exponents when they are dense: the exponents are M, a repeat
+    leaves M fewer bits than exponents, E + E is the OR of M shifted by each
+    exponent, and m is the lowest bit of E + E not in M shifted by one.  When
+    their span is above the square of their count, the masks would be wider
+    than the pairs are many, and m is read off the pair sums instead.
     """
-    lo = exps[-1]
+    lo, least = exps[-1], exps[0]
     if lo >= limit:
         return range(0)
-    o = max(0, 1 - exps[0])
+    end = limit + 1
+    if least <= 0 or lo - least > len(exps) ** 2:
+        eset = set(exps)
+        if len(eset) != len(exps):
+            return range(0)
+        if least <= 0:
+            return range(lo + 1, min(end, 2 * least))
+        m = min((r + s for i, r in enumerate(exps) for s in exps[i:] if r + s - 1 not in eset),
+                default=end)
+        return range(lo + 1, min(end, m))
     mask = 0
     for r in exps:
-        mask |= 1 << (r + o)
+        mask |= 1 << r
     if mask.bit_count() != len(exps):
         return range(0)
     sums = 0
     for r in exps:
-        sums |= mask << (r + o)
-    gaps = sums & ~(mask << (1 + o))
-    end = limit + 1
+        sums |= mask << r
+    gaps = sums & ~(mask << 1)
     if gaps:
-        end = min(end, (gaps & -gaps).bit_length() - 1 - 2 * o)
+        end = min(end, (gaps & -gaps).bit_length() - 1)
     return range(lo + 1, end)
 
 

@@ -19,10 +19,12 @@ come from the same subgroup (Kulkarni).  The pair carries everything else:
 cusp widths are the T-cycles, elliptic point counts are fixed points of S and
 of ST, the genus comes from Riemann-Hurwitz, the level is the lcm of the
 widths (Wohlfahrt), and the congruence test is Hsu's criterion [Hsu, Proc.
-AMS 124 (1996)] applied to the permutations of T and of S T^-1 S.  Hsu's
-words generate Gamma(N) as a normal subgroup, so unifying each coset with its
-images under them folds the table into that of the congruence closure
-Gamma Gamma(N), against which dim_rho_prim measures the primitive part.
+AMS 124 (1996)] on words in L = T and R = S T^-1 S, built from S and powers
+of T since S^2 = 1 makes R^x = S T^-x S.  Hsu's words generate Gamma(N) as a
+normal subgroup, so unifying each coset with its images under them folds the
+table into that of the congruence closure Gamma Gamma(N), against which
+dim_rho_prim measures the primitive part.  The readers of a table refuse
+anything but a CosetTable.
 
 Three subgroups ship as named presets ("gamma43", "gamma52", "gamma711");
 user-defined subgroups load from a small JSON document with fields "name"
@@ -498,13 +500,21 @@ class SubgroupInvariants(namedtuple("SubgroupInvariants",
         return len(self.cusp_widths)
 
 
+def _check_table(table, caller):
+    """Refuse anything but a CosetTable, whose constructor validated it."""
+    if not isinstance(table, CosetTable):
+        raise TypeError(f"{caller} takes a CosetTable, got {type(table).__name__}")
+
+
 def invariants(table):
     """All standard invariants of the subgroup from its coset permutations.
 
     Cusp widths are the cycle lengths of the T-permutation; nu2 and nu3 count
     fixed points of S and of ST; the genus solves
-    12 g = 12 + index - 3 nu2 - 4 nu3 - 6 (#cusps).
+    12 g = 12 + index - 3 nu2 - 4 nu3 - 6 (#cusps).  Anything but a
+    CosetTable raises TypeError.
     """
+    _check_table(table, "invariants")
     widths = _cycle_lengths(table.perm_T)
     mu = table.index
     nu2 = sum(1 for i, j in enumerate(table.perm_S) if i == j)
@@ -518,7 +528,8 @@ def invariants(table):
 
 
 def _hsu_words(table):
-    """The permutations of Hsu's seven words in L = T and R = S T^-1 S.
+    """The permutations of Hsu's seven words in L = T and R = S T^-1 S,
+    built from S and powers of T.
 
     The level N = order of L is split as e m (e a power of 2, m odd) by the
     Chinese remainder theorem.  Hsu's odd and power-of-2 criteria are the
@@ -527,9 +538,14 @@ def _hsu_words(table):
     and every word but (R R L^-half)^-3 is trivial; for m = 1, a = b = 1 and
     the last word only gains the trivial factor (L R^-1 L)^2; for N = 1 every
     power is trivial.  Their normal closure in PSL2(Z) is Gamma(N).
+
+    S^2 = 1 on the cosets, so R^x = S T^-x S: with a = L^c and l = L^d,
+    each power of R is two compositions with S around a power of a or l,
+    and no power of R is raised by squaring.  Each sub-word that several
+    words share (the inverses of a and l, a b^-1 a and its square,
+    l r^-1 l) is built once.
     """
-    L = table.perm_T
-    R = _compose(_compose(table.perm_S, _perm_inverse(table.perm_T)), table.perm_S)
+    S, L = table.perm_S, table.perm_T
     N = _perm_order(L)
     m = N
     e = 1
@@ -537,37 +553,43 @@ def _hsu_words(table):
         m //= 2
         e *= 2
 
-    def word(*perms):
-        out = tuple(range(table.index))
-        for p in perms:
-            out = _compose(out, p)
-        return out
+    def word(p, *perms):
+        for q in perms:
+            p = _compose(p, q)
+        return p
+
+    def conj(p):  # S p S; R^x = conj(T^-x)
+        return word(S, p, S)
 
     c = e * pow(e, -1, m) % N       # 1 mod m, 0 mod e
     d = m * pow(m, -1, e) % N       # 1 mod e, 0 mod m
     a = _perm_power(L, c)
-    b = _perm_power(R, c)
     l = _perm_power(L, d)
-    r = _perm_power(R, d)
+    a_inv, l_inv = _perm_inverse(a), _perm_inverse(l)
+    b, b_inv = conj(a_inv), conj(a)
+    r, r_inv = conj(l_inv), conj(l)
     half = pow(2, -1, m)
     fifth = pow(5, -1, e)
-    s = word(_perm_power(l, 20), _perm_power(r, fifth), _perm_power(l, -4), _perm_inverse(r))
+    s = word(_perm_power(l, 20), conj(_perm_power(l_inv, fifth)), _perm_power(l_inv, 4), r_inv)
+    aba = word(a, b_inv, a)
+    aba2 = _compose(aba, aba)
+    lrl = word(l, r_inv, l)
     return [
-        word(_perm_inverse(a), _perm_inverse(r), a, r),
-        _perm_power(word(a, _perm_inverse(b), a), 4),
-        word(_perm_power(word(a, _perm_inverse(b), a), 2), _perm_power(word(_perm_inverse(a), b), 3)),
-        word(_perm_power(word(a, _perm_inverse(b), a), 2),
-             _perm_power(word(b, b, _perm_power(a, -half)), -3)),
-        word(_perm_inverse(l), r, _perm_inverse(l), s, l, _perm_inverse(r), l, s),
-        word(_perm_inverse(s), r, s, _perm_power(r, -25)),
-        word(_perm_power(word(l, _perm_inverse(r), l), 2),
-             _perm_power(word(s, _perm_power(r, 5), l, _perm_inverse(r), l), 3)),
+        word(a_inv, r_inv, a, r),
+        _compose(aba2, aba2),
+        word(aba2, _perm_power(word(a_inv, b), 3)),
+        word(aba2, _perm_power(word(_perm_power(a, half), b_inv, b_inv), 3)),
+        word(l_inv, r, l_inv, s, l, r_inv, l, s),
+        word(_perm_inverse(s), r, s, conj(_perm_power(l, 25))),
+        word(_compose(lrl, lrl), _perm_power(word(s, conj(_perm_power(l_inv, 5)), lrl), 3)),
     ]
 
 
 def congruence_test(table):
     """Hsu's congruence criterion: True exactly for congruence subgroups,
-    which is when each of Hsu's words fixes every coset."""
+    which is when each of Hsu's words fixes every coset.  Anything but a
+    CosetTable raises TypeError."""
+    _check_table(table, "congruence_test")
     return all(_is_identity(w) for w in _hsu_words(table))
 
 
@@ -579,7 +601,9 @@ def congruence_closure(table):
     Each such pair is unified in a coset graph loaded with the table, unify
     carries every merge along s and u, and the classes left are numbered
     breadth-first from the class of coset 0, like every other table.
+    Anything but a CosetTable raises TypeError.
     """
+    _check_table(table, "congruence_closure")
     graph = _CosetGraph(table.index)
     u = _compose(table.perm_S, table.perm_T)
     graph.labels = list(range(table.index))
@@ -621,8 +645,7 @@ def dim_rho_prim(table, kmax):
     """
     if not _is_int(kmax) or kmax < 2:
         raise ValueError(f"need an integer kmax >= 2, got {kmax!r}")
-    if not isinstance(table, CosetTable):
-        raise TypeError(f"dim_rho_prim takes a CosetTable, got {type(table).__name__}")
+    _check_table(table, "dim_rho_prim")
     inv, closure = invariants(table), invariants(congruence_closure(table))
     return {k: 2 * (dim_cusp_forms(inv, k + 2) - dim_cusp_forms(closure, k + 2))
             for k in range(2, kmax + 1, 2)}

@@ -4,6 +4,7 @@ import json
 import random
 import re
 import time
+import tracemalloc
 
 import pytest
 
@@ -276,6 +277,47 @@ class TestBitmaskCriterion:
             got = exponent_criteria(exps, k)
             assert time.perf_counter() - start < 0.05, exps
             assert got is want, exps
+
+    def test_wide_spans_stay_small(self):
+        # the masks would be as wide as the span; a span above the square of
+        # the count reads the pair sums, and a least exponent <= 0 reads none
+        for exps, k, want in (((1, 10**8), 10**8 + 1, True), ((-10**8, 5), 10, False)):
+            assert (k in pair_scan(exps, k)) is want
+            tracemalloc.start()
+            try:
+                got = exponent_criteria(exps, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, (exps, peak)
+            assert got is want, exps
+
+    def test_sparse_and_dense_against_the_pair_scan(self):
+        # wide spans with and without 1, and with 0 or negatives, so both the
+        # pair sums and the bitmasks run; limits at every end of the interval
+        rng = random.Random(35)
+        paths = set()
+        for _ in range(3000):
+            n = rng.randint(1, 6)
+            top = rng.choice((n * n, 10**3, 10**6))
+            exps = [rng.randint(rng.choice((-top, 0, 1)), top) for _ in range(n)]
+            if rng.random() < 0.5:
+                exps.append(1)
+            if rng.random() < 0.2:
+                exps.append(exps[0])
+            exps = tuple(sorted(exps))
+            full = pair_scan(exps, 10**7)
+            paths.add("nonpositive" if exps[0] <= 0
+                      else "sparse" if exps[-1] - exps[0] > len(exps) ** 2 else "dense")
+            for limit in {exps[-1] - 1, exps[-1], exps[-1] + 1, full.stop - 2, full.stop - 1,
+                          full.stop, full.stop + 1, rng.randint(-10, 2 * top)}:
+                got, want = _passing_ks(exps, limit), pair_scan(exps, limit)
+                assert same_range(got, want), (exps, limit, got, want)
+                for k in {limit, exps[-1] + 1, full.stop - 1}:
+                    if abs(k) <= 10**4:
+                        assert (k in _passing_ks(exps, k)) == spelled_out_criteria(exps, k), \
+                            (exps, k)
+        assert paths == {"nonpositive", "sparse", "dense"}
 
     def test_malformed_input_raises_as_before(self):
         for bad in (True, 2.5, "1", ()):

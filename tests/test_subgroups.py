@@ -6,6 +6,8 @@ import os
 import random
 import subprocess
 import sys
+from collections import namedtuple
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +21,7 @@ from katzmod.subgroups import (GeneratorSet, matrix_to_word, coset_enumerate,
                                PRESETS, FULL_GROUP,
                                S_MAT, T_MAT, psl2_canonical,
                                _compose, _perm_inverse, _perm_power, _perm_order, _is_identity,
+                               _hsu_words,
                                _CosetGraph)
 
 # well-known congruence subgroups, by generators; (index, widths) for cross-checks
@@ -714,6 +717,28 @@ def three_branch_congruence_test(table):
         ]
         return all(_is_identity(r) for r in rels)
 
+    return all(_is_identity(w) for w in hsu_words_in_l_and_r(table))
+
+
+def hsu_words_in_l_and_r(table):
+    """Hsu's seven words for a table of any level N = e m, built in L = T
+    and R = S T^-1 S as Hsu writes them: R is composed once, each power of
+    L and of R is raised by repeated squaring, and each inverse inverted."""
+    L = table.perm_T
+    R = _compose(_compose(table.perm_S, _perm_inverse(table.perm_T)), table.perm_S)
+    N = _perm_order(L)
+    m = N
+    e = 1
+    while m % 2 == 0:
+        m //= 2
+        e *= 2
+
+    def word(*perms):
+        out = tuple(range(table.index))
+        for p in perms:
+            out = _compose(out, p)
+        return out
+
     c = e * pow(e, -1, m) % N
     d = m * pow(m, -1, e) % N
     a = _perm_power(L, c)
@@ -723,7 +748,7 @@ def three_branch_congruence_test(table):
     half = pow(2, -1, m)
     fifth = pow(5, -1, e)
     s = word(_perm_power(l, 20), _perm_power(r, fifth), _perm_power(l, -4), _perm_inverse(r))
-    rels = [
+    return [
         word(_perm_inverse(a), _perm_inverse(r), a, r),
         _perm_power(word(a, _perm_inverse(b), a), 4),
         word(_perm_power(word(a, _perm_inverse(b), a), 2), _perm_power(word(_perm_inverse(a), b), 3)),
@@ -734,7 +759,6 @@ def three_branch_congruence_test(table):
         word(_perm_power(word(l, _perm_inverse(r), l), 2),
              _perm_power(word(s, _perm_power(r, 5), l, _perm_inverse(r), l), 3)),
     ]
-    return all(_is_identity(r) for r in rels)
 
 
 def random_coset_table(rng, n):
@@ -816,6 +840,89 @@ class TestCongruenceFoldedBranches:
             seen.add((level_class(n), oracle))
             checked += 1
         assert seen == {(c, f) for c in ("odd", "power of 2", "mixed") for f in (True, False)}
+
+
+class TestHsuWords:
+    """_hsu_words builds Hsu's words from S and powers of T, since S^2 = 1
+    makes R^x = S T^-x S; congruence_closure unifies along each permutation,
+    so each must equal the word built in L and R."""
+
+    def test_word_for_word_against_l_and_r(self):
+        tables = [coset_enumerate(g) for g in (*PRESETS.values(), FULL_GROUP)]
+        tables += [coset_enumerate(GeneratorSet(name, gens))
+                   for name, (gens, _, _) in CONGRUENCE_GROUPS.items()]
+        rng = random.Random(35)
+        seen = set()
+        while len(tables) < 2000 + 9:
+            table = random_coset_table(rng, rng.randint(1, 48))
+            if table is not None:
+                tables.append(table)
+                seen.add(level_class(_perm_order(table.perm_T)))
+        assert seen == {"odd", "power of 2", "mixed"}
+        for table in tables:
+            assert _hsu_words(table) == hsu_words_in_l_and_r(table), table
+
+    # (compositions, inversions) per congruence_test: the presets, then
+    # twelve random tables of index 40..120 and level above 1000
+    PINNED_COUNTS = [(96, 3), (97, 3), (87, 3), (131, 3), (121, 3), (153, 3), (147, 3),
+                     (101, 3), (99, 3), (128, 3), (131, 3), (132, 3), (138, 3), (150, 3),
+                     (129, 3)]
+
+    def test_composition_counts_pinned(self, monkeypatch):
+        # raising powers of R by squaring, as the words in L and R do, costs
+        # about 2 log2 N more compositions per power and an inversion per
+        # negative power
+        rng = random.Random(35)
+        tables = [coset_enumerate(PRESETS[name]) for name in ("gamma43", "gamma52", "gamma711")]
+        while len(tables) < 15:
+            table = random_coset_table(rng, rng.randint(40, 120))
+            if table is not None and _perm_order(table.perm_T) > 1000:
+                tables.append(table)
+        counts = [0, 0]
+
+        def counted(i, f):
+            def wrapper(*args):
+                counts[i] += 1
+                return f(*args)
+            return wrapper
+
+        monkeypatch.setattr(katzmod.subgroups, "_compose", counted(0, _compose))
+        monkeypatch.setattr(katzmod.subgroups, "_perm_inverse", counted(1, _perm_inverse))
+        got = []
+        for table in tables:
+            counts[:] = [0, 0]
+            congruence_test(table)
+            got.append(tuple(counts))
+        assert got == self.PINNED_COUNTS
+
+
+class TestReadersRefuseLookAlikes:
+    """invariants, congruence_test and congruence_closure take only a
+    CosetTable, which validated itself when it was built."""
+
+    LookAlike = namedtuple("LookAlike", "index perm_S perm_T")
+
+    class Spy(SimpleNamespace):
+        """A look-alike that records every attribute read of it."""
+        def __getattribute__(self, name):
+            if name != "__class__":
+                object.__getattribute__(self, "reads").append(name)
+            return object.__getattribute__(self, name)
+
+    @pytest.mark.parametrize("reader", [invariants, congruence_test, congruence_closure])
+    def test_look_alikes_refused_unread(self, reader):
+        table = coset_enumerate(PRESETS["gamma43"])
+        broken = (2, (0, 1), (1, 0))  # breaks (ST)^3 = 1
+        fakes = [self.LookAlike(*table), self.LookAlike(*broken), tuple(table),
+                 SimpleNamespace(index=7, perm_S=table.perm_S, perm_T=table.perm_T)]
+        for fake in fakes:
+            with pytest.raises(TypeError, match=rf"^{reader.__name__} takes a CosetTable, "
+                                                rf"got {type(fake).__name__}$"):
+                reader(fake)
+        spy = self.Spy(index=2, perm_S=broken[1], perm_T=broken[2], reads=[])
+        with pytest.raises(TypeError, match="got Spy$"):
+            reader(spy)
+        assert object.__getattribute__(spy, "reads") == []
 
 
 def intersection_table(a, b):
