@@ -2,22 +2,28 @@
 
 The scan follows the exponent criteria: a simple algebra g inside sl(V) whose
 principal sl2 is the principal sl2 of sl(V) has distinct exponents bounded by
-k-1, closed under (r, s) -> r+s-1 for r+s <= k, and must admit an irreducible
-representation of dimension k.  Bounded means max E < k, and closed means
-k < m, m the least r + s (r, s in E) with r + s - 1 not in E, so distinct
-exponents pass on the open interval (max E, m) of k, read off bitmasks of E
-(_passing_ks).  Each simple algebra is read once, under one name, with its
-exponents in closed form (roots.type_exponents), so the scan builds no root
-system for the types that fail.  Within a letter the largest exponent, h - 1,
-grows with the rank, so each letter's ranks are read in increasing order up
-to the first whose largest exponent reaches the largest k asked for, and no
-higher rank is read.  A type whose interval meets the requested k has its
-root system checked once, its exponents against its height-layer sizes, and
-one weight search up to the largest such k.  The root systems of one letter
-are built once, at the largest rank that passes, and the lower ranks are read
-in place from it (roots._cut, which shares its root tuples).  This leaves
-exactly: sl2 acting by Sym^(k-1); sl_k; sp_k for even k; so_k for odd k; G_2
-at k = 7.
+k-1, closed under (r, s) -> r+s-1 for r+s <= k, and must admit a k-dimensional
+irreducible on which its principal nilpotent acts by one Jordan block.
+Bounded means max E < k, and closed means k < m, m the least r + s (r, s in
+E) with r + s - 1 not in E, so distinct exponents pass on the open interval
+(max E, m) of k, read off bitmasks of E (_passing_ks).  Each simple algebra
+is read once, under one name, with its exponents in closed form
+(roots.type_exponents), so the scan builds no root system for the types that
+fail.  Within a letter the largest exponent, h - 1, grows with the rank, so
+each letter's ranks are read in increasing order up to the first whose
+largest exponent reaches the largest k asked for, and no higher rank is read.
+
+The highest weight vector of V(lam) spans Sym^(<lam, 2 rho^vee>) of the
+principal sl2, so dim V(lam) >= <lam, 2 rho^vee> + 1, with equality exactly
+when the principal nilpotent acts by one block (Kostant 1959).  So a type
+that passes at k is realised by its weights of principal height k - 1, the
+nonnegative lam with sum lam_i x_i = k - 1 for x = 2 rho^vee in closed form
+(roots.principal_heights), whose Weyl dimension is checked to be k.  Root
+systems are built only for the types with such a candidate: each letter's
+once, at its largest such rank, its exponents checked against its
+height-layer sizes, and the lower ranks read in place from it (roots._cut,
+which shares its root tuples).  This leaves exactly: sl2 acting by
+Sym^(k-1); sl_k; sp_k for even k; so_k for odd k; G_2 at k = 7.
 
 Two extra filters reproduce the arithmetic endgame for even k: a two-weight
 Hodge-Tate constraint kills the Sym^(k-1) case (its nonzero semisimple
@@ -35,7 +41,7 @@ from collections import namedtuple
 
 from .linalg import _is_int
 from .sl2 import principal_triple, invariant_bilinear_form
-from .roots import build_root_system, type_exponents, weyl_dimension, irreps_up_to, \
+from .roots import build_root_system, type_exponents, principal_heights, weyl_dimension, \
     SIMPLE_TYPES, _cut, _ranks
 
 LABEL_SYM_POWER = "sym_power_sl2"
@@ -132,26 +138,30 @@ def _left_out(k):
     return (("D", 3), ("B", 2) if k % 2 == 0 else ("C", 2))
 
 
-def _realizing_weights(rs, ks):
-    """{k: dominant weights of dimension exactly k} for k in ks, from one search.
+def _weights_of_height(heights, height):
+    """The dominant weights lam with sum lam_i x_i = height, in decreasing order.
 
-    The search runs up to max(ks).  For A_(k-1), which passes the criteria
-    only at k, the defining weight and its dual are verified directly by the
-    Weyl dimension formula instead of searching the weight lattice.
+    heights is x (roots.principal_heights).  Every x_i is at least 1, and a
+    coordinate whose x_i is above height is 0 in every such weight, so only
+    the others are enumerated, each from its largest value down.
     """
-    n = rs.rank
-    if rs.type_label == "A" and n >= 2 and ks == [n + 1]:
-        first = (1,) + (0,) * (n - 1)
-        last = (0,) * (n - 1) + (1,)
-        out = [w for w in (first, last) if weyl_dimension(rs, w) == n + 1]
-        if not out:
-            raise RuntimeError("defining representation of A_(k-1) must have dimension k")
-        return {n + 1: tuple(out)}
-    found = {k: [] for k in ks}
-    for w, d in irreps_up_to(rs, max(ks)):
-        if d in found:
-            found[d].append(w)
-    return {k: tuple(weights) for k, weights in found.items()}
+    free = [i for i, x in enumerate(heights) if x <= height]
+    weight = [0] * len(heights)
+    found = []
+
+    def fill(p, left):
+        if p == len(free):
+            if not left:
+                found.append(tuple(weight))
+            return
+        i = free[p]
+        for v in range(left // heights[i], -1, -1):
+            weight[i] = v
+            fill(p + 1, left - v * heights[i])
+        weight[i] = 0
+
+    fill(0, height)
+    return found
 
 
 def _label_for(type_label, rank, k):
@@ -173,13 +183,14 @@ def classify_all(ks):
 
     Each letter's types are read once, in increasing rank, up to the first
     rank whose largest exponent reaches max(ks): their closed-form exponents
-    give the interval of k at which each passes the criteria, and only a
-    type whose interval meets ks has its weights searched, once, up to the
-    largest such k.  Root systems are built once per letter A..G, at the
-    largest rank whose interval meets ks, and the lower such ranks are read
-    in place from that one (roots._cut: the kept roots are the largest
-    system's own tuples, read at a coordinate offset and checked as
-    roots.restrict checks them, and no RootSystem is built).  Returns
+    give the interval of k at which each passes the criteria.  A type that
+    passes at some k in ks lists its weights of principal height k - 1 there;
+    a k with none is dropped.  Root systems are built once per letter A..G,
+    at the largest rank that still has a candidate, and the lower such ranks
+    are read in place from that one (roots._cut: the kept roots are the
+    largest system's own tuples, read at a coordinate offset and checked as
+    roots.restrict checks them, and no RootSystem is built).  The candidates
+    whose Weyl dimension is k are kept, in decreasing order.  Returns
     {k: cases}, keyed in the order of ks, each list in classify's candidate
     order.
     """
@@ -197,8 +208,12 @@ def classify_all(ks):
             exps = type_exponents(type_label, rank)
             if exps[-1] >= top:
                 break
-            here = [k for k in _passing_ks(exps, top)
-                    if k in out and (type_label, rank) not in _left_out(k)]
+            ks_here = [k for k in _passing_ks(exps, top)
+                       if k in out and (type_label, rank) not in _left_out(k)]
+            if not ks_here:
+                continue
+            heights = principal_heights(type_label, rank)
+            here = [(k, found) for k in ks_here if (found := _weights_of_height(heights, k - 1))]
             if here:
                 passing.append((rank, exps, here))
         if not passing:
@@ -206,7 +221,8 @@ def classify_all(ks):
         largest = build_root_system(type_label, passing[-1][0])
         for rank, exps, here in passing:
             rs = _cut(largest, rank)
-            for k, weights in _realizing_weights(rs, here).items():
+            for k, candidates in here:
+                weights = tuple(w for w in candidates if weyl_dimension(rs, w) == k)
                 if not weights:
                     continue
                 label = _label_for(type_label, rank, k)
@@ -221,9 +237,10 @@ def classify(k):
     """All simple algebras passing the exponent criteria with a k-dim irreducible.
 
     The one-k case of classify_all: each letter is read up to the first rank
-    whose largest exponent reaches k, and a root system is built, and its
-    exponents checked against its layer sizes, only for the types that pass,
-    to search their weights of dimension k.
+    whose largest exponent reaches k; a type that passes lists its weights of
+    principal height k - 1, and a root system is built, and its exponents
+    checked against its layer sizes, only for the types with such a
+    candidate, to check that its Weyl dimension is k.
 
     Returns ClassificationCase values in candidate order, which is: Sym-power
     sl2, full sl_k, the symplectic/orthogonal case, then G_2 (when k = 7).  For

@@ -26,8 +26,10 @@ Planches I-IX), given by type_exponents without building anything; each
 root system that is built also reads them off its layer sizes
 as their dual partition (the number of exponents >= h equals the number of
 positive roots of height h; Kostant) and refuses to exist if the two
-disagree.  A lower rank of a classical type is cut from a higher one: the
-last nodes of A_N, B_N, C_N or D_N form the same type, and its roots are
+disagree.  2 rho^vee in the simple-coroot basis has a closed form too
+(principal_heights), checked against the equation A^T x = (2, ..., 2) it
+solves.  A lower rank of a classical type is cut from a higher one: the last
+nodes of A_N, B_N, C_N or D_N form the same type, and its roots are
 those of the higher one that vanish on the first coordinates, a prefix of
 each height layer, so a sweep over the ranks of one type runs one closure.
 The cut reads the layers only up to the first that keeps no root, and
@@ -91,6 +93,48 @@ def type_exponents(type_label, rank):
     if type_label == "D":
         return tuple(sorted((*range(1, 2 * rank - 2, 2), rank - 1)))
     return _EXCEPTIONAL_EXPONENTS[(type_label, rank)]
+
+
+_EXCEPTIONAL_HEIGHTS = {
+    ("E", 6): (16, 22, 30, 42, 30, 16),
+    ("E", 7): (34, 49, 66, 96, 75, 52, 27),
+    ("E", 8): (92, 136, 182, 270, 220, 168, 114, 58),
+    ("F", 4): (22, 42, 30, 16),
+    ("G", 2): (6, 10),
+}
+
+
+def principal_heights(type_label, rank):
+    """2 rho^vee = sum_i x_i alpha_i^vee of a simple type, as the tuple x, in closed form.
+
+    A dominant weight lam has principal height <lam, 2 rho^vee> = sum lam_i x_i,
+    the h-eigenvalue of its highest weight vector under the principal sl2.  x
+    is 2 rho of the dual type (Bourbaki LIE VI, Planches I-IX) and solves
+    A^T x = (2, ..., 2); that equation is checked in one pass over the Dynkin
+    edges, and RuntimeError raised if it fails.
+    """
+    edges, d = _dynkin(type_label, rank)
+    n = rank
+    if type_label == "A":
+        x = [i * (n + 1 - i) for i in range(1, n + 1)]
+    elif type_label == "B":
+        x = [i * (2 * n + 1 - i) for i in range(1, n)] + [n * (n + 1) // 2]
+    elif type_label == "C":
+        x = [i * (2 * n - i) for i in range(1, n + 1)]
+    elif type_label == "D":
+        x = [i * (2 * n - 1 - i) for i in range(1, n - 1)] + [n * (n - 1) // 2] * 2
+    else:
+        x = list(_EXCEPTIONAL_HEIGHTS[(type_label, rank)])
+    # sum_i x_i A[i][j]: 2 x_j from the diagonal, and A[i][j] = -max(d_i, d_j) / d_i
+    # for each Dynkin edge
+    sums = [2 * v for v in x]
+    for i, j in edges:
+        m = max(d[i], d[j])
+        sums[j] -= x[i] * m // d[i]
+        sums[i] -= x[j] * m // d[j]
+    if any(s != 2 for s in sums):
+        raise RuntimeError(f"{type_label}{rank}: heights {tuple(x)} do not solve A^T x = 2")
+    return tuple(x)
 
 
 def _dynkin(type_label, rank):

@@ -119,9 +119,18 @@ PRESETS = {
 FULL_GROUP = GeneratorSet("psl2z", [S_MAT, T_MAT])
 
 
+def _check_path(path):
+    # open() and os.path.exists() take an int as a file descriptor, and the
+    # with block would close the caller's descriptor
+    if not isinstance(path, (str, os.PathLike)):
+        raise TypeError(f"expected a preset name or a path, got {path!r}")
+
+
 def load_generator_file(path):
     """Read a GeneratorSet from a JSON document {"name": ..., "generators": [[a,b,c,d], ...]};
-    any malformed content raises ValueError naming the file."""
+    any malformed content raises ValueError naming the file, and a path that
+    is not a str or os.PathLike raises TypeError."""
+    _check_path(path)
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -135,7 +144,8 @@ def load_generator_file(path):
 
 
 def resolve_subgroup(spec):
-    """A preset name, or a path to a generator file."""
+    """A preset name, or a path to a generator file; TypeError unless a str or os.PathLike."""
+    _check_path(spec)
     if spec in PRESETS:
         return PRESETS[spec]
     if os.path.exists(spec):

@@ -1,5 +1,6 @@
 """The exponent-criteria scan, the two filters, and the Frobenius check."""
 
+import itertools
 import json
 import random
 import re
@@ -14,11 +15,12 @@ from katzmod.classify import (exponent_criteria, classify, classify_all, ht_filt
                               form_filter, frobenius_dimension_check, ClassificationCase,
                               LABEL_SYM_POWER, LABEL_FULL_SL, LABEL_SYMPLECTIC,
                               LABEL_ORTHOGONAL, LABEL_G2,
-                              _left_out, _realizing_weights, _label_for, _passing_ks)
+                              _left_out, _weights_of_height, _label_for, _passing_ks)
 from katzmod.roots import build_root_system, exponents, type_exponents, irreps_of_dimension, \
-    SIMPLE_TYPES, _valid_type
+    irreps_up_to, principal_heights, weyl_dimension, SIMPLE_TYPES, _valid_type
 from katzmod.sl2 import principal_triple
 from katzmod.verify import expected_case_names
+from test_roots import all_types, solved_heights
 from test_sl2 import dense_form_kernel, strip_matrix
 
 
@@ -148,6 +150,29 @@ def assert_closed_form_cases(top):
         assert got == want, k
 
 
+def dimension_only_weights(rs, k):
+    """The dominant weights of Weyl dimension k, in decreasing order, from the
+    search over every weight of dimension <= k."""
+    return tuple(sorted((w for w, d in irreps_up_to(rs, k) if d == k), reverse=True))
+
+
+def height_solutions(t, n, height):
+    """The nonnegative lam with sum lam_i x_i = height, in decreasing order, by
+    brute force over the box lam_i <= height / x_i, x the exact solve of
+    A^T x = (2, ..., 2)."""
+    x = solved_heights(t, n)
+    box = itertools.product(*(range(int(height // v) + 1) for v in x))
+    return sorted((w for w in box if sum(c * v for c, v in zip(w, x)) == height), reverse=True)
+
+
+def with_candidates(k):
+    """The types classify(k) reads: passing the criteria at k, not left out
+    at k, and with a weight of principal height k - 1."""
+    return [(t, n) for t, n in listed_candidate_types(k)
+            if (t, n) not in _left_out(k) and spelled_out_criteria(type_exponents(t, n), k)
+            and height_solutions(t, n, k - 1)]
+
+
 def classify_building_every_type(k):
     """(name, label, exponents, realizing weights) per case, in order, by the
     route that builds the root system of every written-out type (B_2 and C_2
@@ -158,7 +183,7 @@ def classify_building_every_type(k):
         rs = build_root_system(t, n)
         if not exponent_criteria(rs.exponents, k):
             continue
-        weights = _realizing_weights(rs, [k])[k]
+        weights = dimension_only_weights(rs, k)
         if weights:
             passing[(t, n)] = (rs.exponents, weights)
     if ("B", 2) in passing and ("C", 2) in passing:
@@ -406,13 +431,15 @@ class TestClassify:
             assert [c.label for c in classify(k)] == want, k
 
     def test_builds_only_the_types_that_pass(self):
-        # one build per letter with a passing rank: A_1 is cut from A_(k-1)
+        # one build per letter with a passing rank that has a weight of
+        # principal height k - 1: A_1 is cut from A_(k-1); at k = 7 that is
+        # A_6, B_3 and G_2, and not C_3, whose heights 5, 8, 9 miss 6
         for k in (2, 7, 12, 25):
-            passing = {t for t, n in listed_candidate_types(k)
-                       if exponent_criteria(type_exponents(t, n), k)}
+            letters = {t for t, n in with_candidates(k)}
             build_root_system.cache_clear()
             classify(k)
-            assert build_root_system.cache_info().misses == len(passing), k
+            assert build_root_system.cache_info().misses == len(letters), k
+        assert {t for t, n in with_candidates(7)} == {"A", "B", "G"}
 
     def test_classify_all_matches_the_pairwise_scan(self):
         swept = classify_all(range(2, 41))
@@ -422,28 +449,26 @@ class TestClassify:
             assert got == spelled_out_cases(k), k
             assert cases == classify(k), k
 
-    def test_classify_all_builds_and_searches_each_type_once(self, monkeypatch):
+    def test_classify_all_builds_each_letter_once_and_weighs_only_candidates(self,
+                                                                               monkeypatch):
         ks = range(2, 41)
-        passing = {}
+        candidates = []
         for k in ks:
-            for t, n in listed_candidate_types(k):
-                if (t, n) not in _left_out(k) and spelled_out_criteria(type_exponents(t, n), k):
-                    passing.setdefault(f"{t}{n}", []).append(k)
-        searches = []
-        real = katzmod.classify.irreps_up_to
-        monkeypatch.setattr(katzmod.classify, "irreps_up_to",
-                            lambda rs, bound: searches.append((rs.name, bound)) or real(rs, bound))
+            candidates += [(f"{t}{n}", w, k) for t, n in with_candidates(k)
+                           for w in height_solutions(t, n, k - 1)]
+        weighed = []
+        real = katzmod.classify.weyl_dimension
+        monkeypatch.setattr(katzmod.classify, "weyl_dimension",
+                            lambda rs, w: weighed.append((rs.name, w)) or real(rs, w))
         build_root_system.cache_clear()
         classify_all(ks)
-        # one build per letter, at its largest passing rank; the lower ranks
-        # are cut from it
-        assert build_root_system.cache_info().misses == len({name[0] for name in passing})
-        # one search per type, up to its largest passing k; A_(k-1) for
-        # k > 2 is checked on its defining weight and its dual instead
-        assert sorted(searches) == sorted(
-            (name, max(at)) for name, at in passing.items()
-            if not (name.startswith("A") and name != "A1"))
-        assert ("A1", 40) in searches and ("C20", 40) in searches and ("G2", 9) in searches
+        # one build per letter, at its largest rank with a candidate; the
+        # lower ranks are cut from it
+        assert build_root_system.cache_info().misses == len({name[0] for name, _, _ in candidates})
+        # one Weyl dimension per weight of principal height k - 1, and no search
+        assert sorted(weighed) == sorted((name, w) for name, w, _ in candidates)
+        assert ("A1", (39,)) in weighed and ("G2", (1, 0)) in weighed
+        assert "irreps_up_to" not in vars(katzmod.classify)
 
     def test_classify_all_closed_form_cases_up_to_80(self):
         assert_closed_form_cases(80)
@@ -470,6 +495,46 @@ class TestClassify:
         for k in [4.0, True]:
             with pytest.raises(ValueError, match="integer k >= 2, got"):
                 classify(k)
+
+
+class TestHeightSearch:
+    def test_enumeration_against_brute_force(self):
+        for t, n in all_types(6):
+            x = principal_heights(t, n)
+            for height in range(0, 25):
+                assert _weights_of_height(x, height) == height_solutions(t, n, height), \
+                    (t, n, height)
+
+    def test_equals_the_dimension_only_search(self):
+        # every type that passes the criteria at k, the models left out
+        # included: its weights of principal height k - 1 and Weyl dimension
+        # k are its weights of dimension k, in the same order
+        for k in range(2, 61):
+            for t, n in listed_candidate_types(k):
+                if not spelled_out_criteria(type_exponents(t, n), k):
+                    continue
+                rs = build_root_system(t, n)
+                found = tuple(w for w in _weights_of_height(principal_heights(t, n), k - 1)
+                              if weyl_dimension(rs, w) == k)
+                assert found == dimension_only_weights(rs, k), (t, n, k)
+
+    def test_products_of_two_simple_types_never_have_one_block(self):
+        # on V1 x V2 the principal sl2 of g1 x g2 has highest weight a + b, a
+        # and b the principal heights of the two weights, so one Jordan block
+        # would need dim1 dim2 = a + b + 1: only simple g need be scanned
+        irreps = {}
+        for t, n in all_types(4):
+            x = principal_heights(t, n)
+            irreps[(t, n)] = [(d, sum(c * v for c, v in zip(w, x)))
+                              for w, d in irreps_up_to(build_root_system(t, n), 15) if d > 1]
+        pairs = 0
+        for g1, g2 in itertools.combinations_with_replacement(sorted(irreps), 2):
+            for d1, a in irreps[g1]:
+                for d2, b in irreps[g2]:
+                    if d1 * d2 <= 30:
+                        pairs += 1
+                        assert d1 * d2 > a + b + 1, (g1, g2, d1, d2)
+        assert pairs > 100
 
 
 class TestScanNegatives:

@@ -1,9 +1,13 @@
 """Root systems, exponents, and the Weyl dimension formula."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from operator import mul
 
@@ -12,8 +16,8 @@ import pytest
 import katzmod.roots
 from katzmod.roots import (SIMPLE_TYPES, build_root_system, exponents, type_exponents,
                            algebra_dimension, weyl_dimension, irreps_of_dimension,
-                           irreps_up_to, cartan_matrix, restrict, _cut, _valid_type,
-                           _weyl_product)
+                           irreps_up_to, cartan_matrix, principal_heights, restrict, _cut,
+                           _valid_type, _weyl_product)
 
 
 def all_types(max_rank):
@@ -71,6 +75,25 @@ BOURBAKI_CARTAN = {
     ("F", 4): [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]],
     ("G", 2): [[2, -3], [-1, 2]],
 }
+
+
+@lru_cache(maxsize=None)
+def solved_heights(t, n):
+    """The x with sum_i x_i A[i][j] = 2 for every j, by exact Gaussian
+    elimination on the transposed Cartan matrix and back substitution."""
+    a = cartan_matrix(t, n)
+    rows = [[Fraction(a[i][j]) for i in range(n)] + [Fraction(2)] for j in range(n)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        for r in range(c + 1, n):
+            if rows[r][c]:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+    x = [Fraction(0)] * n
+    for c in reversed(range(n)):
+        x[c] = (rows[c][n] - sum(rows[c][j] * x[j] for j in range(c + 1, n))) / rows[c][c]
+    return tuple(x)
 
 
 def fundamental_dimensions(t, n):
@@ -395,6 +418,61 @@ class TestExponents:
             exp = exponents(rs)
             assert sum(exp) == len(rs.positive_roots)
             assert sum(2 * r + 1 for r in exp) == algebra_dimension(rs)
+
+
+class TestPrincipalHeights:
+    def test_closed_form_equals_the_exact_solve(self):
+        types = all_types(12)
+        assert {("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)} <= set(types)
+        for t, n in types:
+            x = principal_heights(t, n)
+            assert x == solved_heights(t, n), (t, n)
+            assert all(type(v) is int and v >= 1 for v in x), (t, n)
+
+    def test_adjoint_weight_has_height_twice_h_minus_1(self):
+        # the highest root theta = sum c_j alpha_j has weight coordinates
+        # sum_j c_j A[i][j], and its principal height 2 ht(theta) = 2(h - 1)
+        # is the top h-eigenvalue on g
+        for t, n in all_types(12):
+            theta, a = build_root_system(t, n).positive_roots[-1], cartan_matrix(t, n)
+            weight = [sum(map(mul, theta, row)) for row in a]
+            assert min(weight) >= 0, (t, n)
+            assert sum(map(mul, weight, principal_heights(t, n))) == 2 * coxeter_number(t, n) - 2
+
+    def test_corrupted_heights_are_refused(self, monkeypatch):
+        monkeypatch.setitem(katzmod.roots._EXCEPTIONAL_HEIGHTS, ("G", 2), (6, 9))
+        with pytest.raises(RuntimeError, match=r"G2: heights \(6, 9\) do not solve"):
+            principal_heights("G", 2)
+        from katzmod.classify import classify
+        with pytest.raises(RuntimeError, match="do not solve"):
+            classify(7)
+
+    def test_corrupted_heights_are_refused_under_optimisation(self):
+        script = ("import katzmod.roots as r\n"
+                  "r._EXCEPTIONAL_HEIGHTS[('F', 4)] = (22, 42, 30, 15)\n"
+                  "try:\n"
+                  "    r.principal_heights('F', 4)\n"
+                  "except RuntimeError as exc:\n"
+                  "    print(exc)\n")
+        src = os.path.join(os.path.dirname(katzmod.roots.__file__), os.pardir)
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=os.path.abspath(src)))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("F4: heights (22, 42, 30, 15) do not solve")
+
+    def test_kostant_inequality(self):
+        # the highest weight vector of V(lam) spans Sym^(sum lam_i x_i) of the
+        # principal sl2 (Kostant 1959), so no irreducible is smaller
+        for t, n in all_types(8):
+            rs, x = build_root_system(t, n), principal_heights(t, n)
+            for w, d in irreps_up_to(rs, 200):
+                assert d >= sum(map(mul, w, x)) + 1, (t, n, w)
+
+    def test_invalid_types_rejected(self):
+        for t, n in [("A", 0), ("E", 9), ("X", 3)]:
+            with pytest.raises(ValueError, match="not a simple type"):
+                principal_heights(t, n)
 
 
 class TestRestrict:

@@ -1251,6 +1251,22 @@ class TestGeneratorFiles:
         with pytest.raises(ValueError, match="unknown subgroup"):
             resolve_subgroup("gamma_nonexistent")
 
+    def test_a_file_descriptor_is_refused_and_left_open(self):
+        # os.path.exists and open take an int as a descriptor: a pipe holding
+        # a generator document would be read, and closed by the with block
+        r, w = os.pipe()
+        try:
+            os.write(w, json.dumps({"name": "t", "generators": [[1, 1, 0, 1]]}).encode())
+            os.close(w)
+            for call in (resolve_subgroup, load_generator_file):
+                for spec in (r, True, None, 2.0, b"gamma43", ["gamma43"]):
+                    with pytest.raises(TypeError, match="expected a preset name or a path"):
+                        call(spec)
+            os.fstat(r)  # still open
+            assert os.read(r, 9) == b'{"name": '
+        finally:
+            os.close(r)
+
     def test_float_entry_rejected(self, tmp_path):
         path = tmp_path / "float.json"
         path.write_text(json.dumps({"name": "f", "generators": [[1, 0.5, 0, 1]]}))

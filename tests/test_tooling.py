@@ -11,8 +11,9 @@ how it is cached (the miss counter reads `build_root_system.cache_info()`) or
 to what it raises (the cap counter reads the exact type name CosetCapExceeded)
 fails here too.  Its root counter must equal the closed-form positive-root
 counts of the types that classify(7) builds: of each letter whose
-closed-form exponents pass the exponent criteria at k = 7, the largest rank
-that passes (the lower ones are cut from it, not built).  A second traced run counts
+closed-form exponents pass the exponent criteria at k = 7 with a weight of
+principal height 6, the largest such rank (the lower ones are cut from it,
+not built).  A second traced run counts
 the calls of each stage of the classification endgame (classify, ht_filter,
 form_filter) from verify-paper's pipeline section and from `katzmod classify`.
 
@@ -56,7 +57,7 @@ import katzmod.sl2
 import katzmod.verify
 from katzmod.classify import exponent_criteria
 from katzmod.roots import type_exponents
-from test_classify import listed_candidate_types
+from test_classify import height_solutions, listed_candidate_types
 from test_roots import positive_root_count
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -95,6 +96,7 @@ for gens, cap in ((sub.PRESETS["gamma711"], 3), (sub.GeneratorSet("t", [sub.T_MA
 importlib.import_module("katzmod.classify").classify(7)
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [katzmod.cli.main(["verify-paper", "--only", only]) for only in ("adjoint", "form")]
+    codes.append(katzmod.cli.main(["rootsys", "--type", "G", "--rank", "2", "irreps", "--dim", "7"]))
 layers = tracer.per_layer(t, 1)
 print(json.dumps({"codes": codes, "letters": layers["subgroups.matrix_to_word.letters"],
                   "rank_calls": layers["linalg.rank.calls"],
@@ -114,7 +116,7 @@ def test_traced_run_reads_the_targets():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0]
+    assert result["codes"] == [0, 0, 0]
     # gamma43, gamma711 and T: any change to the words shows here
     assert result["letters"] == 50
     assert result["rank_calls"] > 0
@@ -122,17 +124,21 @@ def test_traced_run_reads_the_targets():
     # solve_homogeneous: a private route would read 0 here, not fail
     assert result["kernel_calls"] > 0
     assert result["root_misses"] > 0
-    # classify(7) is the only caller that builds root systems here, each
-    # letter that passes the exponent criteria once, at its largest passing rank
-    # (of the models classify leaves out, B_2 and C_2 pass only at k = 4 and 5)
+    # classify(7) is the only caller that builds root systems here (rootsys
+    # reads G_2 from the cache): of each letter with a type that passes the
+    # exponent criteria and has a weight of principal height 6, the largest
+    # such rank (of the models classify leaves out, B_2 and C_2 pass only at
+    # k = 4 and 5)
     largest = {}
     for t, n in listed_candidate_types(7):
-        if exponent_criteria(type_exponents(t, n), 7):
+        if exponent_criteria(type_exponents(t, n), 7) and height_solutions(t, n, 6):
             largest[t] = n
+    assert largest == {"A": 6, "B": 3, "G": 2}
     assert result["positive_roots"] == sum(positive_root_count(t, n) for t, n in largest.items())
     assert result["weyl_calls"] > 0
-    # the weight search evaluates weights without weyl_dimension: its own span shows it
-    assert result["irreps_calls"] > 0
+    # classify weighs its candidates with weyl_dimension and runs no search:
+    # the one search is rootsys irreps, whose own span shows it
+    assert result["irreps_calls"] == 1
     # counted by exact type name: an infinite index is not a cap refusal
     assert result["cap_exceeded"] == 1
 
