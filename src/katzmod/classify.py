@@ -21,9 +21,9 @@ nonnegative lam with sum lam_i x_i = k - 1 for x = 2 rho^vee in closed form
 (roots.principal_heights), whose Weyl dimension is checked to be k.  Root
 systems are built only for the types with such a candidate: each letter's
 once, at its largest such rank, its exponents checked against its
-height-layer sizes, and the lower ranks read in place from it (roots._cut,
-which shares its root tuples).  This leaves exactly: sl2 acting by
-Sym^(k-1); sl_k; sp_k for even k; so_k for odd k; G_2 at k = 7.
+height-layer sizes, and the lower ranks cut from it (roots.restrict), one
+at a time.  This leaves exactly: sl2 acting by Sym^(k-1); sl_k; sp_k for
+even k; so_k for odd k; G_2 at k = 7.
 
 Two extra filters reproduce the arithmetic endgame for even k: a two-weight
 Hodge-Tate constraint kills the Sym^(k-1) case (its nonzero semisimple
@@ -42,7 +42,7 @@ from collections import namedtuple
 from .linalg import _is_int
 from .sl2 import principal_triple, invariant_bilinear_form
 from .roots import build_root_system, type_exponents, principal_heights, weyl_dimension, \
-    SIMPLE_TYPES, _cut, _ranks
+    SIMPLE_TYPES, restrict, _ranks
 
 LABEL_SYM_POWER = "sym_power_sl2"
 LABEL_FULL_SL = "full_sl"
@@ -187,12 +187,10 @@ def classify_all(ks):
     passes at some k in ks lists its weights of principal height k - 1 there;
     a k with none is dropped.  Root systems are built once per letter A..G,
     at the largest rank that still has a candidate, and the lower such ranks
-    are read in place from that one (roots._cut: the kept roots are the
-    largest system's own tuples, read at a coordinate offset and checked as
-    roots.restrict checks them, and no RootSystem is built).  The candidates
-    whose Weyl dimension is k are kept, in decreasing order.  Returns
-    {k: cases}, keyed in the order of ks, each list in classify's candidate
-    order.
+    are cut from that one (roots.restrict), each dropped before the next is
+    cut.  The candidates whose Weyl dimension is k are kept, in decreasing
+    order.  Returns {k: cases}, keyed in the order of ks, each list in
+    classify's candidate order.
     """
     ks = tuple(ks)
     for k in ks:
@@ -220,7 +218,7 @@ def classify_all(ks):
             continue
         largest = build_root_system(type_label, passing[-1][0])
         for rank, exps, here in passing:
-            rs = _cut(largest, rank)
+            rs = restrict(largest, rank)
             for k, candidates in here:
                 weights = tuple(w for w in candidates if weyl_dimension(rs, w) == k)
                 if not weights:
@@ -230,6 +228,8 @@ def classify_all(ks):
                     raise RuntimeError(
                         f"unexpected classification case {type_label}_{rank} at k={k}")
                 out[k].append(ClassificationCase(label, type_label, rank, exps, weights))
+            # free this cut before the next is made, so that one is held at a time
+            del rs
     return out
 
 

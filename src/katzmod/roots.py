@@ -11,11 +11,13 @@ q = p - <alpha, alpha_i^vee> is positive, where p is the depth of the
 alpha_i-string below alpha.  A root is packed into one integer, one byte per
 simple-root coordinate with alpha_0 in the most significant byte, so
 alpha + alpha_i is one integer addition and integer order is coordinate order.
-Each root of the current layer carries sparse maps up from the layer below:
-its string depths where they are positive, and its pairings where they are
-nonzero or its depth is positive (a zero copied from the root below may stay;
-it is tried and refused).  Since q >= 1 needs p > 0 or a negative pairing,
-only the indices of the pairing map are tried, not all n.  The pairings of
+Each root is stored as those n bytes: indexing gives its coordinates, and
+bytes order is coordinate order too.  Each root of the current layer carries
+sparse maps up from the layer below: its string depths where they are
+positive, and its pairings where they are nonzero or its depth is positive
+(a zero copied from the root below may stay; it is tried and refused).
+Since q >= 1 needs p > 0 or a negative pairing, only the indices of the
+pairing map are tried, not all n.  The pairings of
 alpha + alpha_i are those of alpha plus the sparse Cartan column i; its depth
 along alpha_j is set by the root alpha + alpha_i - alpha_j when that lies in
 the layer.  Nothing is probed.  Each root also carries its Weyl denominator
@@ -28,19 +30,17 @@ as their dual partition (the number of exponents >= h equals the number of
 positive roots of height h; Kostant) and refuses to exist if the two
 disagree.  2 rho^vee in the simple-coroot basis has a closed form too
 (principal_heights), checked against the equation A^T x = (2, ..., 2) it
-solves.  A lower rank of a classical type is cut from a higher one: the last
-nodes of A_N, B_N, C_N or D_N form the same type, and its roots are
-those of the higher one that vanish on the first coordinates, a prefix of
-each height layer, so a sweep over the ranks of one type runs one closure.
-The cut reads the layers only up to the first that keeps no root, and
-shares the higher system's root tuples and Weyl denominators, read at a
-coordinate offset, so it builds no tuple per root (_cut); restrict
-materialises it as a RootSystem of its own.  Dimensions of irreducibles
-come from the Weyl dimension formula, multiplying only the factors that
-differ from 1, lowest height first; as no factor is below 1, a search up to
-a bound drops a weight once they pass it, and as no factor falls when a
-coordinate grows, it marks a weight outside the bound, with no product,
-when a weight one step below it is already outside.
+solves.  A lower rank of a classical type is cut from a higher one
+(restrict): the last nodes of A_N, B_N, C_N or D_N form the same type, and
+its roots are those of the higher one that vanish on the first coordinates,
+a prefix of each height layer, so a sweep over the ranks of one type runs
+one closure.  The cut reads the layers only up to the first that keeps no
+root, and keeps each root's last coordinates as one bytes slice.  Dimensions
+of irreducibles come from the Weyl dimension formula, multiplying only the
+factors that differ from 1, lowest height first; as no factor is below 1, a
+search up to a bound drops a weight once they pass it, and as no factor falls
+when a coordinate grows, it marks a weight outside the bound, with no
+product, when a weight one step below it is already outside.
 """
 
 from bisect import bisect_left
@@ -169,11 +169,12 @@ class RootSystem(namedtuple("RootSystem", "type_label rank cartan positive_roots
                                          "symmetrizers exponents rho_pairings")):
     """A simple type's root system.
 
-    cartan holds the rows of the Cartan matrix, positive_roots coordinate
-    tuples in the simple-root basis, symmetrizers the d_i (half the squared
-    simple-root lengths, shortest 1; with the Dynkin edges they give the
-    Cartan matrix) and exponents the sorted dual partition of the
-    height-layer sizes.  rho_pairings holds the Weyl denominators
+    cartan holds the rows of the Cartan matrix, positive_roots the roots in
+    the simple-root basis as bytes, one byte per coordinate (no coefficient
+    exceeds 6), symmetrizers the d_i (half the squared simple-root lengths,
+    shortest 1; with the Dynkin edges they give the Cartan matrix) and
+    exponents the sorted dual partition of the height-layer sizes.
+    rho_pairings holds the Weyl denominators
     h_alpha = sum_j c_j d_j of the positive roots alpha = sum_j c_j alpha_j,
     in positive_roots order: h_alpha is <rho, alpha^vee> (alpha, alpha) / 2,
     carried by the closure.  It takes part in ==, hash and repr, but it is
@@ -214,7 +215,7 @@ def build_root_system(type_label, rank):
     sizes = []               # number of positive roots of each height 1, 2, ...
     while layer:
         for r in sorted(layer):
-            positive.append(tuple(r.to_bytes(n, "big")))
+            positive.append(r.to_bytes(n, "big"))
             denominators.append(layer[r][2])
         sizes.append(len(layer))
         nxt = {}
@@ -256,25 +257,8 @@ def _layer_exponents(type_label, rank, sizes):
     return exps
 
 
-class _Cut(namedtuple("_Cut", "type_label rank positive_roots symmetrizers exponents "
-                             "rho_pairings")):
-    """A lower rank of a classical type, read in place from a larger system.
-
-    positive_roots and rho_pairings hold the larger system's own root tuples
-    and denominators for the kept roots, in its order, and symmetrizers are
-    the larger system's: coordinate j of the cut is coordinate j + N - rank
-    of the N-coordinate tuples, whose first N - rank coordinates are 0.
-    exponents are the cut's own, read off its layer sizes.  Weyl dimensions
-    and the weight search read it as they read a RootSystem, which has the
-    same fields and a cartan besides.
-    """
-    __slots__ = ()
-
-    name = RootSystem.name
-
-
-def _cut(rs, rank):
-    """rs's classical type at a lower rank, read in place from rs; rs at its own rank.
+def restrict(rs, rank):
+    """rs's classical type at a lower rank, cut from rs, as a RootSystem; rs at its own rank.
 
     In Bourbaki numbering the last `rank` nodes of A_N, B_N, C_N or D_N form
     the diagram of the same type at that rank, and the roots of a subdiagram
@@ -283,15 +267,17 @@ def _cut(rs, rank):
     the height layers, layer h holding the #{exponents >= h} roots of height h
     in coordinate order, so the kept roots are a prefix of each layer, found
     by one bisection against the unit vector of coordinate m - 1 and taken,
-    with their Weyl denominators, by one builtin slice per layer: no root
-    tuple is built.  The layers are read up to the first one that keeps no
-    root: every positive root of height h + 1 is one of height h plus a
-    simple root (Bourbaki LIE VI 1.6, Prop. 19), so in the cut, as in any
-    root system, no layer above an empty one holds a root.  The exponents
-    are read again from the cut layer sizes and checked against the closed
-    form, and the layers must hold every root of rs; RuntimeError otherwise.
-    A rank that is not an int, or is a bool, or is above rs.rank or not a
-    rank of the type, and a lower rank of E, F or G, raise ValueError.
+    with their Weyl denominators, by one builtin slice per layer.  The layers
+    are read up to the first one that keeps no root: every positive root of
+    height h + 1 is one of height h plus a simple root (Bourbaki LIE VI 1.6,
+    Prop. 19), so in the cut, as in any root system, no layer above an empty
+    one holds a root.  Each kept root keeps its last `rank` coordinates (one
+    bytes slice per root), the Cartan matrix its lower-right block and d its
+    last `rank` entries.  The exponents are read again from the cut layer
+    sizes and checked against the closed form, and the layers must hold every
+    root of rs; RuntimeError otherwise.  A rank that is not an int, or is a
+    bool, or is above rs.rank or not a rank of the type, and a lower rank of
+    E, F or G, raise ValueError.
     """
     if not _is_int(rank):
         raise ValueError(f"rank must be an integer, got {rank!r}")
@@ -301,7 +287,7 @@ def _cut(rs, rank):
             or not _valid_type(rs.type_label, rank):
         raise ValueError(f"cannot cut {rs.type_label}{rank} from {rs.name}")
     m = rs.rank - rank
-    unit = (0,) * (m - 1) + (1,) + (0,) * rank
+    unit = bytes(m - 1) + b"\x01" + bytes(rank)
     roots, exps = rs.positive_roots, rs.exponents
     # the layer sizes #{exponents >= h} add up to the sum of the exponents
     if sum(exps) != len(roots):
@@ -318,25 +304,9 @@ def _cut(rs, rank):
         denominators += rs.rho_pairings[start:cut]
         sizes.append(cut - start)
         start = end
-    return _Cut(rs.type_label, rank, tuple(positive), rs.symmetrizers,
-                _layer_exponents(rs.type_label, rank, sizes), tuple(denominators))
-
-
-def restrict(rs, rank):
-    """The root system of rs's classical type at a lower rank, cut from rs.
-
-    The cut is _cut's, with its checks and errors; it is materialised here:
-    each kept root keeps its last `rank` coordinates (one builtin slice per
-    root), the Cartan matrix its lower-right block and d its last `rank`
-    entries.  restrict(rs, rs.rank) is rs.
-    """
-    cut = _cut(rs, rank)
-    if cut is rs:
-        return rs
-    m = rs.rank - rank
     return RootSystem(rs.type_label, rank, tuple(row[m:] for row in rs.cartan[m:]),
-                      tuple(map(itemgetter(slice(m, None)), cut.positive_roots)),
-                      rs.symmetrizers[m:], cut.exponents, cut.rho_pairings)
+                      tuple(map(itemgetter(slice(m, None)), positive)), rs.symmetrizers[m:],
+                      _layer_exponents(rs.type_label, rank, sizes), tuple(denominators))
 
 
 def exponents(rs):
@@ -360,9 +330,7 @@ def _weyl_product(rs, weight, bound=None):
     which takes every other weight.
     """
     d = rs.symmetrizers
-    # coordinate j of the weight is coordinate j + m of the roots: m = 0 for
-    # a RootSystem, m = N - rank for a cut read in place from rank N
-    terms = [(j, w * d[j]) for j, w in enumerate(weight, len(d) - rs.rank) if w]
+    terms = [(j, w * d[j]) for j, w in enumerate(weight) if w]
     num = part = 1
     if len(terms) == 1:
         (j, t), = terms

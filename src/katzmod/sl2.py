@@ -41,6 +41,7 @@ antidiagonal strip.  Only `project_to_blocks`, on whole matrices, builds a
 dense Matrix.
 """
 
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd
@@ -164,10 +165,13 @@ def principal_triple(k):
 
     x is the superdiagonal of ones (one Jordan block), h the diagonal
     (k-1, k-3, ..., -(k-1)), and y the subdiagonal with y[i+1][i] =
-    (i+1)(k-1-i) in 0-based indexing.
+    (i+1)(k-1-i) in 0-based indexing.  A k above sys.maxsize, more entries
+    than a tuple can hold, raises ValueError before anything is built.
     """
     if not _is_int(k) or k < 2:
         raise ValueError(f"need an integer k >= 2, got {k!r}")
+    if k > sys.maxsize:
+        raise ValueError(f"k = {k} is above sys.maxsize, the largest size of a strip")
     return Sl2Triple(k, (1,) * (k - 1), tuple(range(k - 1, -k, -2)),
                      tuple((i + 1) * (k - 1 - i) for i in range(k - 1)))
 

@@ -478,17 +478,18 @@ def _perm_inverse(p):
 
 
 def _perm_power(p, e):
+    """p**e by squaring: no product with the identity, no square past the top bit."""
     if e < 0:
         p = _perm_inverse(p)
         e = -e
-    result = tuple(range(len(p)))
-    base = p
+    result = None
     while e:
         if e & 1:
-            result = _compose(result, base)
-        base = _compose(base, base)
+            result = p if result is None else _compose(result, p)
         e >>= 1
-    return result
+        if e:
+            p = _compose(p, p)
+    return tuple(range(len(p))) if result is None else result
 
 
 def _perm_order(p):

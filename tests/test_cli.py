@@ -198,6 +198,12 @@ class TestSl2Command:
         code, out, _ = run(capsys, "sl2", "--k", "6", "form")
         assert "antisymmetric" in out
 
+    def test_k_above_maxsize_is_an_error_not_a_traceback(self, capsys):
+        for action in ("form", "decompose", "identities"):
+            code, out, err = run(capsys, "sl2", "--k", str(2**70), action)
+            assert code == 2 and out == "", action
+            assert err.startswith("error: ") and "above sys.maxsize" in err, action
+
 
 class TestRootsysCommand:
     def test_exponents(self, capsys):

@@ -16,7 +16,7 @@ import pytest
 import katzmod.roots
 from katzmod.roots import (SIMPLE_TYPES, build_root_system, exponents, type_exponents,
                            algebra_dimension, weyl_dimension, irreps_of_dimension,
-                           irreps_up_to, cartan_matrix, principal_heights, restrict, _cut,
+                           irreps_up_to, cartan_matrix, principal_heights, restrict,
                            _valid_type, _weyl_product)
 
 
@@ -319,12 +319,13 @@ class TestBuildRootSystem:
     def test_layered_closure_matches_probing_closure(self):
         for t, n in all_types(10):
             rs = build_root_system(t, n)
-            assert rs.positive_roots == probing_closure(cartan_matrix(t, n)), (t, n)
+            assert tuple(map(tuple, rs.positive_roots)) == \
+                probing_closure(cartan_matrix(t, n)), (t, n)
 
     def test_packed_closure_matches_layered_tuple_closure(self):
         for t, n in all_types(31):
             rs = build_root_system(t, n)
-            assert (rs.positive_roots, rs.exponents) == \
+            assert (tuple(map(tuple, rs.positive_roots)), rs.exponents) == \
                 layered_tuple_closure(cartan_matrix(t, n)), (t, n)
 
     def test_coefficients_fit_one_byte(self):
@@ -333,6 +334,8 @@ class TestBuildRootSystem:
         top = {(t, n): max(max(r) for r in build_root_system(t, n).positive_roots)
                for t, n in all_types(31)}
         assert max(top.values()) == top[("E", 8)] == 6
+        assert all(type(r) is bytes and len(r) == n
+                   for t, n in all_types(31) for r in build_root_system(t, n).positive_roots)
 
     def test_invalid_types_rejected(self):
         for t, n in [("A", 0), ("B", 1), ("C", 1), ("D", 2), ("E", 5), ("E", 9),
@@ -487,6 +490,32 @@ class TestRestrict:
             assert cut.rho_pairings == built.rho_pairings, (t, n)
             assert cut.symmetrizers == built.symmetrizers and cut.cartan == built.cartan, (t, n)
 
+    @pytest.mark.parametrize("t, top", [("A", 40), ("B", 30), ("C", 30), ("D", 30)])
+    def test_the_sweeps_cut_reads_a_direct_build_in_place(self, t, top):
+        # the classification sweep cuts each lower rank from the largest
+        # system with restrict, reading its layers without a closure of its own
+        largest = build_root_system(t, top)
+        for n in range(1, top):
+            if not _valid_type(t, n):
+                continue
+            cut, built = restrict(largest, n), build_root_system(t, n)
+            m = top - n
+            # the largest system's roots that vanish on the first m
+            # coordinates, in its order, with their last n coordinates
+            kept = [i for i, r in enumerate(largest.positive_roots) if not any(r[:m])]
+            assert cut.positive_roots == tuple(largest.positive_roots[i][m:] for i in kept), (t, n)
+            assert cut.positive_roots == built.positive_roots, (t, n)
+            assert all(type(r) is bytes and len(r) == n for r in cut.positive_roots), (t, n)
+            assert cut.rho_pairings == tuple(largest.rho_pairings[i] for i in kept), (t, n)
+            assert cut.symmetrizers == largest.symmetrizers[m:], (t, n)
+            assert cut.exponents == built.exponents, (t, n)
+            # the fundamental weights first: a coordinate read at the wrong
+            # index fails here, before a search that could not end
+            for j in range(n):
+                w = tuple(int(i == j) for i in range(n))
+                assert weyl_dimension(cut, w) == weyl_dimension(built, w), (t, n, j)
+            assert irreps_up_to(cut, 300) == irreps_up_to(built, 300), (t, n)
+
     def test_own_rank_is_the_same_object(self):
         for t, n in all_types(8):
             rs = build_root_system(t, n)
@@ -523,43 +552,6 @@ class TestRestrict:
         monkeypatch.setattr(katzmod.roots, "type_exponents", lambda t, n: tuple(range(1, n + 1)))
         with pytest.raises(RuntimeError, match=r"C3: layer sizes give exponents \(1, 3, 5\)"):
             restrict(rs, 3)
-
-    @pytest.mark.parametrize("t, top", [("A", 40), ("B", 30), ("C", 30), ("D", 30)])
-    def test_the_sweeps_cut_reads_a_direct_build_in_place(self, t, top):
-        largest = build_root_system(t, top)
-        own = set(map(id, largest.positive_roots))
-        assert _cut(largest, top) is largest
-        for n in range(1, top):
-            if not _valid_type(t, n):
-                continue
-            cut, built = _cut(largest, n), build_root_system(t, n)
-            m = top - n
-            assert cut.name == built.name and cut.rank == n, (t, n)
-            # the largest system's own tuples, zero on the first m coordinates
-            assert own.issuperset(map(id, cut.positive_roots)), (t, n)
-            assert all(not any(r[:m]) for r in cut.positive_roots), (t, n)
-            assert tuple(r[m:] for r in cut.positive_roots) == built.positive_roots, (t, n)
-            assert cut.rho_pairings == built.rho_pairings, (t, n)
-            assert cut.symmetrizers[m:] == built.symmetrizers, (t, n)
-            assert cut.exponents == built.exponents, (t, n)
-            # the fundamental weights first: a coordinate read at the wrong
-            # offset fails here, before a search that could not end
-            for j in range(n):
-                w = tuple(int(i == j) for i in range(n))
-                assert weyl_dimension(cut, w) == weyl_dimension(built, w), (t, n, j)
-            assert irreps_up_to(cut, 300) == irreps_up_to(built, 300), (t, n)
-
-    def test_the_sweeps_cut_refuses_a_dropped_root_and_a_wrong_closed_form(self, monkeypatch):
-        rs = build_root_system("B", 5)
-        bad = rs._replace(positive_roots=rs.positive_roots[1:],
-                          rho_pairings=rs.rho_pairings[1:])
-        with pytest.raises(RuntimeError, match="B5: 24 positive roots, but its exponents "
-                                               "give layers of 25"):
-            _cut(bad, 3)
-        rs = build_root_system("C", 5)
-        monkeypatch.setattr(katzmod.roots, "type_exponents", lambda t, n: tuple(range(1, n + 1)))
-        with pytest.raises(RuntimeError, match=r"C3: layer sizes give exponents \(1, 3, 5\)"):
-            _cut(rs, 3)
 
 
 class TestAlgebraDimension:

@@ -12,6 +12,7 @@ import pytest
 
 import katzmod
 from katzmod import verify
+from katzmod.classify import form_filter, ht_filter
 from katzmod.linalg import Matrix, bracket, rank, solve_homogeneous, solve_linear
 from katzmod.sl2 import (Sl2Triple, AdjointDecomposition, principal_triple,
                          decompose_adjoint, project_to_blocks, bracket_support,
@@ -304,6 +305,15 @@ class TestPrincipalTriple:
         for k in [3.0, True]:
             with pytest.raises(ValueError, match="integer k >= 2, got"):
                 principal_triple(k)
+
+    def test_k_above_maxsize_rejected(self):
+        # range would raise OverflowError; the refusal comes first, and the
+        # two filters that build the triple inherit it
+        for call in (principal_triple, lambda k: form_filter((), k),
+                     lambda k: ht_filter((), k, (0, -3))):
+            for k in (sys.maxsize + 1, 2**70):
+                with pytest.raises(ValueError, match="above sys.maxsize"):
+                    call(k)
 
     def test_broken_triple_rejected_under_optimize(self):
         # the relation checks are explicit raises, so they survive python -O

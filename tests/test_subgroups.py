@@ -847,6 +847,17 @@ class TestHsuWords:
     makes R^x = S T^-x S; congruence_closure unifies along each permutation,
     so each must equal the word built in L and R."""
 
+    def test_perm_power_against_repeated_composition(self):
+        rng = random.Random(38)
+        for n in (1, 2, 7, 30):
+            p = tuple(rng.sample(range(n), n))
+            inverse = _perm_inverse(p)
+            power = tuple(range(n))
+            for e in range(70):
+                assert _perm_power(p, e) == power, (p, e)
+                assert _perm_power(inverse, -e) == power, (p, e)
+                power = _compose(power, p)
+
     def test_word_for_word_against_l_and_r(self):
         tables = [coset_enumerate(g) for g in (*PRESETS.values(), FULL_GROUP)]
         tables += [coset_enumerate(GeneratorSet(name, gens))
@@ -864,9 +875,9 @@ class TestHsuWords:
 
     # (compositions, inversions) per congruence_test: the presets, then
     # twelve random tables of index 40..120 and level above 1000
-    PINNED_COUNTS = [(96, 3), (97, 3), (87, 3), (131, 3), (121, 3), (153, 3), (147, 3),
-                     (101, 3), (99, 3), (128, 3), (131, 3), (132, 3), (138, 3), (150, 3),
-                     (129, 3)]
+    PINNED_COUNTS = [(74, 3), (75, 3), (69, 3), (109, 3), (99, 3), (131, 3), (125, 3),
+                     (83, 3), (81, 3), (106, 3), (109, 3), (110, 3), (116, 3), (128, 3),
+                     (107, 3)]
 
     def test_composition_counts_pinned(self, monkeypatch):
         # raising powers of R by squaring, as the words in L and R do, costs
