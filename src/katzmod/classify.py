@@ -38,8 +38,9 @@ alternating for even k.
 """
 
 from collections import namedtuple
+from itertools import accumulate
 
-from .linalg import _is_int
+from .linalg import _is_int, _check_type
 from .sl2 import principal_triple, invariant_bilinear_form
 from .roots import build_root_system, type_exponents, principal_heights, weyl_dimension, \
     SIMPLE_TYPES, restrict, _ranks
@@ -249,16 +250,26 @@ def classify(k):
     return classify_all((k,))[k]
 
 
+def _checked_cases(cases, caller):
+    """cases as a tuple, each one refused unless it is a ClassificationCase."""
+    cases = tuple(cases)
+    for case in cases:
+        _check_type(case, ClassificationCase, caller)
+    return cases
+
+
 def ht_filter(cases, k, weights):
     """Remove the Sym-power case given exactly two distinct Hodge-Tate weights.
 
     The weights stand in for the Hodge-Tate cocharacter; any weight that is
     not an int, or is a bool, raises ValueError, and so does an empty list or
-    a k that is not an integer >= 2.
+    a k that is not an integer >= 2.  A case that is not a ClassificationCase
+    raises TypeError, as in form_filter.
     The exclusion is recomputed, not assumed: the diagonal semisimple element
     h of the Sym^(k-1) model, which is the h of principal_triple(k), has k
     distinct eigenvalues, so for k > 2 it cannot have only two.
     """
+    cases = _checked_cases(cases, "ht_filter")
     if not _is_int(k) or k < 2:
         raise ValueError(f"need an integer k >= 2, got {k!r}")
     weights = tuple(weights)  # checked before a set can merge True into 1
@@ -279,7 +290,8 @@ def form_filter(cases, k):
     """Keep the cases preserving an alternating form; conclude GSp_k if unique.
 
     Only defined for even k: a k that is odd, or is not an integer >= 2,
-    raises ValueError.  Returns the pair (kept, conclusion): the kept cases as
+    raises ValueError, and a case that is not a ClassificationCase raises
+    TypeError.  Returns the pair (kept, conclusion): the kept cases as
     a tuple, and "GSp_k" when the one case left is the symplectic algebra (or
     sl2 itself at k = 2), None otherwise.
 
@@ -290,6 +302,7 @@ def form_filter(cases, k):
     full sl_k case is kept only when B is also invariant under E_00 - E_11,
     which with the principal sl2 generates sl_k.
     """
+    cases = _checked_cases(cases, "form_filter")
     if not _is_int(k) or k < 2:
         raise ValueError(f"need an integer k >= 2, got {k!r}")
     if k % 2 != 0:
@@ -313,18 +326,31 @@ def form_filter(cases, k):
 
 
 def frobenius_dimension_check(w, k):
-    """Admissible invariant-subspace dimensions from the Frobenius eigenvalues.
+    """Admissible invariant-subspace dimensions, read off the principal triple.
 
-    The scalar on the one-dimensional inertia-invariant line has magnitude
-    exponent e = (w - k + 1)/2; a k'-dimensional invariant subspace would
-    force e = (w - k' + 1)/2, so only k' = k survives (the integers 2e are
-    compared).  Returned as the full filtered list, which is always exactly
-    [k].
+    The subspaces stable under the one-block nilpotent x are ker x^j, j = 1..k.
+    The Frobenius eigenvalues on V have magnitude exponent e = (w - k + 1)/2,
+    and a j-dimensional stable subspace carries the same e only when its
+    h-weights are centred where V's are, summing to 0; w shifts both sides
+    alike, so it is only checked to be an integer.  ker x^j is spanned by the
+    columns c < j and by the columns whose entry x[c-j] ... x[c-1] in x^j's
+    strip is 0: the columns c whose run of nonzero entries x[c-1], x[c-2], ...
+    is shorter than j.  For the principal h the sum is j(k - j), so exactly
+    [k] is returned; k = 1 reads h = (0,) and x = ().
     """
     for name, x in (("w", w), ("k", k)):
         if not _is_int(x):
             raise ValueError(f"{name} must be an integer, got {x!r}")
     if k < 1:
         raise ValueError("need k >= 1")
-    two_e = w - k + 1
-    return [kp for kp in range(1, k + 1) if w - kp + 1 == two_e]
+    if k == 1:
+        h, x = (0,), ()
+    else:
+        t = principal_triple(k)
+        h, x = t.h, t.x
+    by_run = [0] * k  # by_run[r]: the h-weights of the columns whose run is r
+    run = 0
+    for weight, entry in zip(h, (*x, 0)):
+        by_run[run] += weight
+        run = run + 1 if entry else 0
+    return [j for j, kernel_weight in enumerate(accumulate(by_run), 1) if kernel_weight == 0]

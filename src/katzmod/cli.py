@@ -11,6 +11,7 @@ import json
 import re
 import sys
 
+# Eager on purpose: importing cli loads every module a command reads, before any is timed.
 from . import verify
 from .linalg import rank  # noqa: F401  (perfbench's tracer checks it is rebound here too)
 from .sl2 import principal_triple, decompose_adjoint, verify_bracket_identity, \

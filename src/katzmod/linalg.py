@@ -24,6 +24,12 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _check_type(value, cls, caller):
+    """Refuse anything but a cls, whose constructor validated it."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{caller} takes a {cls.__name__}, got {type(value).__name__}")
+
+
 def _make_checked(cls, fields):
     """namedtuple's _make for a record whose constructor checks its fields:
     through the constructor, so that _replace runs the same checks."""
@@ -166,6 +172,8 @@ class Matrix:
 
 def bracket(a, b):
     """Lie bracket a*b - b*a of two square matrices of equal size."""
+    _check_type(a, Matrix, "bracket")
+    _check_type(b, Matrix, "bracket")
     if not a.is_square() or not b.is_square() or a.rows != b.rows:
         raise DimensionError("bracket needs two square matrices of equal size")
     return a * b - b * a

@@ -49,7 +49,7 @@ from functools import lru_cache
 from itertools import count
 from operator import itemgetter
 
-from .linalg import _is_int
+from .linalg import _is_int, _check_type
 
 # each letter's first and last rank: every rank from the first for the four
 # classical series (D_3 permitted; isomorphic to A_3), a few for the others
@@ -311,11 +311,13 @@ def restrict(rs, rank):
 
 def exponents(rs):
     """Exponents, as recorded when the root system was built."""
+    _check_type(rs, RootSystem, "exponents")
     return rs.exponents
 
 
 def algebra_dimension(rs):
     """dim g = 2 * (number of positive roots) + rank."""
+    _check_type(rs, RootSystem, "algebra_dimension")
     return 2 * len(rs.positive_roots) + rs.rank
 
 
@@ -363,6 +365,7 @@ def weyl_dimension(rs, weight):
     with alpha = sum c_j alpha_j each factor is
     (h_alpha + sum c_j w_j d_j) / h_alpha with h_alpha = sum c_j d_j.
     """
+    _check_type(rs, RootSystem, "weyl_dimension")
     weight = tuple(weight)
     if len(weight) != rs.rank:
         raise ValueError(f"weight needs {rs.rank} coordinates")
@@ -389,6 +392,7 @@ def irreps_up_to(rs, bound):
     """
     if not _is_int(bound) or bound < 1:
         raise ValueError(f"bound must be a positive integer, got {bound!r}")
+    _check_type(rs, RootSystem, "irreps_up_to")
     n = rs.rank
     start = (0,) * n
     dims = {start: 1}

@@ -47,7 +47,7 @@ from fractions import Fraction
 from math import gcd
 from operator import mul, sub
 
-from .linalg import Matrix, rank, solve_homogeneous, _is_int, _make_checked
+from .linalg import Matrix, rank, solve_homogeneous, _is_int, _make_checked, _check_type
 
 
 class Sl2Triple(namedtuple("Sl2Triple", "k x h y")):
@@ -109,6 +109,7 @@ class AdjointDecomposition(namedtuple("AdjointDecomposition", "k blocks")):
     __slots__ = ()
 
     def __new__(cls, t):
+        _check_type(t, Sl2Triple, "AdjointDecomposition")
         k, xs, ys = t.k, t.x, t.y
         blocks = []
         power = [1] * k  # strip of x^0 on the main diagonal
@@ -167,13 +168,15 @@ def principal_triple(k):
     (k-1, k-3, ..., -(k-1)), and y the subdiagonal with y[i+1][i] =
     (i+1)(k-1-i) in 0-based indexing.  A k above sys.maxsize, more entries
     than a tuple can hold, raises ValueError before anything is built.
+    The strips are int tuples of the right lengths by construction, so the
+    record is made without Sl2Triple's entry-by-entry field checks.
     """
     if not _is_int(k) or k < 2:
         raise ValueError(f"need an integer k >= 2, got {k!r}")
     if k > sys.maxsize:
         raise ValueError(f"k = {k} is above sys.maxsize, the largest size of a strip")
-    return Sl2Triple(k, (1,) * (k - 1), tuple(range(k - 1, -k, -2)),
-                     tuple((i + 1) * (k - 1 - i) for i in range(k - 1)))
+    return tuple.__new__(Sl2Triple, (k, (1,) * (k - 1), tuple(range(k - 1, -k, -2)),
+                                     tuple((i + 1) * (k - 1 - i) for i in range(k - 1))))
 
 
 def _strip_rows(k, d):
@@ -243,6 +246,8 @@ def project_to_blocks(dec, m):
     nothing else is checked.  Returns a dict r -> component matrix,
     r = 1..k-1, components summing to m.
     """
+    _check_type(dec, AdjointDecomposition, "project_to_blocks")
+    _check_type(m, Matrix, "project_to_blocks")
     k = dec.k
     if m.rows != k or m.cols != k:
         raise ValueError(f"expected a {k}x{k} matrix")
@@ -280,6 +285,7 @@ def bracket_support(dec, r, s):
     r+s, and contains r+s-1 whenever r+s <= k.  An r or s that is not an
     int, or is a bool, raises ValueError.
     """
+    _check_type(dec, AdjointDecomposition, "bracket_support")
     _check_rs(r, s)
     k = dec.k
     if not (1 <= s <= r <= k - 1):
@@ -294,6 +300,7 @@ def verify_bracket_identity(dec, r, s):
     decomposition: x^r is strip 0 of U_r and ad(y) x^s strip 1 of U_s, and
     both sides lie on the diagonal r + s - 1.  An r or s that is not an int,
     or is a bool, raises ValueError."""
+    _check_type(dec, AdjointDecomposition, "verify_bracket_identity")
     _check_rs(r, s)
     if r < 1 or s < 1:
         raise ValueError("need r, s >= 1")
@@ -352,8 +359,10 @@ def invariant_bilinear_form(t):
     positive.  B^T is invariant too, so B^T = +-B: symmetric when the strip is
     a palindrome, else antisymmetric (minus its reversal).  Symmetric exactly
     when k is odd (Sym^(k-1) of sl2 is orthogonal or symplectic accordingly).
-    Raises unless the solution space is one form on the antidiagonal.
+    Raises unless the solution space is one form on the antidiagonal, and
+    TypeError for anything but an Sl2Triple.
     """
+    _check_type(t, Sl2Triple, "invariant_bilinear_form")
     kernel = form_kernel(t)
     if len(kernel) != 1 or any(a + b != t.k - 1 for a, b in kernel[0]):
         raise RuntimeError(f"invariant form space has dimension {len(kernel)}, "

@@ -37,7 +37,7 @@ from collections import namedtuple
 from itertools import cycle, islice
 from math import lcm
 
-from .linalg import _is_int, _make_checked
+from .linalg import _is_int, _make_checked, _check_type
 
 COSET_CAP_ENV = "KATZMOD_COSET_CAP"
 DEFAULT_COSET_CAP = 100_000
@@ -62,11 +62,14 @@ def mat_det(a):
 
 
 def _int_entries(m):
-    """The entries of m as a tuple; any entry that is not an int (or is a bool) is rejected."""
+    """The four entries of m as a tuple; any entry that is not an int (or is a
+    bool), and any other number of entries, is rejected."""
     m = tuple(m)
     for x in m:
         if not _is_int(x):
             raise ValueError(f"matrix entry {x!r} is not an integer")
+    if len(m) != 4:
+        raise ValueError(f"matrix must have four entries, got {m}")
     return m
 
 
@@ -99,8 +102,6 @@ class GeneratorSet(namedtuple("GeneratorSet", "name generators")):
             if not isinstance(m, (list, tuple)):
                 raise ValueError(f"generator must be a list of four integers, got {m!r}")
             m = _int_entries(m)
-            if len(m) != 4:
-                raise ValueError(f"generator must have four entries, got {m}")
             if mat_det(m) != 1:
                 raise ValueError(f"generator {m} has determinant {mat_det(m)}, not 1")
             gens.append(psl2_canonical(m))
@@ -429,10 +430,12 @@ def coset_enumerate(gens, cap=None):
     same subgroup.  Raises CosetCapExceeded when the graph would
     grow past the cap (default 100000, overridable via the KATZMOD_COSET_CAP
     environment variable), and its subclass InfiniteIndex when the folded
-    graph is incomplete, which proves the index infinite.  Each generator's
+    graph is incomplete, which proves the index infinite; anything but a
+    GeneratorSet raises TypeError, before the cap is read.  Each generator's
     word is then walked through the validated permutations of s, u and u^-1,
     and one that moves the base coset raises RuntimeError.
     """
+    _check_type(gens, GeneratorSet, "coset_enumerate")
     cap = _coset_cap(cap)
     words = [matrix_to_word(m) for m in gens.generators]
     graph = _CosetGraph(cap)
@@ -511,12 +514,6 @@ class SubgroupInvariants(namedtuple("SubgroupInvariants",
         return len(self.cusp_widths)
 
 
-def _check_table(table, caller):
-    """Refuse anything but a CosetTable, whose constructor validated it."""
-    if not isinstance(table, CosetTable):
-        raise TypeError(f"{caller} takes a CosetTable, got {type(table).__name__}")
-
-
 def invariants(table):
     """All standard invariants of the subgroup from its coset permutations.
 
@@ -525,7 +522,7 @@ def invariants(table):
     12 g = 12 + index - 3 nu2 - 4 nu3 - 6 (#cusps).  Anything but a
     CosetTable raises TypeError.
     """
-    _check_table(table, "invariants")
+    _check_type(table, CosetTable, "invariants")
     widths = _cycle_lengths(table.perm_T)
     mu = table.index
     nu2 = sum(1 for i, j in enumerate(table.perm_S) if i == j)
@@ -600,7 +597,7 @@ def congruence_test(table):
     """Hsu's congruence criterion: True exactly for congruence subgroups,
     which is when each of Hsu's words fixes every coset.  Anything but a
     CosetTable raises TypeError."""
-    _check_table(table, "congruence_test")
+    _check_type(table, CosetTable, "congruence_test")
     return all(_is_identity(w) for w in _hsu_words(table))
 
 
@@ -614,7 +611,7 @@ def congruence_closure(table):
     breadth-first from the class of coset 0, like every other table.
     Anything but a CosetTable raises TypeError.
     """
-    _check_table(table, "congruence_closure")
+    _check_type(table, CosetTable, "congruence_closure")
     graph = _CosetGraph(table.index)
     u = _compose(table.perm_S, table.perm_T)
     graph.labels = list(range(table.index))
@@ -635,8 +632,10 @@ def dim_cusp_forms(inv, w):
 
     For w >= 4: (w-1)(g-1) + (w/2 - 1) t + nu2 floor(w/4) + nu3 floor(w/3);
     for w = 2 the dimension is the genus.  Odd weights are rejected (fields
-    of definition are ambiguous there and no formula is offered).
+    of definition are ambiguous there and no formula is offered).  Anything
+    but a SubgroupInvariants raises TypeError.
     """
+    _check_type(inv, SubgroupInvariants, "dim_cusp_forms")
     if not _is_int(w) or w % 2 != 0 or w < 2:
         raise ValueError(f"weight must be an even integer >= 2, got {w!r}")
     if w == 2:
@@ -656,7 +655,7 @@ def dim_rho_prim(table, kmax):
     """
     if not _is_int(kmax) or kmax < 2:
         raise ValueError(f"need an integer kmax >= 2, got {kmax!r}")
-    _check_table(table, "dim_rho_prim")
+    _check_type(table, CosetTable, "dim_rho_prim")
     inv, closure = invariants(table), invariants(congruence_closure(table))
     return {k: 2 * (dim_cusp_forms(inv, k + 2) - dim_cusp_forms(closure, k + 2))
             for k in range(2, kmax + 1, 2)}

@@ -731,6 +731,21 @@ class TestFrobeniusDimensionCheck:
             for w in (k + 1, 0, 3 * k):
                 assert frobenius_dimension_check(w, k) == [k]
 
+    # h = (5, 3, 1, -1, -3, -5); a zero in x splits the one Jordan block
+    @pytest.mark.parametrize("zeros, want", [
+        ((0,), [5, 6]),        # blocks e_0 | e_1..e_5: x^5 = 0, so ker x^5 = V
+        ((3,), [2, 4, 5, 6]),  # blocks e_0..e_3 | e_4 e_5: ker x^2 = e_0 e_1 e_4 e_5
+        ((0, 1, 2, 3, 4), [1, 2, 3, 4, 5, 6]),  # x = 0: every kernel is V
+    ])
+    def test_the_kernels_are_read_off_the_strips(self, monkeypatch, zeros, want):
+        triple = katzmod.classify.principal_triple
+
+        def with_zeros(k):
+            t = triple(k)
+            return t._replace(x=tuple(0 if i in zeros else v for i, v in enumerate(t.x)))
+        monkeypatch.setattr(katzmod.classify, "principal_triple", with_zeros)
+        assert frobenius_dimension_check(7, 6) == want
+
     def test_k_below_1_rejected(self):
         with pytest.raises(ValueError):
             frobenius_dimension_check(5, 0)

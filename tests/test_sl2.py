@@ -297,6 +297,14 @@ class TestPrincipalTriple:
         for k in range(2, 9):
             principal_triple(k).validate()
 
+    def test_the_skipped_field_checks_hold(self):
+        # principal_triple makes its record without the constructor's checks:
+        # the checked constructor must accept and reproduce it, strips as tuples
+        for k in (*range(2, 40), 257):
+            t = principal_triple(k)
+            assert type(t) is Sl2Triple and Sl2Triple(*t) == t == t._replace(), k
+            assert all(type(s) is tuple for s in (t.x, t.h, t.y)), k
+
     def test_k_below_2_rejected(self):
         with pytest.raises(ValueError):
             principal_triple(1)

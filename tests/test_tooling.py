@@ -37,7 +37,10 @@ Every `katzmod ...` line of the README's command block runs through
 the command line.
 
 The public names of `katzmod` are written out, so an export added or removed
-shows in the diff of this file.
+shows in the diff of this file.  The package resolves them lazily: in a fresh
+interpreter `import katzmod` loads no submodule, a submodule loads only what
+it imports, and `import katzmod.cli` loads every module that the tracer's
+TARGETS name, because the tracer imports nothing else.
 """
 
 import ast
@@ -283,6 +286,10 @@ def readme_block(heading, lang):
     return section[start:section.index("```", start)]
 
 
+def test_readme_python_example_runs():
+    exec(readme_block("Python API", "python"), {})
+
+
 def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     # ./mygroup.json is the README's own example document
     (tmp_path / "mygroup.json").write_text(readme_block("Command line", "json"))
@@ -313,7 +320,66 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_of_katzmod():
-    # submodules are attributes of the package too, but not its exports
+    assert sorted(katzmod.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        home = importlib.import_module(f"katzmod.{katzmod._HOMES[name]}")
+        assert getattr(katzmod, name) is getattr(home, name), name
+    # every name is resolved now; submodules are attributes of the package
+    # too, but not its exports
     public = sorted(name for name, value in vars(katzmod).items()
                     if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert public == PUBLIC_NAMES
+
+
+def fresh(code):
+    """stdout of `code` run by a new interpreter, which writes no bytecode."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+LOADED = "; import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'katzmod'))"
+
+
+def loaded_katzmod_modules(code):
+    return ast.literal_eval(fresh(code + LOADED))
+
+
+def test_import_katzmod_loads_no_submodule():
+    assert loaded_katzmod_modules("import katzmod") == ["katzmod"]
+    assert fresh("import katzmod, sys; print('fractions' in sys.modules)") == "False\n"
+
+
+def test_a_submodule_loads_only_what_it_imports():
+    assert loaded_katzmod_modules("import katzmod.subgroups") == [
+        "katzmod", "katzmod.linalg", "katzmod.subgroups"]
+
+
+def test_star_import_binds_every_public_name():
+    code = "from katzmod import *; print(sorted(n for n in dir() if not n.startswith('_')))"
+    assert ast.literal_eval(fresh(code)) == PUBLIC_NAMES
+
+
+def test_submodules_resolve_as_attributes():
+    code = ("import sys, katzmod\n"
+            "print([getattr(katzmod, m) is sys.modules['katzmod.' + m]"
+            " for m in ('roots', 'classify')])")
+    assert fresh(code) == "[True, True]\n"
+
+
+def test_an_unknown_attribute_raises_attribute_error():
+    code = ("import katzmod\n"
+            "try:\n    katzmod.no_such_name\n"
+            "except AttributeError as exc:\n    print(exc)")
+    assert fresh(code) == "module 'katzmod' has no attribute 'no_such_name'\n"
+
+
+def test_importing_the_cli_loads_every_traced_module():
+    # tracer.install imports katzmod.cli alone and then reads its TARGETS
+    # (and verify's sections) from sys.modules
+    loaded = loaded_katzmod_modules("import katzmod.cli")
+    assert loaded == ["katzmod", "katzmod.classify", "katzmod.cli", "katzmod.linalg",
+                      "katzmod.roots", "katzmod.sl2", "katzmod.subgroups", "katzmod.verify"]
+    assert {module for module, _, _ in tracer_targets()} <= set(loaded)
