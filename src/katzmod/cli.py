@@ -2,12 +2,13 @@
 
 Subcommands: classify, sl2, rootsys, subgroup, verify-paper.  Output is a
 human-readable report by default; --json switches to a single deterministic
-JSON document on stdout.  The coset-table capacity for subgroup enumeration
-honors the KATZMOD_COSET_CAP environment variable.
+JSON document on stdout.  katzmod reads the environment only here: the
+KATZMOD_COSET_CAP variable caps the coset table of `katzmod subgroup`.
 """
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -20,7 +21,7 @@ from .roots import build_root_system, exponents, algebra_dimension, \
     weyl_dimension, irreps_of_dimension, SIMPLE_TYPES
 from .classify import classify, ht_filter, form_filter
 from .subgroups import resolve_subgroup, coset_enumerate, invariants, dim_rho_prim, \
-    dim_cusp_forms, CosetCapExceeded
+    dim_cusp_forms, CosetCapExceeded, InfiniteIndex, DEFAULT_COSET_CAP
 
 
 def _print(doc, as_json, text_lines):
@@ -154,20 +155,32 @@ def cmd_rootsys(args):
     return 0
 
 
+def _coset_cap():
+    """KATZMOD_COSET_CAP, stripped, as a positive int; None when it is unset."""
+    raw = os.environ.get("KATZMOD_COSET_CAP")
+    try:
+        cap = None if raw is None else _integer(raw.strip())
+    except argparse.ArgumentTypeError:
+        cap = 0  # refused below, with every other cap below 1
+    if cap is not None and cap < 1:
+        raise ValueError(f"coset cap must be a positive integer, got {raw!r} "
+                         "from the environment variable KATZMOD_COSET_CAP")
+    return cap
+
+
 def cmd_subgroup(args):
     gens = resolve_subgroup(args.subgroup)
-    table = coset_enumerate(gens)
+    cap = _coset_cap()
+    try:
+        table = coset_enumerate(gens, cap=cap)
+    except InfiniteIndex:
+        raise
+    except CosetCapExceeded as exc:
+        why = f"cap {cap} from KATZMOD_COSET_CAP" if cap is not None else \
+            f"default cap {DEFAULT_COSET_CAP}; set KATZMOD_COSET_CAP to raise it"
+        raise CosetCapExceeded(f"{exc} ({why})") from None
     inv = invariants(table)
-    doc = {
-        "name": gens.name,
-        "index": inv.index,
-        "cusp_widths": list(inv.cusp_widths),
-        "nu2": inv.nu2,
-        "nu3": inv.nu3,
-        "genus": inv.genus,
-        "level": inv.level,
-        "congruence": inv.congruence,
-    }
+    doc = {"name": gens.name, **inv._asdict()}  # json writes the widths tuple as a list
     lines = [
         f"subgroup {gens.name}:",
         f"  index: {inv.index}",

@@ -39,7 +39,6 @@ from math import lcm
 
 from .linalg import _is_int, _make_checked, _check_type
 
-COSET_CAP_ENV = "KATZMOD_COSET_CAP"
 DEFAULT_COSET_CAP = 100_000
 
 S_MAT = (0, -1, 1, 0)
@@ -403,40 +402,25 @@ class CosetTable(namedtuple("CosetTable", "index perm_S perm_T")):
         return self
 
 
-def _coset_cap(cap):
-    """The cap argument, else KATZMOD_COSET_CAP, else the default; a cap that
-    is not a positive int, or is a bool, raises ValueError naming its source.
-    The environment value must be ASCII digits, surrounding whitespace allowed:
-    int() alone would also read 1_0 and other scripts' digits."""
-    source = "cap argument"
-    if cap is None:
-        raw = os.environ.get(COSET_CAP_ENV)
-        if raw is None:
-            return DEFAULT_COSET_CAP
-        digits = raw.strip()
-        cap = int(digits) if digits.isascii() and digits.isdecimal() else raw
-        source = f"environment variable {COSET_CAP_ENV}"
-    if not _is_int(cap) or cap < 1:
-        raise ValueError(f"coset cap must be a positive integer, got {cap!r} from the {source}")
-    return cap
-
-
 def coset_enumerate(gens, cap=None):
     """Coset table of the subgroup generated by a GeneratorSet, by folding.
 
     Coset 0 is the base coset, and the others are numbered breadth-first from
     it, trying s before u (u = ST).  The table is therefore the subgroup's own
     value: two generator sets give equal tables exactly when they generate the
-    same subgroup.  Raises CosetCapExceeded when the graph would
-    grow past the cap (default 100000, overridable via the KATZMOD_COSET_CAP
-    environment variable), and its subclass InfiniteIndex when the folded
-    graph is incomplete, which proves the index infinite; anything but a
-    GeneratorSet raises TypeError, before the cap is read.  Each generator's
+    same subgroup.  Raises CosetCapExceeded when the graph would grow past
+    the cap (None means DEFAULT_COSET_CAP, 100000), and its subclass
+    InfiniteIndex when the folded graph is incomplete, which proves the index
+    infinite; anything but a GeneratorSet raises TypeError, and then a cap
+    that is not a positive int, or is a bool, ValueError.  Each generator's
     word is then walked through the validated permutations of s, u and u^-1,
     and one that moves the base coset raises RuntimeError.
     """
     _check_type(gens, GeneratorSet, "coset_enumerate")
-    cap = _coset_cap(cap)
+    if cap is None:
+        cap = DEFAULT_COSET_CAP
+    elif not _is_int(cap) or cap < 1:
+        raise ValueError(f"coset cap must be a positive integer, got {cap!r} from the cap argument")
     words = [matrix_to_word(m) for m in gens.generators]
     graph = _CosetGraph(cap)
     graph.build(words)

@@ -282,12 +282,36 @@ class TestSubgroupCommand:
         assert "unknown subgroup" in err
 
     def test_cap_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("KATZMOD_COSET_CAP", "2")
-        path_free = [(1, 12, 0, 1), (1, 0, 12, 1)]
-        import katzmod.subgroups as sg
-        gens = sg.GeneratorSet("wide", path_free)
-        with pytest.raises(sg.CosetCapExceeded):
-            sg.coset_enumerate(gens)
+        # gamma711 has index 9: a cap of 3 stops it, the default does not
+        monkeypatch.setenv("KATZMOD_COSET_CAP", "3")
+        code, out, err = run(capsys, "subgroup", "gamma711")
+        assert code == 2 and out == ""
+        assert err.startswith("error: index bound exceeded")
+        monkeypatch.delenv("KATZMOD_COSET_CAP")
+        code, out, err = run(capsys, "subgroup", "gamma711")
+        assert (code, err) == (0, "") and "index: 9" in out
+
+    def test_cap_error_names_the_cap_from_the_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("KATZMOD_COSET_CAP", " 3 ")
+        code, out, err = run(capsys, "subgroup", "gamma711", "--json")
+        assert code == 2 and out == ""
+        assert err.rstrip("\n").endswith("(cap 3 from KATZMOD_COSET_CAP)")
+
+    def test_cap_error_names_the_default_cap(self, capsys, tmp_path, monkeypatch):
+        # T^40000 folds into 120000 cosets before its graph is seen to be
+        # incomplete, so it stops at the default cap
+        monkeypatch.delenv("KATZMOD_COSET_CAP", raising=False)
+        path = tmp_path / "long_cusp.json"
+        path.write_text(json.dumps({"name": "long cusp", "generators": [[1, 40000, 0, 1]]}))
+        code, out, err = run(capsys, "subgroup", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: index bound exceeded: coset table grew past 100000 ")
+        assert err.rstrip("\n").endswith(
+            "(default cap 100000; set KATZMOD_COSET_CAP to raise it)")
+        # and raising it lets the enumeration prove the index infinite
+        monkeypatch.setenv("KATZMOD_COSET_CAP", "120001")
+        code, out, err = run(capsys, "subgroup", str(path))
+        assert code == 2 and err.startswith("error: infinite index")
 
     def test_dims_under_a_small_cap(self, capsys, tmp_path, monkeypatch):
         # the cap bounds the subgroup asked about: Gamma_0(2), of index 3, fits
@@ -312,11 +336,14 @@ class TestSubgroupCommand:
         code, out, err = run(capsys, "subgroup", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error: infinite index")
+        # no cap would help, so the error names none
+        assert "KATZMOD_COSET_CAP" not in err
 
-    @pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5", "", "\u00b2", "1_0",
+    @pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5", "", "1e3", "\u00b2", "1_0",
                                        "\uff11\uff12", "\u0667"])
     def test_malformed_cap_env_exits_2(self, capsys, monkeypatch, value):
-        # used to report "index bound exceeded" for 0 and -3
+        # used to report "index bound exceeded" for 0 and -3; int() alone
+        # would read 1_0 as 10 and the full-width digits as 12
         monkeypatch.setenv("KATZMOD_COSET_CAP", value)
         code, out, err = run(capsys, "subgroup", "gamma43")
         assert code == 2 and out == ""
@@ -378,6 +405,19 @@ class TestVerifyPaperCommand:
         code, out, _ = run(capsys, "verify-paper", "--json")
         assert code == 0
         assert out == reference.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("value", ["1", "7", "abc"])
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "dash-O"])
+    def test_json_output_ignores_the_coset_cap_variable(self, value, flags):
+        # the variable belongs to `katzmod subgroup`: the library reads no
+        # environment, so a tiny or malformed cap changes nothing here
+        src = os.path.dirname(os.path.dirname(os.path.abspath(katzmod.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, KATZMOD_COSET_CAP=value)
+        proc = subprocess.run([sys.executable, *flags, "-m", "katzmod", "verify-paper", "--json"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        reference = Path(__file__).parent / "data" / "verify_paper.json"
+        assert proc.stdout == reference.read_text(encoding="utf-8")
 
     def test_subgroups_section_passes(self, capsys):
         code, out, _ = run(capsys, "verify-paper", "--only", "subgroups")

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import katzmod
+import katzmod.cli
 import katzmod.subgroups
 import katzmod.verify
 from katzmod.subgroups import (GeneratorSet, matrix_to_word, coset_enumerate,
@@ -393,10 +394,6 @@ class TestCosetFolding:
     """Coset folding against the HLT oracle, and what only folding can tell:
     an incomplete folded graph proves the index infinite."""
 
-    @pytest.fixture(autouse=True)
-    def default_cap(self, monkeypatch):
-        monkeypatch.delenv("KATZMOD_COSET_CAP", raising=False)
-
     def test_against_hlt_on_random_words(self):
         # where HLT finishes, folding gives the same table once HLT's cosets
         # are renumbered; where folding proves the index infinite, HLT runs
@@ -523,38 +520,21 @@ class TestPresetLookupLeavesCapsAlone:
     it answers whatever cap is in force, and calling it changes nothing that
     coset_enumerate answers under a smaller cap, whichever comes first."""
 
-    @pytest.fixture(autouse=True)
-    def default_cap(self, monkeypatch):
-        monkeypatch.delenv("KATZMOD_COSET_CAP", raising=False)
-
-    @staticmethod
-    def enumerate_capped(monkeypatch, how):
-        if how == "environment":
-            monkeypatch.setenv("KATZMOD_COSET_CAP", "3")
-            return coset_enumerate(PRESETS["gamma43"])
-        return coset_enumerate(PRESETS["gamma43"], cap=3)
-
-    @pytest.mark.parametrize("how", ["argument", "environment"])
-    def test_lookup_then_capped(self, monkeypatch, how):
+    def test_lookup_then_capped(self):
         assert dim_rho_prim(coset_enumerate(PRESETS["gamma43"]), 2) == {2: 2}
         with pytest.raises(CosetCapExceeded):
-            self.enumerate_capped(monkeypatch, how)
+            coset_enumerate(PRESETS["gamma43"], cap=3)
 
-    @pytest.mark.parametrize("how", ["argument", "environment"])
-    def test_capped_then_lookup(self, monkeypatch, how):
+    def test_capped_then_lookup(self):
         table = coset_enumerate(PRESETS["gamma43"])
         with pytest.raises(CosetCapExceeded):
-            self.enumerate_capped(monkeypatch, how)
+            coset_enumerate(PRESETS["gamma43"], cap=3)
         assert dim_rho_prim(table, 2) == {2: 2}
         with pytest.raises(CosetCapExceeded):
-            self.enumerate_capped(monkeypatch, how)
+            coset_enumerate(PRESETS["gamma43"], cap=3)
 
 
 class TestCosetCapValidation:
-    @pytest.fixture(autouse=True)
-    def default_cap(self, monkeypatch):
-        monkeypatch.delenv("KATZMOD_COSET_CAP", raising=False)
-
     @pytest.mark.parametrize("cap", [0, -3, True, False, 2.5, 3.0, "7"])
     def test_malformed_argument_rejected(self, cap):
         # cap=True used to be read as 1 and raise CosetCapExceeded
@@ -566,18 +546,33 @@ class TestCosetCapValidation:
     @pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5", "", "1e3", "\u00b2", "1_0",
                                        "\uff11\uff12", "\u0667"])
     def test_malformed_environment_rejected(self, monkeypatch, value):
-        # int() alone would read 1_0 as 10 and the full-width digits as 12
+        # katzmod subgroup, the variable's one reader, refuses the value
+        # (int() alone would read 1_0 as 10 and the full-width digits as 12);
+        # the library does not read it and answers as if it were unset
         monkeypatch.setenv("KATZMOD_COSET_CAP", value)
         with pytest.raises(ValueError, match="from the environment variable KATZMOD_COSET_CAP"):
-            coset_enumerate(PRESETS["gamma43"])
-
-    def test_valid_caps_accepted(self, monkeypatch):
-        assert coset_enumerate(PRESETS["gamma43"], cap=1000).index == 7
-        monkeypatch.setenv("KATZMOD_COSET_CAP", " 1000 ")
+            katzmod.cli._coset_cap()
         assert coset_enumerate(PRESETS["gamma43"]).index == 7
-        # an argument takes precedence over the environment variable
-        monkeypatch.setenv("KATZMOD_COSET_CAP", "0")
+        with pytest.raises(ValueError, match="from the cap argument"):
+            coset_enumerate(PRESETS["gamma43"], cap=0)
+
+    def test_valid_caps_accepted(self):
         assert coset_enumerate(PRESETS["gamma43"], cap=1000).index == 7
+
+    def test_none_means_the_default_cap(self, monkeypatch):
+        # T^40000 folds into 120000 cosets before the graph is seen to be
+        # incomplete, so the default cap stops it and a larger one does not;
+        # the process environment plays no part
+        monkeypatch.setenv("KATZMOD_COSET_CAP", "1")
+        long_cusp = GeneratorSet("long cusp", [(1, 40000, 0, 1)])
+        for call in (lambda: coset_enumerate(long_cusp),
+                     lambda: coset_enumerate(long_cusp, None)):
+            with pytest.raises(CosetCapExceeded, match="grew past 100000 entries") as info:
+                call()
+            assert type(info.value) is CosetCapExceeded
+        with pytest.raises(InfiniteIndex):
+            coset_enumerate(long_cusp, cap=120001)
+        assert coset_enumerate(PRESETS["gamma43"]).index == 7
 
 
 class TestCongruence:
@@ -1210,19 +1205,17 @@ class TestDimRhoPrim:
             assert coset_enumerate(GeneratorSet("join", list(g + conj.generators))).index < 7
             assert dim_rho_prim(table, 20) == dim_rho_prim(preset, 20)
 
-    def test_answers_under_a_small_cap(self, monkeypatch):
+    def test_answers_under_a_small_cap(self):
         # the closure folds the table it is given and defines no coset, so
         # no cap bounds it; the cap still bounds coset_enumerate after it
         table = coset_enumerate(PRESETS["gamma43"])
-        monkeypatch.setenv("KATZMOD_COSET_CAP", "3")
         assert dim_rho_prim(table, 2) == {2: 2}
         with pytest.raises(CosetCapExceeded):
-            coset_enumerate(PRESETS["gamma43"])
+            coset_enumerate(PRESETS["gamma43"], cap=3)
 
     def test_dimension_section_enumerates_each_subgroup_once(self, monkeypatch):
         # the section checks ten k per preset from one dim_rho_prim call, and
         # verify enumerates each preset once; the closures enumerate nothing
-        monkeypatch.delenv("KATZMOD_COSET_CAP", raising=False)
         calls = []
         for module in (katzmod.verify, katzmod.subgroups):
             real = module.coset_enumerate

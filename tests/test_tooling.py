@@ -24,6 +24,9 @@ a run with `Matrix.__init__` patched to raise must pass.
 katzmod has no runtime dependencies: every absolute import in its modules
 names a module of the standard library (`sys.stdlib_module_names`).
 
+Only cli.py names os.environ, os.getenv or os.putenv, so that no answer of
+the library depends on the process environment.
+
 Internal checks must survive `python -O`, which strips `assert` statements, so
 no module of katzmod may contain one, and the whole `verify-paper --json` run
 under `-O` must print the reference output byte for byte.
@@ -233,6 +236,27 @@ def test_no_assert_statement_in_katzmod():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, f"bare assert statements (stripped by python -O): {found}"
+
+
+def test_only_the_cli_reads_the_environment():
+    # an answer of the library must not depend on the process environment
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 9
+    readers = {"environ", "getenv", "putenv"}
+    found = []
+    for path in modules:
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "os":
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} os.{name}" for name in names if name in readers]
+    assert not found, f"environment read outside cli.py: {found}"
 
 
 def test_katzmod_imports_only_the_standard_library():
