@@ -15,8 +15,8 @@ import sys
 # Eager on purpose: importing cli loads every module a command reads, before any is timed.
 from . import verify
 from .linalg import rank  # noqa: F401  (perfbench's tracer checks it is rebound here too)
-from .sl2 import principal_triple, decompose_adjoint, verify_bracket_identity, \
-    invariant_bilinear_form
+from .sl2 import principal_triple, decompose_adjoint, block_dimensions, \
+    verify_bracket_identity, invariant_bilinear_form
 from .roots import build_root_system, exponents, algebra_dimension, \
     weyl_dimension, irreps_of_dimension, SIMPLE_TYPES
 from .classify import classify, ht_filter, form_filter
@@ -97,7 +97,7 @@ def cmd_sl2(args):
         return 0
     dec = decompose_adjoint(t)
     if args.action == "decompose":
-        dims = [len(strips) for strips in dec.blocks]
+        dims = block_dimensions(dec, t)
         doc = {"k": k, "block_dimensions": dims, "total": sum(dims),
                "change_of_basis_rank": dec.basis_rank()}
         _print(doc, args.json, [

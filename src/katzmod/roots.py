@@ -38,9 +38,12 @@ one closure.  The cut reads the layers only up to the first that keeps no
 root, and keeps each root's last coordinates as one bytes slice.  Dimensions
 of irreducibles come from the Weyl dimension formula, multiplying only the
 factors that differ from 1, lowest height first; as no factor is below 1, a
-search up to a bound drops a weight once they pass it, and as no factor falls
-when a coordinate grows, it marks a weight outside the bound, with no
-product, when a weight one step below it is already outside.
+search up to a bound drops a weight once they pass it.  As no factor falls
+when a coordinate grows, the weights inside a bound form a staircase, closed
+downwards, and the search walks it once: it raises one coordinate at a time
+above a weight found inside and goes on into the later coordinates from each
+weight it finds, so each weight it probes is one step above a weight inside,
+in its last nonzero coordinate, and is probed once.
 """
 
 from bisect import bisect_left
@@ -380,41 +383,43 @@ def weyl_dimension(rs, weight):
 def irreps_up_to(rs, bound):
     """All dominant weights of dimension <= bound, with their dimensions.
 
-    Search from the zero weight along single-coordinate increments; each
-    factor (h_alpha + sum c_j w_j d_j) / h_alpha of the Weyl dimension is
-    nondecreasing in each coordinate, and the dimension strictly increasing,
-    so the region dim <= bound is downward closed and the search is complete.
-    For the same reason a weight one step above a weight already found
-    outside the region is outside too, and is marked so without a product.
-    A weight whose dimension is not above that of the weight one step below
-    it, as in a system whose roots do not meet it, raises RuntimeError: the
-    search would not end.
+    Each factor (h_alpha + sum c_j w_j d_j) / h_alpha of the Weyl dimension
+    is nondecreasing in each coordinate, and the dimension strictly
+    increasing, so the weights of dimension <= bound form a downward-closed
+    staircase.  The search descends it from the zero weight: from a weight
+    found inside, whose nonzero coordinates lie before coordinate j, it
+    raises each coordinate i >= j one step at a time while the dimension
+    stays inside, and from each weight so found goes on into the coordinates
+    after i.  Each weight inside is found once, from the weight one step
+    below it in its last nonzero coordinate, so the search is complete and
+    no weight is probed twice.  A weight whose dimension is not above that of
+    the weight one step below it, as in a system whose roots do not meet it,
+    raises RuntimeError: the search would not end.
     """
     if not _is_int(bound) or bound < 1:
         raise ValueError(f"bound must be a positive integer, got {bound!r}")
     _check_type(rs, RootSystem, "irreps_up_to")
     n = rs.rank
-    start = (0,) * n
-    dims = {start: 1}
-    todo = [start]
-    while todo:
-        w = todo.pop()
-        below = dims[w]
-        support = [j for j in range(n) if w[j]]
-        for i in range(n):
-            up = w[:i] + (w[i] + 1,) + w[i + 1:]
-            if up not in dims:
-                # w, one step below up in coordinate i, is inside; each other
-                # weight one step below up steps down a coordinate of w's support
-                below_outside = any(dims.get(up[:j] + (up[j] - 1,) + up[j + 1:], 0) is None
-                                    for j in support if j != i)
-                dims[up] = dim = None if below_outside else _weyl_product(rs, up, bound)
-                if dim is not None:
-                    if dim <= below:
-                        raise RuntimeError(f"{rs.name}: weight {up} has dimension {dim}, "
-                                           f"not above the {below} of {w}")
-                    todo.append(up)
-    return sorted((w, d) for w, d in dims.items() if d is not None)
+    found = [((0,) * n, 1)]
+
+    def descend(w, dim, j):
+        # w is inside, and its coordinates from j on are 0
+        for i in range(j, n):
+            below, below_dim = w, dim
+            while True:
+                up = below[:i] + (below[i] + 1,) + below[i + 1:]
+                up_dim = _weyl_product(rs, up, bound)
+                if up_dim is None:
+                    break
+                if up_dim <= below_dim:
+                    raise RuntimeError(f"{rs.name}: weight {up} has dimension {up_dim}, "
+                                       f"not above the {below_dim} of {below}")
+                found.append((up, up_dim))
+                descend(up, up_dim, i + 1)
+                below, below_dim = up, up_dim
+
+    descend((0,) * n, 1, 0)
+    return sorted(found)
 
 
 def irreps_of_dimension(rs, k):

@@ -237,6 +237,32 @@ def decompose_adjoint(t):
     return AdjointDecomposition(t)
 
 
+def block_dimensions(dec, t):
+    """dim U_r for r = 1..k-1, as the length of ad(y)'s chain from x^r: the
+    strips ad(y)^i x^r up to the first that is zero.
+
+    The held strips of U_r are read first.  When the last of them is not
+    zero, the triple t's y is applied past it by `_ad_y` until a strip is
+    zero: each step lowers the diagonal by one, and a strip below the
+    diagonal -(k-1) has no entries, so the chain ends.  A dec that is not an
+    AdjointDecomposition, or a t that is not an Sl2Triple, raises TypeError,
+    and a t of another k ValueError.
+    """
+    _check_type(dec, AdjointDecomposition, "block_dimensions")
+    _check_type(t, Sl2Triple, "block_dimensions")
+    if t.k != dec.k:
+        raise ValueError(f"the triple is in sl_{t.k}, the decomposition of sl_{dec.k}")
+    dims = []
+    for r, strips in enumerate(dec.blocks, 1):
+        n = next((i for i, s in enumerate(strips) if not any(s)), len(strips))
+        if n == len(strips):
+            s = strips[-1]
+            while any(s := _ad_y(t.y, r + 1 - n, s)):
+                n += 1
+        dims.append(n)
+    return dims
+
+
 def project_to_blocks(dec, m):
     """Write a traceless matrix as a sum of components, one in each U_r.
 

@@ -8,14 +8,16 @@ rather than reading from it.
 
 Within one run() call the sections share what they both read: the
 classification and pipeline sections one classify_all sweep, the adjoint and
-bracket sections one decompose_adjoint(principal_triple(k)) per k.  A section
-called on its own computes its objects afresh, and nothing outlives the call.
+bracket sections one decompose_adjoint(principal_triple(k)) per k, and the
+subgroups and dimension sections one coset_enumerate table per preset.  A
+section called on its own computes its objects afresh, and nothing outlives
+the call.
 """
 
 from collections import namedtuple
 
 from .linalg import rank  # noqa: F401  (perfbench's tracer checks it is rebound here too)
-from .sl2 import principal_triple, decompose_adjoint, bracket_support, \
+from .sl2 import principal_triple, decompose_adjoint, block_dimensions, bracket_support, \
     verify_bracket_identity, invariant_bilinear_form
 from .roots import build_root_system, exponents, algebra_dimension, irreps_up_to
 from .classify import classify_all, ht_filter, form_filter, frobenius_dimension_check
@@ -81,6 +83,10 @@ def _decomposition(k):
     return _once(("adjoint", k), lambda: decompose_adjoint(principal_triple(k)))
 
 
+def _cosets(name):
+    return _once(("cosets", name), lambda: coset_enumerate(PRESETS[name]))
+
+
 def check_classification():
     classified = _classified()
     for k in range(2, 31):
@@ -102,7 +108,7 @@ def check_pipeline():
 def check_adjoint():
     for k in range(2, 13):
         dec = _decomposition(k)
-        dims = [len(strips) for strips in dec.blocks]
+        dims = block_dimensions(dec, principal_triple(k))
         want = [2 * r + 1 for r in range(1, k)]
         basis_rank = dec.basis_rank()
         ok = dims == want and sum(dims) == k * k - 1 and basis_rank == k * k - 1
@@ -205,7 +211,7 @@ def expected_dim_rho_prim(name, k):
 
 def check_subgroups():
     for name, (index, widths, _, _) in PRESET_DATA.items():
-        inv = invariants(coset_enumerate(PRESETS[name]))
+        inv = invariants(_cosets(name))
         ok = inv.index == index and inv.cusp_widths == widths and not inv.congruence
         yield CheckResult("subgroups", f"{name}: index, widths, noncongruence",
                           f"index {index}, widths {list(widths)}, noncongruence",
@@ -215,7 +221,7 @@ def check_subgroups():
 
 def check_dimension():
     for name in PRESET_DATA:
-        for k, got in dim_rho_prim(coset_enumerate(PRESETS[name]), 20).items():
+        for k, got in dim_rho_prim(_cosets(name), 20).items():
             want = expected_dim_rho_prim(name, k)
             yield CheckResult("dimension", f"{name}: dim rho_prim at k={k}",
                               str(want), str(got), got == want)

@@ -696,6 +696,28 @@ class TestIrrepsOfDimension:
             irreps_up_to(rs, 10)
         assert len(calls) <= 2
 
+    def test_a_system_whose_roots_miss_the_last_coordinate_is_refused(self, monkeypatch):
+        # A3 with only the roots whose last coordinate is 0, those of A2: the
+        # descent meets last coordinates only after raising the others, and
+        # still stops at the first weight whose dimension does not grow
+        rs = build_root_system("A", 3)
+        kept = [i for i, root in enumerate(rs.positive_roots) if not root[-1]]
+        rs = rs._replace(positive_roots=tuple(rs.positive_roots[i] for i in kept),
+                         rho_pairings=tuple(rs.rho_pairings[i] for i in kept))
+        calls = []
+        real = katzmod.roots._weyl_product
+
+        def counted(*args):
+            calls.append(args[1])
+            if len(calls) > 20:
+                raise AssertionError(f"the search goes on: {calls}")
+            return real(*args)
+
+        monkeypatch.setattr(katzmod.roots, "_weyl_product", counted)
+        with pytest.raises(RuntimeError, match=r"A3: weight \(\d, \d, 1\) has dimension (\d+), "
+                                               r"not above the \1 of \(\d, \d, 0\)"):
+            irreps_up_to(rs, 10)
+
     def test_a1_unique_sym8(self):
         rs = build_root_system("A", 1)
         assert irreps_of_dimension(rs, 9) == [(8,)]
@@ -741,43 +763,35 @@ class TestIrrepsOfDimension:
             assert irreps_up_to(rs, bound) == want, (t, n)
 
     @pytest.mark.parametrize("bound", [1, 2, 9, 60, 300, 2000])
-    def test_pruned_search_equals_the_unpruned_one(self, bound):
+    def test_descent_equals_the_unpruned_search(self, bound):
         for t, n in all_types(8):
             rs = build_root_system(t, n)
             assert irreps_up_to(rs, bound) == unpruned_irreps_up_to(rs, bound), (t, n)
 
-    def test_no_weight_above_one_found_outside_is_evaluated(self, monkeypatch):
-        # a spy on every Weyl product: the weights the search evaluates, and
-        # those it evaluates although one step below them lies a weight
-        # already found outside
+    def test_no_weight_is_probed_twice(self, monkeypatch):
+        # a spy on every Weyl product: the descent probes each weight at most
+        # once, so never more weights than the search that probes every
+        # weight one step above one inside
         real = katzmod.roots._weyl_product
-        evaluated, outside, late = [], set(), []
+        probed = []
 
         def spy(rs, weight, bound=None):
-            evaluated.append(weight)
-            late.extend(weight for j, w in enumerate(weight)
-                        if w and weight[:j] + (w - 1,) + weight[j + 1:] in outside)
-            dim = real(rs, weight, bound)
-            if dim is None:
-                outside.add(weight)
-            return dim
+            probed.append(weight)
+            return real(rs, weight, bound)
 
-        def products(search, rs, bound):
-            evaluated.clear()
-            outside.clear()
-            late.clear()
+        def probes(search, rs, bound):
+            probed.clear()
             search(rs, bound)
-            return len(evaluated)
+            return Counter(probed)
 
         monkeypatch.setattr(katzmod.roots, "_weyl_product", spy)
-        pruned = unpruned = 0
         for t, n in all_types(8):
             rs = build_root_system(t, n)
             for bound in (60, 2000):
-                unpruned += products(unpruned_irreps_up_to, rs, bound)
-                pruned += products(irreps_up_to, rs, bound)
-                assert not late, (t, n, bound)
-        assert pruned < unpruned
+                unpruned = probes(unpruned_irreps_up_to, rs, bound)
+                descent = probes(irreps_up_to, rs, bound)
+                assert max(descent.values()) == 1, (t, n, bound)
+                assert descent.total() <= unpruned.total(), (t, n, bound)
 
     def test_bad_bound_rejected(self):
         rs = build_root_system("B", 2)

@@ -15,7 +15,7 @@ from katzmod import verify
 from katzmod.classify import form_filter, ht_filter
 from katzmod.linalg import Matrix, bracket, rank, solve_homogeneous, solve_linear
 from katzmod.sl2 import (Sl2Triple, AdjointDecomposition, principal_triple,
-                         decompose_adjoint, project_to_blocks, bracket_support,
+                         decompose_adjoint, block_dimensions, project_to_blocks, bracket_support,
                          verify_bracket_identity, invariant_bilinear_form, form_kernel, _dot,
                          _check_direct, _strip_bracket, _ad_y)
 
@@ -515,6 +515,36 @@ class TestAdjointDecomposition:
                 for i, v in enumerate(basis):
                     assert bracket(h, v) == v.scale(2 * r - 2 * i)
                 assert bracket(y, basis[2 * r]).is_zero()
+
+
+class TestBlockDimensions:
+    def test_chains_of_genuine_decompositions(self):
+        for k in range(2, 13):
+            t = principal_triple(k)
+            assert block_dimensions(decompose_adjoint(t), t) == [2 * r + 1 for r in range(1, k)]
+
+    def test_a_zero_strip_ends_the_chain(self):
+        t = principal_triple(4)
+        dec = with_strip_replaced(decompose_adjoint(t), 3, 2, (0,) * 3)
+        assert block_dimensions(dec, t) == [3, 5, 2]
+
+    def test_a_last_strip_not_killed_is_followed_by_y(self):
+        # U_1's lowest strip plus U_3's strip on the diagonal -1: ad(y) takes
+        # it on through U_3's last two strips
+        t = principal_triple(4)
+        dec = decompose_adjoint(t)
+        lowest = tuple(a + b for a, b in zip(dec.block(1)[2], dec.block(3)[4]))
+        assert block_dimensions(with_strip_replaced(dec, 1, 2, lowest), t) == [5, 5, 7]
+
+    def test_refusals(self):
+        t = principal_triple(3)
+        dec = decompose_adjoint(t)
+        with pytest.raises(TypeError):
+            block_dimensions(dec.blocks, t)
+        with pytest.raises(TypeError):
+            block_dimensions(dec, tuple(t))
+        with pytest.raises(ValueError, match="sl_4, the decomposition of sl_3"):
+            block_dimensions(dec, principal_triple(4))
 
 
 class TestProjectToBlocks:

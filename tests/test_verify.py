@@ -1,14 +1,17 @@
 """verify.run computes what several sections read once per call, and only there,
 and each section can fail.
 
-The classification and pipeline sections read one classify_all sweep, and the
-adjoint and bracket sections one decomposition of sl_k per k.  A section run
-alone must give the rows it gives inside a full run, a corrupted sweep or
-decomposition must turn every section that reads it red, and the sharing must
-end with the call: a run after the corruption is undone is green again.  The
+The classification and pipeline sections read one classify_all sweep, the
+adjoint and bracket sections one decomposition of sl_k per k, and the subgroups
+and dimension sections one coset table per preset.  A section run alone must
+give the rows it gives inside a full run, a corrupted sweep or decomposition
+must turn every section that reads it red, and the sharing must end with the
+call: a run after the corruption is undone is green again.  The
 exponents, weyl, form, subgroups, dimension and frobenius sections each turn
 red, alone, when the one input they read is corrupted.
 """
+
+from operator import add
 
 import pytest
 
@@ -18,7 +21,7 @@ from katzmod import verify
 from katzmod.classify import LABEL_SYMPLECTIC
 from test_sl2 import with_strip_replaced
 
-SHARED = ("classification", "pipeline", "adjoint", "bracket")
+SHARED = ("classification", "pipeline", "adjoint", "bracket", "subgroups", "dimension")
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +85,46 @@ def test_corrupted_decomposition_turns_adjoint_and_bracket_red(monkeypatch):
     assert all("1 missing from T(1,1)" in row.computed for row in bracket)
     monkeypatch.undo()
     assert not red(verify.run())
+
+
+def test_a_strip_off_the_chain_turns_adjoint_and_bracket_red(monkeypatch):
+    # U_1's lowest strip, on the diagonal -1, plus U_2's strip there: the
+    # basis keeps its rank, but ad(y) no longer kills the last strip of U_1,
+    # so its chain from x is 4 long; sl_2 has no U_2 and stays as it is
+    real = verify.decompose_adjoint
+    ranks = {}
+
+    def mixed(t):
+        dec = real(t)
+        if t.k >= 3:
+            lowest = tuple(map(add, dec.block(1)[2], dec.block(2)[3]))
+            dec = with_strip_replaced(dec, 1, 2, lowest)
+        ranks[t.k] = dec.basis_rank()
+        return dec
+
+    monkeypatch.setattr(verify, "decompose_adjoint", mixed)
+    rows = verify.run()
+    assert ranks == {k: k * k - 1 for k in range(2, 13)}
+    assert red(rows) == sorted(
+        [("adjoint", f"k={k}: block dimensions and invertible basis") for k in range(3, 13)]
+        + [("bracket", f"k={k}: [x^r, ad(y)x^s] = 2rs x^(r+s-1) and support")
+           for k in range(3, 11)])
+    adjoint = [row for row in rows if row.section == "adjoint"]
+    assert all(row.computed.startswith("[4, 5") for row in adjoint[1:])
+    monkeypatch.undo()
+    assert not red(verify.run())
+
+
+def test_a_run_enumerates_one_coset_table_per_preset(monkeypatch):
+    real = verify.coset_enumerate
+    calls = []
+    monkeypatch.setattr(verify, "coset_enumerate", lambda gens: calls.append(gens.name)
+                        or real(gens))
+    assert not red(verify.run())
+    assert sorted(calls) == sorted(verify.PRESET_DATA)
+    calls.clear()
+    assert not red(verify.run(only="dimension"))
+    assert sorted(calls) == sorted(verify.PRESET_DATA)
 
 
 def test_nothing_is_shared_outside_a_run(monkeypatch):
@@ -175,7 +218,7 @@ def test_a_search_without_a_nontrivial_irreducible_turns_weyl_red(full_run, monk
 
 
 def test_a_run_makes_at_most_650_weyl_products(monkeypatch):
-    # the weight search evaluates no weight one step above one found outside
+    # the descent over the weights probes each weight at most once
     real = katzmod.roots._weyl_product
     weights = []
     monkeypatch.setattr(katzmod.roots, "_weyl_product",
